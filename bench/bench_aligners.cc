@@ -5,14 +5,13 @@
  * magnitude faster than rigorous Smith-Waterman, measured on real
  * wall-clock rather than in simulation.
  *
- * Ends with an interleaved A/B/C of the model-vector scan
- * (swSimdScan<8>, the Altivec software model) against the native
- * striped backend (sw_striped_native) and the native
- * inter-sequence backend (sw_intersequence_native), reported as
- * GCUPS in the standard JSON footer — the gate for the serving
- * engine's kernel swap — plus a GCUPS-by-subject-length-bucket
- * breakdown of striped vs inter-sequence that justifies the
- * serving engine's kernel-selection cutover.
+ * Ends with an interleaved A/B of the two native kernels the
+ * serving engine scans with — the striped backend
+ * (sw_striped_native) and the inter-sequence backend
+ * (sw_intersequence_native) — reported as GCUPS in the standard
+ * JSON footer, plus a GCUPS-by-subject-length-bucket breakdown of
+ * striped vs inter-sequence that justifies the serving engine's
+ * kernel-selection cutover.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,9 +24,7 @@
 #include "align/fasta.hh"
 #include "align/smith_waterman.hh"
 #include "align/ssearch.hh"
-#include "align/sw_simd.hh"
 #include "align/sw_intersequence_native.hh"
-#include "align/sw_striped.hh"
 #include "align/sw_striped_native.hh"
 #include "bench_common.hh"
 #include "bio/scoring.hh"
@@ -96,52 +93,6 @@ BM_SsearchScan(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SsearchScan)->Unit(benchmark::kMillisecond);
-
-template <int N>
-void
-BM_SwSimdScan(benchmark::State &state)
-{
-    const align::VectorProfile<N> profile(query(), kMat);
-    std::uint64_t residues = 0;
-    for (auto _ : state) {
-        int best = 0;
-        for (const bio::Sequence &s : database()) {
-            best = std::max(
-                best,
-                align::swSimdScan<N>(profile, s, kGaps).score);
-            residues += s.length();
-        }
-        benchmark::DoNotOptimize(best);
-    }
-    state.counters["Mcells/s"] = benchmark::Counter(
-        static_cast<double>(residues * query().length()) / 1e6,
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SwSimdScan<8>)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SwSimdScan<16>)->Unit(benchmark::kMillisecond);
-
-template <int N>
-void
-BM_SwStripedScan(benchmark::State &state)
-{
-    const align::StripedProfile<N> profile(query(), kMat);
-    std::uint64_t residues = 0;
-    for (auto _ : state) {
-        int best = 0;
-        for (const bio::Sequence &s : database()) {
-            best = std::max(
-                best,
-                align::swStripedScan<N>(profile, s, kGaps).score);
-            residues += s.length();
-        }
-        benchmark::DoNotOptimize(best);
-    }
-    state.counters["Mcells/s"] = benchmark::Counter(
-        static_cast<double>(residues * query().length()) / 1e6,
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SwStripedScan<8>)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SwStripedScan<16>)->Unit(benchmark::kMillisecond);
 
 void
 BM_FastaSearch(benchmark::State &state)
@@ -327,22 +278,20 @@ runLengthBucketBreakdown(const align::NativeQueryProfile &profile)
 }
 
 /**
- * The kernel-swap gate: interleaved A/B/C rounds of the
- * model-vector database scan vs the native striped and native
- * inter-sequence backends, single-threaded, per-arm minimum over
- * the rounds, GCUPS = DP cells / wall-ns. Interleaving (model,
- * striped, inter-seq, model, ...) means thermal or scheduler
- * drift hits every arm equally.
+ * Interleaved A/B rounds of the native striped vs native
+ * inter-sequence database scan, single-threaded, per-arm minimum
+ * over the rounds, GCUPS = DP cells / wall-ns. Interleaving
+ * (striped, inter-seq, striped, ...) means thermal or scheduler
+ * drift hits both arms equally.
  */
 void
-runModelVsNativeGcups()
+runNativeGcups()
 {
     constexpr int rounds = 5;
     const bio::Sequence &q = query();
     const bio::SequenceDatabase &db = database();
     const std::uint64_t cells = db.totalResidues() * q.length();
 
-    const align::VectorProfile<8> model_profile(q, kMat);
     const align::SimdBackend backend = align::bestNativeBackend();
     const align::NativeQueryProfile native_profile(q, kMat,
                                                    backend);
@@ -364,13 +313,6 @@ runModelVsNativeGcups()
                    Clock::now() - t0)
             .count();
     };
-    auto model_scan = [&](int &best) {
-        for (const bio::Sequence &s : db)
-            best = std::max(
-                best,
-                align::swSimdScan<8>(model_profile, s, kGaps)
-                    .score);
-    };
     auto native_scan = [&](int &best) {
         for (const bio::Sequence &s : db)
             best = std::max(
@@ -386,22 +328,18 @@ runModelVsNativeGcups()
             best = std::max(best, h.score);
     };
 
-    double model_ms = std::numeric_limits<double>::infinity();
     double native_ms = std::numeric_limits<double>::infinity();
     double inter_ms = std::numeric_limits<double>::infinity();
     std::vector<double> point_ms;
     double wall_ms = 0.0;
     for (int r = 0; r < rounds; ++r) {
-        const double m = time_ms(model_scan);
         const double n = time_ms(native_scan);
         const double i = time_ms(inter_scan);
-        model_ms = std::min(model_ms, m);
         native_ms = std::min(native_ms, n);
         inter_ms = std::min(inter_ms, i);
-        point_ms.push_back(m);
         point_ms.push_back(n);
         point_ms.push_back(i);
-        wall_ms += m + n + i;
+        wall_ms += n + i;
     }
 
     const auto gcups = [cells](double ms) {
@@ -409,24 +347,20 @@ runModelVsNativeGcups()
             ? 0.0
             : static_cast<double>(cells) / (ms * 1e6);
     };
-    std::cout << "# model vs native striped vs inter-sequence scan ("
+    std::cout << "# native striped vs inter-sequence scan ("
               << align::backendName(backend) << "), " << rounds
-              << " interleaved rounds, per-arm min: model "
-              << model_ms << " ms / striped " << native_ms
-              << " ms / inter-seq " << inter_ms << " ms\n";
+              << " interleaved rounds, per-arm min: striped "
+              << native_ms << " ms / inter-seq " << inter_ms
+              << " ms\n";
     const std::string buckets =
         runLengthBucketBreakdown(native_profile);
     bench::printJsonFooter(
         "bench_aligners", 1, point_ms.size(), wall_ms, wall_ms,
         {{"cells", std::to_string(cells)},
-         {"model_ms", std::to_string(model_ms)},
          {"native_ms", std::to_string(native_ms)},
          {"interseq_ms", std::to_string(inter_ms)},
-         {"gcups_model", std::to_string(gcups(model_ms))},
          {"gcups_native", std::to_string(gcups(native_ms))},
          {"gcups_intersequence", std::to_string(gcups(inter_ms))},
-         {"native_speedup",
-          std::to_string(model_ms / native_ms)},
          {"interseq_speedup_vs_striped",
           std::to_string(native_ms / inter_ms)},
          {"interseq_cutover",
@@ -448,6 +382,6 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    runModelVsNativeGcups();
+    runNativeGcups();
     return 0;
 }

@@ -8,10 +8,9 @@
  * BENCH_*.json files track the serving-path perf trajectory
  * alongside the simulation sweeps.
  *
- * The stream is replayed through two engines — one on the model
- * kernels, one on the native SIMD backend — in interleaved rounds,
- * so the footer tracks the end-to-end win of the kernel swap
- * (GCUPS and wall-time speedup) alongside absolute throughput.
+ * The stream is replayed through the engine on the native SIMD
+ * backend for a few rounds (best wall time kept), so the footer
+ * tracks scan GCUPS alongside absolute throughput.
  *
  * Fleet segments (PR 8) ride the same stream: a replicas {1,2}
  * A/B through the ReplicaRouter (hits must stay bit-identical to
@@ -72,6 +71,7 @@ main()
 
     serve::StreamSpec stream;
     stream.requests = 64;
+    constexpr int rounds = 3;
 
     serve::EngineConfig cfg;
     cfg.jobs = bench::jobs();
@@ -91,30 +91,17 @@ main()
               << " requests (five-application mix) vs "
               << db.size() << " sequences / " << db.totalResidues()
               << " residues (BIOARCH_DB_SEQS to scale)\n"
-              << "# backends: model vs "
+              << "# backend: "
               << align::backendName(cfg.backend)
-              << " (interleaved rounds, per-arm min)\n";
+              << " (best of " << rounds << " rounds)\n";
 
-    serve::EngineConfig model_cfg = cfg;
-    model_cfg.backend = align::SimdBackend::Model;
-    serve::Engine model_engine(db, model_cfg);
     serve::Engine engine(db, cfg);
 
-    constexpr int rounds = 3;
-    double model_ms = std::numeric_limits<double>::infinity();
-    double native_ms = std::numeric_limits<double>::infinity();
-    std::uint64_t model_cells = 0;
     serve::StreamReport report;
     for (int r = 0; r < rounds; ++r) {
-        const serve::StreamReport mr =
-            model_engine.serveStream(requests);
-        model_ms = std::min(model_ms, mr.wallMs);
-        model_cells = mr.totalCells;
         serve::StreamReport nr = engine.serveStream(requests);
-        if (nr.wallMs < native_ms) {
-            native_ms = nr.wallMs;
+        if (r == 0 || nr.wallMs < report.wallMs)
             report = std::move(nr);
-        }
     }
     const serve::LatencySummary lat = report.latency.summary();
 
@@ -457,14 +444,11 @@ main()
     for (const serve::Response &r : report.responses)
         point_ms.push_back(r.latencyUs() / 1000.0);
 
-    // GCUPS compares each arm's own cell accounting against its
-    // own best wall time (the model's vector kinds count padded
-    // lanes, the native kernel counts logical m*n cells).
-    const auto gcups = [](std::uint64_t cells, double ms) {
-        return ms <= 0.0
-            ? 0.0
-            : static_cast<double>(cells) / (ms * 1e6);
-    };
+    // GCUPS: logical m*n cells over the best stream wall time.
+    const double gcups_native = report.wallMs <= 0.0
+        ? 0.0
+        : static_cast<double>(report.totalCells)
+            / (report.wallMs * 1e6);
     bench::printJsonFooter(
         "bench_serve_throughput", report.jobs,
         report.responses.size(), report.wallMs, report.cpuMs,
@@ -474,13 +458,8 @@ main()
          {"backend",
           "\"" + std::string(align::backendName(cfg.backend))
               + "\""},
-         {"model_wall_ms", std::to_string(model_ms)},
-         {"native_wall_ms", std::to_string(native_ms)},
-         {"gcups_model", std::to_string(gcups(model_cells,
-                                              model_ms))},
-         {"gcups_native",
-          std::to_string(gcups(report.totalCells, native_ms))},
-         {"serve_speedup", std::to_string(model_ms / native_ms)},
+         {"native_wall_ms", std::to_string(report.wallMs)},
+         {"gcups_native", std::to_string(gcups_native)},
          {"queue_wait_p99_ms", std::to_string(queue_wait_p99_ms)},
          {"shed_count", std::to_string(shed_count)},
          {"indexed_speedup", std::to_string(indexed_speedup)},

@@ -33,6 +33,7 @@ check_rejects() {
 check_rejects "$SERVE" "unknown option" --frobnicate
 check_rejects "$SERVE" "unknown workload" --workload nope
 check_rejects "$SERVE" "unknown backend" --backend warp9
+check_rejects "$SERVE" "model backend removed" --backend model
 check_rejects "$SERVE" "missing option value" --workload
 check_rejects "$SERVE" "non-positive requests" --requests 0
 check_rejects "$SERVE" "non-positive qps" --qps -3
@@ -63,6 +64,11 @@ fi
 lines=$("$SERVE" --frobnicate 2>&1 | wc -l)
 if [ "$lines" -ne 1 ]; then
     echo "FAIL: serve unknown-flag error should be one line, got $lines"
+    fails=1
+fi
+lines=$("$SERVE" --backend model 2>&1 | wc -l)
+if [ "$lines" -ne 1 ]; then
+    echo "FAIL: serve --backend model error should be one line, got $lines"
     fails=1
 fi
 

@@ -92,8 +92,6 @@ std::string_view
 backendName(SimdBackend backend)
 {
     switch (backend) {
-    case SimdBackend::Model:
-        return "model";
     case SimdBackend::Portable:
         return "portable";
     case SimdBackend::SSE2:
@@ -109,8 +107,6 @@ backendName(SimdBackend backend)
 std::optional<SimdBackend>
 parseBackend(std::string_view name)
 {
-    if (name == "model")
-        return SimdBackend::Model;
     if (name == "portable")
         return SimdBackend::Portable;
     if (name == "sse2")
@@ -144,8 +140,6 @@ defaultScanBackend()
     if (const char *env = std::getenv("BIOARCH_SIMD_BACKEND")) {
         const auto parsed = parseBackend(env);
         if (parsed) {
-            if (*parsed == SimdBackend::Model)
-                return SimdBackend::Model;
             const auto &avail = compiledNativeBackends();
             if (std::find(avail.begin(), avail.end(), *parsed)
                 != avail.end())
@@ -160,8 +154,7 @@ NativeQueryProfile::NativeQueryProfile(
     const bio::Sequence &query, const bio::ScoringMatrix &matrix,
     SimdBackend backend)
     : _query(&query), _matrix(&matrix),
-      _backend(backend == SimdBackend::Model ? bestNativeBackend()
-                                             : backend),
+      _backend(backend),
       _m(static_cast<int>(query.length())), _bias(0), _seg8(0),
       _seg16(0)
 {

@@ -3,10 +3,10 @@
  * Native hardware-SIMD striped Smith-Waterman — the execution
  * backend the serving engine scans the database with.
  *
- * Strictly separate from the traced/simulated kernels: those keep
- * using the portable vector *model* (vec/simd.hh) so the paper's
- * Table III instruction counts are untouched. This backend exists
- * to make `bioarch-serve` run as fast as the hardware allows
+ * Strictly separate from the traced/simulated kernels
+ * (kernels/sw_vmx_traced), which emit the paper's Table III
+ * instruction stream. This backend exists to make `bioarch-serve`
+ * run as fast as the hardware allows
  * (Farrar-striped layout, 8-bit saturating lanes, lazy-F loop —
  * the SSW/SWIPE lineage the paper's SW kernels led to).
  *
@@ -24,8 +24,8 @@
  * always compiled. bestNativeBackend() picks the widest variant the
  * running CPU supports (AVX2 is additionally guarded by runtime
  * CPUID), and the BIOARCH_SIMD_BACKEND environment variable forces
- * a specific backend — including "model", which tells the serving
- * layer to keep using the instruction-accurate model kernels.
+ * a specific backend. The portable variant is the only one on hosts
+ * without SSE2/AVX2/NEON.
  */
 
 #ifndef BIOARCH_ALIGN_SW_STRIPED_NATIVE_HH
@@ -44,22 +44,16 @@
 namespace bioarch::align
 {
 
-/**
- * Which kernel implementation scans the database. Model is the
- * software Altivec model (vec/simd.hh) — not a native backend, but
- * part of this enum so the serving engine and the benches can A/B
- * the two layers through one switch.
- */
+/** Which native kernel implementation scans the database. */
 enum class SimdBackend
 {
-    Model,
     Portable,
     SSE2,
     AVX2,
     NEON,
 };
 
-/** Lower-case display name ("model", "sse2", ...). */
+/** Lower-case display name ("portable", "sse2", ...). */
 std::string_view backendName(SimdBackend backend);
 
 /** Parse a backend name; "auto" maps to bestNativeBackend(). */
@@ -72,7 +66,7 @@ std::optional<SimdBackend> parseBackend(std::string_view name);
  */
 const std::vector<SimdBackend> &compiledNativeBackends();
 
-/** The widest runnable native backend (never Model). */
+/** The widest runnable native backend. */
 SimdBackend bestNativeBackend();
 
 /**
@@ -117,7 +111,7 @@ operator+=(NativeScanStats &a, const NativeScanStats &b)
 class NativeQueryProfile
 {
   public:
-    /** Pad sentinel of the 16-bit level (as the model profile). */
+    /** Pad sentinel of the 16-bit level. */
     static constexpr std::int16_t padScore = -1000;
 
     NativeQueryProfile(const bio::Sequence &query,
@@ -163,9 +157,8 @@ class NativeQueryProfile
 /**
  * Scan one subject with the profile's backend, climbing the
  * 8-bit -> 16-bit -> scalar overflow ladder as levels saturate.
- * The score is exactly align::smithWatermanScore's; like the model
- * striped kernel, queryEnd is not tracked (-1) unless the scalar
- * fallback level ran.
+ * The score is exactly align::smithWatermanScore's; queryEnd is
+ * not tracked (-1) unless the scalar fallback level ran.
  *
  * @param subject encoded residues (any contiguous storage — a
  *        Sequence's own vector or the database's packed arena)

@@ -5,9 +5,9 @@
  * sw_striped_native.cc and sw_striped_avx2.cc — everything else
  * goes through the dispatching API in sw_striped_native.hh.
  *
- * The recurrence mirrors align/sw_striped.cc (the model-vector
- * striped kernel, already asserted bit-identical to the scalar
- * reference), with three differences:
+ * The recurrence is Farrar's striped Smith-Waterman (bit-identical
+ * to the scalar reference, tests/sw_native_test.cc), with three
+ * refinements over the classic formulation:
  *
  *  - the lazy-F correction is deconstructed (Snytsar): a prefix
  *    scan folds every wrap's boundary-crossing gap flow into one
@@ -239,8 +239,8 @@ stripedScanU8(const std::uint8_t *profile, int seg,
 }
 
 /**
- * 16-bit signed level. The profile holds raw scores with the same
- * -1000 pad sentinel as the model striped profile; H is clamped at
+ * 16-bit signed level. The profile holds raw scores with a -1000
+ * pad sentinel (NativeQueryProfile::padScore); H is clamped at
  * zero by maxing against the zero register inside the shared
  * column pass (e and v_f start at zero, and the biased-subtraction
  * with bias == 0 is a no-op).

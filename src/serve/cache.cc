@@ -26,7 +26,6 @@ ResultCache::digest(const Key &key)
 {
     core::Fnv1a fnv;
     fnv.update64(key.kind);
-    fnv.update64(key.backend);
     fnv.update64(key.topK);
     fnv.update64(key.report);
     fnv.update64(key.epoch);

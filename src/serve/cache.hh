@@ -1,8 +1,8 @@
 /**
  * @file
  * The epoch-keyed result cache of the serving fleet: a bounded,
- * sharded LRU mapping (kind, query digest, db epoch, top-K,
- * backend) to the ranked hit list that a full scan would produce.
+ * sharded LRU mapping (kind, query digest, db epoch, top-K) to the
+ * ranked hit list that a full scan would produce.
  *
  * The batch-level dedup in Engine::runBatch is the degenerate
  * single-batch case of this cache: identical requests inside one
@@ -81,7 +81,6 @@ class ResultCache
     struct Key
     {
         std::uint16_t kind = 0;    ///< kernels::Workload
-        std::uint16_t backend = 0; ///< align::SimdBackend
         std::uint32_t topK = 0;    ///< effective (engine-resolved)
         /** 1 when the answer carries phase-2 alignments. A
          * score-only answer never satisfies a reporting request
@@ -93,9 +92,9 @@ class ResultCache
         bool
         operator==(const Key &o) const
         {
-            return kind == o.kind && backend == o.backend
-                && topK == o.topK && report == o.report
-                && epoch == o.epoch && query == o.query;
+            return kind == o.kind && topK == o.topK
+                && report == o.report && epoch == o.epoch
+                && query == o.query;
         }
     };
 

@@ -53,11 +53,9 @@ struct EngineConfig
     /** Default hits per response (requests may override). */
     std::size_t topK = 10;
     /**
-     * Kernel backend for the Smith-Waterman request kinds: a native
-     * SIMD backend (the default; see align::defaultScanBackend and
-     * the BIOARCH_SIMD_BACKEND environment variable) or
-     * SimdBackend::Model for the instruction-accurate model
-     * kernels.
+     * Native SIMD kernel backend for the Smith-Waterman request
+     * kinds (see align::defaultScanBackend and the
+     * BIOARCH_SIMD_BACKEND environment variable).
      */
     align::SimdBackend backend = align::defaultScanBackend();
     /**
@@ -159,11 +157,6 @@ class Engine : public BatchServer
 
     /** Serve one request (a batch of one). */
     Response serve(const Request &request);
-
-    /** Deadline plumbing, now shared with every BatchServer
-     * implementation (batch_server.hh); the nested name stays for
-     * source compatibility. */
-    using BatchControl = serve::BatchControl;
 
     /**
      * Serve @p requests as a single batch: all (request, shard)

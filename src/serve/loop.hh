@@ -22,7 +22,7 @@
  * Deadlines are absolute timestamps on the loop's Clock and are
  * enforced twice: at dispatch (an expired request never reaches
  * the engine) and at shard-scan granularity inside the engine
- * (Engine::BatchControl), so a request that expires mid-batch
+ * (serve::BatchControl), so a request that expires mid-batch
  * stops consuming scan time at the next shard boundary.
  *
  * Multi-tenancy. Every request is billed to Request::tenant:

@@ -25,30 +25,14 @@ PreparedQuery::PreparedQuery(const Request &request,
       _blast(blast),
       _blastn(blastn)
 {
-    // All three Smith-Waterman kinds rank by the exact SW score, so
-    // any of them can be served by the native striped kernel; the
-    // per-kind model profiles only exist for the Model backend.
-    const bool native_sw = backend != align::SimdBackend::Model
-        && (_kind == kernels::Workload::Ssearch34
-            || _kind == kernels::Workload::SwVmx128
-            || _kind == kernels::Workload::SwVmx256);
-    if (native_sw) {
-        _native = std::make_unique<align::NativeQueryProfile>(
-            *_query, matrix, backend);
-        return;
-    }
     switch (_kind) {
     case kernels::Workload::Ssearch34:
-        _profile =
-            std::make_unique<align::QueryProfile>(*_query, matrix);
-        break;
     case kernels::Workload::SwVmx128:
-        _vmx128 = std::make_unique<align::VectorProfile<8>>(*_query,
-                                                            matrix);
-        break;
     case kernels::Workload::SwVmx256:
-        _vmx256 = std::make_unique<align::VectorProfile<16>>(
-            *_query, matrix);
+        // All three Smith-Waterman kinds rank by the exact SW
+        // score, so they share the native striped kernel.
+        _native = std::make_unique<align::NativeQueryProfile>(
+            *_query, matrix, backend);
         break;
     case kernels::Workload::Fasta34:
         _ktup = std::make_unique<align::KtupIndex>(*_query,
@@ -81,13 +65,6 @@ PreparedQuery::scan(const bio::Sequence &subject,
         return align::swStripedNativeScan(*_native, subject, _gaps,
                                           cells, stats);
     switch (_kind) {
-    case kernels::Workload::Ssearch34:
-        return align::ssearchScan(*_profile, subject, _gaps, cells);
-    case kernels::Workload::SwVmx128:
-        return align::swSimdScan<8>(*_vmx128, subject, _gaps, cells);
-    case kernels::Workload::SwVmx256:
-        return align::swSimdScan<16>(*_vmx256, subject, _gaps,
-                                     cells);
     case kernels::Workload::Fasta34: {
         const align::FastaScores fs = align::fastaScan(
             *_ktup, *_query, subject, *_matrix, _gaps, _fasta,

@@ -20,9 +20,7 @@
 #include "align/blast.hh"
 #include "align/blastn.hh"
 #include "align/fasta.hh"
-#include "align/ssearch.hh"
 #include "align/sw_intersequence_native.hh"
-#include "align/sw_simd.hh"
 #include "align/sw_striped_native.hh"
 #include "align/types.hh"
 #include "bio/scoring.hh"
@@ -83,7 +81,7 @@ struct Response
     double scanUs = 0.0;
     /**
      * Shard scans cancelled because the request's deadline had
-     * expired (see Engine::BatchControl). Non-zero means the hit
+     * expired (see serve::BatchControl). Non-zero means the hit
      * list is partial: the serving loop reports such responses
      * with a Deadline status.
      */
@@ -124,8 +122,8 @@ struct Response
 
 /**
  * The query state an application builds once per request and then
- * shares, read-only, across every shard scan: SSEARCH's query
- * profile, the SIMD vector profiles, FASTA's k-tuple index, or
+ * shares, read-only, across every shard scan: the native striped
+ * profile (all Smith-Waterman kinds), FASTA's k-tuple index, or
  * BLAST's neighborhood word index.
  *
  * References the request's query sequence (and the scoring matrix);
@@ -135,10 +133,9 @@ class PreparedQuery
 {
   public:
     /**
-     * @param backend kernel backend for the Smith-Waterman kinds
-     *        (ssearch34 / sw_vmx*): any native backend routes their
-     *        scans through the striped native kernel; Model keeps
-     *        the instruction-accurate model kernels. The heuristics
+     * @param backend native kernel backend for the Smith-Waterman
+     *        kinds (ssearch34 / sw_vmx*), whose scans all go
+     *        through the striped native kernel. The heuristics
      *        (FASTA, BLAST) are unaffected.
      */
     PreparedQuery(const Request &request,
@@ -153,7 +150,8 @@ class PreparedQuery
     kernels::Workload kind() const { return _kind; }
     const bio::Sequence &query() const { return *_query; }
 
-    /** True when scans go through the native striped kernel. */
+    /** True for the Smith-Waterman kinds, whose scans go through
+     * the native striped kernel. */
     bool usesNativeScan() const { return _native != nullptr; }
 
     /**
@@ -181,7 +179,7 @@ class PreparedQuery
      *
      * @param[out] stats optional native overflow-ladder accounting
      *        (u8 scans / i16 / scalar rescans); untouched on the
-     *        model and heuristic paths
+     *        heuristic paths
      */
     align::LocalScore
     scan(const bio::Sequence &subject, std::uint64_t *cells,
@@ -240,12 +238,8 @@ class PreparedQuery
     align::BlastParams _blast;
     align::BlastnParams _blastn;
 
-    // Exactly one of these is built, depending on _kind (and, for
-    // the Smith-Waterman kinds, on the backend).
+    // Exactly one of these is built, depending on _kind.
     std::unique_ptr<align::NativeQueryProfile> _native;
-    std::unique_ptr<align::QueryProfile> _profile;
-    std::unique_ptr<align::VectorProfile<8>> _vmx128;
-    std::unique_ptr<align::VectorProfile<16>> _vmx256;
     std::unique_ptr<align::KtupIndex> _ktup;
     std::unique_ptr<align::NeighborhoodIndex> _neighborhood;
     // Blastn: the query re-packed to 2 bits plus its word index.

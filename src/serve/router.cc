@@ -63,7 +63,7 @@ ReplicaRouter::ReplicaRouter(
         r.mDepth->set(0.0);
     }
     // Adopt replica 0's normalized knobs so cache keys use the
-    // same effective top-K/backend the engines resolve to.
+    // same effective top-K the engines resolve to.
     _cfg.engine = _replicas[0].engine->config();
 }
 
@@ -139,8 +139,6 @@ ReplicaRouter::serveBatch(const std::vector<Request> &requests,
         const Request &req = requests[i];
         ResultCache::Key &key = keys[i];
         key.kind = static_cast<std::uint16_t>(req.kind);
-        key.backend =
-            static_cast<std::uint16_t>(_cfg.engine.backend);
         key.topK = static_cast<std::uint32_t>(
             req.topK != 0 ? req.topK : _cfg.engine.topK);
         key.report = req.reportAlignments ? 1 : 0;

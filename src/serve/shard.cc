@@ -83,8 +83,8 @@ scanShard(const PreparedQuery &query,
     }
 
     // Native Smith-Waterman scans walk the database's packed
-    // residue arena (one contiguous stream per shard); the model
-    // kernels and the heuristics keep taking the Sequence path.
+    // residue arena (one contiguous stream per shard); the
+    // heuristics keep taking the Sequence path.
     const bool packed = !indexed && query.usesNativeScan();
     if (!indexed)
         out.residues = shard.residues;

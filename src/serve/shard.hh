@@ -115,14 +115,14 @@ struct ShardScan
      * top-K never pays for them.
      */
     std::uint64_t karlinFills = 0;
-    /** Native overflow-ladder accounting (zero on model paths). */
+    /** Native overflow-ladder accounting (zero for the heuristics). */
     align::NativeScanStats native;
     /** Wall time of the scan (filled in by the engine). */
     double elapsedUs = 0.0;
     /**
      * True when the request's deadline had already expired when
      * this task ran, so the shard was never scanned (cancellation
-     * at shard-scan granularity; see Engine::BatchControl).
+     * at shard-scan granularity; see serve::BatchControl).
      */
     bool skipped = false;
 };

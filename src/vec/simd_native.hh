@@ -2,11 +2,11 @@
  * @file
  * Hardware SIMD vector layer for the *native* alignment backend.
  *
- * This is deliberately separate from vec/simd.hh: that header is the
- * software *model* of Altivec vectors the traced kernels are built
- * on (one trace instruction per primitive, Table III depends on it).
- * This header is the execution layer the serving engine scans the
- * database with — real intrinsics, chosen at compile time:
+ * The traced kernels (kernels/sw_vmx_traced) do not use it: they
+ * emit one trace instruction per modelled Altivec primitive, which
+ * Table III depends on. This header is the execution layer the
+ * serving engine scans the database with — real intrinsics, chosen
+ * at compile time:
  *
  *   Sse2U8/Sse2I16   — 128-bit SSE2 (x86-64 baseline)
  *   Avx2U8/Avx2I16   — 256-bit AVX2 (separate -mavx2 TU, runtime

@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "align/karlin.hh"
+#include "align/ssearch.hh"
 #include "bio/synthetic.hh"
 #include "core/percentile.hh"
 #include "obs/metrics.hh"
@@ -248,20 +250,25 @@ TEST(ServeEngine, StreamReportAccountsEveryRequest)
         EXPECT_GE(r.latencyUs(), r.serviceUs);
 }
 
-TEST(ServeEngine, NativeBackendMatchesModelScores)
+TEST(ServeEngine, NativeBackendMatchesScalarSsearchRanking)
 {
-    // Every native backend must rank exactly like the
-    // instruction-accurate model kernels for all three
-    // Smith-Waterman kinds: same db ids, scores, bit scores and
-    // E-values. (End coordinates are backend-specific reporting —
-    // the model vector kernels and the native kernel both leave
-    // queryEnd untracked, but not identically — so they are not
-    // compared.)
+    // Every compiled native backend must rank exactly like the
+    // scalar SSEARCH reference for all three Smith-Waterman kinds:
+    // same db ids, scores, bit scores and E-values. The reference
+    // is built here from align::QueryProfile + align::ssearchScan,
+    // not through PreparedQuery, so it shares no scan code with the
+    // engine. (End coordinates are not compared: the native kernel
+    // leaves queryEnd untracked unless its scalar fallback ran.)
     const std::vector<kernels::Workload> sw_kinds = {
         kernels::Workload::Ssearch34,
         kernels::Workload::SwVmx128,
         kernels::Workload::SwVmx256,
     };
+    const bio::SequenceDatabase &db = testDb();
+    const serve::EngineConfig defaults;
+    // The engine scores hits with the BLOSUM62 Karlin parameters.
+    const align::KarlinParams &ka = align::blosum62Karlin();
+    const double total = static_cast<double>(db.totalResidues());
 
     for (const kernels::Workload kind : sw_kinds) {
         std::vector<serve::Request> stream;
@@ -270,46 +277,70 @@ TEST(ServeEngine, NativeBackendMatchesModelScores)
             r.id = i;
             r.kind = kind;
             r.query = queryPool()[i % queryPool().size()];
+            // Every positive hit is ranked, not just the top 10.
+            r.topK = db.size();
             stream.push_back(std::move(r));
         }
 
-        serve::EngineConfig model_cfg;
-        model_cfg.backend = align::SimdBackend::Model;
-        serve::Engine model_engine(testDb(), model_cfg);
-        const std::vector<serve::Response> model =
-            model_engine.serveBatch(stream);
+        std::vector<std::vector<align::SearchHit>> reference;
+        for (const serve::Request &r : stream) {
+            const align::QueryProfile profile(r.query,
+                                              bio::blosum62());
+            const double m = static_cast<double>(r.query.length());
+            std::vector<align::SearchHit> hits;
+            for (std::size_t idx = 0; idx < db.size(); ++idx) {
+                const int score =
+                    align::ssearchScan(profile, db[idx],
+                                       defaults.gaps)
+                        .score;
+                if (score <= 0)
+                    continue;
+                align::SearchHit hit;
+                hit.dbIndex = idx;
+                hit.score = score;
+                hit.bitScore = ka.bitScore(score);
+                hit.evalue = ka.evalue(score, m, total);
+                hits.push_back(hit);
+            }
+            std::sort(hits.begin(), hits.end(),
+                      [](const align::SearchHit &a,
+                         const align::SearchHit &b) {
+                          return a.score != b.score
+                              ? a.score > b.score
+                              : a.dbIndex < b.dbIndex;
+                      });
+            ASSERT_FALSE(hits.empty());
+            reference.push_back(std::move(hits));
+        }
 
         for (const align::SimdBackend backend :
              align::compiledNativeBackends()) {
             serve::EngineConfig cfg;
             cfg.backend = backend;
-            serve::Engine engine(testDb(), cfg);
+            serve::Engine engine(db, cfg);
             const std::vector<serve::Response> native =
                 engine.serveBatch(stream);
 
-            ASSERT_EQ(native.size(), model.size());
+            ASSERT_EQ(native.size(), reference.size());
             for (std::size_t i = 0; i < native.size(); ++i) {
                 const std::string context =
                     std::string(align::backendName(backend))
                     + " kind="
                     + std::string(kernels::workloadName(kind))
                     + " request=" + std::to_string(i);
-                ASSERT_EQ(native[i].hits.size(),
-                          model[i].hits.size())
+                const std::vector<align::SearchHit> &want =
+                    reference[i];
+                ASSERT_EQ(native[i].hits.size(), want.size())
                     << context;
-                for (std::size_t h = 0; h < native[i].hits.size();
-                     ++h) {
-                    EXPECT_EQ(native[i].hits[h].dbIndex,
-                              model[i].hits[h].dbIndex)
+                for (std::size_t h = 0; h < want.size(); ++h) {
+                    const align::SearchHit &got = native[i].hits[h];
+                    EXPECT_EQ(got.dbIndex, want[h].dbIndex)
                         << context << " hit " << h;
-                    EXPECT_EQ(native[i].hits[h].score,
-                              model[i].hits[h].score)
+                    EXPECT_EQ(got.score, want[h].score)
                         << context << " hit " << h;
-                    EXPECT_EQ(native[i].hits[h].bitScore,
-                              model[i].hits[h].bitScore)
+                    EXPECT_EQ(got.bitScore, want[h].bitScore)
                         << context << " hit " << h;
-                    EXPECT_EQ(native[i].hits[h].evalue,
-                              model[i].hits[h].evalue)
+                    EXPECT_EQ(got.evalue, want[h].evalue)
                         << context << " hit " << h;
                 }
             }
@@ -714,7 +745,7 @@ TEST(ServeEngine, BatchControlSkipsExpiredAtShardGranularity)
     const std::vector<serve::Request> batch = {loopRequest(0),
                                                loopRequest(1)};
     const double deadlines[] = {500.0, 0.0}; // expired / none
-    serve::Engine::BatchControl control;
+    serve::BatchControl control;
     control.deadlinesUs = deadlines;
     control.clock = &clock;
     const std::vector<serve::Response> out =

@@ -1,8 +1,9 @@
 /**
  * @file
  * Native striped Smith-Waterman backend tests: backend resolution,
- * bit-identity to the scalar reference across a seeded fuzz corpus
- * and the striped-layout edge lengths, and the overflow ladder
+ * bit-identity to the scalar reference across a seeded fuzz corpus,
+ * the striped-layout edge lengths, gap penalties, each lane width
+ * and a database search, and the overflow ladder
  * (8-bit saturation -> 16-bit rescan -> scalar fallback) on
  * adversarial high-identity inputs. Every test loops over every
  * backend compiled into this binary, so the CI native-SIMD leg
@@ -11,16 +12,20 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "align/smith_waterman.hh"
+#include "align/ssearch.hh"
 #include "align/sw_intersequence_native.hh"
 #include "align/sw_striped_native.hh"
 #include "bio/random.hh"
 #include "bio/scoring.hh"
 #include "bio/sequence.hh"
+#include "bio/synthetic.hh"
 
 namespace
 {
@@ -51,15 +56,16 @@ TEST(SwNativeBackend, ResolutionAndNames)
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, b);
     }
-    EXPECT_EQ(align::parseBackend("model"),
-              align::SimdBackend::Model);
+    // Only native backends parse; "model" is not one.
+    EXPECT_EQ(align::parseBackend("model"), std::nullopt);
     EXPECT_EQ(align::parseBackend("auto"),
               align::bestNativeBackend());
     EXPECT_FALSE(align::parseBackend("vliw").has_value());
-    // The serving default is never the model path unless forced.
-    if (!std::getenv("BIOARCH_SIMD_BACKEND"))
-        EXPECT_NE(align::defaultScanBackend(),
-                  align::SimdBackend::Model);
+    // Whatever BIOARCH_SIMD_BACKEND says, the serving default is a
+    // backend this binary can run.
+    EXPECT_NE(std::find(backends.begin(), backends.end(),
+                        align::defaultScanBackend()),
+              backends.end());
 }
 
 TEST(SwNativeScan, FuzzMatchesScalarOnAllBackends)
@@ -116,6 +122,190 @@ TEST(SwNativeScan, PadBoundaryQueryLengths)
                 << "m=" << m << " backend "
                 << align::backendName(backend);
         }
+    }
+}
+
+/** Gap-penalty sweep on every backend, including the degenerate
+ * extend-0 case the lazy-F correction must survive and a subject
+ * that deletes a large block of the query (long vertical gaps). */
+class StripedGapSweep
+    : public ::testing::TestWithParam<std::pair<int, int>>
+{
+};
+
+TEST_P(StripedGapSweep, MatchesScalarAcrossPenalties)
+{
+    const bio::ScoringMatrix &mat = bio::blosum62();
+    const bio::GapPenalties gaps{GetParam().first,
+                                 GetParam().second};
+    bio::Rng rng(3131);
+    for (int t = 0; t < 16; ++t) {
+        const bio::Sequence q = bio::makeRandomSequence(
+            rng, static_cast<int>(5 + rng.below(120)));
+        std::vector<bio::Residue> res = q.residues();
+        if (t % 2 == 0)
+            res.erase(res.begin() + res.size() / 3,
+                      res.begin() + 2 * res.size() / 3);
+        const bio::Sequence s = bio::mutate(
+            rng, bio::Sequence("s", "", std::move(res)), 0.7, "s",
+            "");
+        const int ref = align::smithWatermanScore(q, s, mat, gaps)
+                            .score;
+        for (const align::SimdBackend backend :
+             align::compiledNativeBackends()) {
+            const align::NativeQueryProfile profile(q, mat,
+                                                    backend);
+            ASSERT_EQ(
+                align::swStripedNativeScan(profile, s, gaps).score,
+                ref)
+                << "open=" << gaps.open << " ext=" << gaps.extend
+                << " backend " << align::backendName(backend);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Penalties, StripedGapSweep,
+    ::testing::Values(std::pair{10, 1}, std::pair{4, 2},
+                      std::pair{12, 3}, std::pair{20, 1},
+                      std::pair{10, 0}));
+
+TEST(Striped, MatchesScalarOnIdenticalSequences)
+{
+    const bio::ScoringMatrix &mat = bio::blosum62();
+    const bio::GapPenalties gaps;
+    const bio::Sequence s("S", "", "ACDEFGHIKLMNPQRSTVWY");
+    const align::LocalScore ref =
+        align::smithWatermanScore(s, s, mat, gaps);
+    for (const align::SimdBackend backend :
+         align::compiledNativeBackends()) {
+        const align::NativeQueryProfile profile(s, mat, backend);
+        const align::LocalScore got =
+            align::swStripedNativeScan(profile, s, gaps);
+        EXPECT_EQ(got.score, ref.score)
+            << align::backendName(backend);
+        EXPECT_EQ(got.subjectEnd, ref.subjectEnd)
+            << align::backendName(backend);
+    }
+}
+
+TEST(Striped, EmptyInputsScoreZero)
+{
+    const bio::ScoringMatrix &mat = bio::blosum62();
+    const bio::GapPenalties gaps;
+    const bio::Sequence q("Q", "", "ACD");
+    const bio::Sequence e("E", "", "");
+    for (const align::SimdBackend backend :
+         align::compiledNativeBackends()) {
+        const align::NativeQueryProfile profile(q, mat, backend);
+        EXPECT_EQ(align::swStripedNativeScan(profile, e, gaps).score,
+                  0)
+            << align::backendName(backend);
+    }
+}
+
+/** Random and mutated pairs (40-90% identity, lengths 1..150):
+ * the property corpus both lane widths are held to. */
+template <typename Check>
+void
+forStripedCorpus(std::uint64_t seed, Check check)
+{
+    bio::Rng rng(seed);
+    for (int t = 0; t < 30; ++t) {
+        const bio::Sequence q = bio::makeRandomSequence(
+            rng, static_cast<int>(1 + rng.below(150)));
+        const bio::Sequence s = (t % 2 == 0)
+            ? bio::makeRandomSequence(
+                  rng, static_cast<int>(1 + rng.below(150)))
+            : bio::mutate(rng, q, 0.4 + rng.uniform() * 0.5, "S",
+                          "");
+        check(q, s);
+    }
+}
+
+// The 8-bit lanes, entered through the full ladder: the corpus
+// must match the scalar reference and most of it must finish at
+// 8 bits, so that level is what is being checked.
+TEST(StripedProperty, Lanes8MatchesScalar)
+{
+    const bio::ScoringMatrix &mat = bio::blosum62();
+    const bio::GapPenalties gaps;
+    for (const align::SimdBackend backend :
+         align::compiledNativeBackends()) {
+        align::NativeScanStats stats;
+        forStripedCorpus(11, [&](const bio::Sequence &q,
+                                 const bio::Sequence &s) {
+            const align::NativeQueryProfile profile(q, mat, backend);
+            ASSERT_EQ(align::swStripedNativeScan(profile, s, gaps,
+                                                 nullptr, &stats)
+                          .score,
+                      align::smithWatermanScore(q, s, mat, gaps)
+                          .score)
+                << align::backendName(backend)
+                << " q=" << q.toString() << " s=" << s.toString();
+        });
+        EXPECT_EQ(stats.scans, 30u);
+        EXPECT_LT(stats.rescans16 * 2, stats.scans)
+            << align::backendName(backend);
+    }
+}
+
+// The 16-bit lanes on their own (the level the ladder climbs to),
+// which no corpus pair can saturate.
+TEST(StripedProperty, Lanes16MatchesScalar)
+{
+    const bio::ScoringMatrix &mat = bio::blosum62();
+    const bio::GapPenalties gaps;
+    for (const align::SimdBackend backend :
+         align::compiledNativeBackends()) {
+        align::NativeScanStats stats;
+        forStripedCorpus(22, [&](const bio::Sequence &q,
+                                 const bio::Sequence &s) {
+            const align::NativeQueryProfile profile(q, mat, backend);
+            ASSERT_EQ(align::swStripedScan16Tail(
+                          profile, s.residues().data(), s.length(),
+                          gaps, &stats)
+                          .score,
+                      align::smithWatermanScore(q, s, mat, gaps)
+                          .score)
+                << align::backendName(backend)
+                << " q=" << q.toString() << " s=" << s.toString();
+        });
+        EXPECT_EQ(stats.rescansScalar, 0u)
+            << align::backendName(backend);
+    }
+}
+
+// Every positive hit of the scalar database search must be scored
+// identically, for the same subject, by every native backend, and
+// the native scan must find no other positive subject.
+TEST(StripedSearch, AgreesWithSsearchScores)
+{
+    const bio::ScoringMatrix &mat = bio::blosum62();
+    const bio::GapPenalties gaps;
+    const bio::Sequence query = bio::makeDefaultQuery();
+    const bio::SequenceDatabase db = bio::makeDefaultDatabase(40);
+    const align::SearchResults scalar =
+        align::ssearchSearch(query, db, mat, gaps);
+    ASSERT_FALSE(scalar.hits.empty());
+
+    for (const align::SimdBackend backend :
+         align::compiledNativeBackends()) {
+        const align::NativeQueryProfile profile(query, mat, backend);
+        std::vector<int> scores;
+        std::size_t positive = 0;
+        for (std::size_t i = 0; i < db.size(); ++i) {
+            scores.push_back(
+                align::swStripedNativeScan(profile, db[i], gaps)
+                    .score);
+            positive += scores.back() > 0 ? 1 : 0;
+        }
+        EXPECT_EQ(positive, scalar.hits.size())
+            << align::backendName(backend);
+        for (const align::SearchHit &hit : scalar.hits)
+            EXPECT_EQ(scores[hit.dbIndex], hit.score)
+                << "dbIndex " << hit.dbIndex << " backend "
+                << align::backendName(backend);
     }
 }
 

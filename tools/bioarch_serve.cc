@@ -77,14 +77,12 @@ usage(std::ostream &out)
            "                    BIOARCH_JOBS, else all hardware\n"
            "                    threads)\n"
            "  --top-k K         hits per response (default 10)\n"
-           "  --backend NAME    Smith-Waterman kernel backend:\n"
-           "                    auto | portable | sse2 | avx2 |\n"
-           "                    neon | model (default: the\n"
+           "  --backend NAME    native Smith-Waterman kernel\n"
+           "                    backend: auto | portable | sse2 |\n"
+           "                    avx2 | neon (default: the\n"
            "                    BIOARCH_SIMD_BACKEND environment\n"
            "                    variable, else the widest native\n"
-           "                    backend this CPU supports; 'model'\n"
-           "                    forces the instruction-accurate\n"
-           "                    vector model)\n"
+           "                    backend this CPU supports)\n"
            "\n"
            "working set:\n"
            "  --db-seqs N       database sequences (default 200)\n"
