@@ -12,13 +12,16 @@
  * backend for a few rounds (best wall time kept), so the footer
  * tracks scan GCUPS alongside absolute throughput.
  *
- * Fleet segments (PR 8) ride the same stream: a replicas {1,2}
- * A/B through the ReplicaRouter (hits must stay bit-identical to
- * the serial engine), a cache cold/hot A/B (pass 2 answered
- * entirely from the sharded LRU, cache_hit_p99_us in the footer),
- * and a three-tenant overload run on a ManualClock whose
- * per-tenant counters must satisfy served + shed +
- * deadline_expired + dropped == offered.
+ * A hot-reload segment swaps a second database epoch into a
+ * seed-indexed Engine halfway through a ServeLoop's submissions
+ * (hot_reload_ok: the loop's books balance and the new epoch is
+ * published). Two fleet segments ride the main stream: a cache
+ * cold/hot A/B through the ReplicaRouter cache front (both passes
+ * bit-identical to the serial engine, pass 2 answered entirely
+ * from the sharded LRU, cache_hit_p99_us in the footer), and a
+ * three-tenant overload run on a ManualClock whose per-tenant
+ * counters must satisfy served + shed + deadline_expired + dropped
+ * == offered.
  *
  * The two-phase reporting segment replays the stream score-only
  * and with CIGAR reporting against the reference Zipf database;
@@ -43,7 +46,6 @@
 #include "serve/clock.hh"
 #include "serve/engine.hh"
 #include "serve/loop.hh"
-#include "serve/reload.hh"
 #include "serve/router.hh"
 
 using namespace bioarch;
@@ -175,12 +177,12 @@ main()
             / static_cast<double>(iful_residues);
 
     // Hot-reload identity segment: push the BLAST stream through a
-    // ServeLoop fronting a ReloadableEngine and swap in a second
+    // ServeLoop fronting an epoch Engine and swap in a second
     // database epoch halfway through the submissions. The loop's
     // books must still balance afterwards — every offered request
     // ends in exactly one terminal state — and the published epoch
     // must be the new one.
-    serve::ReloadableEngine rengine(
+    serve::Engine rengine(
         index::makeEpoch(zdb, /*build_index=*/true, 1), iidx_cfg);
     serve::LoopConfig rlcfg;
     rlcfg.queueCapacity = blast_requests.size();
@@ -213,14 +215,7 @@ main()
                   << r_offered << ", settled " << r_settled
                   << ", epoch " << rengine.epochNumber() << ")\n";
 
-    // Fleet segments (PR 8). All three reuse the main stream and
-    // database.
-    //
-    // (a) Replica A/B: the same stream through a 1-replica and a
-    // 2-replica router, caches off. The ranked hits must be
-    // bit-identical (the router only changes *where* a scan runs);
-    // the wall-time ratio tracks scatter-gather overhead — note
-    // that on a single-core runner 2 replicas cannot beat 1.
+    // Fleet segments. Both reuse the main stream and database.
     const auto wall_ms_of = [](const auto &fn) {
         const auto t0 = std::chrono::steady_clock::now();
         fn();
@@ -247,34 +242,12 @@ main()
         return true;
     };
 
-    serve::RouterConfig r1cfg;
-    r1cfg.replicas = 1;
-    r1cfg.engine = cfg;
-    serve::RouterConfig r2cfg = r1cfg;
-    r2cfg.replicas = 2;
-    serve::ReplicaRouter router1(index::makeEpoch(db, false, 1),
-                                 r1cfg);
-    serve::ReplicaRouter router2(index::makeEpoch(db, false, 1),
-                                 r2cfg);
-    double replicas1_ms = std::numeric_limits<double>::infinity();
-    double replicas2_ms = std::numeric_limits<double>::infinity();
-    std::vector<serve::Response> r1_out;
-    std::vector<serve::Response> r2_out;
-    for (int r = 0; r < rounds; ++r) {
-        replicas1_ms = std::min(replicas1_ms, wall_ms_of([&] {
-            r1_out = router1.serveBatch(requests, {});
-        }));
-        replicas2_ms = std::min(replicas2_ms, wall_ms_of([&] {
-            r2_out = router2.serveBatch(requests, {});
-        }));
-    }
-    bool fleet_identity_ok = same_hits(r1_out, r2_out)
-        && same_hits(r1_out, report.responses);
-
-    // (b) Cache cold/hot A/B: one cached router, same stream
-    // twice. Pass 2 is answered entirely from the sharded LRU and
-    // must be bit-identical to the cold pass.
-    serve::RouterConfig ccfg = r1cfg;
+    // (a) Cache cold/hot A/B: one cached router, same stream
+    // twice. The cold pass must match the serial engine, and pass
+    // 2 is answered entirely from the sharded LRU and must be
+    // bit-identical to the cold pass.
+    serve::RouterConfig ccfg;
+    ccfg.engine = cfg;
     ccfg.cache.capacityBytes = 16u << 20;
     serve::ReplicaRouter crouter(index::makeEpoch(db, false, 1),
                                  ccfg);
@@ -296,15 +269,16 @@ main()
     for (const serve::Response &r : hot_out)
         if (r.fromCache)
             ++hot_from_cache;
-    fleet_identity_ok = fleet_identity_ok
-        && same_hits(cold_out, r1_out) && same_hits(hot_out, cold_out)
+    const bool fleet_identity_ok =
+        same_hits(cold_out, report.responses)
+        && same_hits(hot_out, cold_out)
         && hot_from_cache == hot_out.size()
         && cache_hits >= hot_out.size();
     if (!fleet_identity_ok)
-        std::cerr << "FAIL: fleet identity (replica/cache hits "
-                     "diverge from the serial engine)\n";
+        std::cerr << "FAIL: fleet identity (cache hits diverge "
+                     "from the serial engine)\n";
 
-    // (c) Multi-tenant identity under overload: three tenants on a
+    // (b) Multi-tenant identity under overload: three tenants on a
     // ManualClock, tenant 0 offering 4x its quota. Every offered
     // request must settle in exactly one per-tenant terminal
     // state.
@@ -422,8 +396,6 @@ main()
         indexed_residue_fraction, 3);
     t.row().add("hot reload ok").add(
         std::string(hot_reload_ok ? "yes" : "NO"));
-    t.row().add("replicas=1 wall ms").add(replicas1_ms, 2);
-    t.row().add("replicas=2 wall ms").add(replicas2_ms, 2);
     t.row().add("cache cold ms").add(cache_cold_ms, 2);
     t.row().add("cache hot ms").add(cache_hot_ms, 2);
     t.row().add("cache hit p99 us").add(cache_hit_p99_us, 3);
@@ -466,8 +438,6 @@ main()
          {"indexed_residue_fraction",
           std::to_string(indexed_residue_fraction)},
          {"hot_reload_ok", hot_reload_ok ? "true" : "false"},
-         {"replicas1_ms", std::to_string(replicas1_ms)},
-         {"replicas2_ms", std::to_string(replicas2_ms)},
          {"cache_cold_ms", std::to_string(cache_cold_ms)},
          {"cache_hot_ms", std::to_string(cache_hot_ms)},
          {"cache_hit_p99_us", std::to_string(cache_hit_p99_us)},

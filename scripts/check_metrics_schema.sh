@@ -18,11 +18,11 @@ TMPDIR_SNAP="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_SNAP"' EXIT
 SNAP="$TMPDIR_SNAP/metrics.json"
 
-# Fleet flags exercise every registered family: replicated
-# engines, the result cache, per-tenant quota/WDRR counters, and
-# the two-phase traceback series.
+# Fleet flags exercise every registered family: the hot-reload
+# epoch gauge, the result cache, per-tenant quota/WDRR counters,
+# and the two-phase traceback series.
 "$SERVE_BIN" --qps 300 --duration-s 1 --deadline-ms 50 \
-    --db-seqs 48 --jobs 2 --replicas 2 --cache-mb 4 \
+    --db-seqs 48 --jobs 2 --hot-reload --cache-mb 4 \
     --tenants 200:20:3:0.5,50:5:1:0.25,50:5:1:0.25 \
     --report-alignments \
     --metrics-out "$SNAP" \

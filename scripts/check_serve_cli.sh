@@ -38,7 +38,7 @@ check_rejects "$SERVE" "missing option value" --workload
 check_rejects "$SERVE" "non-positive requests" --requests 0
 check_rejects "$SERVE" "non-positive qps" --qps -3
 check_rejects "$SERVE" "malformed tenants spec" --tenants 100:10
-check_rejects "$SERVE" "replicas need the open loop" --replicas 2
+check_rejects "$SERVE" "replicas flag removed" --replicas 2
 check_rejects "$SERVE" "blastn has no protein seed index" \
     --workload blastn --index
 

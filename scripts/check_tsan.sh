@@ -3,10 +3,11 @@
 # sensitive tests (the sweep engine / thread pool, the traced
 # kernels the sweep replays concurrently, the query-serving
 # engine's batched fan-out, the online serving loop, the indexed
-# serving route with its hot-reload epoch swaps, the replica
-# router's scatter-gather threads and sharded result cache, the
-# metrics registry, the sampled-simulation window fan-out, and the
-# two-phase traceback fan-out with its cached alignments).
+# serving route with its hot-reload epoch swaps (including reloads
+# from another thread while batches are serving), the sharded
+# result cache, the metrics registry, the sampled-simulation window
+# fan-out, and the two-phase traceback fan-out with its cached
+# alignments).
 # Keeps the pool, loop, cache, registry, and sampler race-free.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)

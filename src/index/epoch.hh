@@ -4,7 +4,7 @@
  * with a monotonically increasing epoch number. A serving tier
  * holds a shared_ptr<const DbEpoch>; hot reload publishes a new
  * epoch and in-flight work keeps the old one alive until its last
- * batch drains (serve/reload.hh builds on this).
+ * batch drains (Engine::reload in serve/engine.hh builds on this).
  */
 
 #ifndef BIOARCH_INDEX_EPOCH_HH

@@ -1,10 +1,10 @@
 /**
  * @file
  * The batch-serving interface ServeLoop dispatches into. Engine
- * implements it directly (one fixed database); ReloadableEngine
- * (reload.hh) implements it by delegating to the engine of the
- * current database epoch, which is how hot reload slides a new
- * database under a running loop without the loop noticing.
+ * implements it directly (its reload() slides a new database
+ * epoch under a running loop without the loop noticing);
+ * ReplicaRouter (router.hh) implements it by answering repeats
+ * from the result cache and passing the misses to one Engine.
  */
 
 #ifndef BIOARCH_SERVE_BATCH_SERVER_HH

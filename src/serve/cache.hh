@@ -1,13 +1,13 @@
 /**
  * @file
- * The epoch-keyed result cache of the serving fleet: a bounded,
+ * The epoch-keyed result cache of the serving tier: a bounded,
  * sharded LRU mapping (kind, query digest, db epoch, top-K) to the
  * ranked hit list that a full scan would produce.
  *
  * The batch-level dedup in Engine::runBatch is the degenerate
  * single-batch case of this cache: identical requests inside one
  * batch share one PreparedQuery and one scan. The cache promotes
- * that across batches, tenants, and replicas — a repeated query
+ * that across batches and tenants — a repeated query
  * returns its ranked hits in microseconds without touching the
  * scan path at all.
  *
@@ -26,9 +26,9 @@
  *    ranked answer.
  *
  * Concurrency: lookups and inserts hash to one of a power-of-two
- * set of shards and lock only that shard, so replica gather
- * threads and the dispatcher can hit the cache concurrently
- * (exercised under TSAN by tests/router_test.cc). Results are
+ * set of shards and lock only that shard, so concurrent callers
+ * contend only when they hash to the same shard (exercised under
+ * TSAN by tests/router_test.cc). Results are
  * handed out as shared_ptr<const Result>; eviction never
  * invalidates a handed-out result.
  *

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace bioarch::serve
 {
@@ -22,15 +24,14 @@ elapsedUs(WallClock::time_point from, WallClock::time_point to)
 
 } // namespace
 
-Engine::Engine(const bio::SequenceDatabase &db, EngineConfig config)
-    : _db(&db),
-      _cfg(config),
-      _sharded(db, config.shards == 0 ? 1 : config.shards),
+Engine::Engine(EngineConfig config)
+    : _cfg(config),
       _matrix(&bio::blosum62()),
       _karlin(align::blosum62Karlin()),
       _pool(config.jobs)
 {
-    _cfg.shards = _sharded.numShards();
+    if (_cfg.shards == 0)
+        _cfg.shards = 1;
     if (_cfg.batch == 0)
         _cfg.batch = 1;
     _cfg.jobs = _pool.size();
@@ -76,6 +77,70 @@ Engine::Engine(const bio::SequenceDatabase &db, EngineConfig config)
     refreshPoolMetrics();
 }
 
+Engine::Engine(const bio::SequenceDatabase &db, EngineConfig config)
+    : Engine(config)
+{
+    publish(nullptr, db, _cfg.seedIndex);
+}
+
+Engine::Engine(std::shared_ptr<const index::DbEpoch> epoch,
+               EngineConfig config)
+    : Engine(config)
+{
+    _cfg.seedIndex = nullptr;
+    reload(std::move(epoch));
+}
+
+void
+Engine::publish(std::shared_ptr<const index::DbEpoch> owner,
+                const bio::SequenceDatabase &db,
+                const index::SeedIndex *seedIndex)
+{
+    const std::uint64_t number =
+        owner != nullptr ? owner->epoch : 0;
+    auto state = std::make_shared<const EpochState>(
+        EpochState{std::move(owner),
+                   ShardedDatabase(db, _cfg.shards), seedIndex,
+                   number});
+    std::lock_guard lock(_epochMutex);
+    if (state->owner != nullptr)
+        _metrics->gauge("db_epoch").set(
+            static_cast<double>(state->number));
+    // The old state lives on until the last batch that pinned it
+    // drops its reference.
+    _epoch = std::move(state);
+}
+
+std::shared_ptr<const Engine::EpochState>
+Engine::current() const
+{
+    std::lock_guard lock(_epochMutex);
+    return _epoch;
+}
+
+void
+Engine::reload(std::shared_ptr<const index::DbEpoch> epoch)
+{
+    if (epoch == nullptr)
+        throw std::invalid_argument("Engine: null epoch");
+    const bio::SequenceDatabase &db = epoch->db;
+    const index::SeedIndex *seed_index =
+        epoch->index.has_value() ? &*epoch->index : nullptr;
+    publish(std::move(epoch), db, seed_index);
+}
+
+std::uint64_t
+Engine::epochNumber() const
+{
+    return current()->number;
+}
+
+const ShardedDatabase &
+Engine::sharded() const
+{
+    return current()->sharded;
+}
+
 void
 Engine::refreshPoolMetrics()
 {
@@ -94,12 +159,19 @@ Engine::refreshPoolMetrics()
 
 std::vector<Response>
 Engine::runBatch(const Request *requests, std::size_t count,
-                 const BatchControl *control)
+                 const BatchControl &control, std::uint64_t *epochOut)
 {
     const obs::ScopedSpan batch_span(*_mBatchUs);
-    const std::size_t shards = _sharded.numShards();
-    const double total =
-        static_cast<double>(_db->totalResidues());
+    // Pin the epoch for the whole batch: a reload landing
+    // mid-batch swaps the next batch's database, never this one's.
+    const std::shared_ptr<const EpochState> state = current();
+    if (epochOut != nullptr)
+        *epochOut = state->number;
+    const ShardedDatabase &sharded = state->sharded;
+    const bio::SequenceDatabase &db = sharded.db();
+    const index::SeedIndex *seed_index = state->seedIndex;
+    const std::size_t shards = sharded.numShards();
+    const double total = static_cast<double>(db.totalResidues());
 
     _mRequests->inc(count);
     _mBatches->inc();
@@ -134,11 +206,11 @@ Engine::runBatch(const Request *requests, std::size_t count,
     // skipped anyway. (Time is monotone, so "expired now" stays
     // expired at scan time.)
     std::vector<char> skip_prepare(count, 0);
-    if (control != nullptr && control->deadlinesUs != nullptr) {
+    if (control.deadlinesUs != nullptr) {
         for (const std::size_t u : unique) {
             bool all_expired = true;
             for (std::size_t r = u; r < count && all_expired; ++r)
-                if (rep[r] == u && !control->expired(r))
+                if (rep[r] == u && !control.expired(r))
                     all_expired = false;
             skip_prepare[u] = all_expired ? 1 : 0;
         }
@@ -170,24 +242,24 @@ Engine::runBatch(const Request *requests, std::size_t count,
     std::uint64_t index_probes = 0;
     std::uint64_t index_candidates = 0;
     std::uint64_t index_fallbacks = 0;
-    if (_cfg.seedIndex != nullptr) {
+    if (seed_index != nullptr) {
         _pool.parallelFor(unique.size(), [&](std::size_t i) {
             const std::size_t r = unique[i];
             const PreparedQuery *q = prepared[r].get();
             if (q == nullptr
                 || q->kind() != kernels::Workload::Blast
                 || q->neighborhoodIndex() == nullptr
-                || _cfg.seedIndex->wordSize()
+                || seed_index->wordSize()
                     != q->blastParams().wordSize)
                 return;
             auto probe = std::make_unique<ProbeOutcome>();
             probe->candidates = index::probeCandidates(
-                *_cfg.seedIndex, *q->neighborhoodIndex(),
-                q->blastParams(), 0, _db->size());
+                *seed_index, *q->neighborhoodIndex(),
+                q->blastParams(), 0, db.size());
             probe->fallback =
                 static_cast<double>(probe->candidates.size())
                 > _cfg.indexMaxSelectivity
-                    * static_cast<double>(_db->size());
+                    * static_cast<double>(db.size());
             probes[r] = std::move(probe);
         });
         for (const std::size_t u : unique)
@@ -211,8 +283,7 @@ Engine::runBatch(const Request *requests, std::size_t count,
     _pool.parallelFor(count * shards, [&](std::size_t u) {
         const std::size_t r = u / shards;
         const std::size_t s = u % shards;
-        if ((control != nullptr && control->expired(r))
-            || prepared[rep[r]] == nullptr) {
+        if (control.expired(r) || prepared[rep[r]] == nullptr) {
             scans[u].skipped = true;
             return;
         }
@@ -224,8 +295,8 @@ Engine::runBatch(const Request *requests, std::size_t count,
         if (probe != nullptr && !probe->fallback)
             task_route.indexCandidates = &probe->candidates;
         const WallClock::time_point t0 = WallClock::now();
-        scans[u] = scanShard(*prepared[rep[r]], *_db,
-                             _sharded.shard(s), top_k, _karlin,
+        scans[u] = scanShard(*prepared[rep[r]], db,
+                             sharded.shard(s), top_k, _karlin,
                              total, task_route);
         scans[u].elapsedUs = elapsedUs(t0, WallClock::now());
         _mScanUs->record(scans[u].elapsedUs);
@@ -306,7 +377,7 @@ Engine::runBatch(const Request *requests, std::size_t count,
         std::vector<char> task_skipped(trace_tasks.size(), 0);
         _pool.parallelFor(trace_tasks.size(), [&](std::size_t i) {
             const TraceTask &task = trace_tasks[i];
-            if (control != nullptr && control->expired(task.r)) {
+            if (control.expired(task.r)) {
                 task_skipped[i] = 1;
                 return;
             }
@@ -315,7 +386,7 @@ Engine::runBatch(const Request *requests, std::size_t count,
             const WallClock::time_point t0 = WallClock::now();
             out[task.r].alignments[task.h] =
                 prepared[rep[task.r]]->traceback(
-                    (*_db)[hit.dbIndex], hit, &task_stats[i]);
+                    db[hit.dbIndex], hit, &task_stats[i]);
             task_us[i] = elapsedUs(t0, WallClock::now());
             _mTracebackUs->record(task_us[i]);
         });
@@ -355,7 +426,7 @@ Response
 Engine::serve(const Request &request)
 {
     const WallClock::time_point t0 = WallClock::now();
-    std::vector<Response> batch = runBatch(&request, 1, nullptr);
+    std::vector<Response> batch = runBatch(&request, 1, {});
     batch.front().serviceUs = elapsedUs(t0, WallClock::now());
     return std::move(batch.front());
 }
@@ -363,22 +434,24 @@ Engine::serve(const Request &request)
 std::vector<Response>
 Engine::serveBatch(const std::vector<Request> &requests)
 {
-    const WallClock::time_point t0 = WallClock::now();
-    std::vector<Response> out =
-        runBatch(requests.data(), requests.size(), nullptr);
-    const double service = elapsedUs(t0, WallClock::now());
-    for (Response &r : out)
-        r.serviceUs = service;
-    return out;
+    return serveBatchPinned(requests, {}, nullptr);
 }
 
 std::vector<Response>
 Engine::serveBatch(const std::vector<Request> &requests,
                    const BatchControl &control)
 {
+    return serveBatchPinned(requests, control, nullptr);
+}
+
+std::vector<Response>
+Engine::serveBatchPinned(const std::vector<Request> &requests,
+                         const BatchControl &control,
+                         std::uint64_t *epochOut)
+{
     const WallClock::time_point t0 = WallClock::now();
-    std::vector<Response> out =
-        runBatch(requests.data(), requests.size(), &control);
+    std::vector<Response> out = runBatch(
+        requests.data(), requests.size(), control, epochOut);
     const double service = elapsedUs(t0, WallClock::now());
     for (Response &r : out)
         r.serviceUs = service;
@@ -390,7 +463,7 @@ Engine::serveStream(const std::vector<Request> &requests)
 {
     StreamReport report;
     report.jobs = _pool.size();
-    report.shards = _sharded.numShards();
+    report.shards = _cfg.shards;
     report.batchSize = _cfg.batch;
     report.responses.reserve(requests.size());
 
@@ -401,7 +474,7 @@ Engine::serveStream(const std::vector<Request> &requests)
             std::min(_cfg.batch, requests.size() - begin);
         const WallClock::time_point dispatch = WallClock::now();
         std::vector<Response> batch =
-            runBatch(requests.data() + begin, count, nullptr);
+            runBatch(requests.data() + begin, count, {});
         const WallClock::time_point done = WallClock::now();
 
         const double queue = elapsedUs(arrival, dispatch);

@@ -20,9 +20,10 @@
 #define BIOARCH_SERVE_ENGINE_HH
 
 #include <cstddef>
-#include <vector>
-
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "align/blast.hh"
 #include "align/fasta.hh"
@@ -32,6 +33,7 @@
 #include "bio/scoring.hh"
 #include "clock.hh"
 #include "core/thread_pool.hh"
+#include "index/epoch.hh"
 #include "index/seed_index.hh"
 #include "latency.hh"
 #include "obs/metrics.hh"
@@ -83,6 +85,8 @@ struct EngineConfig
      * the engine and must have been built over exactly the served
      * database; word size must match blast.wordSize or the index
      * is ignored. See ScanRoute (shard.hh) for the route itself.
+     * Ignored by the epoch constructor, which serves each epoch's
+     * own index.
      */
     const index::SeedIndex *seedIndex = nullptr;
     /**
@@ -140,20 +144,45 @@ struct StreamReport
 
 /**
  * Serves alignment requests against one sharded database. The
- * database must outlive the engine; the engine owns its thread
- * pool and shard layout. serve()/serveBatch()/serveStream() are
- * intended to be called from one thread (the pool parallelizes
- * inside a batch).
+ * engine owns its thread pool, matrix, Karlin parameters and
+ * metric handles for its whole life; the database, its shard
+ * layout and its seed index form the per-epoch state, which
+ * reload() swaps while the engine keeps serving.
+ * serve()/serveBatch()/serveStream() are intended to be called
+ * from one thread (the pool parallelizes inside a batch);
+ * reload() may be called from any thread meanwhile.
  */
 class Engine : public BatchServer
 {
   public:
+    /**
+     * Serve @p db, which must outlive the engine, through
+     * config.seedIndex.
+     */
     explicit Engine(const bio::SequenceDatabase &db,
                     EngineConfig config = {});
 
+    /**
+     * Serve @p epoch, hot-reloadable: the engine keeps the epoch
+     * alive and routes through the epoch's own seed index
+     * (config.seedIndex is ignored). Registers the db_epoch gauge.
+     */
+    explicit Engine(std::shared_ptr<const index::DbEpoch> epoch,
+                    EngineConfig config = {});
+
+    /**
+     * Publish @p epoch. A batch already running finishes on the
+     * epoch it pinned; the next batch sees the new one. The pool
+     * and every metric stay the same.
+     */
+    void reload(std::shared_ptr<const index::DbEpoch> epoch);
+
+    /** The published epoch's number (0 for a plain database). */
+    std::uint64_t epochNumber() const;
+
     const EngineConfig &config() const { return _cfg; }
-    const ShardedDatabase &sharded() const { return _sharded; }
-    const bio::SequenceDatabase &db() const { return *_db; }
+    /** The published epoch's layout; valid until the next reload. */
+    const ShardedDatabase &sharded() const;
 
     /** Serve one request (a batch of one). */
     Response serve(const Request &request);
@@ -170,6 +199,17 @@ class Engine : public BatchServer
     std::vector<Response>
     serveBatch(const std::vector<Request> &requests,
                const BatchControl &control) override;
+
+    /**
+     * serveBatch that also reports, via @p epochOut (may be
+     * null), the number of the epoch the batch ran against, so a
+     * result cache keys its inserts by the epoch that produced the
+     * hits, not the one published when the insert runs.
+     */
+    std::vector<Response>
+    serveBatchPinned(const std::vector<Request> &requests,
+                     const BatchControl &control,
+                     std::uint64_t *epochOut);
 
     /** ServeLoop's batch size when LoopConfig::batch is 0. */
     std::size_t defaultBatch() const override
@@ -213,13 +253,33 @@ class Engine : public BatchServer
     const core::ThreadPool &pool() const { return _pool; }
 
   private:
+    /** One database epoch; immutable once published. */
+    struct EpochState
+    {
+        /** Keeps the epoch alive; null for a plain database. */
+        std::shared_ptr<const index::DbEpoch> owner;
+        ShardedDatabase sharded;
+        const index::SeedIndex *seedIndex = nullptr;
+        /** owner's epoch number, or 0. */
+        std::uint64_t number = 0;
+    };
+
+    /** Builds everything but the epoch state. */
+    explicit Engine(EngineConfig config);
+
+    /** Lay @p db out in shards and publish it as the epoch. */
+    void publish(std::shared_ptr<const index::DbEpoch> owner,
+                 const bio::SequenceDatabase &db,
+                 const index::SeedIndex *seedIndex);
+    std::shared_ptr<const EpochState> current() const;
+
+    /** Run one batch on the epoch published at its start. */
     std::vector<Response> runBatch(const Request *requests,
                                    std::size_t count,
-                                   const BatchControl *control);
+                                   const BatchControl &control,
+                                   std::uint64_t *epochOut = nullptr);
 
-    const bio::SequenceDatabase *_db;
     EngineConfig _cfg;
-    ShardedDatabase _sharded;
     const bio::ScoringMatrix *_matrix;
     align::KarlinParams _karlin;
     core::ThreadPool _pool;
@@ -254,6 +314,10 @@ class Engine : public BatchServer
     // counters are monotone, so mirroring applies deltas).
     std::uint64_t _poolTasksSeen = 0;
     std::uint64_t _poolStealsSeen = 0;
+
+    /** Guards the _epoch pointer (not the state it points to). */
+    mutable std::mutex _epochMutex;
+    std::shared_ptr<const EpochState> _epoch;
 };
 
 } // namespace bioarch::serve

@@ -166,13 +166,13 @@ struct LoopResult
 };
 
 /**
- * The loop. One ServeLoop fronts one BatchServer — a plain Engine,
- * or a ReloadableEngine whose database epoch can be hot-swapped
- * mid-run; submissions may come from any number of threads,
- * dispatch happens either on the caller's thread (pumpOne/pumpAll
- * — deterministic mode) or on the loop's own dispatcher thread
- * (start/drain/stop). Do not mix pump calls with a started
- * dispatcher.
+ * The loop. One ServeLoop fronts one BatchServer — an Engine,
+ * whose database epoch can be hot-swapped mid-run, or the
+ * ReplicaRouter cache in front of one. Submissions may come from
+ * any number of threads; dispatch happens either on the caller's
+ * thread (pumpOne/pumpAll — deterministic mode) or on the loop's
+ * own dispatcher thread (start/drain/stop). Do not mix pump calls
+ * with a started dispatcher.
  */
 class ServeLoop
 {

@@ -1,44 +1,30 @@
 /**
  * @file
- * The scatter-gather replica router: a BatchServer that owns N
- * engine replicas — each a ReloadableEngine with its own
- * core::ThreadPool and its own pinned database epoch — and fans
- * each batch's cache misses out across them.
+ * The result-cache front of the serving tier: a BatchServer that
+ * answers repeated requests from the epoch-keyed result cache
+ * (cache.hh) and serves every miss of a batch as one batch on a
+ * single hot-reloadable Engine.
  *
- * Why replicas instead of more shards: one engine's (request x
- * shard) fan-out already saturates its pool for a single large
- * batch, but a pool is a single queue-depth domain — a slow batch
- * monopolizes it. Replicas give the serving tier independent
- * queue-depth domains with independent epoch pins, the unit a
- * fleet scales by (one replica ~ one NUMA node or one host).
+ * One engine is enough: its (request x shard) fan-out over one
+ * work-stealing pool already saturates the cores, so splitting a
+ * batch across several engines measured no faster (EXPERIMENTS.md,
+ * fleet section).
  *
- * Dispatch is least-loaded: the router splits the batch's cache
- * misses into contiguous chunks (at least minChunk requests each,
- * never more chunks than replicas) and assigns chunks to replicas
- * in ascending (in-flight requests, lifetime requests, id) order.
- * Chunks run concurrently — the first on the calling thread, the
- * rest on gather threads — and responses are stitched back in
- * request order.
+ * Determinism: the misses go through the engine exactly as a lone
+ * engine would serve them, and a hit is bit-for-bit the stored
+ * scan result, so the ranked hit lists equal a serial
+ * single-engine scan with the cache on or off
+ * (tests/router_test.cc asserts the cache x jobs matrix).
  *
- * Determinism: a replica serves its chunk exactly as a lone engine
- * would serve those requests (same shard layout, same merge
- * order), so the ranked hit lists are bit-identical to a serial
- * single-engine scan regardless of the replica count or which
- * replica served which chunk (tests/router_test.cc asserts the
- * full replicas x cache x jobs matrix).
+ * Epochs: lookups are keyed by the epoch published at batch start,
+ * and inserts by the epoch the engine actually pinned for the
+ * misses (Engine::serveBatchPinned), so a hot reload landing
+ * mid-batch can never poison the cache with stale hits under a
+ * fresh epoch key. Deadline-truncated responses are never cached.
  *
- * The result cache (cache.hh) fronts the replicas: lookups are
- * keyed by the epoch published at batch start, and inserts are
- * keyed by the epoch the serving replica actually pinned
- * (serveBatchPinned), so a hot reload landing mid-batch can never
- * poison the cache with stale hits under a fresh epoch key.
- * Deadline-truncated responses (shardsSkipped > 0) are never
- * cached.
- *
- * Observability: per-replica serve_replica_depth gauges and
- * serve_replica_{requests,batches}_total counters (labelled
- * replica="k"), serve_cache_hit_us for cache-served requests, and
- * the cache's own hit/miss/eviction/bytes series.
+ * Observability: serve_cache_hit_us for cache-served requests, the
+ * cache's own hit/miss/eviction/bytes series, and everything the
+ * engine reports (db_epoch included).
  */
 
 #ifndef BIOARCH_SERVE_ROUTER_HH
@@ -47,14 +33,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "batch_server.hh"
 #include "cache.hh"
 #include "engine.hh"
 #include "index/epoch.hh"
-#include "reload.hh"
 
 namespace bioarch::serve
 {
@@ -62,22 +47,19 @@ namespace bioarch::serve
 /** Router tunables. */
 struct RouterConfig
 {
-    /** Engine replicas (min 1), each with its own thread pool. */
+    /**
+     * Engines behind the router. Must be 1: the constructor throws
+     * std::invalid_argument for any other value.
+     */
     std::size_t replicas = 1;
-    /** Per-replica engine knobs; metrics is shared fleet-wide. */
+    /** Engine knobs; a null metrics gets the engine's own registry. */
     EngineConfig engine;
     /** Result cache; capacityBytes 0 serves every request live. */
     CacheConfig cache;
-    /**
-     * Smallest chunk worth scattering: a batch of fewer than
-     * 2 * minChunk misses stays on one replica rather than paying
-     * two pool handoffs for a handful of requests.
-     */
-    std::size_t minChunk = 4;
 };
 
 /**
- * BatchServer over N engine replicas + a shared result cache.
+ * BatchServer over one reloadable engine + a result cache.
  * serveBatch follows the one-dispatcher-at-a-time contract;
  * reload() may be called from any thread while serving.
  */
@@ -87,58 +69,38 @@ class ReplicaRouter final : public BatchServer
     ReplicaRouter(std::shared_ptr<const index::DbEpoch> epoch,
                   RouterConfig config = {});
 
-    /** Publish @p epoch to every replica (atomic per replica;
-     * in-flight chunks finish on the epoch they pinned). */
-    void reload(std::shared_ptr<const index::DbEpoch> epoch);
+    /** Publish @p epoch; in-flight batches finish on their own. */
+    void reload(std::shared_ptr<const index::DbEpoch> epoch)
+    {
+        _engine.reload(std::move(epoch));
+    }
 
-    std::size_t replicas() const { return _replicas.size(); }
-    std::uint64_t epochNumber() const;
+    std::uint64_t epochNumber() const
+    {
+        return _engine.epochNumber();
+    }
     const RouterConfig &config() const { return _cfg; }
-    const ResultCache &cache() const { return *_cache; }
+    const ResultCache &cache() const { return _cache; }
 
     std::vector<Response>
     serveBatch(const std::vector<Request> &requests,
                const BatchControl &control) override;
 
-    obs::Registry &metrics() override { return *_metrics; }
-    std::size_t defaultBatch() const override;
-    void refreshPoolMetrics() override;
+    obs::Registry &metrics() override { return _engine.metrics(); }
+    std::size_t defaultBatch() const override
+    {
+        return _engine.defaultBatch();
+    }
+    void refreshPoolMetrics() override
+    {
+        _engine.refreshPoolMetrics();
+    }
 
   private:
-    struct Replica
-    {
-        std::unique_ptr<ReloadableEngine> engine;
-        /** Requests currently being served by this replica. */
-        std::size_t inFlight = 0;
-        /** Lifetime requests routed here (dispatch tie-break). */
-        std::uint64_t assigned = 0;
-        obs::Gauge *mDepth = nullptr;
-        obs::Counter *mRequests = nullptr;
-        obs::Counter *mBatches = nullptr;
-    };
-    /** One contiguous run of cache misses bound to a replica. */
-    struct Chunk
-    {
-        std::size_t replica = 0;
-        std::vector<Request> requests;
-        std::vector<double> deadlinesUs;
-        /** Indices into the caller's batch, in chunk order. */
-        std::vector<std::size_t> slots;
-        std::vector<Response> responses;
-        std::uint64_t epoch = 0;
-    };
-
-    void serveChunk(Chunk &chunk, const BatchControl &control);
-
     RouterConfig _cfg;
-    std::unique_ptr<obs::Registry> _ownedMetrics;
-    obs::Registry *_metrics;
-    std::unique_ptr<ResultCache> _cache;
+    Engine _engine;
+    ResultCache _cache;
     obs::Histogram *_mCacheHitUs;
-
-    /** Guards inFlight/assigned across dispatch and gather. */
-    std::mutex _mutex;
-    std::vector<Replica> _replicas;
 };
 
 } // namespace bioarch::serve

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -31,7 +32,6 @@
 #include "obs/metrics.hh"
 #include "serve/engine.hh"
 #include "serve/loop.hh"
-#include "serve/reload.hh"
 
 namespace
 {
@@ -553,8 +553,7 @@ TEST(HotReload, SwapsEpochsMidRunWithoutLosingRequests)
     cfg.jobs = 2;
     cfg.shards = 2;
     cfg.blast.neighborThreshold = 16;
-    serve::ReloadableEngine engine(
-        index::makeEpoch(testDb(), true, 1), cfg);
+    serve::Engine engine(index::makeEpoch(testDb(), true, 1), cfg);
     EXPECT_EQ(engine.epochNumber(), 1u);
     EXPECT_EQ(engine.metrics().gaugeValue("db_epoch"), 1.0);
 
@@ -612,22 +611,108 @@ TEST(HotReload, ReloadableEngineServesLikePlainEngine)
     cfg.shards = 4;
     cfg.blast.neighborThreshold = 16;
 
-    serve::ReloadableEngine reloadable(
-        index::makeEpoch(db, true, 1), cfg);
+    // The epoch engine routes through the epoch's own index, before
+    // and after a reload.
+    serve::Engine reloadable(index::makeEpoch(db, true, 1), cfg);
     const index::SeedIndex idx = index::SeedIndex::build(db);
     serve::EngineConfig plain_cfg = cfg;
     plain_cfg.seedIndex = &idx;
     serve::Engine plain(db, plain_cfg);
 
     const std::vector<serve::Request> requests = blastStream(6);
-    const std::vector<serve::Response> got =
-        reloadable.serveBatch(requests, serve::BatchControl{});
     const std::vector<serve::Response> want =
         plain.serveBatch(requests);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        expectSameHits(got[i].hits, want[i].hits,
-                       "request " + std::to_string(i));
+    for (const std::uint64_t epoch : {1u, 2u}) {
+        if (epoch == 2)
+            reloadable.reload(index::makeEpoch(db, true, 2));
+        std::uint64_t pinned = 0;
+        const std::vector<serve::Response> got =
+            reloadable.serveBatchPinned(requests, {}, &pinned);
+        EXPECT_EQ(pinned, epoch);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            expectSameHits(got[i].hits, want[i].hits,
+                           "epoch " + std::to_string(epoch)
+                               + " request " + std::to_string(i));
+    }
+    EXPECT_GT(reloadable.metrics().counterValue("index_probe_total"),
+              0u);
+}
+
+TEST(HotReload, PoolCountersSurviveReload)
+{
+    // One pool for the engine's whole life: a reload swaps the
+    // database, never the pool, so the retired epoch's tasks stay
+    // counted.
+    const bio::SequenceDatabase &db = testDb();
+    serve::EngineConfig cfg;
+    cfg.jobs = 2;
+    cfg.shards = 4;
+    cfg.blast.neighborThreshold = 16;
+    const std::vector<serve::Request> requests = blastStream(8);
+
+    serve::Engine engine(index::makeEpoch(db, true, 1), cfg);
+    const core::ThreadPool *pool = &engine.pool();
+    (void)engine.serveBatch(requests);
+    engine.reload(index::makeEpoch(db, true, 2));
+    (void)engine.serveBatch(requests);
+    engine.refreshPoolMetrics();
+    EXPECT_EQ(&engine.pool(), pool);
+
+    const index::SeedIndex idx = index::SeedIndex::build(db);
+    serve::EngineConfig plain_cfg = cfg;
+    plain_cfg.seedIndex = &idx;
+    serve::Engine plain(db, plain_cfg);
+    (void)plain.serveBatch(requests);
+    (void)plain.serveBatch(requests);
+    plain.refreshPoolMetrics();
+
+    const std::uint64_t tasks =
+        plain.metrics().counterValue("pool_tasks_total");
+    EXPECT_GT(tasks, 0u);
+    EXPECT_EQ(engine.metrics().counterValue("pool_tasks_total"),
+              tasks);
+}
+
+TEST(HotReload, ReloadsFromAnotherThreadWhileServing)
+{
+    // TSAN coverage for the epoch swap: one thread reloads while
+    // the caller serves. Every batch runs whole on one epoch, and
+    // every epoch holds the same sequences (with or without an
+    // index), so every answer is the plain engine's.
+    const bio::SequenceDatabase &db = testDb();
+    serve::EngineConfig cfg;
+    cfg.jobs = 2;
+    cfg.shards = 2;
+    cfg.blast.neighborThreshold = 16;
+    serve::Engine engine(index::makeEpoch(db, true, 1), cfg);
+    serve::Engine plain(db, cfg);
+
+    const std::vector<serve::Request> requests = blastStream(4);
+    const std::vector<serve::Response> want =
+        plain.serveBatch(requests);
+    constexpr std::uint64_t reloads = 8;
+    std::vector<std::vector<serve::Response>> rounds(6);
+    std::vector<std::uint64_t> pinned(rounds.size(), 0);
+    std::thread reloader([&engine, &db] {
+        for (std::uint64_t e = 2; e <= reloads + 1; ++e)
+            engine.reload(index::makeEpoch(db, e % 2 == 0, e));
+    });
+    for (std::size_t r = 0; r < rounds.size(); ++r)
+        rounds[r] = engine.serveBatchPinned(requests, {}, &pinned[r]);
+    reloader.join();
+
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+        EXPECT_GE(pinned[r], 1u);
+        ASSERT_EQ(rounds[r].size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            expectSameHits(rounds[r][i].hits, want[i].hits,
+                           "round " + std::to_string(r)
+                               + " request " + std::to_string(i));
+    }
+    EXPECT_EQ(engine.epochNumber(), reloads + 1);
+    EXPECT_EQ(engine.metrics().gaugeValue("db_epoch"),
+              static_cast<double>(reloads + 1));
 }
 
 } // namespace

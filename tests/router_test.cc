@@ -1,15 +1,13 @@
 /**
  * @file
- * Tests for the scatter-gather serving fleet (serve/router.hh,
- * serve/cache.hh) and the multi-tenant admission layer
- * (serve/loop.hh tenants).
+ * Tests for the result-cache front of the serving tier
+ * (serve/router.hh, serve/cache.hh).
  *
  * The load-bearing contract extends serve_test.cc's: the ranked
  * top-K hit list of every request is bit-for-bit identical to a
- * serial single-engine scan across the full replicas {1,2,4} x
- * cache {on,off} x jobs {1,2,8} matrix — the fleet layers
- * (replica dispatch, result cache, WDRR) decide *when and where* a
- * scan runs or whether it runs at all, never *what* it computes.
+ * serial single-engine scan across the full cache {on,off} x jobs
+ * {1,2,8} matrix — the result cache decides whether a scan runs at
+ * all, never *what* it computes.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -151,52 +150,51 @@ TEST(RouterDeterminism, MatrixMatchesSerialReference)
         reference.push_back(serialReference(
             r, testDb(), ref_cfg, ref_cfg.topK));
 
-    for (const std::size_t replicas : {1u, 2u, 4u}) {
-        for (const bool cache_on : {false, true}) {
-            for (const unsigned jobs : {1u, 2u, 8u}) {
-                serve::RouterConfig cfg;
-                cfg.replicas = replicas;
-                cfg.engine.jobs = jobs;
-                cfg.engine.shards = 4;
-                cfg.minChunk = 2;
-                cfg.cache.capacityBytes =
-                    cache_on ? 1u << 20 : 0u;
-                serve::ReplicaRouter router(
-                    index::makeEpoch(testDb(), false, 1), cfg);
-                const std::string ctx = "replicas="
-                    + std::to_string(replicas) + " cache="
-                    + std::to_string(cache_on) + " jobs="
-                    + std::to_string(jobs);
+    for (const bool cache_on : {false, true}) {
+        for (const unsigned jobs : {1u, 2u, 8u}) {
+            serve::RouterConfig cfg;
+            cfg.engine.jobs = jobs;
+            cfg.engine.shards = 4;
+            cfg.cache.capacityBytes = cache_on ? 1u << 20 : 0u;
+            serve::ReplicaRouter router(
+                index::makeEpoch(testDb(), false, 1), cfg);
+            const std::string ctx = "cache="
+                + std::to_string(cache_on)
+                + " jobs=" + std::to_string(jobs);
 
-                // Two passes: pass 2 is served from the cache
-                // when it is on, and must be bit-identical.
-                for (const int pass : {1, 2}) {
-                    const std::vector<serve::Response> out =
-                        router.serveBatch(stream, {});
-                    ASSERT_EQ(out.size(), stream.size()) << ctx;
-                    for (std::size_t i = 0; i < out.size(); ++i)
-                        expectSameHits(
-                            out[i].hits, reference[i],
-                            ctx + " pass "
-                                + std::to_string(pass)
-                                + " request "
-                                + std::to_string(i));
-                }
-                if (cache_on) {
-                    EXPECT_GT(router.metrics().counterValue(
-                                  "serve_cache_hits_total"),
-                              0u)
-                        << ctx;
-                }
+            // Two passes: pass 2 is served from the cache when it
+            // is on, and must be bit-identical.
+            for (const int pass : {1, 2}) {
+                const std::vector<serve::Response> out =
+                    router.serveBatch(stream, {});
+                ASSERT_EQ(out.size(), stream.size()) << ctx;
+                for (std::size_t i = 0; i < out.size(); ++i)
+                    expectSameHits(out[i].hits, reference[i],
+                                   ctx + " pass "
+                                       + std::to_string(pass)
+                                       + " request "
+                                       + std::to_string(i));
+            }
+            if (cache_on) {
+                EXPECT_GT(router.metrics().counterValue(
+                              "serve_cache_hits_total"),
+                          0u)
+                    << ctx;
             }
         }
     }
+
+    // The router fronts exactly one engine.
+    serve::RouterConfig two;
+    two.replicas = 2;
+    EXPECT_THROW(serve::ReplicaRouter(
+                     index::makeEpoch(testDb(), false, 1), two),
+                 std::invalid_argument);
 }
 
 TEST(RouterCache, HitMissAccountingIsDeterministic)
 {
     serve::RouterConfig cfg;
-    cfg.replicas = 1;
     cfg.engine.jobs = 2;
     cfg.cache.capacityBytes = 1u << 20;
     serve::ReplicaRouter router(
@@ -235,7 +233,6 @@ TEST(RouterCache, HitMissAccountingIsDeterministic)
 TEST(RouterCache, EpochBumpInvalidatesStaleHits)
 {
     serve::RouterConfig cfg;
-    cfg.replicas = 2;
     cfg.engine.jobs = 2;
     cfg.cache.capacityBytes = 1u << 20;
     serve::ReplicaRouter router(
@@ -335,7 +332,6 @@ TEST(RouterCache, CapacityBoundIsNeverExceeded)
 TEST(RouterCache, PartialResponsesAreNeverCached)
 {
     serve::RouterConfig cfg;
-    cfg.replicas = 1;
     cfg.engine.jobs = 1;
     cfg.engine.shards = 4;
     cfg.cache.capacityBytes = 1u << 20;
@@ -373,44 +369,10 @@ TEST(RouterCache, PartialResponsesAreNeverCached)
                    "after partial");
 }
 
-TEST(RouterAccounting, PerReplicaCountersBalance)
-{
-    serve::RouterConfig cfg;
-    cfg.replicas = 2;
-    cfg.engine.jobs = 2;
-    cfg.minChunk = 2;
-    serve::ReplicaRouter router(
-        index::makeEpoch(testDb(), false, 1), cfg);
-    const obs::Registry &m = router.metrics();
-
-    const std::vector<serve::Request> stream = fleetStream();
-    (void)router.serveBatch(stream, {});
-
-    std::uint64_t routed = 0;
-    for (const std::size_t r : {0u, 1u}) {
-        const std::string label =
-            "replica=\"" + std::to_string(r) + "\"";
-        routed += m.counterValue("serve_replica_requests_total",
-                                 label);
-        // All chunks finished: depth gauges are back to zero.
-        EXPECT_EQ(m.gaugeValue("serve_replica_depth", label), 0.0)
-            << label;
-    }
-    EXPECT_EQ(routed, stream.size());
-    // A 12-request batch with minChunk 2 scatters to both
-    // replicas.
-    EXPECT_GT(m.counterValue("serve_replica_batches_total",
-                             "replica=\"0\""),
-              0u);
-    EXPECT_GT(m.counterValue("serve_replica_batches_total",
-                             "replica=\"1\""),
-              0u);
-}
-
 /**
  * TSAN coverage: hammer one sharded-LRU cache from concurrent
- * threads (the fleet's gather threads and dispatcher do exactly
- * this). Run under jobs {2, 8} thread counts.
+ * threads (callers of a shared cache may do exactly this). Run
+ * under {2, 8} thread counts.
  */
 void
 hammerCache(unsigned threads)

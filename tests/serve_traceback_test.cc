@@ -2,7 +2,8 @@
  * @file
  * Tests for the two-phase serving tier (score -> align -> report):
  * ranked hits must be bit-identical with reporting on or off across
- * jobs/shards/replicas, every served CIGAR must replay to exactly
+ * jobs and shards and behind the result cache, every served CIGAR
+ * must replay to exactly
  * its reported score, alignments must round-trip through the
  * result cache, and the served blastn kind must find its planted
  * long-read homologs end to end.
@@ -206,55 +207,50 @@ TEST(TwoPhase, RouterReplicasMatchAndCacheRoundTripsAlignments)
     const std::vector<serve::Response> want =
         ref.serveBatch(reporting);
 
-    for (const std::size_t replicas : {1u, 2u}) {
-        serve::RouterConfig rcfg;
-        rcfg.replicas = replicas;
-        rcfg.engine = ecfg;
-        rcfg.cache.capacityBytes = 4u << 20;
-        serve::ReplicaRouter router(
-            index::makeEpoch(testDb(), false, 1), rcfg);
+    serve::RouterConfig rcfg;
+    rcfg.engine = ecfg;
+    rcfg.cache.capacityBytes = 4u << 20;
+    serve::ReplicaRouter router(
+        index::makeEpoch(testDb(), false, 1), rcfg);
 
-        const std::vector<serve::Response> first =
-            router.serveBatch(reporting, {});
-        ASSERT_EQ(first.size(), want.size());
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            const std::string ctx = "replicas="
-                + std::to_string(replicas)
-                + " req=" + std::to_string(i);
-            expectSameHits(first[i].hits, want[i].hits, ctx);
-            EXPECT_EQ(first[i].alignments, want[i].alignments)
-                << ctx;
-        }
+    const std::vector<serve::Response> first =
+        router.serveBatch(reporting, {});
+    ASSERT_EQ(first.size(), want.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        const std::string ctx = "req=" + std::to_string(i);
+        expectSameHits(first[i].hits, want[i].hits, ctx);
+        EXPECT_EQ(first[i].alignments, want[i].alignments)
+            << ctx;
+    }
 
-        // Same batch again: every answer must come from the cache
-        // with the full phase-2 payload intact.
-        const std::vector<serve::Response> second =
-            router.serveBatch(reporting, {});
-        for (std::size_t i = 0; i < second.size(); ++i) {
-            EXPECT_TRUE(second[i].fromCache) << i;
-            expectSameHits(second[i].hits, first[i].hits,
-                           "cached " + std::to_string(i));
-            EXPECT_EQ(second[i].alignments,
-                      first[i].alignments)
-                << i;
-            EXPECT_EQ(second[i].tracebackCells,
-                      first[i].tracebackCells)
-                << i;
-        }
+    // Same batch again: every answer must come from the cache
+    // with the full phase-2 payload intact.
+    const std::vector<serve::Response> second =
+        router.serveBatch(reporting, {});
+    for (std::size_t i = 0; i < second.size(); ++i) {
+        EXPECT_TRUE(second[i].fromCache) << i;
+        expectSameHits(second[i].hits, first[i].hits,
+                       "cached " + std::to_string(i));
+        EXPECT_EQ(second[i].alignments,
+                  first[i].alignments)
+            << i;
+        EXPECT_EQ(second[i].tracebackCells,
+                  first[i].tracebackCells)
+            << i;
+    }
 
-        // A score-only request is a different cache identity: it
-        // must miss the reporting entries and carry no alignments.
-        std::vector<serve::Request> plain = reporting;
-        for (serve::Request &r : plain)
-            r.reportAlignments = false;
-        const std::vector<serve::Response> third =
-            router.serveBatch(plain, {});
-        for (std::size_t i = 0; i < third.size(); ++i) {
-            EXPECT_FALSE(third[i].fromCache) << i;
-            EXPECT_TRUE(third[i].alignments.empty()) << i;
-            expectSameHits(third[i].hits, first[i].hits,
-                           "plain " + std::to_string(i));
-        }
+    // A score-only request is a different cache identity: it
+    // must miss the reporting entries and carry no alignments.
+    std::vector<serve::Request> plain = reporting;
+    for (serve::Request &r : plain)
+        r.reportAlignments = false;
+    const std::vector<serve::Response> third =
+        router.serveBatch(plain, {});
+    for (std::size_t i = 0; i < third.size(); ++i) {
+        EXPECT_FALSE(third[i].fromCache) << i;
+        EXPECT_TRUE(third[i].alignments.empty()) << i;
+        expectSameHits(third[i].hits, first[i].hits,
+                       "plain " + std::to_string(i));
     }
 }
 

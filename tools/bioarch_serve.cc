@@ -117,10 +117,6 @@ usage(std::ostream &out)
            "  --queue-cap N     admission queue bound (default 64)\n"
            "\n"
            "fleet (open loop):\n"
-           "  --replicas N      engine replicas behind the\n"
-           "                    scatter-gather router (default 1;\n"
-           "                    each replica has its own thread\n"
-           "                    pool and epoch pin)\n"
            "  --cache-mb M      result-cache capacity in MiB\n"
            "                    (default 0 = cache off)\n"
            "  --tenants SPEC    comma-separated per-tenant specs\n"
@@ -248,7 +244,7 @@ runOpenLoop(const bio::SequenceDatabase &db,
             std::size_t queue_cap, const std::string &metrics_out,
             const std::string &metrics_prom, bool use_index,
             bool hot_reload, int db_seqs, bool zipf,
-            std::size_t replicas, std::size_t cache_mb,
+            std::size_t cache_mb,
             const std::vector<TenantSpec> &tenants)
 {
     const std::vector<double> arrivals =
@@ -280,12 +276,11 @@ runOpenLoop(const bio::SequenceDatabase &db,
         }
     }
 
-    // The open loop always fronts the replica router: with one
-    // replica and the cache off it degenerates to a single
-    // reloadable engine. --hot-reload slides a second epoch in
-    // mid-run while the loop keeps dispatching.
+    // The open loop always fronts the cache router: with the cache
+    // off it is a plain pass-through to its one reloadable engine.
+    // --hot-reload slides a second epoch in mid-run while the loop
+    // keeps dispatching.
     serve::RouterConfig rcfg;
-    rcfg.replicas = replicas;
     rcfg.engine = cfg;
     rcfg.cache.capacityBytes = cache_mb * (1u << 20);
     serve::ReplicaRouter engine(
@@ -400,7 +395,6 @@ runOpenLoop(const bio::SequenceDatabase &db,
                   + shed_shutdown
            << ",\"deadline_expired\":" << deadline_expired
            << ",\"dropped\":" << dropped
-           << ",\"replicas\":" << engine.replicas()
            << ",\"cache_mb\":" << cache_mb
            << ",\"cache_hits\":"
            << counter("serve_cache_hits_total")
@@ -512,7 +506,6 @@ main(int argc, char **argv)
     double duration_s = 2.0;
     double deadline_ms = 0.0;
     std::size_t queue_cap = 64;
-    std::size_t replicas = 1;
     std::size_t cache_mb = 0;
     std::vector<TenantSpec> tenants;
     std::string metrics_out;
@@ -598,9 +591,6 @@ main(int argc, char **argv)
         } else if (arg == "--queue-cap") {
             queue_cap =
                 static_cast<std::size_t>(positive(value()));
-        } else if (arg == "--replicas") {
-            replicas =
-                static_cast<std::size_t>(positive(value()));
         } else if (arg == "--cache-mb") {
             cache_mb =
                 static_cast<std::size_t>(positive(value()));
@@ -643,12 +633,10 @@ main(int argc, char **argv)
         return runOpenLoop(db, pool, cfg, stream, qps, duration_s,
                            deadline_ms, queue_cap, metrics_out,
                            metrics_prom, use_index, hot_reload,
-                           db_seqs, zipf, replicas, cache_mb,
-                           tenants);
-    if (hot_reload || replicas > 1 || cache_mb > 0
-        || !tenants.empty()) {
-        std::cerr << "--hot-reload/--replicas/--cache-mb/"
-                     "--tenants need the open loop (--qps)\n";
+                           db_seqs, zipf, cache_mb, tenants);
+    if (hot_reload || cache_mb > 0 || !tenants.empty()) {
+        std::cerr << "--hot-reload/--cache-mb/--tenants need the "
+                     "open loop (--qps)\n";
         return 2;
     }
 
