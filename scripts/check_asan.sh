@@ -1,0 +1,23 @@
+#!/usr/bin/env sh
+# CI job: build with AddressSanitizer + UndefinedBehaviorSanitizer
+# and run the tests of the alignment kernels and the traceback tier:
+# the native striped / inter-sequence scans on every compiled
+# backend (sw_native_test), the locate, anchored reverse and
+# rectangle-fill passes that index striped columns by computed rows
+# (traceback_test), and the served CIGARs across jobs, shards and
+# backends (serve_traceback_test). The hardware SIMD backends are
+# compiled in, so the intrinsic paths run under the sanitizers too.
+# Any out-of-bounds access, leak or undefined behavior fails the run.
+#
+# Usage: scripts/check_asan.sh [build-dir]   (default: build-asan)
+set -eu
+
+BUILD_DIR="${1:-build-asan}"
+
+cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DBIOARCH_ASAN=ON \
+    -DBIOARCH_NATIVE_SIMD=ON
+cmake --build "$BUILD_DIR" -j --target traceback_test sw_native_test \
+    serve_traceback_test
+ctest --test-dir "$BUILD_DIR" \
+    -L 'traceback_test|sw_native_test|serve_traceback_test' \
+    --output-on-failure -j

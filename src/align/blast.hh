@@ -30,7 +30,6 @@
 #include "bio/scoring.hh"
 #include "bio/sequence.hh"
 #include "traceback/cigar.hh"
-#include "traceback/hirschberg.hh"
 #include "types.hh"
 
 namespace bioarch::align

@@ -24,7 +24,6 @@
 #include "bio/nucleotide.hh"
 #include "bio/sequence.hh"
 #include "traceback/cigar.hh"
-#include "traceback/hirschberg.hh"
 #include "types.hh"
 
 namespace bioarch::align

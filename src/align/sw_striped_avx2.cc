@@ -22,20 +22,23 @@ namespace bioarch::align::detail
 LocalScore
 scanU8Avx2(const std::uint8_t *profile, int seg,
            const bio::Residue *subject, std::size_t n,
-           int open_cost, int ext_cost, int bias, bool *saturated)
+           int open_cost, int ext_cost, int bias, bool *saturated,
+           const StripedPass *pass)
 {
     return stripedScanU8<vec::native::Avx2U8>(
         profile, seg, subject, n, open_cost, ext_cost, bias,
-        saturated);
+        saturated, pass);
 }
 
 LocalScore
 scanI16Avx2(const std::int16_t *profile, int seg,
             const bio::Residue *subject, std::size_t n,
-            int open_cost, int ext_cost, bool *saturated)
+            int open_cost, int ext_cost, bool *saturated,
+            const StripedPass *pass)
 {
     return stripedScanI16<vec::native::Avx2I16>(
-        profile, seg, subject, n, open_cost, ext_cost, saturated);
+        profile, seg, subject, n, open_cost, ext_cost, saturated,
+        pass);
 }
 
 void

@@ -157,8 +157,10 @@ class NativeQueryProfile
 /**
  * Scan one subject with the profile's backend, climbing the
  * 8-bit -> 16-bit -> scalar overflow ladder as levels saturate.
- * The score is exactly align::smithWatermanScore's; queryEnd is
- * not tracked (-1) unless the scalar fallback level ran.
+ * The score is exactly align::smithWatermanScore's, and subjectEnd
+ * is the first column attaining it. queryEnd is not tracked (-1)
+ * unless the scalar fallback level ran; swStripedLocate recovers
+ * it when an alignment is reported.
  *
  * @param subject encoded residues (any contiguous storage — a
  *        Sequence's own vector or the database's packed arena)
@@ -193,6 +195,52 @@ LocalScore swStripedScan16Tail(const NativeQueryProfile &profile,
                                std::size_t n,
                                const bio::GapPenalties &gaps,
                                NativeScanStats *stats = nullptr);
+
+/**
+ * Locate pass of the traceback tier (align/traceback/
+ * native_align.hh): the same ladder and kernel as
+ * swStripedNativeScan, plus the exact end row. The kernel keeps a
+ * copy of the H column in which the best score was first attained,
+ * and queryEnd is the smallest row of that column holding the
+ * score — the same cell the scalar reference reports (column-major
+ * first maximum). The scalar rung reports it itself.
+ *
+ * @param known_score the optimum of subject[0..n) when the caller
+ *        knows it (a score scan's result with n = subjectEnd + 1),
+ *        else 0: the pass then stops at the first column reaching
+ *        it and skips ladder levels it would saturate. A wrong
+ *        value costs a second pass, never a wrong answer.
+ */
+LocalScore swStripedLocate(const NativeQueryProfile &profile,
+                           const bio::Residue *subject,
+                           std::size_t n,
+                           const bio::GapPenalties &gaps,
+                           int known_score = 0);
+
+/**
+ * Anchored reverse pass of the traceback tier: the begin cell of a
+ * local alignment scoring @p score that ends exactly at
+ * (query_end, subject_end). Runs the 16-bit striped kernel over the
+ * reversed prefixes query[0..query_end] x subject[0..subject_end]
+ * with a fresh profile of the reversed query prefix. Lane 0 of
+ * column 0 — the anchor cell's diagonal input — is seeded with a
+ * bonus B = 1, so alignments through the anchor score up to
+ * score + B and every other local alignment of the prefixes at
+ * most score. The begin cell is the smallest row of the first
+ * column reaching score + B. (An unseeded reverse pass could stop
+ * on an equal-scoring alignment that does not end at the anchor.)
+ * Targets beyond the 16-bit lanes take the scalar rung.
+ *
+ * @param[out] cells optional count of the cells swept
+ * @return false when no alignment scoring @p score ends at the
+ *         anchor (the outputs are then untouched)
+ */
+bool swStripedBeginCell(const NativeQueryProfile &profile,
+                        const bio::Residue *subject, int query_end,
+                        int subject_end,
+                        const bio::GapPenalties &gaps, int score,
+                        int *query_begin, int *subject_begin,
+                        std::uint64_t *cells = nullptr);
 
 } // namespace bioarch::align
 

@@ -22,6 +22,14 @@
  *  - both levels detect saturation (8-bit: best >= 255-bias once
  *    adds can have clipped; 16-bit: best == INT16_MAX) so the
  *    caller can climb the overflow ladder.
+ *
+ * The same kernel also runs the traceback tier's two locating
+ * passes (align/traceback/native_align.hh), selected by
+ * compile-time StripedOption flags: a column snapshot on every
+ * improvement of the best score (which row ends the alignment),
+ * and an anchor seed plus early stop (where the alignment ending
+ * at a known cell begins). The score-only scan instantiates none
+ * of them, so its loop is unchanged.
  */
 
 #ifndef BIOARCH_ALIGN_SW_STRIPED_NATIVE_IMPL_HH
@@ -29,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -47,6 +56,41 @@
 namespace bioarch::align::detail
 {
 
+/** Compile-time extras of stripedScanImpl (score-only: none). */
+enum StripedOption : unsigned
+{
+    /** Copy the whole H column into StripedPass::snapshot every
+     * time the best score improves (with earlyStop: once, at the
+     * stop), so the last copy is the column the best was first
+     * attained in. */
+    snapshotColumn = 1u,
+    /** Start lane 0 of column 0 (query row 0's diagonal input)
+     * from StripedPass::seed instead of zero, so every alignment
+     * through cell (0, 0) carries that bonus. */
+    anchorSeed = 2u,
+    /** Return after the first column whose best reaches
+     * StripedPass::stopAt. */
+    earlyStop = 4u,
+};
+
+/** Copy a striped column of @p seg registers out as elements. */
+template <class Reg>
+void
+copyColumn(void *out, const std::vector<Reg> &column, int seg)
+{
+    std::memcpy(out, column.data(),
+                static_cast<std::size_t>(seg) * sizeof(Reg));
+}
+
+/** Runtime inputs of the StripedOption extras. */
+struct StripedPass
+{
+    /** seg * lanes elements, striped like the profile. */
+    void *snapshot = nullptr;
+    int seed = 0;
+    int stopAt = 0;
+};
+
 /**
  * One striped column pass + lazy-F correction, shared verbatim by
  * the 8-bit and 16-bit levels (the only asymmetry — bias handling —
@@ -55,15 +99,16 @@ namespace bioarch::align::detail
  *
  * @param profile [residue][segment][lane] scores, V::lanes wide
  * @param seg     segment length (ceil(m / V::lanes))
+ * @param pass    inputs of the @p Opts extras (unused when 0)
  * @return        best lane value seen anywhere, and the column it
  *                was first attained in
  */
-template <class V>
+template <class V, unsigned Opts = 0>
 std::pair<typename V::Elem, int>
 stripedScanImpl(const typename V::Elem *profile, int seg,
                 const bio::Residue *subject, std::size_t n,
                 typename V::Elem open_cost, typename V::Elem ext_cost,
-                typename V::Elem bias)
+                typename V::Elem bias, const StripedPass &pass = {})
 {
     using Reg = typename V::Reg;
     using Elem = typename V::Elem;
@@ -73,6 +118,11 @@ stripedScanImpl(const typename V::Elem *profile, int seg,
     const Reg v_ext = V::splat(ext_cost);
     const Reg v_bias = V::splat(bias);
     const Reg v_zero = V::zero();
+    // Lane 0 = seed, every other lane 0 (saturating seed - seed).
+    const Reg v_seed = V::subs(
+        V::splat(static_cast<Elem>(pass.seed)),
+        V::shiftInZero(V::splat(static_cast<Elem>(pass.seed))));
+    const Elem stop_at = static_cast<Elem>(pass.stopAt);
 
     // Reused across scans on this thread: the serving engine calls
     // this once per database subject, and for the short-subject
@@ -103,6 +153,9 @@ stripedScanImpl(const typename V::Elem *profile, int seg,
 
         Reg v_h = V::shiftInZero(
             h_store[static_cast<std::size_t>(seg - 1)]);
+        if constexpr ((Opts & anchorSeed) != 0)
+            if (j == 0)
+                v_h = v_seed;
         std::swap(h_store, h_load);
 
         Reg v_f = V::zero();
@@ -204,9 +257,48 @@ stripedScanImpl(const typename V::Elem *profile, int seg,
         if (column_max > best) {
             best = column_max;
             best_column = static_cast<int>(j);
+            if constexpr ((Opts & snapshotColumn) != 0
+                          && (Opts & earlyStop) == 0)
+                copyColumn(pass.snapshot, h_store, seg);
+        }
+        if constexpr ((Opts & earlyStop) != 0) {
+            if (best >= stop_at) {
+                if constexpr ((Opts & snapshotColumn) != 0)
+                    copyColumn(pass.snapshot, h_store, seg);
+                break;
+            }
         }
     }
     return {best, best_column};
+}
+
+/**
+ * stripedScanImpl with the extras @p pass asks for: none when null
+ * (the score-only scan); otherwise the column snapshot, plus the
+ * early stop when pass->stopAt is set, plus the anchor seed when
+ * pass->seed is set too.
+ */
+template <class V>
+std::pair<typename V::Elem, int>
+stripedScanPass(const typename V::Elem *profile, int seg,
+                const bio::Residue *subject, std::size_t n,
+                typename V::Elem open_cost, typename V::Elem ext_cost,
+                typename V::Elem bias, const StripedPass *pass)
+{
+    if (pass == nullptr)
+        return stripedScanImpl<V>(profile, seg, subject, n,
+                                  open_cost, ext_cost, bias);
+    if (pass->seed > 0)
+        return stripedScanImpl<V, snapshotColumn | anchorSeed
+                                      | earlyStop>(
+            profile, seg, subject, n, open_cost, ext_cost, bias,
+            *pass);
+    if (pass->stopAt > 0)
+        return stripedScanImpl<V, snapshotColumn | earlyStop>(
+            profile, seg, subject, n, open_cost, ext_cost, bias,
+            *pass);
+    return stripedScanImpl<V, snapshotColumn>(
+        profile, seg, subject, n, open_cost, ext_cost, bias, *pass);
 }
 
 /** 16-bit H never saturates its signed lane type below this. */
@@ -224,13 +316,13 @@ LocalScore
 stripedScanU8(const std::uint8_t *profile, int seg,
               const bio::Residue *subject, std::size_t n,
               int open_cost, int ext_cost, int bias,
-              bool *saturated)
+              bool *saturated, const StripedPass *pass = nullptr)
 {
-    const auto [best, column] = stripedScanImpl<V>(
+    const auto [best, column] = stripedScanPass<V>(
         profile, seg, subject, n,
         static_cast<std::uint8_t>(open_cost),
         static_cast<std::uint8_t>(ext_cost),
-        static_cast<std::uint8_t>(bias));
+        static_cast<std::uint8_t>(bias), pass);
     *saturated = static_cast<int>(best) >= 255 - bias;
     LocalScore out;
     out.score = static_cast<int>(best);
@@ -249,13 +341,14 @@ template <class V>
 LocalScore
 stripedScanI16(const std::int16_t *profile, int seg,
                const bio::Residue *subject, std::size_t n,
-               int open_cost, int ext_cost, bool *saturated)
+               int open_cost, int ext_cost, bool *saturated,
+               const StripedPass *pass = nullptr)
 {
-    const auto [best, column] = stripedScanImpl<V>(
+    const auto [best, column] = stripedScanPass<V>(
         profile, seg, subject, n,
         static_cast<std::int16_t>(open_cost),
         static_cast<std::int16_t>(ext_cost),
-        static_cast<std::int16_t>(0));
+        static_cast<std::int16_t>(0), pass);
     *saturated = static_cast<int>(best) >= i16SaturationCeiling;
     LocalScore out;
     out.score = static_cast<int>(best) < 0 ? 0

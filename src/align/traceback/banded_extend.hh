@@ -23,7 +23,6 @@
 #include "bio/scoring.hh"
 #include "bio/sequence.hh"
 #include "cigar.hh"
-#include "hirschberg.hh"
 
 namespace bioarch::align
 {

@@ -108,6 +108,28 @@ int cigarScore(const CigarAlignment &alignment,
                const bio::ScoringMatrix &matrix,
                const bio::GapPenalties &gaps);
 
+/**
+ * Traceback work accounting, shared by every reporting kernel.
+ * totalCells counts every DP cell a traceback evaluates (locating
+ * passes included); peakCells is the high-water mark of
+ * concurrently live DP elements (direction codes included), so
+ * memory bounds are asserted on it.
+ */
+struct TracebackStats
+{
+    std::uint64_t totalCells = 0; ///< DP cells evaluated
+    std::uint64_t peakCells = 0;  ///< max live DP elements
+
+    TracebackStats &
+    operator+=(const TracebackStats &other)
+    {
+        totalCells += other.totalCells;
+        peakCells = peakCells > other.peakCells ? peakCells
+                                                : other.peakCells;
+        return *this;
+    }
+};
+
 } // namespace bioarch::align
 
 #endif // BIOARCH_ALIGN_TRACEBACK_CIGAR_HH

@@ -1,7 +1,6 @@
 #include "hirschberg.hh"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 namespace bioarch::align
@@ -10,13 +9,11 @@ namespace bioarch::align
 namespace
 {
 
-constexpr int neg_inf = std::numeric_limits<int>::min() / 4;
-
 /**
  * The divide-and-conquer core, oriented so the DP arrays run along
  * B — callers put the *shorter* sequence there, which is what makes
  * the whole traceback O(min(m, n)) space. In core coordinates an
- * 'I' consumes A and a 'D' consumes B; hirschbergAlign flips the
+ * 'I' consumes A and a 'D' consumes B; myersMillerAlign flips the
  * ops back when it had to swap the inputs.
  *
  * Myers-Miller gap bookkeeping: a gap of length L costs
@@ -45,29 +42,6 @@ class MyersMiller
         _ss.assign(static_cast<std::size_t>(n) + 1, 0);
         _cigar = &cigar;
         diff(a0, m, b0, n, _g, _g);
-    }
-
-    /**
-     * run() with the top-level backward arrays supplied by the
-     * caller: rr[j] / ss[j] must hold the global score (score
-     * ending in a vertical gap) of aligning A[a0+midi..a0+m-1]
-     * against B[b0+j..b0+n-1] with terminal gaps fully charged —
-     * exactly what the reverse begin-pass computes row by row, so
-     * traceWindow hands its captured row across and the top level
-     * only pays the forward half. Only valid at the outermost
-     * level (tb = te = g); requires 1 <= midi <= m - 1.
-     */
-    void
-    runWithBottomRows(int a0, int m, int b0, int n, int midi,
-                      const int *rr, const int *ss, Cigar &cigar)
-    {
-        _cc.assign(static_cast<std::size_t>(n) + 1, 0);
-        _dd.assign(static_cast<std::size_t>(n) + 1, 0);
-        _rr.assign(rr, rr + n + 1);
-        _ss.assign(ss, ss + n + 1);
-        _cigar = &cigar;
-        forwardTop(a0, midi, b0, n, _g);
-        joinAndRecurse(a0, m, b0, n, midi, _g, _g);
     }
 
     std::uint64_t cells() const { return _cells; }
@@ -284,524 +258,38 @@ class MyersMiller
     std::uint64_t _cells = 0;
 };
 
-/** End point of the best local alignment (forward SW pass). */
-struct LocalEnd
-{
-    int score = 0;
-    int aEnd = -1;
-    int bEnd = -1;
-};
-
-/**
- * Forward local score pass with the DP arrays along B. Strict->
- * best updates in (i asc, j asc) scan order make the end point the
- * first maximum — deterministic for any input.
- *
- * @param capture_i when in [1, m], the clamped H row is copied
- *        after row i = capture_i into @p cap_h (n + 1 ints):
- *        cap_h[j] = best local score ending at cell (capture_i, j).
- *        traceMidJoin uses it to join the traceback at that row
- *        without sweeping the reverse pass above it.
- */
-LocalEnd
-localEndPass(const bio::Residue *a, int m, const bio::Residue *b,
-             int n, const bio::ScoringMatrix &matrix, int open_cost,
-             int ext_cost, TracebackStats *stats, int capture_i = 0,
-             int *cap_h = nullptr)
-{
-    LocalEnd best;
-    if (m == 0 || n == 0)
-        return best;
-    std::vector<int> h_row(static_cast<std::size_t>(n) + 1, 0);
-    std::vector<int> v_row(static_cast<std::size_t>(n) + 1, 0);
-    if (stats != nullptr) {
-        stats->totalCells += static_cast<std::uint64_t>(m)
-            * static_cast<std::uint64_t>(n);
-        stats->peakCells = std::max(
-            stats->peakCells,
-            2 * (static_cast<std::uint64_t>(n) + 1));
-    }
-    // The gap states carry no 0-clamp: E/F only reach H through a
-    // max against 0, so negative values are equivalent to the
-    // clamped formulation cell for cell (H is bit-identical), and
-    // dropping the clamps removes two comparisons per cell.
-    int *const __restrict hr = h_row.data();
-    int *const __restrict vr = v_row.data();
-    std::fill(vr, vr + n + 1, neg_inf);
-    for (int i = 1; i <= m; ++i) {
-        int h_diag = 0;
-        int h_left = 0;
-        int u = neg_inf;
-        const std::int8_t *const __restrict prof = matrix.row(a[i - 1]);
-        const bio::Residue *const __restrict bw = b - 1;
-        for (int j = 1; j <= n; ++j) {
-            const int vup = hr[j] - open_cost;
-            const int vext = vr[j] - ext_cost;
-            const int v = vup > vext ? vup : vext;
-            const int uo = h_left - open_cost;
-            const int ue = u - ext_cost;
-            u = uo > ue ? uo : ue;
-            int h = h_diag + prof[bw[j]];
-            h = h > v ? h : v;
-            h = h > u ? h : u;
-            h = h > 0 ? h : 0;
-            if (h > best.score) {
-                best.score = h;
-                best.aEnd = i - 1;
-                best.bEnd = j - 1;
-            }
-            h_diag = hr[j];
-            hr[j] = h;
-            vr[j] = v;
-            h_left = h;
-        }
-        if (i == capture_i)
-            std::copy(hr, hr + n + 1, cap_h);
-    }
-    return best;
-}
-
-/**
- * Reverse globally-anchored pass: over the reversed prefixes
- * ra = reverse(A[0..aEnd]), rb = reverse(B[0..bEnd]), the (i, j)
- * maximizing the global affine alignment score of ra[0..i-1] vs
- * rb[0..j-1] (terminal gaps charged) equals the local score, and
- * pins the begin point at (aEnd - i + 1, bEnd - j + 1). Returns
- * that maximum — the score of the best local alignment ending
- * exactly at (a_end, b_end).
- */
-/**
- * @param capture_i when in [1, ma], the pass copies its H and
- *        vertical-gap rows after processing row i = capture_i into
- *        @p cap_h / @p cap_f (each nb + 1 ints). Those are the
- *        backward global scores of A[a_end-capture_i+1 .. a_end] vs
- *        every B suffix — reusable as the Myers-Miller top-level
- *        backward arrays (see emitWindow).
- * @param stop_i when in [1, ma], the sweep stops after row
- *        i = stop_i; the returned best / begin then cover only the
- *        swept rows (a prefix of the full sweep, so when the best
- *        already equals the local score the begin is exactly what
- *        the full sweep would pin). @p stop_h receives the final H
- *        row (nb + 1 ints): the global score of A[a_end-stop_i+1 ..
- *        a_end] vs every B suffix, used for the mid-row join.
- */
-int
-reverseBeginPass(const bio::Residue *a, int a_end,
-                 const bio::Residue *b, int b_end,
-                 const bio::ScoringMatrix &matrix, int open_cost,
-                 int ext_cost, TracebackStats *stats, int &a_begin,
-                 int &b_begin, int capture_i = 0,
-                 int *cap_h = nullptr, int *cap_f = nullptr,
-                 int stop_i = 0, int *stop_h = nullptr)
-{
-    const int ma = a_end + 1;
-    const int nb = b_end + 1;
-    const int last = stop_i >= 1 ? stop_i : ma;
-    std::vector<int> h_row(static_cast<std::size_t>(nb) + 1);
-    std::vector<int> f_row(static_cast<std::size_t>(nb) + 1,
-                           neg_inf);
-    if (stats != nullptr) {
-        stats->totalCells += static_cast<std::uint64_t>(last)
-            * static_cast<std::uint64_t>(nb);
-        stats->peakCells = std::max(
-            stats->peakCells,
-            2 * (static_cast<std::uint64_t>(nb) + 1));
-    }
-    int *const __restrict hr = h_row.data();
-    int *const __restrict fr = f_row.data();
-    hr[0] = 0;
-    for (int j = 1; j <= nb; ++j)
-        hr[j] = -(open_cost + ext_cost * (j - 1));
-
-    int best = neg_inf;
-    int best_i = 1;
-    int best_j = 1;
-    const bio::Residue *const rb = b + b_end + 1;
-    for (int i = 1; i <= last; ++i) {
-        int h_diag = hr[0];
-        hr[0] = -(open_cost + ext_cost * (i - 1));
-        int e = neg_inf;
-        int h_left = hr[0];
-        const std::int8_t *const __restrict prof =
-            matrix.row(a[a_end - (i - 1)]);
-        for (int j = 1; j <= nb; ++j) {
-            const int eo = h_left - open_cost;
-            const int ee = e - ext_cost;
-            e = eo > ee ? eo : ee;
-            const int fo = hr[j] - open_cost;
-            const int fe = fr[j] - ext_cost;
-            const int f = fo > fe ? fo : fe;
-            int h = h_diag + prof[rb[-j]];
-            h = h > e ? h : e;
-            h = h > f ? h : f;
-            if (h > best) {
-                best = h;
-                best_i = i;
-                best_j = j;
-            }
-            h_diag = hr[j];
-            hr[j] = h;
-            fr[j] = f;
-            h_left = h;
-        }
-        if (i == capture_i) {
-            std::copy(hr, hr + nb + 1, cap_h);
-            std::copy(fr, fr + nb + 1, cap_f);
-        }
-    }
-    if (stop_h != nullptr)
-        std::copy(hr, hr + nb + 1, stop_h);
-    a_begin = a_end - (best_i - 1);
-    b_begin = b_end - (best_j - 1);
-    return best;
-}
-
-/** Count identities and columns of a core-oriented CIGAR. */
-void
-fillIdentityStats(const Cigar &cigar, const bio::Residue *a, int a0,
-                  const bio::Residue *b, int b0, int &identities,
-                  int &columns)
-{
-    identities = 0;
-    columns = 0;
-    int ai = a0;
-    int bi = b0;
-    for (const CigarOp &run : cigar) {
-        columns += run.len;
-        switch (run.op) {
-        case 'M':
-            for (std::int32_t k = 0; k < run.len; ++k)
-                if (a[ai + k] == b[bi + k])
-                    ++identities;
-            ai += run.len;
-            bi += run.len;
-            break;
-        case 'I':
-            ai += run.len;
-            break;
-        default:
-            bi += run.len;
-            break;
-        }
-    }
-}
-
-/**
- * Emit one window's ops through Myers-Miller, reusing captured
- * reverse-pass rows when the capture row falls strictly inside the
- * window — the captured rows ARE the top-level backward arrays
- * (same recurrence, same terminal-gap charging, tb = te = g at the
- * top level), so MM skips its own backward half. @p cap_i is the
- * reverse-pass row index of the capture: the piece below the split
- * is A[a_end-cap_i+1 .. a_end].
- */
-void
-emitWindow(MyersMiller &mm, int a_begin, int b_begin, int a_end,
-           int b_end, int cap_i, const std::vector<int> &cap_h,
-           const std::vector<int> &cap_f, Cigar &cigar,
-           TracebackStats *stats)
-{
-    const int m_w = a_end - a_begin + 1;
-    const int n_w = b_end - b_begin + 1;
-    const int midi = a_end - cap_i + 1 - a_begin;
-    if (cap_i >= 1 && midi >= 1 && midi <= m_w - 1) {
-        std::vector<int> rr_w(static_cast<std::size_t>(n_w) + 1);
-        std::vector<int> ss_w(static_cast<std::size_t>(n_w) + 1);
-        // Column mapping: MM's j counts window columns from
-        // b_begin; the reverse pass counts them from b_end.
-        for (int j = 0; j <= n_w; ++j) {
-            rr_w[static_cast<std::size_t>(j)] =
-                cap_h[static_cast<std::size_t>(n_w - j)];
-            ss_w[static_cast<std::size_t>(j)] =
-                cap_f[static_cast<std::size_t>(n_w - j)];
-        }
-        // MM's backward pass leaves ss[n] = rr[n] (no vertical-gap
-        // state against an empty suffix); mirror that convention.
-        ss_w[static_cast<std::size_t>(n_w)] =
-            rr_w[static_cast<std::size_t>(n_w)];
-        mm.runWithBottomRows(a_begin, m_w, b_begin, n_w, midi,
-                             rr_w.data(), ss_w.data(), cigar);
-    } else {
-        mm.run(a_begin, m_w, b_begin, n_w, cigar);
-    }
-    if (stats != nullptr)
-        stats->peakCells = std::max(
-            stats->peakCells,
-            6 * (static_cast<std::uint64_t>(n_w) + 1));
-}
-
-/**
- * Find the begin point of the alignment ending exactly at
- * (a_end, b_end), append its ops to @p cigar, and return its score
- * (the reverse pass's maximum). The reverse pass captures its rows
- * at the fixed row ma/2 for the fused MM top level.
- */
-int
-traceCore(const bio::Residue *a, const bio::Residue *b, int a_end,
-          int b_end, const bio::ScoringMatrix &matrix,
-          const bio::GapPenalties &gaps, TracebackStats *stats,
-          Cigar &cigar, int &a_begin, int &b_begin)
-{
-    const int ma = a_end + 1;
-    const int nb = b_end + 1;
-    const int capture_i = ma / 2;
-    std::vector<int> cap_h;
-    std::vector<int> cap_f;
-    if (capture_i >= 1) {
-        cap_h.resize(static_cast<std::size_t>(nb) + 1);
-        cap_f.resize(static_cast<std::size_t>(nb) + 1);
-    }
-    const int score = reverseBeginPass(
-        a, a_end, b, b_end, matrix, gaps.openCost(),
-        gaps.extendCost(), stats, a_begin, b_begin, capture_i,
-        cap_h.data(), cap_f.data());
-    if (score <= 0)
-        return score;
-    MyersMiller mm(a, b, matrix, gaps.open, gaps.extend);
-    if (stats != nullptr)
-        stats->peakCells = std::max(
-            stats->peakCells,
-            4 * (static_cast<std::uint64_t>(nb) + 1));
-    emitWindow(mm, a_begin, b_begin, a_end, b_end, capture_i, cap_h,
-               cap_f, cigar, stats);
-    if (stats != nullptr)
-        stats->totalCells += mm.cells();
-    return score;
-}
-
-/** Map a core-oriented window back to query/subject coordinates. */
-CigarAlignment
-assembleAlignment(const bio::Residue *a, const bio::Residue *b,
-                  bool swapped, int a_begin, int b_begin, int a_end,
-                  int b_end, int score, Cigar &&cigar)
-{
-    CigarAlignment out;
-    out.score = score;
-    fillIdentityStats(cigar, a, a_begin, b, b_begin, out.identities,
-                      out.columns);
-    if (swapped) {
-        for (CigarOp &run : cigar)
-            if (run.op != 'M')
-                run.op = run.op == 'I' ? 'D' : 'I';
-        out.qBegin = b_begin;
-        out.qEnd = b_end;
-        out.sBegin = a_begin;
-        out.sEnd = a_end;
-    } else {
-        out.qBegin = a_begin;
-        out.qEnd = a_end;
-        out.sBegin = b_begin;
-        out.sEnd = b_end;
-    }
-    out.cigar = std::move(cigar);
-    return out;
-}
-
-/**
- * The shared tail of both entry points: given an end cell in core
- * orientation (A rows, B columns), find the begin point with the
- * reverse pass, emit the CIGAR with Myers-Miller, and map back to
- * query/subject coordinates. The returned score is the reverse
- * pass's maximum — the best local alignment ending exactly at
- * (a_end, b_end), which equals the optimal local score whenever
- * the anchor is an argmax cell of the forward matrix.
- */
-CigarAlignment
-traceWindow(const bio::Residue *a, const bio::Residue *b,
-            bool swapped, int a_end, int b_end,
-            const bio::ScoringMatrix &matrix,
-            const bio::GapPenalties &gaps, TracebackStats *stats)
-{
-    Cigar cigar;
-    int a_begin = 0;
-    int b_begin = 0;
-    const int score = traceCore(a, b, a_end, b_end, matrix, gaps,
-                                stats, cigar, a_begin, b_begin);
-    if (score <= 0)
-        return {};
-    return assembleAlignment(a, b, swapped, a_begin, b_begin, a_end,
-                             b_end, score, std::move(cigar));
-}
-
-/**
- * Mid-row join traceback: the forward end-pass captured its
- * clamped H row at the fixed row @p split_i (eh[j] = best local
- * score ending at cell (split_i, j)), so the reverse pass only
- * sweeps from the anchor down to that row. If the begin shows up
- * inside the swept rows the window is already pinned — identical
- * to what the full sweep would find, since the swept rows are its
- * first rows. Otherwise the optimal path crosses the split row,
- * and any column j with eh[j] + rev[j..] == score splits the
- * problem exactly: an anchored-local top ending at (split_i, j)
- * and a global bottom over A[split_i..a_end] x B[j..b_end], each
- * emitted with the existing fused machinery. A path that crosses
- * strictly inside a vertical gap (no co-optimal match-state
- * crossing) is rare and falls back to the full reverse sweep.
- * Every accepted join candidate is itself a valid alignment
- * ending at the anchor, so acceptance at == score is exact.
- */
-CigarAlignment
-traceMidJoin(const bio::Residue *a, const bio::Residue *b,
-             bool swapped, int a_end, int b_end, int split_i,
-             std::vector<int> &eh, int score,
-             const bio::ScoringMatrix &matrix,
-             const bio::GapPenalties &gaps, TracebackStats *stats)
-{
-    const int nb = b_end + 1;
-    // Bottom piece below the split: A[split_i .. a_end].
-    const int m_b = a_end - split_i + 1;
-    const int cap_i = m_b / 2;
-    std::vector<int> cap_h;
-    std::vector<int> cap_f;
-    if (cap_i >= 1) {
-        cap_h.resize(static_cast<std::size_t>(nb) + 1);
-        cap_f.resize(static_cast<std::size_t>(nb) + 1);
-    }
-    std::vector<int> join_h(static_cast<std::size_t>(nb) + 1);
-    int a_begin = 0;
-    int b_begin = 0;
-    const int best = reverseBeginPass(
-        a, a_end, b, b_end, matrix, gaps.openCost(),
-        gaps.extendCost(), stats, a_begin, b_begin, cap_i,
-        cap_h.data(), cap_f.data(), m_b, join_h.data());
-    if (stats != nullptr)
-        stats->peakCells = std::max(
-            stats->peakCells,
-            static_cast<std::uint64_t>(eh.size())
-                + 8 * (static_cast<std::uint64_t>(nb) + 1));
-    Cigar cigar;
-    if (best == score) {
-        MyersMiller mm(a, b, matrix, gaps.open, gaps.extend);
-        emitWindow(mm, a_begin, b_begin, a_end, b_end, cap_i, cap_h,
-                   cap_f, cigar, stats);
-        if (stats != nullptr)
-            stats->totalCells += mm.cells();
-    } else {
-        // The begin lies above the split row; find the smallest
-        // match-state crossing column (deterministic).
-        int j1 = -1;
-        for (int j = 0; j <= nb; ++j) {
-            if (eh[static_cast<std::size_t>(j)]
-                    + join_h[static_cast<std::size_t>(nb - j)]
-                == score) {
-                j1 = j;
-                break;
-            }
-        }
-        if (j1 < 0)
-            return traceWindow(a, b, swapped, a_end, b_end, matrix,
-                               gaps, stats);
-        const int top_score = eh[static_cast<std::size_t>(j1)];
-        eh.clear();
-        eh.shrink_to_fit();
-        join_h.clear();
-        join_h.shrink_to_fit();
-        if (top_score == 0) {
-            // Empty top piece: the alignment begins at the split.
-            a_begin = split_i;
-            b_begin = j1;
-        } else {
-            traceCore(a, b, split_i - 1, j1 - 1, matrix, gaps,
-                      stats, cigar, a_begin, b_begin);
-        }
-        MyersMiller mm(a, b, matrix, gaps.open, gaps.extend);
-        emitWindow(mm, split_i, j1, a_end, b_end, cap_i, cap_h,
-                   cap_f, cigar, stats);
-        if (stats != nullptr)
-            stats->totalCells += mm.cells();
-    }
-    return assembleAlignment(a, b, swapped, a_begin, b_begin, a_end,
-                             b_end, score, std::move(cigar));
-}
-
 } // namespace
 
-CigarAlignment
-hirschbergAlign(const bio::Residue *query, std::size_t query_len,
-                const bio::Residue *subject, std::size_t subject_len,
-                const bio::ScoringMatrix &matrix,
-                const bio::GapPenalties &gaps, TracebackStats *stats)
+void
+myersMillerAlign(const bio::Residue *query, int q_begin, int q_len,
+                 const bio::Residue *subject, int s_begin, int s_len,
+                 const bio::ScoringMatrix &matrix,
+                 const bio::GapPenalties &gaps, Cigar &cigar,
+                 TracebackStats *stats)
 {
-    // Orient the DP arrays along the shorter sequence: A supplies
-    // the rows, B the columns; a core 'I' consumes A. When the
-    // subject is the shorter one it becomes B and the core output
-    // maps back directly; otherwise the roles (and the ops) flip.
-    const bool swapped = subject_len > query_len;
-    const bio::Residue *a = swapped ? subject : query;
-    const bio::Residue *b = swapped ? query : subject;
-    const int m =
-        static_cast<int>(swapped ? subject_len : query_len);
-    const int n =
-        static_cast<int>(swapped ? query_len : subject_len);
-
-    // Capture the end-pass's H row at m/2 so the reverse pass only
-    // has to sweep the anchor's lower half (traceMidJoin).
-    const int split_i = m / 2;
-    std::vector<int> eh;
-    if (split_i >= 1)
-        eh.resize(static_cast<std::size_t>(n) + 1);
-    const LocalEnd end = localEndPass(a, m, b, n, matrix,
-                                      gaps.openCost(),
-                                      gaps.extendCost(), stats,
-                                      split_i, eh.data());
-    if (end.score <= 0)
-        return {};
-    if (split_i >= 1 && end.aEnd >= split_i)
-        return traceMidJoin(a, b, swapped, end.aEnd, end.bEnd,
-                            split_i, eh, end.score, matrix, gaps,
-                            stats);
-    return traceWindow(a, b, swapped, end.aEnd, end.bEnd, matrix,
-                       gaps, stats);
-}
-
-CigarAlignment
-hirschbergAlignAnchored(const bio::Residue *query,
-                        std::size_t query_len,
-                        const bio::Residue *subject,
-                        std::size_t subject_len, int query_end,
-                        int subject_end,
-                        const bio::ScoringMatrix &matrix,
-                        const bio::GapPenalties &gaps,
-                        TracebackStats *stats)
-{
-    const bool q_ok = query_end >= 0
-        && static_cast<std::size_t>(query_end) < query_len;
-    const bool s_ok = subject_end >= 0
-        && static_cast<std::size_t>(subject_end) < subject_len;
-    // Half-known anchor (the striped kernels track the subject end
-    // column but not the query row): the best alignment ends at
-    // the known coordinate, so the other coordinate's forward
-    // end-pass can stop there — truncate and realign. Scores and
-    // replay stay exact because the truncated prefix still
-    // contains an argmax cell of the full matrix.
-    if (!q_ok || !s_ok) {
-        const std::size_t q_len = q_ok
-            ? static_cast<std::size_t>(query_end) + 1
-            : query_len;
-        const std::size_t s_len = s_ok
-            ? static_cast<std::size_t>(subject_end) + 1
-            : subject_len;
-        return hirschbergAlign(query, q_len, subject, s_len,
-                               matrix, gaps, stats);
+    // A supplies the rows, B the columns the arrays run along; a
+    // core 'I' consumes A. Put the shorter sequence in B.
+    const bool swapped = s_len > q_len;
+    Cigar core;
+    MyersMiller mm(swapped ? subject : query,
+                   swapped ? query : subject, matrix, gaps.open,
+                   gaps.extend);
+    if (swapped)
+        mm.run(s_begin, s_len, q_begin, q_len, core);
+    else
+        mm.run(q_begin, q_len, s_begin, s_len, core);
+    for (CigarOp &run : core) {
+        if (swapped && run.op != 'M')
+            run.op = run.op == 'I' ? 'D' : 'I';
+        cigarAppend(cigar, run.op, run.len);
     }
-
-    const bool swapped = subject_len > query_len;
-    const bio::Residue *a = swapped ? subject : query;
-    const bio::Residue *b = swapped ? query : subject;
-    const int a_end = swapped ? subject_end : query_end;
-    const int b_end = swapped ? query_end : subject_end;
-    return traceWindow(a, b, swapped, a_end, b_end, matrix, gaps,
-                       stats);
-}
-
-CigarAlignment
-hirschbergAlign(const bio::Sequence &query, const bio::Sequence &subject,
-                const bio::ScoringMatrix &matrix,
-                const bio::GapPenalties &gaps, TracebackStats *stats)
-{
-    return hirschbergAlign(query.residues().data(), query.length(),
-                           subject.residues().data(),
-                           subject.length(), matrix, gaps, stats);
+    if (stats != nullptr) {
+        stats->totalCells += mm.cells();
+        stats->peakCells = std::max(
+            stats->peakCells,
+            MyersMiller::liveCells(static_cast<std::size_t>(
+                std::min(q_len, s_len))));
+    }
 }
 
 } // namespace bioarch::align

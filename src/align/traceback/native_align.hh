@@ -1,0 +1,85 @@
+/**
+ * @file
+ * The serving tier's phase-2 local traceback: locate the alignment
+ * rectangle with the native striped kernel, then trace only that
+ * rectangle.
+ *
+ * Three steps (the SSW locate-then-trace design):
+ *
+ *   1. End cell. swStripedLocate scans subject[0..sEnd] (the whole
+ *      subject when the end is unknown) and reads the end row from
+ *      the H column in which the optimum was first attained. A
+ *      caller that already knows the full end cell (the scan's
+ *      scalar rung reports it) skips this step.
+ *   2. Begin cell. swStripedBeginCell runs the anchored reverse
+ *      pass over the reversed prefixes at 16 bits.
+ *   3. Fill and walk back. A global affine DP over the rectangle
+ *      [qBegin..qEnd] x [sBegin..sEnd] stores one direction byte
+ *      per cell in a per-thread buffer and walks them back to a
+ *      CIGAR. The global optimum of that rectangle is the local
+ *      optimum, and every alignment achieving it starts and ends
+ *      with a match. A rectangle over tracebackCodeBudget cells
+ *      is emitted by the linear-space Myers-Miller fallback
+ *      (hirschberg.hh) instead.
+ *
+ * The reported score equals smithWatermanScore's, the CIGAR
+ * replays to it through cigarScore(), and the result depends on
+ * nothing but the inputs — not on the backend, ladder level,
+ * thread or schedule (tests/traceback_test.cc,
+ * tests/serve_traceback_test.cc).
+ */
+
+#ifndef BIOARCH_ALIGN_TRACEBACK_NATIVE_ALIGN_HH
+#define BIOARCH_ALIGN_TRACEBACK_NATIVE_ALIGN_HH
+
+#include <cstddef>
+
+#include "align/sw_striped_native.hh"
+#include "align/types.hh"
+#include "bio/scoring.hh"
+#include "bio/sequence.hh"
+#include "cigar.hh"
+
+namespace bioarch::align
+{
+
+/**
+ * Direction codes (one byte per cell) one worker may hold for a
+ * rectangle fill; larger rectangles take the Myers-Miller path.
+ */
+inline constexpr std::size_t tracebackCodeBudget = std::size_t{1}
+    << 20;
+
+/**
+ * Optimal local alignment of the profile's query against
+ * @p subject as a CIGAR (empty, score 0, when no residue pair
+ * scores positive).
+ *
+ * @param end what the score scan already knows. subjectEnd >= 0
+ *        alone must be the first column attaining the optimum,
+ *        with score > 0 its value if known. With queryEnd >= 0 as
+ *        well (the scalar rung's report) and score > 0, the
+ *        locate pass is skipped and (queryEnd, subjectEnd) may be
+ *        any cell where an optimal alignment ends; the scan's
+ *        first maximum gives the same alignment as no hint.
+ *        Defaults to nothing known.
+ * @param stats optional work accounting: every cell of the
+ *        locate, reverse and fill (or fallback) passes
+ */
+CigarAlignment nativeLocalAlign(const NativeQueryProfile &profile,
+                                const bio::Residue *subject,
+                                std::size_t subject_len,
+                                const bio::GapPenalties &gaps,
+                                const LocalScore &end = {},
+                                TracebackStats *stats = nullptr);
+
+/** Sequence-object convenience overload. */
+CigarAlignment nativeLocalAlign(const NativeQueryProfile &profile,
+                                const bio::Sequence &subject,
+                                const bio::GapPenalties &gaps,
+                                const LocalScore &end = {},
+                                TracebackStats *stats = nullptr);
+
+} // namespace bioarch::align
+
+#endif // BIOARCH_ALIGN_TRACEBACK_NATIVE_ALIGN_HH

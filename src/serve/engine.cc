@@ -178,15 +178,19 @@ Engine::runBatch(const Request *requests, std::size_t count,
 
     // Phase 1: build each *distinct* request's query state
     // (profile / word index) once, in parallel. Identical
-    // (kind, query-residues) requests in the batch share one
-    // PreparedQuery — profiles are read-only during scans, so
-    // sharing is free. Batches are small, so the quadratic group
-    // scan is cheaper than hashing the residues.
+    // (kind, query-residues, reporting) requests in the batch
+    // share one PreparedQuery — profiles are read-only during
+    // scans, so sharing is free (reporting is part of the key
+    // because a reporting FASTA query also builds a profile).
+    // Batches are small, so the quadratic group scan is cheaper
+    // than hashing the residues.
     std::vector<std::size_t> rep(count);
     for (std::size_t r = 0; r < count; ++r) {
         rep[r] = r;
         for (std::size_t p = 0; p < r; ++p) {
             if (requests[p].kind == requests[r].kind
+                && requests[p].reportAlignments
+                    == requests[r].reportAlignments
                 && requests[p].query.residues()
                     == requests[r].query.residues()) {
                 rep[r] = p;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "align/traceback/hirschberg.hh"
+#include "align/traceback/native_align.hh"
 #include "bio/dna_workload.hh"
 #include "bio/random.hh"
 
@@ -37,6 +37,11 @@ PreparedQuery::PreparedQuery(const Request &request,
     case kernels::Workload::Fasta34:
         _ktup = std::make_unique<align::KtupIndex>(*_query,
                                                    _fasta.ktup);
+        // FASTA reports the optimal SW alignment; only reporting
+        // requests pay for the profile its traceback locates with.
+        if (request.reportAlignments)
+            _native = std::make_unique<align::NativeQueryProfile>(
+                *_query, matrix, backend);
         break;
     case kernels::Workload::Blast:
         _neighborhood = std::make_unique<align::NeighborhoodIndex>(
@@ -61,7 +66,7 @@ PreparedQuery::scan(const bio::Sequence &subject,
                     align::NativeScanStats *stats) const
 {
     align::LocalScore ls;
-    if (_native)
+    if (usesNativeScan())
         return align::swStripedNativeScan(*_native, subject, _gaps,
                                           cells, stats);
     switch (_kind) {
@@ -106,21 +111,23 @@ PreparedQuery::traceback(const bio::Sequence &subject,
                                   subject.residues().data(),
                                   subject.length(), _blastn,
                                   nullptr, -1, stats);
-    case kernels::Workload::Ssearch34:
-    case kernels::Workload::SwVmx128:
-    case kernels::Workload::SwVmx256:
-        // The scan already found the optimal end cell; anchor
-        // there and skip the forward end-pass.
-        return align::hirschbergAlignAnchored(
-            _query->residues().data(), _query->length(),
-            subject.residues().data(), subject.length(),
-            hit.queryEnd, hit.subjectEnd, *_matrix, _gaps, stats);
+    case kernels::Workload::Fasta34:
+        // The ranked endpoint belongs to the heuristic band scan,
+        // not an exact SW argmax: locate the optimum afresh.
+        if (!_native)
+            throw std::logic_error(
+                "FASTA traceback needs a reporting request");
+        return align::nativeLocalAlign(*_native, subject, _gaps, {},
+                                       stats);
     default:
-        // FASTA: the ranked endpoint belongs to the heuristic
-        // band scan, not an exact SW argmax — run the full
-        // three-pass optimal local alignment.
-        return align::hirschbergAlign(*_query, subject, *_matrix,
-                                      _gaps, stats);
+        // The Smith-Waterman kinds: the scan already found the
+        // score and its end column (and the row, on the scalar
+        // rung), so the locate pass stops there.
+        if (hit.score <= 0)
+            return {};
+        return align::nativeLocalAlign(
+            *_native, subject, _gaps,
+            {hit.score, hit.queryEnd, hit.subjectEnd}, stats);
     }
 }
 

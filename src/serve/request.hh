@@ -122,8 +122,9 @@ struct Response
 
 /**
  * The query state an application builds once per request and then
- * shares, read-only, across every shard scan: the native striped
- * profile (all Smith-Waterman kinds), FASTA's k-tuple index, or
+ * shares, read-only, across every shard scan and traceback: the
+ * native striped profile (all Smith-Waterman kinds), FASTA's
+ * k-tuple index (plus the native profile when reporting), or
  * BLAST's neighborhood word index.
  *
  * References the request's query sequence (and the scoring matrix);
@@ -135,8 +136,9 @@ class PreparedQuery
     /**
      * @param backend native kernel backend for the Smith-Waterman
      *        kinds (ssearch34 / sw_vmx*), whose scans all go
-     *        through the striped native kernel. The heuristics
-     *        (FASTA, BLAST) are unaffected.
+     *        through the striped native kernel, and for a
+     *        reporting FASTA request's traceback. BLAST is
+     *        unaffected.
      */
     PreparedQuery(const Request &request,
                   const bio::ScoringMatrix &matrix,
@@ -152,7 +154,12 @@ class PreparedQuery
 
     /** True for the Smith-Waterman kinds, whose scans go through
      * the native striped kernel. */
-    bool usesNativeScan() const { return _native != nullptr; }
+    bool
+    usesNativeScan() const
+    {
+        return _native != nullptr
+            && _kind != kernels::Workload::Fasta34;
+    }
 
     /**
      * BLAST's query-side neighborhood word index (nullptr for
@@ -211,18 +218,25 @@ class PreparedQuery
 
     /**
      * Phase-2 traceback of one ranked subject: the CIGAR alignment
-     * behind @p hit. The Smith-Waterman kinds run the linear-space
-     * Hirschberg traceback anchored at the endpoint the score scan
-     * already reported — the forward end-pass is skipped and the
-     * score stays bit-identical to the ranked SW score (the anchor
-     * is an argmax cell of the same matrix). BLAST and BLASTN
-     * rerun their word scan and trace the banded gapped extension
-     * with the X-drop disabled (score bit-identical to their
-     * ranked gapped score). FASTA ranks by the heuristic
-     * max(opt, initn) but reports the optimal local alignment, so
-     * its alignment score may exceed the ranked score; the CIGAR
-     * still replays to exactly the alignment's own score. Never
-     * allocates a full DP matrix.
+     * behind @p hit. The Smith-Waterman kinds and FASTA run
+     * align::nativeLocalAlign, which locates the alignment's
+     * rectangle with the native striped kernel and traces only
+     * that rectangle. The SW kinds hand it the scan's score and end
+     * column, so its locate pass stops there; the score stays
+     * bit-identical to the ranked SW score. FASTA ranks by the
+     * heuristic max(opt, initn) but reports the optimal local
+     * alignment, located over the whole subject, so its alignment
+     * score may exceed the ranked score. BLAST and BLASTN rerun
+     * their word scan and trace the banded gapped extension with
+     * the X-drop disabled (score bit-identical to their ranked
+     * gapped score). Every CIGAR replays to exactly the
+     * alignment's own score. Memory is bounded: at most
+     * align::tracebackCodeBudget direction codes per worker,
+     * linear space beyond.
+     *
+     * FASTA needs the profile built only for reporting requests
+     * (Request::reportAlignments); tracing a score-only FASTA
+     * query throws std::logic_error.
      */
     align::CigarAlignment
     traceback(const bio::Sequence &subject,
@@ -238,7 +252,8 @@ class PreparedQuery
     align::BlastParams _blast;
     align::BlastnParams _blastn;
 
-    // Exactly one of these is built, depending on _kind.
+    // One of these is built, depending on _kind (plus _native for
+    // a reporting FASTA request, whose traceback locates with it).
     std::unique_ptr<align::NativeQueryProfile> _native;
     std::unique_ptr<align::KtupIndex> _ktup;
     std::unique_ptr<align::NeighborhoodIndex> _neighborhood;

@@ -2,8 +2,9 @@
  * @file
  * Tests for the two-phase serving tier (score -> align -> report):
  * ranked hits must be bit-identical with reporting on or off across
- * jobs and shards and behind the result cache, every served CIGAR
- * must replay to exactly
+ * jobs and shards and behind the result cache, served CIGARs must
+ * be identical across jobs, shards and native backends, every
+ * served CIGAR must replay to exactly
  * its reported score, alignments must round-trip through the
  * result cache, and the served blastn kind must find its planted
  * long-read homologs end to end.
@@ -134,31 +135,44 @@ TEST(TwoPhase, RankedHitsBitIdenticalWithReportingOn)
 
     const std::vector<serve::Request> reporting =
         reportingStream(10);
-    for (const unsigned jobs : {1u, 2u, 8u}) {
-        for (const std::size_t shards : {1u, 4u}) {
-            serve::EngineConfig cfg;
-            cfg.jobs = jobs;
-            cfg.shards = shards;
-            serve::Engine engine(testDb(), cfg);
-            const std::vector<serve::Response> got =
-                engine.serveBatch(reporting);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                const std::string ctx = "jobs="
-                    + std::to_string(jobs)
-                    + " shards=" + std::to_string(shards)
-                    + " req=" + std::to_string(i);
-                expectSameHits(got[i].hits, want[i].hits, ctx);
-                expectAlignmentsReplay(got[i],
-                                       reporting[i].query,
-                                       testDb(), cfg.gaps);
-            }
-            // Score-only responses carry no phase-2 payload.
-            const std::vector<serve::Response> plain =
-                engine.serveBatch(score_only);
-            for (const serve::Response &r : plain) {
-                EXPECT_TRUE(r.alignments.empty());
-                EXPECT_EQ(r.tracebackCells, 0u);
+    // The CIGAR reference: one worker, one shard. Every alignment
+    // (tie-breaks included) must come out the same whatever the
+    // schedule, the sharding or the native backend.
+    const std::vector<serve::Response> want_report =
+        serve::Engine(testDb(), ref_cfg).serveBatch(reporting);
+    for (const align::SimdBackend backend :
+         align::compiledNativeBackends()) {
+        for (const unsigned jobs : {1u, 2u, 8u}) {
+            for (const std::size_t shards : {1u, 4u}) {
+                serve::EngineConfig cfg;
+                cfg.jobs = jobs;
+                cfg.shards = shards;
+                cfg.backend = backend;
+                serve::Engine engine(testDb(), cfg);
+                const std::vector<serve::Response> got =
+                    engine.serveBatch(reporting);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    const std::string ctx = "backend="
+                        + std::string(align::backendName(backend))
+                        + " jobs=" + std::to_string(jobs)
+                        + " shards=" + std::to_string(shards)
+                        + " req=" + std::to_string(i);
+                    expectSameHits(got[i].hits, want[i].hits, ctx);
+                    expectAlignmentsReplay(got[i],
+                                           reporting[i].query,
+                                           testDb(), cfg.gaps);
+                    EXPECT_EQ(got[i].alignments,
+                              want_report[i].alignments)
+                        << ctx;
+                }
+                // Score-only responses carry no phase-2 payload.
+                const std::vector<serve::Response> plain =
+                    engine.serveBatch(score_only);
+                for (const serve::Response &r : plain) {
+                    EXPECT_TRUE(r.alignments.empty());
+                    EXPECT_EQ(r.tracebackCells, 0u);
+                }
             }
         }
     }

@@ -3,11 +3,15 @@
  * Correctness gates of the traceback reporting tier.
  *
  * The central contracts:
- *  - hirschbergAlign's score is bit-identical to the full-matrix
- *    smithWatermanAlign on fuzzed pairs, and its CIGAR replays to
- *    exactly that score through the cigarScore oracle;
- *  - the linear-space guarantee holds: peak live DP cells stay
- *    O(min(m, n)) even on long pairs;
+ *  - nativeLocalAlign's score is bit-identical to the full-matrix
+ *    smithWatermanAlign on fuzzed protein, DNA and low-complexity
+ *    pairs, on every compiled backend, every overflow-ladder rung
+ *    and every end hint, its CIGAR replays to exactly that score
+ *    through the cigarScore oracle, and the alignment itself is
+ *    the same whichever backend or hint produced it;
+ *  - memory stays bounded: direction codes within
+ *    tracebackCodeBudget, and an over-budget window falls back to
+ *    Myers-Miller with peak live DP cells O(min(m, n));
  *  - bandedExtendAlign with the X-drop disabled scores
  *    bit-identically to the score-only banded scan;
  *  - blastAlign / blastnAlign reproduce exactly the score their
@@ -15,7 +19,9 @@
  */
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,9 +30,10 @@
 #include "align/blast.hh"
 #include "align/blastn.hh"
 #include "align/smith_waterman.hh"
+#include "align/sw_striped_native.hh"
 #include "align/traceback/banded_extend.hh"
 #include "align/traceback/cigar.hh"
-#include "align/traceback/hirschberg.hh"
+#include "align/traceback/native_align.hh"
 #include "bio/nucleotide.hh"
 #include "bio/random.hh"
 #include "bio/scoring.hh"
@@ -183,6 +190,87 @@ TEST(Cigar, ScoreChargesSplitGapRunsAsOneGap)
               cigarScore(merged, q, s, m, gaps));
 }
 
+/**
+ * The gap settings the native traceback is fuzzed over: default,
+ * free open, brutal open, extend dearer than open, plus the
+ * near-linear and heavy-extend corners.
+ */
+const std::vector<bio::GapPenalties> &
+nativeGaps()
+{
+    static const std::vector<bio::GapPenalties> gaps = {
+        {10, 1}, {0, 1}, {40, 1}, {3, 6}, {1, 1}, {0, 5}};
+    return gaps;
+}
+
+/** The end hints a caller can hand nativeLocalAlign. */
+std::vector<LocalScore>
+endHints(const Alignment &full)
+{
+    return {
+        {full.score, full.queryEnd, full.subjectEnd}, // known
+        {full.score, -1, full.subjectEnd},            // half-known
+        {},                                           // unknown
+    };
+}
+
+/** nativeLocalAlign on one backend, with a fresh profile. */
+CigarAlignment
+nativeAlign(const bio::Sequence &q, const bio::Sequence &s,
+            const bio::ScoringMatrix &matrix,
+            const bio::GapPenalties &gaps, SimdBackend backend,
+            const LocalScore &end = {},
+            TracebackStats *stats = nullptr)
+{
+    const NativeQueryProfile profile(q, matrix, backend);
+    return nativeLocalAlign(profile, s, gaps, end, stats);
+}
+
+/**
+ * Every backend and every end hint must give the full-matrix
+ * score, a replaying CIGAR, bounded memory, and one and the same
+ * alignment.
+ */
+void
+checkAgainstFullMatrix(const bio::Sequence &q, const bio::Sequence &s,
+                       const bio::ScoringMatrix &matrix,
+                       const bio::GapPenalties &gaps,
+                       const std::string &context)
+{
+    const Alignment full = smithWatermanAlign(q, s, matrix, gaps);
+    std::optional<CigarAlignment> first;
+    for (const SimdBackend backend : compiledNativeBackends()) {
+        for (const LocalScore &end : endHints(full)) {
+            TracebackStats stats;
+            const CigarAlignment aln =
+                nativeAlign(q, s, matrix, gaps, backend, end, &stats);
+            const std::string ctx = context + " backend="
+                + std::string(backendName(backend)) + " hint="
+                + std::to_string(end.queryEnd) + ","
+                + std::to_string(end.subjectEnd);
+            ASSERT_EQ(aln.score, full.score) << ctx;
+            checkAlignment(aln, q, s, matrix, gaps);
+            // Live state: the striped columns of the query, or the
+            // window's codes plus a few rows along its short side.
+            const std::uint64_t window = aln.empty()
+                ? 0
+                : static_cast<std::uint64_t>(aln.qEnd - aln.qBegin + 1)
+                    * static_cast<std::uint64_t>(aln.sEnd - aln.sBegin
+                                                 + 1);
+            EXPECT_LE(stats.peakCells,
+                      std::max<std::uint64_t>(
+                          window
+                              + 64 * (std::min(q.length(), s.length())
+                                      + 1),
+                          4 * (q.length() + 31)))
+                << ctx;
+            if (!first)
+                first = aln;
+            EXPECT_EQ(aln, *first) << ctx;
+        }
+    }
+}
+
 TEST(Hirschberg, MatchesFullMatrixOnFuzzedProteinPairs)
 {
     bio::Rng rng(0xA11C0DE);
@@ -198,22 +286,10 @@ TEST(Hirschberg, MatchesFullMatrixOnFuzzedProteinPairs)
             : bio::mutate(rng, q, 0.4 + 0.05 * (iter % 10), "HOM",
                           "");
         const bio::GapPenalties gaps =
-            extremeGaps()[static_cast<std::size_t>(iter)
-                          % extremeGaps().size()];
-
-        const Alignment full =
-            smithWatermanAlign(q, s, matrix, gaps);
-        TracebackStats stats;
-        const CigarAlignment aln =
-            hirschbergAlign(q, s, matrix, gaps, &stats);
-        ASSERT_EQ(aln.score, full.score)
-            << "pair " << iter << " open=" << gaps.open
-            << " extend=" << gaps.extend;
-        checkAlignment(aln, q, s, matrix, gaps);
-        const std::uint64_t short_side = std::min(q.length(),
-                                                  s.length());
-        EXPECT_LE(stats.peakCells, 16 * (short_side + 1))
-            << "linear-space bound violated at pair " << iter;
+            nativeGaps()[static_cast<std::size_t>(iter)
+                         % nativeGaps().size()];
+        checkAgainstFullMatrix(q, s, matrix, gaps,
+                               "pair " + std::to_string(iter));
     }
 }
 
@@ -232,19 +308,40 @@ TEST(Hirschberg, MatchesFullMatrixOnFuzzedNucleotidePairs)
         const bio::ScoringMatrix &matrix =
             (iter % 4 < 2) ? m13 : m24;
         const bio::GapPenalties gaps =
-            extremeGaps()[static_cast<std::size_t>(iter)
-                          % extremeGaps().size()];
+            nativeGaps()[static_cast<std::size_t>(iter)
+                         % nativeGaps().size()];
+        checkAgainstFullMatrix(q, s, matrix, gaps,
+                               "pair " + std::to_string(iter));
+    }
+}
 
-        const Alignment full =
-            smithWatermanAlign(q, s, matrix, gaps);
-        TracebackStats stats;
-        const CigarAlignment aln =
-            hirschbergAlign(q, s, matrix, gaps, &stats);
-        ASSERT_EQ(aln.score, full.score) << "pair " << iter;
-        checkAlignment(aln, q, s, matrix, gaps);
-        const std::uint64_t short_side = std::min(q.length(),
-                                                  s.length());
-        EXPECT_LE(stats.peakCells, 16 * (short_side + 1));
+TEST(Hirschberg, MatchesFullMatrixOnLowComplexityRepeats)
+{
+    // Periodic and near-periodic sequences: many cells tie for the
+    // maximum and many begin cells tie for each end, so the
+    // tie-breaks of all three passes are exercised.
+    bio::Rng rng(0x7E5);
+    const bio::ScoringMatrix &matrix = bio::blosum62();
+    const char *units[] = {"A", "AC", "WWC", "GGPGG", "KE"};
+    for (int iter = 0; iter < 120; ++iter) {
+        const std::string unit = units[iter % 5];
+        std::string qs;
+        std::string ss;
+        const int qn = 4 + static_cast<int>(rng.below(60));
+        const int sn = 4 + static_cast<int>(rng.below(60));
+        for (int i = 0; i < qn; ++i)
+            qs += unit[static_cast<std::size_t>(i) % unit.size()];
+        for (int i = 0; i < sn; ++i)
+            ss += rng.below(8) == 0
+                ? 'L'
+                : unit[static_cast<std::size_t>(i) % unit.size()];
+        const bio::Sequence q("Q", "", qs);
+        const bio::Sequence s("S", "", ss);
+        checkAgainstFullMatrix(q, s, matrix,
+                               nativeGaps()[static_cast<std::size_t>(
+                                   iter)
+                                            % nativeGaps().size()],
+                               "repeat " + std::to_string(iter));
     }
 }
 
@@ -261,31 +358,36 @@ TEST(Hirschberg, AnchoredMatchesUnanchoredOnFuzzedPairs)
             : bio::mutate(rng, q, 0.4 + 0.05 * (iter % 10), "HOM",
                           "");
         const bio::GapPenalties gaps =
-            extremeGaps()[static_cast<std::size_t>(iter)
-                          % extremeGaps().size()];
+            nativeGaps()[static_cast<std::size_t>(iter)
+                         % nativeGaps().size()];
         const Alignment full =
             smithWatermanAlign(q, s, matrix, gaps);
         if (full.score <= 0)
             continue;
-        // Full anchor (both ends from the exact scan), then the
-        // half anchors the striped kernels actually produce
-        // (queryEnd unknown), then an out-of-range anchor; every
-        // variant must reproduce the optimal score and replay.
-        const int anchors[][2] = {
-            {full.queryEnd, full.subjectEnd},
-            {-1, full.subjectEnd},
-            {full.queryEnd, -1},
-            {static_cast<int>(q.length()) + 7, -1},
+        // The full anchor, the half anchor the striped kernels
+        // produce, the other half (unused), out-of-range query ends
+        // (ignored), a wrong score hint (costs a second locate
+        // pass) and no hint: the same alignment every time.
+        const int beyond = static_cast<int>(q.length()) + 7;
+        const LocalScore hints[] = {
+            {full.score, full.queryEnd, full.subjectEnd},
+            {full.score, -1, full.subjectEnd},
+            {full.score, full.queryEnd, -1},
+            {full.score, beyond, full.subjectEnd},
+            {full.score, beyond, -1},
+            {full.score + 1, -1, full.subjectEnd},
+            {},
         };
-        for (const auto &anchor : anchors) {
-            const CigarAlignment aln = hirschbergAlignAnchored(
-                q.residues().data(), q.length(),
-                s.residues().data(), s.length(), anchor[0],
-                anchor[1], matrix, gaps);
+        const CigarAlignment want = nativeAlign(
+            q, s, matrix, gaps, bestNativeBackend());
+        for (const LocalScore &hint : hints) {
+            const CigarAlignment aln = nativeAlign(
+                q, s, matrix, gaps, bestNativeBackend(), hint);
             ASSERT_EQ(aln.score, full.score)
-                << "pair " << iter << " anchor " << anchor[0]
-                << "," << anchor[1];
+                << "pair " << iter << " hint " << hint.queryEnd
+                << "," << hint.subjectEnd;
             checkAlignment(aln, q, s, matrix, gaps);
+            EXPECT_EQ(aln, want) << "pair " << iter;
         }
     }
 }
@@ -298,25 +400,34 @@ TEST(Hirschberg, LinearSpaceHoldsOnLongPairs)
     const bio::ScoringMatrix &matrix = bio::blosum62();
     const bio::GapPenalties gaps;
 
-    TracebackStats stats;
-    const CigarAlignment aln =
-        hirschbergAlign(q, s, matrix, gaps, &stats);
-    ASSERT_FALSE(aln.empty());
-    checkAlignment(aln, q, s, matrix, gaps);
+    for (const SimdBackend backend : compiledNativeBackends()) {
+        TracebackStats stats;
+        const CigarAlignment aln =
+            nativeAlign(q, s, matrix, gaps, backend, {}, &stats);
+        ASSERT_FALSE(aln.empty());
+        checkAlignment(aln, q, s, matrix, gaps);
+        EXPECT_EQ(aln.score, smithWatermanScore(q, s, matrix, gaps)
+                                 .score);
 
-    const std::uint64_t short_side = std::min(q.length(),
-                                              s.length());
-    const std::uint64_t full_matrix =
-        static_cast<std::uint64_t>(q.length()) * s.length();
-    // The whole point of the tier: peak live DP state is a few
-    // linear arrays, never the full matrix.
-    EXPECT_LE(stats.peakCells, 16 * (short_side + 1));
-    EXPECT_LT(stats.peakCells, full_matrix / 100);
-    // And the divide-and-conquer roughly doubles the cell count of
-    // a single pass (sum of halves telescopes to <= 2mn plus the
-    // end/begin passes).
-    EXPECT_GE(stats.totalCells, full_matrix);
-    EXPECT_LE(stats.totalCells, 5 * full_matrix);
+        const std::uint64_t window =
+            static_cast<std::uint64_t>(aln.qEnd - aln.qBegin + 1)
+            * static_cast<std::uint64_t>(aln.sEnd - aln.sBegin + 1);
+        ASSERT_GT(window, tracebackCodeBudget)
+            << "the pair must be over the code budget";
+        const std::uint64_t short_side = std::min(q.length(),
+                                                  s.length());
+        const std::uint64_t full_matrix =
+            static_cast<std::uint64_t>(q.length()) * s.length();
+        // Over budget, the window takes the Myers-Miller fallback:
+        // peak live DP state is a few linear arrays, never the
+        // window's codes.
+        EXPECT_LT(stats.peakCells, window);
+        EXPECT_LE(stats.peakCells, 16 * (short_side + 1));
+        // Locate + reverse pass + the divide-and-conquer's ~2x of
+        // the window.
+        EXPECT_GE(stats.totalCells, full_matrix);
+        EXPECT_LE(stats.totalCells, 5 * full_matrix);
+    }
 }
 
 TEST(Hirschberg, DegenerateInputs)
@@ -325,18 +436,121 @@ TEST(Hirschberg, DegenerateInputs)
     const bio::GapPenalties gaps;
     const bio::Sequence empty("E", "", std::vector<bio::Residue>{});
     const bio::Sequence one("O", "", std::vector<bio::Residue>{5});
+    const bio::Sequence other("P", "", std::vector<bio::Residue>{6});
 
-    EXPECT_TRUE(
-        hirschbergAlign(empty, one, matrix, gaps).empty());
-    EXPECT_TRUE(
-        hirschbergAlign(one, empty, matrix, gaps).empty());
+    for (const SimdBackend backend : compiledNativeBackends()) {
+        EXPECT_TRUE(
+            nativeAlign(empty, one, matrix, gaps, backend).empty());
+        EXPECT_TRUE(
+            nativeAlign(one, empty, matrix, gaps, backend).empty());
+        EXPECT_TRUE(nativeAlign(empty, empty, matrix, gaps, backend)
+                        .empty());
 
-    const CigarAlignment self =
-        hirschbergAlign(one, one, matrix, gaps);
-    ASSERT_FALSE(self.empty());
-    EXPECT_EQ(self.cigar, (Cigar{{'M', 1}}));
-    EXPECT_EQ(self.score, matrix.score(5, 5));
-    EXPECT_EQ(self.identities, 1);
+        const CigarAlignment self =
+            nativeAlign(one, one, matrix, gaps, backend);
+        ASSERT_FALSE(self.empty());
+        EXPECT_EQ(self.cigar, (Cigar{{'M', 1}}));
+        EXPECT_EQ(self.score, matrix.score(5, 5));
+        EXPECT_EQ(self.identities, 1);
+
+        const CigarAlignment cross =
+            nativeAlign(one, other, matrix, gaps, backend);
+        EXPECT_EQ(cross.score,
+                  std::max(0, static_cast<int>(matrix.score(5, 6))));
+        checkAlignment(cross, one, other, matrix, gaps);
+    }
+}
+
+TEST(NativeAlign, EveryLadderRungTraces)
+{
+    const bio::ScoringMatrix &matrix = bio::blosum62();
+    const bio::GapPenalties gaps;
+    bio::Rng rng(0x1ADD);
+    // u8: a weak homolog; i16: a 300-residue near-copy scores far
+    // above the 8-bit range; scalar: a 3000-residue W run against
+    // itself scores 3000 * 11 = 33000, above the 16-bit lanes.
+    const bio::Sequence weak_q = bio::makeRandomSequence(rng, 60);
+    const bio::Sequence weak_s = bio::mutate(rng, weak_q, 0.35, "W",
+                                             "");
+    const bio::Sequence long_q = bio::makeRandomSequence(rng, 300);
+    const bio::Sequence long_s = bio::mutate(rng, long_q, 0.9, "L",
+                                             "");
+    const bio::Sequence w_run("W", "", std::string(3000, 'W'));
+
+    struct Case
+    {
+        const bio::Sequence *q;
+        const bio::Sequence *s;
+        int minScore;
+        int maxScore;
+    };
+    const Case cases[] = {
+        {&weak_q, &weak_s, 1, 200},
+        {&long_q, &long_s, 300, 32000},
+        {&w_run, &w_run, 33000, 33000},
+    };
+    for (const Case &c : cases) {
+        const LocalScore ref =
+            smithWatermanScore(*c.q, *c.s, matrix, gaps);
+        ASSERT_GE(ref.score, c.minScore);
+        ASSERT_LE(ref.score, c.maxScore);
+        for (const SimdBackend backend : compiledNativeBackends()) {
+            // The scan's hint: the end column, plus the row when
+            // the scalar rung ran (score above the 16-bit lanes).
+            const NativeQueryProfile profile(*c.q, matrix, backend);
+            const LocalScore scan =
+                swStripedNativeScan(profile, *c.s, gaps);
+            ASSERT_EQ(scan.score, ref.score);
+            for (const LocalScore &end : {scan, LocalScore{}}) {
+                TracebackStats stats;
+                const CigarAlignment aln = nativeLocalAlign(
+                    profile, *c.s, gaps, end, &stats);
+                EXPECT_EQ(aln.score, ref.score)
+                    << backendName(backend);
+                EXPECT_EQ(aln.qEnd, ref.queryEnd);
+                EXPECT_EQ(aln.sEnd, ref.subjectEnd);
+                checkAlignment(aln, *c.q, *c.s, matrix, gaps);
+                EXPECT_GT(stats.totalCells, 0u);
+            }
+        }
+    }
+}
+
+TEST(NativeAlign, AnchoredBeginIgnoresEqualScoringDecoy)
+{
+    // q = CAAA, s = CCCW (BLOSUM62: C:C 9, A:C 0). The anchor
+    // (1, 1) closes "CA"/"CC", worth 9 + 0 = 9, the optimum. The
+    // lone C:C pair at (0, 1) inside the anchor's prefix rectangle
+    // also scores 9 but ends at (0, 1), not at the anchor. An
+    // unseeded reverse local pass over the reversed prefixes meets
+    // that decoy first and pins the begin at (0, 1), whose
+    // rectangle to the anchor cannot score 9; the seeded pass
+    // must pin (0, 0).
+    const bio::ScoringMatrix &matrix = bio::blosum62();
+    const bio::GapPenalties gaps;
+    const bio::Sequence q("Q", "", std::string("CAAA"));
+    const bio::Sequence s("S", "", std::string("CCCW"));
+    const LocalScore anchor{9, 1, 1};
+
+    const std::vector<bio::Residue> rq = {q[1], q[0]};
+    const std::vector<bio::Residue> rs = {s[1], s[0]};
+    const LocalScore unseeded = smithWatermanScoreRaw(
+        rq.data(), rq.size(), rs.data(), rs.size(), matrix, gaps);
+    ASSERT_EQ(unseeded.score, 9);
+    ASSERT_EQ(1 - unseeded.queryEnd, 0); // decoy begin row
+    ASSERT_EQ(1 - unseeded.subjectEnd, 1); // decoy begin column
+
+    for (const SimdBackend backend : compiledNativeBackends()) {
+        const CigarAlignment aln =
+            nativeAlign(q, s, matrix, gaps, backend, anchor);
+        EXPECT_EQ(aln.score, 9);
+        EXPECT_EQ(aln.qBegin, 0);
+        EXPECT_EQ(aln.sBegin, 0);
+        EXPECT_EQ(aln.qEnd, 1);
+        EXPECT_EQ(aln.sEnd, 1);
+        EXPECT_EQ(aln.cigar, (Cigar{{'M', 2}}));
+        checkAlignment(aln, q, s, matrix, gaps);
+    }
 }
 
 TEST(BandedExtend, ScoreMatchesScoreOnlyBandedScan)
