@@ -3,9 +3,9 @@
  * Simulator-throughput harness: simulated Minst/s per
  * {workload x Me1/Me4 x 8-way}, single-threaded on purpose — this
  * measures the *inner loop* the sweep engine fans out, not the
- * fan-out (bench_serve_throughput and the figure harnesses cover
- * that). Me4's infinite L2 keeps the machine busy; Me1's 300-cycle
- * memory misses park it — exactly the regime the idle-cycle
+ * fan-out (perfbench and the figure harnesses cover that). Me4's
+ * infinite L2 keeps the machine busy; Me1's 300-cycle memory
+ * misses park it — exactly the regime the idle-cycle
  * fast-forward targets — so the two columns bound the speedup.
  *
  * Every point then runs a second, *sampled* arm (sim::sampleTrace,

@@ -21,7 +21,7 @@
  *    equality compares the full key, query residues included, so a
  *    digest collision is a miss, never a wrong answer. Hits are
  *    therefore bit-for-bit the stored scan results.
- *  - Only complete responses are inserted (the router refuses
+ *  - Only complete responses are inserted (Engine refuses
  *    deadline-truncated partials), so a hit is always the full
  *    ranked answer.
  *
@@ -34,7 +34,7 @@
  *
  * Observability: serve_cache_hits/misses/evictions/inserts_total
  * counters and serve_cache_bytes / serve_cache_entries gauges; the
- * router records hit latency into serve_cache_hit_us.
+ * engine records hit latency into serve_cache_hit_us.
  */
 
 #ifndef BIOARCH_SERVE_CACHE_HH
@@ -81,7 +81,7 @@ class ResultCache
     struct Key
     {
         std::uint16_t kind = 0;    ///< kernels::Workload
-        std::uint32_t topK = 0;    ///< effective (engine-resolved)
+        std::uint64_t topK = 0;    ///< effective (engine-resolved)
         /** 1 when the answer carries phase-2 alignments. A
          * score-only answer never satisfies a reporting request
          * (and vice versa), exactly like a different top-K. */

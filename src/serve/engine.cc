@@ -28,7 +28,13 @@ Engine::Engine(EngineConfig config)
     : _cfg(config),
       _matrix(&bio::blosum62()),
       _karlin(align::blosum62Karlin()),
-      _pool(config.jobs)
+      _pool(config.jobs),
+      _ownedMetrics(config.metrics == nullptr
+                        ? std::make_unique<obs::Registry>()
+                        : nullptr),
+      _metrics(config.metrics != nullptr ? config.metrics
+                                         : _ownedMetrics.get()),
+      _cache(config.cache, *_metrics)
 {
     if (_cfg.shards == 0)
         _cfg.shards = 1;
@@ -36,12 +42,6 @@ Engine::Engine(EngineConfig config)
         _cfg.batch = 1;
     _cfg.jobs = _pool.size();
 
-    if (_cfg.metrics == nullptr) {
-        _ownedMetrics = std::make_unique<obs::Registry>();
-        _metrics = _ownedMetrics.get();
-    } else {
-        _metrics = _cfg.metrics;
-    }
     obs::Registry &m = *_metrics;
     _mRequests = &m.counter("serve_requests_total");
     _mBatches = &m.counter("serve_batches_total");
@@ -74,6 +74,7 @@ Engine::Engine(EngineConfig config)
     _mScanUs = &m.histogram("serve_scan_us");
     _mBatchUs = &m.histogram("serve_batch_us");
     _mLatencyUs = &m.histogram("serve_latency_us");
+    _mCacheHitUs = &m.histogram("serve_cache_hit_us");
     refreshPoolMetrics();
 }
 
@@ -103,6 +104,11 @@ Engine::publish(std::shared_ptr<const index::DbEpoch> owner,
                    ShardedDatabase(db, _cfg.shards), seedIndex,
                    number});
     std::lock_guard lock(_epochMutex);
+    if (_epoch != nullptr && state->number <= _epoch->number)
+        throw std::invalid_argument(
+            "Engine: reload epoch " + std::to_string(state->number)
+            + " must be greater than the published "
+            + std::to_string(_epoch->number));
     if (state->owner != nullptr)
         _metrics->gauge("db_epoch").set(
             static_cast<double>(state->number));
@@ -453,12 +459,107 @@ Engine::serveBatchPinned(const std::vector<Request> &requests,
                          const BatchControl &control,
                          std::uint64_t *epochOut)
 {
+    const std::size_t n = requests.size();
+    std::vector<Response> out(n);
+
+    // Phase 1: consult the cache under the currently published
+    // epoch; hits are complete ranked answers by construction.
+    const bool cached = _cache.enabled();
+    const std::uint64_t epoch = epochNumber();
+    if (epochOut != nullptr)
+        *epochOut = epoch;
+    std::vector<ResultCache::Key> keys(cached ? n : 0);
+    std::vector<std::uint64_t> digests(cached ? n : 0);
+    std::vector<std::size_t> misses;
+    misses.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!cached) {
+            misses.push_back(i);
+            continue;
+        }
+        const Request &req = requests[i];
+        ResultCache::Key &key = keys[i];
+        key.kind = static_cast<std::uint16_t>(req.kind);
+        key.topK = req.topK != 0 ? req.topK : _cfg.topK;
+        key.report = req.reportAlignments ? 1 : 0;
+        key.epoch = epoch;
+        key.query = req.query.residues();
+        digests[i] = ResultCache::digest(key);
+        const WallClock::time_point t0 = WallClock::now();
+        const std::shared_ptr<const ResultCache::Result> hit =
+            _cache.lookup(key, digests[i]);
+        if (hit == nullptr) {
+            misses.push_back(i);
+            continue;
+        }
+        const double hit_us = elapsedUs(t0, WallClock::now());
+        Response &resp = out[i];
+        resp.id = req.id;
+        resp.kind = req.kind;
+        resp.hits = hit->hits;
+        resp.alignments = hit->alignments;
+        resp.cellsComputed = hit->cells;
+        resp.tracebackCells = hit->tracebackCells;
+        resp.sequencesSearched = hit->sequences;
+        resp.residuesScanned = hit->residues;
+        resp.serviceUs = hit_us;
+        resp.fromCache = true;
+        _mCacheHitUs->record(hit_us);
+    }
+    if (misses.empty())
+        return out;
+
+    // Phase 2: serve the misses as one batch, with their deadlines
+    // remapped to the miss order (no copy when nothing hit).
+    const bool all_miss = misses.size() == n;
+    std::vector<Request> miss_requests;
+    std::vector<double> miss_deadlines;
+    BatchControl miss_control = control;
+    if (!all_miss) {
+        miss_requests.reserve(misses.size());
+        for (const std::size_t slot : misses) {
+            miss_requests.push_back(requests[slot]);
+            if (control.deadlinesUs != nullptr)
+                miss_deadlines.push_back(control.deadlinesUs[slot]);
+        }
+        if (control.deadlinesUs != nullptr)
+            miss_control.deadlinesUs = miss_deadlines.data();
+    }
     const WallClock::time_point t0 = WallClock::now();
-    std::vector<Response> out = runBatch(
-        requests.data(), requests.size(), control, epochOut);
+    std::uint64_t served_epoch = 0;
+    std::vector<Response> served = runBatch(
+        all_miss ? requests.data() : miss_requests.data(),
+        misses.size(), miss_control, &served_epoch);
     const double service = elapsedUs(t0, WallClock::now());
-    for (Response &r : out)
-        r.serviceUs = service;
+    if (epochOut != nullptr)
+        *epochOut = served_epoch;
+
+    // Phase 3: stitch in request order and populate the cache
+    // under the epoch the batch actually ran against.
+    // Deadline-truncated answers — including a partial traceback
+    // phase — are never cached.
+    for (std::size_t j = 0; j < misses.size(); ++j) {
+        const std::size_t slot = misses[j];
+        Response &resp = served[j];
+        resp.serviceUs = service;
+        if (cached && !resp.deadlineExpired()) {
+            ResultCache::Key key = keys[slot];
+            std::uint64_t dig = digests[slot];
+            if (key.epoch != served_epoch) {
+                key.epoch = served_epoch;
+                dig = ResultCache::digest(key);
+            }
+            auto result = std::make_shared<ResultCache::Result>();
+            result->hits = resp.hits;
+            result->alignments = resp.alignments;
+            result->cells = resp.cellsComputed;
+            result->tracebackCells = resp.tracebackCells;
+            result->sequences = resp.sequencesSearched;
+            result->residues = resp.residuesScanned;
+            _cache.insert(std::move(key), dig, std::move(result));
+        }
+        out[slot] = std::move(resp);
+    }
     return out;
 }
 

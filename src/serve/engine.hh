@@ -14,6 +14,12 @@
  * schedule only decides *when* a scan runs, never *what* it
  * computes: every task writes to a preallocated (request, shard)
  * slot and the merge walks those slots in submission order.
+ *
+ * With EngineConfig::cache on, serveBatch answers repeats from the
+ * epoch-keyed result cache (cache.hh) and scans only the misses; a
+ * hit is bit-for-bit the stored scan result, so the contract above
+ * holds with the cache on or off (tests/router_test.cc asserts the
+ * cache x jobs matrix).
  */
 
 #ifndef BIOARCH_SERVE_ENGINE_HH
@@ -28,9 +34,9 @@
 #include "align/blast.hh"
 #include "align/fasta.hh"
 #include "align/karlin.hh"
-#include "batch_server.hh"
 #include "bio/database.hh"
 #include "bio/scoring.hh"
+#include "cache.hh"
 #include "clock.hh"
 #include "core/thread_pool.hh"
 #include "index/epoch.hh"
@@ -42,6 +48,30 @@
 
 namespace bioarch::serve
 {
+
+/**
+ * Per-request cancellation plumbed into a batch: request r's
+ * shard-scan tasks check deadlinesUs[r] (absolute, in @p clock's
+ * time base; <= 0 means no deadline) immediately before scanning
+ * and skip the scan once the deadline has passed — cancellation at
+ * shard-scan granularity. Skipped shards are reported in
+ * Response::shardsSkipped.
+ */
+struct BatchControl
+{
+    /** Per-request absolute deadlines (may be nullptr). */
+    const double *deadlinesUs = nullptr;
+    /** Clock the deadlines are expressed in. */
+    const Clock *clock = nullptr;
+
+    bool
+    expired(std::size_t r) const
+    {
+        return deadlinesUs != nullptr && clock != nullptr
+            && deadlinesUs[r] > 0.0
+            && clock->nowUs() >= deadlinesUs[r];
+    }
+};
 
 /** Engine tunables. */
 struct EngineConfig
@@ -106,6 +136,13 @@ struct EngineConfig
      * non-null.
      */
     obs::Registry *metrics = nullptr;
+    /**
+     * Result cache in front of serveBatch (capacityBytes 0, the
+     * default, serves every request live). Keys carry the epoch
+     * number, so a reload invalidates every entry of the old
+     * database. serve() and serveStream() always scan.
+     */
+    CacheConfig cache;
 };
 
 /** Engine-level accounting for one served stream. */
@@ -149,10 +186,11 @@ struct StreamReport
  * layout and its seed index form the per-epoch state, which
  * reload() swaps while the engine keeps serving.
  * serve()/serveBatch()/serveStream() are intended to be called
- * from one thread (the pool parallelizes inside a batch);
- * reload() may be called from any thread meanwhile.
+ * from one thread (the pool parallelizes inside a batch; a
+ * ServeLoop dispatches from one thread at a time); reload() may be
+ * called from any thread meanwhile.
  */
-class Engine : public BatchServer
+class Engine
 {
   public:
     /**
@@ -173,7 +211,10 @@ class Engine : public BatchServer
     /**
      * Publish @p epoch. A batch already running finishes on the
      * epoch it pinned; the next batch sees the new one. The pool
-     * and every metric stay the same.
+     * and every metric stay the same. Throws std::invalid_argument
+     * unless @p epoch's number is greater than the published one:
+     * the result cache is keyed by that number, so reusing it
+     * would serve the old database's cached answers.
      */
     void reload(std::shared_ptr<const index::DbEpoch> epoch);
 
@@ -191,6 +232,9 @@ class Engine : public BatchServer
      * Serve @p requests as a single batch: all (request, shard)
      * scans are in flight together. Responses come back in request
      * order with serviceUs = the batch's wall time (queueUs = 0).
+     * With the cache on, a hit comes back fromCache with its own
+     * lookup time as serviceUs, and the misses run as one batch
+     * whose wall time is their serviceUs.
      */
     std::vector<Response>
     serveBatch(const std::vector<Request> &requests);
@@ -198,13 +242,16 @@ class Engine : public BatchServer
     /** serveBatch with per-request deadline cancellation. */
     std::vector<Response>
     serveBatch(const std::vector<Request> &requests,
-               const BatchControl &control) override;
+               const BatchControl &control);
 
     /**
-     * serveBatch that also reports, via @p epochOut (may be
-     * null), the number of the epoch the batch ran against, so a
-     * result cache keys its inserts by the epoch that produced the
-     * hits, not the one published when the insert runs.
+     * serveBatch that also reports, via @p epochOut (may be null),
+     * the number of the epoch the misses ran against (the
+     * published one when every request hit the cache). Cache
+     * lookups use the epoch published at batch start and inserts
+     * the pinned one, so a reload landing mid-batch never files
+     * old-database hits under the new epoch. Deadline-truncated
+     * responses are never cached.
      */
     std::vector<Response>
     serveBatchPinned(const std::vector<Request> &requests,
@@ -212,7 +259,7 @@ class Engine : public BatchServer
                      std::uint64_t *epochOut);
 
     /** ServeLoop's batch size when LoopConfig::batch is 0. */
-    std::size_t defaultBatch() const override
+    std::size_t defaultBatch() const
     {
         return _cfg.batch;
     }
@@ -235,9 +282,11 @@ class Engine : public BatchServer
      * deadline-skips, cells; the native overflow ladder per
      * backend (native_scans_total{backend=...} and friends);
      * mirrored thread-pool tasks/steals. Histograms:
-     * serve_scan_us, serve_batch_us, serve_latency_us.
+     * serve_scan_us, serve_batch_us, serve_latency_us,
+     * serve_cache_hit_us; the result cache's serve_cache_* series
+     * (registered with the cache on or off).
      */
-    obs::Registry &metrics() override { return *_metrics; }
+    obs::Registry &metrics() { return *_metrics; }
     const obs::Registry &metrics() const { return *_metrics; }
 
     /**
@@ -247,10 +296,13 @@ class Engine : public BatchServer
      * exporting a snapshot; single-threaded with respect to other
      * refresh calls.
      */
-    void refreshPoolMetrics() override;
+    void refreshPoolMetrics();
 
     /** The engine's worker pool (for loop/bench introspection). */
     const core::ThreadPool &pool() const { return _pool; }
+
+    /** The result cache (disabled when cache.capacityBytes is 0). */
+    const ResultCache &cache() const { return _cache; }
 
   private:
     /** One database epoch; immutable once published. */
@@ -286,6 +338,7 @@ class Engine : public BatchServer
 
     std::unique_ptr<obs::Registry> _ownedMetrics;
     obs::Registry *_metrics;
+    ResultCache _cache;
     // Hot-path metric handles, registered once at construction.
     obs::Counter *_mRequests;
     obs::Counter *_mBatches;
@@ -310,6 +363,7 @@ class Engine : public BatchServer
     obs::Histogram *_mScanUs;
     obs::Histogram *_mBatchUs;
     obs::Histogram *_mLatencyUs;
+    obs::Histogram *_mCacheHitUs;
     // Pool counters already seen by refreshPoolMetrics() (obs
     // counters are monotone, so mirroring applies deltas).
     std::uint64_t _poolTasksSeen = 0;

@@ -38,7 +38,7 @@ loopStatusName(LoopStatus s)
     return "unknown";
 }
 
-ServeLoop::ServeLoop(BatchServer &engine, LoopConfig config,
+ServeLoop::ServeLoop(Engine &engine, LoopConfig config,
                      const Clock *clock)
     : _engine(&engine),
       _cfg(config),

@@ -71,8 +71,8 @@
 #include <thread>
 #include <vector>
 
-#include "batch_server.hh"
 #include "clock.hh"
+#include "engine.hh"
 #include "obs/metrics.hh"
 #include "request.hh"
 
@@ -166,9 +166,9 @@ struct LoopResult
 };
 
 /**
- * The loop. One ServeLoop fronts one BatchServer — an Engine,
- * whose database epoch can be hot-swapped mid-run, or the
- * ReplicaRouter cache in front of one. Submissions may come from
+ * The loop. One ServeLoop fronts one Engine, whose database epoch
+ * can be hot-swapped mid-run and whose result cache (when on)
+ * answers repeats without a scan. Submissions may come from
  * any number of threads; dispatch happens either on the caller's
  * thread (pumpOne/pumpAll — deterministic mode) or on the loop's
  * own dispatcher thread (start/drain/stop). Do not mix pump calls
@@ -181,7 +181,7 @@ class ServeLoop
      * @param clock time source for arrivals/deadlines; nullptr =
      *        an internal SteadyClock. Must outlive the loop.
      */
-    explicit ServeLoop(BatchServer &engine, LoopConfig config = {},
+    explicit ServeLoop(Engine &engine, LoopConfig config = {},
                        const Clock *clock = nullptr);
     /** Stops as stop() does when the dispatcher is running. */
     ~ServeLoop();
@@ -281,7 +281,7 @@ class ServeLoop
      * fills the bucket on first sight). Lock must be held. */
     TenantState &tenantLocked(std::uint32_t tenant, double now);
 
-    BatchServer *_engine;
+    Engine *_engine;
     LoopConfig _cfg;
     SteadyClock _ownedClock;
     const Clock *_clock;

@@ -87,10 +87,10 @@ struct Response
      */
     std::uint64_t shardsSkipped = 0;
     /**
-     * True when the ranked hits came out of the ReplicaRouter's
-     * result cache instead of a database scan. The hits are
-     * bit-identical either way (the cache stores full scan
-     * results, keyed by epoch); the flag only explains the
+     * True when the ranked hits came out of the engine's result
+     * cache (EngineConfig::cache) instead of a database scan. The
+     * hits are bit-identical either way (the cache stores full
+     * scan results, keyed by epoch); the flag only explains the
      * microsecond-scale serviceUs.
      */
     bool fromCache = false;

@@ -446,13 +446,30 @@ TEST(IndexedEngine, RankedHitsMatchFullScanAcrossSchedules)
                 const std::vector<serve::Response> got =
                     engine.serveBatch(requests);
                 ASSERT_EQ(got.size(), want.size());
-                for (std::size_t i = 0; i < got.size(); ++i)
-                    expectSameHits(
-                        got[i].hits, want[i].hits,
-                        "T=" + std::to_string(t) + " jobs="
-                            + std::to_string(jobs) + " shards="
-                            + std::to_string(shards) + " req="
-                            + std::to_string(i));
+                std::uint64_t indexed_residues = 0;
+                std::uint64_t full_residues = 0;
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    const std::string ctx = "T=" + std::to_string(t)
+                        + " jobs=" + std::to_string(jobs)
+                        + " shards=" + std::to_string(shards);
+                    expectSameHits(got[i].hits, want[i].hits,
+                                   ctx + " req=" + std::to_string(i));
+                    indexed_residues += got[i].residuesScanned;
+                    full_residues += want[i].residuesScanned;
+                }
+                if (t != 16)
+                    continue;
+                // At T=16 the probes filter: no request falls back,
+                // and the indexed route scans a small fraction of
+                // what the full scan does.
+                EXPECT_EQ(engine.metrics().counterValue(
+                              "index_fallback_scan_total"),
+                          0u);
+                const double residue_fraction =
+                    static_cast<double>(indexed_residues)
+                    / static_cast<double>(full_residues);
+                EXPECT_GT(residue_fraction, 0.0);
+                EXPECT_LT(residue_fraction, 0.2);
             }
         }
     }

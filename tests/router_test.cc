@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the result-cache front of the serving tier
- * (serve/router.hh, serve/cache.hh).
+ * Tests for the engine's result cache (EngineConfig::cache,
+ * serve/cache.hh).
  *
  * The load-bearing contract extends serve_test.cc's: the ranked
  * top-K hit list of every request is bit-for-bit identical to a
@@ -29,7 +29,7 @@
 #include "serve/engine.hh"
 #include "serve/hit_list.hh"
 #include "serve/loop.hh"
-#include "serve/router.hh"
+#include "serve/router.hh" // the RouterConfig shim check
 
 namespace
 {
@@ -152,12 +152,12 @@ TEST(RouterDeterminism, MatrixMatchesSerialReference)
 
     for (const bool cache_on : {false, true}) {
         for (const unsigned jobs : {1u, 2u, 8u}) {
-            serve::RouterConfig cfg;
-            cfg.engine.jobs = jobs;
-            cfg.engine.shards = 4;
+            serve::EngineConfig cfg;
+            cfg.jobs = jobs;
+            cfg.shards = 4;
             cfg.cache.capacityBytes = cache_on ? 1u << 20 : 0u;
-            serve::ReplicaRouter router(
-                index::makeEpoch(testDb(), false, 1), cfg);
+            serve::Engine engine(index::makeEpoch(testDb(), false, 1),
+                                 cfg);
             const std::string ctx = "cache="
                 + std::to_string(cache_on)
                 + " jobs=" + std::to_string(jobs);
@@ -166,7 +166,7 @@ TEST(RouterDeterminism, MatrixMatchesSerialReference)
             // is on, and must be bit-identical.
             for (const int pass : {1, 2}) {
                 const std::vector<serve::Response> out =
-                    router.serveBatch(stream, {});
+                    engine.serveBatch(stream, {});
                 ASSERT_EQ(out.size(), stream.size()) << ctx;
                 for (std::size_t i = 0; i < out.size(); ++i)
                     expectSameHits(out[i].hits, reference[i],
@@ -176,7 +176,7 @@ TEST(RouterDeterminism, MatrixMatchesSerialReference)
                                        + std::to_string(i));
             }
             if (cache_on) {
-                EXPECT_GT(router.metrics().counterValue(
+                EXPECT_GT(engine.metrics().counterValue(
                               "serve_cache_hits_total"),
                           0u)
                     << ctx;
@@ -184,7 +184,7 @@ TEST(RouterDeterminism, MatrixMatchesSerialReference)
         }
     }
 
-    // The router fronts exactly one engine.
+    // The transitional RouterConfig converts only for one replica.
     serve::RouterConfig two;
     two.replicas = 2;
     EXPECT_THROW(serve::ReplicaRouter(
@@ -194,12 +194,11 @@ TEST(RouterDeterminism, MatrixMatchesSerialReference)
 
 TEST(RouterCache, HitMissAccountingIsDeterministic)
 {
-    serve::RouterConfig cfg;
-    cfg.engine.jobs = 2;
+    serve::EngineConfig cfg;
+    cfg.jobs = 2;
     cfg.cache.capacityBytes = 1u << 20;
-    serve::ReplicaRouter router(
-        index::makeEpoch(testDb(), false, 1), cfg);
-    const obs::Registry &m = router.metrics();
+    serve::Engine engine(index::makeEpoch(testDb(), false, 1), cfg);
+    const obs::Registry &m = engine.metrics();
 
     // 4 distinct queries, each repeated twice within one batch.
     std::vector<serve::Request> batch;
@@ -207,19 +206,29 @@ TEST(RouterCache, HitMissAccountingIsDeterministic)
         batch.push_back(cacheRequest(i, i % 4));
 
     const std::vector<serve::Response> first =
-        router.serveBatch(batch, {});
+        engine.serveBatch(batch, {});
     // Pass 1: the first occurrence of each query misses; whether
     // its duplicate hits depends only on batch order (inserts
     // happen after the whole batch), so all 8 miss here.
     EXPECT_EQ(m.counterValue("serve_cache_misses_total"), 8u);
     EXPECT_EQ(m.counterValue("serve_cache_hits_total"), 0u);
     EXPECT_EQ(m.counterValue("serve_cache_inserts_total"), 8u);
-    EXPECT_EQ(router.cache().entries(), 4u); // dup insert replaces
+    EXPECT_EQ(engine.cache().entries(), 4u); // dup insert replaces
     for (const serve::Response &r : first)
         EXPECT_FALSE(r.fromCache);
 
+    // A hit does no live work: the fully cached pass must not
+    // reach the scan path at all.
+    const std::uint64_t requests_live =
+        m.counterValue("serve_requests_total");
+    const std::uint64_t cells_live =
+        m.counterValue("serve_cells_total");
+    EXPECT_EQ(requests_live, 8u);
+    EXPECT_GT(cells_live, 0u);
     const std::vector<serve::Response> second =
-        router.serveBatch(batch, {});
+        engine.serveBatch(batch, {});
+    EXPECT_EQ(m.counterValue("serve_requests_total"), requests_live);
+    EXPECT_EQ(m.counterValue("serve_cells_total"), cells_live);
     EXPECT_EQ(m.counterValue("serve_cache_hits_total"), 8u);
     EXPECT_EQ(m.counterValue("serve_cache_misses_total"), 8u);
     for (std::size_t i = 0; i < second.size(); ++i) {
@@ -232,19 +241,18 @@ TEST(RouterCache, HitMissAccountingIsDeterministic)
 
 TEST(RouterCache, EpochBumpInvalidatesStaleHits)
 {
-    serve::RouterConfig cfg;
-    cfg.engine.jobs = 2;
+    serve::EngineConfig cfg;
+    cfg.jobs = 2;
     cfg.cache.capacityBytes = 1u << 20;
-    serve::ReplicaRouter router(
-        index::makeEpoch(testDb(), false, 1), cfg);
-    const obs::Registry &m = router.metrics();
+    serve::Engine engine(index::makeEpoch(testDb(), false, 1), cfg);
+    const obs::Registry &m = engine.metrics();
 
     std::vector<serve::Request> batch;
     for (std::uint64_t i = 0; i < 4; ++i)
         batch.push_back(cacheRequest(i, i));
-    (void)router.serveBatch(batch, {});
+    (void)engine.serveBatch(batch, {});
     const std::vector<serve::Response> warm =
-        router.serveBatch(batch, {});
+        engine.serveBatch(batch, {});
     for (const serve::Response &r : warm)
         EXPECT_TRUE(r.fromCache);
 
@@ -253,13 +261,13 @@ TEST(RouterCache, EpochBumpInvalidatesStaleHits)
     // may be served from the old database's results.
     const bio::SequenceDatabase db2 =
         bio::makeDefaultDatabase(48, 0xDBDBDBDC);
-    router.reload(index::makeEpoch(db2, false, 2));
-    EXPECT_EQ(router.epochNumber(), 2u);
+    engine.reload(index::makeEpoch(db2, false, 2));
+    EXPECT_EQ(engine.epochNumber(), 2u);
 
     const std::uint64_t hits_before =
         m.counterValue("serve_cache_hits_total");
     const std::vector<serve::Response> fresh =
-        router.serveBatch(batch, {});
+        engine.serveBatch(batch, {});
     EXPECT_EQ(m.counterValue("serve_cache_hits_total"),
               hits_before);
     serve::EngineConfig ref_cfg;
@@ -274,12 +282,76 @@ TEST(RouterCache, EpochBumpInvalidatesStaleHits)
 
     // And the new epoch's results cache normally.
     const std::vector<serve::Response> rewarm =
-        router.serveBatch(batch, {});
+        engine.serveBatch(batch, {});
     for (std::size_t i = 0; i < rewarm.size(); ++i) {
         EXPECT_TRUE(rewarm[i].fromCache) << i;
         expectSameHits(rewarm[i].hits, fresh[i].hits,
                        "rewarmed request " + std::to_string(i));
     }
+}
+
+TEST(RouterCache, TopKWiderThan32BitsIsItsOwnKey)
+{
+    // The key carries the full top-K: 2^32 + 10 must not alias a
+    // cached top-10 answer.
+    serve::EngineConfig cfg;
+    cfg.jobs = 2;
+    cfg.cache.capacityBytes = 1u << 20;
+    serve::Engine engine(index::makeEpoch(testDb(), false, 1), cfg);
+
+    serve::Request narrow = cacheRequest(0, 0);
+    narrow.topK = 10;
+    (void)engine.serveBatch({narrow}, {});
+    serve::Request wide = cacheRequest(1, 0);
+    wide.topK = (std::size_t{1} << 32) + 10;
+    const std::vector<serve::Response> got =
+        engine.serveBatch({wide}, {});
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_FALSE(got[0].fromCache);
+    const std::vector<align::SearchHit> want = serialReference(
+        wide, testDb(), serve::EngineConfig{}, wide.topK);
+    EXPECT_GT(want.size(), narrow.topK);
+    expectSameHits(got[0].hits, want, "top-K 2^32 + 10");
+}
+
+TEST(RouterCache, ReloadMustAdvanceTheEpochNumber)
+{
+    // The cache is keyed by epoch number, so a reload that reused
+    // the published number would serve the old database's cached
+    // answers for the new one.
+    serve::EngineConfig cfg;
+    cfg.jobs = 2;
+    cfg.cache.capacityBytes = 1u << 20;
+    serve::Engine engine(index::makeEpoch(testDb(), false, 1), cfg);
+    const std::vector<serve::Request> batch = {cacheRequest(0, 0)};
+    const std::vector<serve::Response> warm =
+        engine.serveBatch(batch, {});
+
+    const bio::SequenceDatabase db2 =
+        bio::makeDefaultDatabase(48, 0xDBDBDBDC);
+    for (const std::uint64_t stale : {0u, 1u})
+        EXPECT_THROW(
+            engine.reload(index::makeEpoch(db2, false, stale)),
+            std::invalid_argument)
+            << "epoch " << stale;
+    EXPECT_EQ(engine.epochNumber(), 1u);
+    EXPECT_EQ(engine.metrics().gaugeValue("db_epoch"), 1.0);
+
+    // The refused reloads left epoch 1 published, cache included.
+    const std::vector<serve::Response> still =
+        engine.serveBatch(batch, {});
+    EXPECT_TRUE(still[0].fromCache);
+    expectSameHits(still[0].hits, warm[0].hits, "refused reload");
+
+    engine.reload(index::makeEpoch(db2, false, 2));
+    const std::vector<serve::Response> fresh =
+        engine.serveBatch(batch, {});
+    EXPECT_FALSE(fresh[0].fromCache);
+    expectSameHits(fresh[0].hits,
+                   serialReference(batch[0], db2,
+                                   serve::EngineConfig{},
+                                   serve::EngineConfig{}.topK),
+                   "epoch 2");
 }
 
 TEST(RouterCache, CapacityBoundIsNeverExceeded)
@@ -331,13 +403,12 @@ TEST(RouterCache, CapacityBoundIsNeverExceeded)
 
 TEST(RouterCache, PartialResponsesAreNeverCached)
 {
-    serve::RouterConfig cfg;
-    cfg.engine.jobs = 1;
-    cfg.engine.shards = 4;
+    serve::EngineConfig cfg;
+    cfg.jobs = 1;
+    cfg.shards = 4;
     cfg.cache.capacityBytes = 1u << 20;
-    serve::ReplicaRouter router(
-        index::makeEpoch(testDb(), false, 1), cfg);
-    const obs::Registry &m = router.metrics();
+    serve::Engine engine(index::makeEpoch(testDb(), false, 1), cfg);
+    const obs::Registry &m = engine.metrics();
 
     // Serve with an already-expired deadline: every shard scan is
     // cancelled, the response is partial (shardsSkipped > 0), and
@@ -351,16 +422,16 @@ TEST(RouterCache, PartialResponsesAreNeverCached)
     control.deadlinesUs = deadlines;
     control.clock = &clock;
     const std::vector<serve::Response> out =
-        router.serveBatch(batch, control);
+        engine.serveBatch(batch, control);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_TRUE(out[0].deadlineExpired());
     EXPECT_EQ(m.counterValue("serve_cache_inserts_total"), 0u);
-    EXPECT_EQ(router.cache().entries(), 0u);
+    EXPECT_EQ(engine.cache().entries(), 0u);
 
     // The same request without a deadline is a miss (not a stale
     // partial hit) and serves the full ranked list.
     const std::vector<serve::Response> full =
-        router.serveBatch(batch, {});
+        engine.serveBatch(batch, {});
     EXPECT_FALSE(full[0].fromCache);
     serve::EngineConfig ref_cfg;
     expectSameHits(full[0].hits,

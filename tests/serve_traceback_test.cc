@@ -21,7 +21,6 @@
 #include "bio/synthetic.hh"
 #include "index/epoch.hh"
 #include "serve/engine.hh"
-#include "serve/router.hh"
 
 namespace
 {
@@ -152,6 +151,7 @@ TEST(TwoPhase, RankedHitsBitIdenticalWithReportingOn)
                 const std::vector<serve::Response> got =
                     engine.serveBatch(reporting);
                 ASSERT_EQ(got.size(), want.size());
+                std::size_t alignments = 0;
                 for (std::size_t i = 0; i < got.size(); ++i) {
                     const std::string ctx = "backend="
                         + std::string(align::backendName(backend))
@@ -165,7 +165,10 @@ TEST(TwoPhase, RankedHitsBitIdenticalWithReportingOn)
                     EXPECT_EQ(got[i].alignments,
                               want_report[i].alignments)
                         << ctx;
+                    alignments += got[i].alignments.size();
                 }
+                // Reporting actually reported something.
+                EXPECT_GT(alignments, 0u);
                 // Score-only responses carry no phase-2 payload.
                 const std::vector<serve::Response> plain =
                     engine.serveBatch(score_only);
@@ -221,14 +224,12 @@ TEST(TwoPhase, RouterReplicasMatchAndCacheRoundTripsAlignments)
     const std::vector<serve::Response> want =
         ref.serveBatch(reporting);
 
-    serve::RouterConfig rcfg;
-    rcfg.engine = ecfg;
-    rcfg.cache.capacityBytes = 4u << 20;
-    serve::ReplicaRouter router(
-        index::makeEpoch(testDb(), false, 1), rcfg);
+    serve::EngineConfig ccfg = ecfg;
+    ccfg.cache.capacityBytes = 4u << 20;
+    serve::Engine cached(index::makeEpoch(testDb(), false, 1), ccfg);
 
     const std::vector<serve::Response> first =
-        router.serveBatch(reporting, {});
+        cached.serveBatch(reporting, {});
     ASSERT_EQ(first.size(), want.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
         const std::string ctx = "req=" + std::to_string(i);
@@ -240,7 +241,7 @@ TEST(TwoPhase, RouterReplicasMatchAndCacheRoundTripsAlignments)
     // Same batch again: every answer must come from the cache
     // with the full phase-2 payload intact.
     const std::vector<serve::Response> second =
-        router.serveBatch(reporting, {});
+        cached.serveBatch(reporting, {});
     for (std::size_t i = 0; i < second.size(); ++i) {
         EXPECT_TRUE(second[i].fromCache) << i;
         expectSameHits(second[i].hits, first[i].hits,
@@ -259,7 +260,7 @@ TEST(TwoPhase, RouterReplicasMatchAndCacheRoundTripsAlignments)
     for (serve::Request &r : plain)
         r.reportAlignments = false;
     const std::vector<serve::Response> third =
-        router.serveBatch(plain, {});
+        cached.serveBatch(plain, {});
     for (std::size_t i = 0; i < third.size(); ++i) {
         EXPECT_FALSE(third[i].fromCache) << i;
         EXPECT_TRUE(third[i].alignments.empty()) << i;
@@ -270,25 +271,24 @@ TEST(TwoPhase, RouterReplicasMatchAndCacheRoundTripsAlignments)
 
 TEST(TwoPhase, ReloadInvalidatesCachedAlignments)
 {
-    serve::RouterConfig rcfg;
-    rcfg.engine.jobs = 2;
-    rcfg.cache.capacityBytes = 4u << 20;
-    serve::ReplicaRouter router(
-        index::makeEpoch(testDb(), false, 1), rcfg);
+    serve::EngineConfig cfg;
+    cfg.jobs = 2;
+    cfg.cache.capacityBytes = 4u << 20;
+    serve::Engine engine(index::makeEpoch(testDb(), false, 1), cfg);
 
     const std::vector<serve::Request> reporting =
         reportingStream(4);
     const std::vector<serve::Response> first =
-        router.serveBatch(reporting, {});
+        engine.serveBatch(reporting, {});
     const std::vector<serve::Response> cached =
-        router.serveBatch(reporting, {});
+        engine.serveBatch(reporting, {});
     for (const serve::Response &r : cached)
         EXPECT_TRUE(r.fromCache);
 
-    router.reload(index::makeEpoch(
+    engine.reload(index::makeEpoch(
         bio::makeDefaultDatabase(48, 0xDBDBDBDC), false, 2));
     const std::vector<serve::Response> fresh =
-        router.serveBatch(reporting, {});
+        engine.serveBatch(reporting, {});
     for (const serve::Response &r : fresh)
         EXPECT_FALSE(r.fromCache);
 }

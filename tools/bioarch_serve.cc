@@ -43,7 +43,6 @@
 #include "obs/snapshot.hh"
 #include "serve/engine.hh"
 #include "serve/loop.hh"
-#include "serve/router.hh"
 
 using namespace bioarch;
 
@@ -159,7 +158,7 @@ parseWorkload(const std::string &name)
 
 /** Refresh pool mirrors, then dump the requested snapshot files. */
 void
-writeMetricsFiles(serve::BatchServer &engine,
+writeMetricsFiles(serve::Engine &engine,
                   const std::string &json, const std::string &prom)
 {
     engine.refreshPoolMetrics();
@@ -276,15 +275,13 @@ runOpenLoop(const bio::SequenceDatabase &db,
         }
     }
 
-    // The open loop always fronts the cache router: with the cache
-    // off it is a plain pass-through to its one reloadable engine.
-    // --hot-reload slides a second epoch in mid-run while the loop
-    // keeps dispatching.
-    serve::RouterConfig rcfg;
-    rcfg.engine = cfg;
-    rcfg.cache.capacityBytes = cache_mb * (1u << 20);
-    serve::ReplicaRouter engine(
-        index::makeEpoch(db, use_index, 1), rcfg);
+    // The open loop always serves a reloadable epoch engine, with
+    // the result cache on when --cache-mb is set. --hot-reload
+    // slides a second epoch in mid-run while the loop keeps
+    // dispatching.
+    serve::EngineConfig ecfg = cfg;
+    ecfg.cache.capacityBytes = cache_mb * (1u << 20);
+    serve::Engine engine(index::makeEpoch(db, use_index, 1), ecfg);
     serve::LoopConfig lcfg;
     lcfg.queueCapacity = queue_cap;
     for (std::size_t i = 0; i < tenants.size(); ++i) {
@@ -382,7 +379,7 @@ runOpenLoop(const bio::SequenceDatabase &db,
            << ",\"duration_s\":" << duration_s
            << ",\"deadline_ms\":" << deadline_ms
            << ",\"queue_cap\":" << queue_cap
-           << ",\"jobs\":" << engine.config().engine.jobs
+           << ",\"jobs\":" << engine.config().jobs
            << ",\"offered\":" << offered
            << ",\"admitted\":" << counter("loop_admitted_total")
            << ",\"served\":" << served
