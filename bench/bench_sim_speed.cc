@@ -52,10 +52,11 @@ main()
     const std::uint64_t sample_target_windows = 50;
     // Per-trace sampled-arm config: ~50 windows of 10k
     // instructions each. With >1 core, fan 8-window chunks across
-    // the pool with full-prefix warmup (the last chunk doubles as
-    // the exact functional coverage stream); serially, the default
-    // single chunk walks the trace once, which is the cheapest
-    // exact shape.
+    // the pool: one functional walker checkpoints each chunk's
+    // start while earlier chunks run, and runs the last chunk
+    // itself, so its stream gives the exact miss counters;
+    // serially, the default single chunk walks the trace once,
+    // which is the cheapest exact shape.
     const auto sampleFor = [&](const trace::Trace &tr) {
         sim::SampleConfig s;
         s.windowInsts = sample_window;
@@ -64,10 +65,8 @@ main()
             (tr.size() + sample_target_windows - 1)
                 / sample_target_windows);
         s.jobs = sample_jobs;
-        if (sample_jobs > 1) {
+        if (sample_jobs > 1)
             s.chunkWindows = 8;
-            s.warmupInsts = std::uint64_t{1} << 60; // full prefix
-        }
         return s;
     };
 

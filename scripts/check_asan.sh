@@ -4,10 +4,13 @@
 # the native striped / inter-sequence scans on every compiled
 # backend (sw_native_test), the locate, anchored reverse and
 # rectangle-fill passes that index striped columns by computed rows
-# (traceback_test), and the served CIGARs across jobs, shards and
-# backends (serve_traceback_test). The hardware SIMD backends are
-# compiled in, so the intrinsic paths run under the sanitizers too.
-# Any out-of-bounds access, leak or undefined behavior fails the run.
+# (traceback_test), the served CIGARs across jobs, shards and
+# backends (serve_traceback_test), and the sampled simulator, whose
+# walker moves machine-state snapshots into pool tasks it submits
+# from inside its own task (sim_sample_test). The hardware SIMD
+# backends are compiled in, so the intrinsic paths run under the
+# sanitizers too. Any out-of-bounds access, leak or undefined
+# behavior fails the run.
 #
 # Usage: scripts/check_asan.sh [build-dir]   (default: build-asan)
 set -eu
@@ -17,7 +20,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DBIOARCH_ASAN=ON \
     -DBIOARCH_NATIVE_SIMD=ON
 cmake --build "$BUILD_DIR" -j --target traceback_test sw_native_test \
-    serve_traceback_test
+    serve_traceback_test sim_sample_test
 ctest --test-dir "$BUILD_DIR" \
-    -L 'traceback_test|sw_native_test|serve_traceback_test' \
+    -L 'traceback_test|sw_native_test|serve_traceback_test|sim_sample_test' \
     --output-on-failure -j

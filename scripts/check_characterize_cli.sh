@@ -36,7 +36,7 @@ check_rejects "zero sample window" \
     --workload blast --sample-window 0
 check_rejects "zero sample period" \
     --workload blast --sample-period 0
-check_rejects "negative sample warmup" \
+check_rejects "removed --sample-warmup flag is rejected" \
     --workload blast --sample-warmup -5
 check_rejects "sample window exceeding period" \
     --workload blast --sample-window 1000 --sample-period 100

@@ -125,7 +125,7 @@ MachineState::warm(const trace::TraceView &window)
     // D-side hierarchy access per memory op. Warmup accesses land
     // on the state's own statistics counters; runWindow() measures
     // against a baseline, so they never leak into window stats.
-    std::uint64_t last_line = ~std::uint64_t{0};
+    std::uint64_t last_line = _warmLine;
     std::visit(
         [&](auto &predictor) {
             using P = std::decay_t<decltype(predictor)>;
@@ -156,6 +156,7 @@ MachineState::warm(const trace::TraceView &window)
             }
         },
         _predictor);
+    _warmLine = last_line;
 }
 
 std::uint64_t
@@ -168,6 +169,7 @@ MachineState::stateDigest() const
     fnv.update64(static_cast<std::uint64_t>(_predictor.index()));
     fnv.update64(std::visit(
         [](const auto &p) { return p.stateDigest(); }, _predictor));
+    fnv.update64(_warmLine);
     return fnv.digest();
 }
 
@@ -451,6 +453,7 @@ Simulator::runWindow(const trace::TraceView &window,
     // visit here instead of a virtual call per fetched branch. The
     // concrete predictor types are final, so the instantiated loop
     // calls (and typically inlines) predict/update directly.
+    state._warmLine = ~std::uint64_t{0};
     return std::visit(
         [&](auto &predictor) {
             return runImpl(window, predictor, state);

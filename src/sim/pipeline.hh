@@ -150,8 +150,14 @@ class MachineState
      * TLBs, BTB and direction predictor — the same structural
      * updates the detailed loop performs, with no timing model.
      * This is what makes measurement windows independent: a
-     * window's state is trained by a bounded warmup prefix instead
-     * of by detailed-simulating everything before it.
+     * window's state is trained by a functional walk of the trace
+     * before it instead of by detailed-simulating it.
+     *
+     * Resumable: the last fetched I-line carries over between
+     * calls, so warm(A); warm(B) leaves the same state as one
+     * warm(A + B) over the concatenated span. runWindow() forgets
+     * the line (the detailed loop tracks its own), so a warm after
+     * a window starts with a fresh line.
      */
     void warm(const trace::TraceView &window);
 
@@ -179,6 +185,9 @@ class MachineState
     /** log2 of the IL1 line size (power of two), so the per-
      * instruction line check in warm() is a shift. */
     int _il1LineShift = 7;
+    /** I-line warm() fetched last (none after construction or a
+     * detailed window). */
+    std::uint64_t _warmLine = ~std::uint64_t{0};
 };
 
 /**

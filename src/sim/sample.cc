@@ -69,9 +69,6 @@ planWindows(std::uint64_t traceInsts, const SampleConfig &config)
         w.begin = periodBegin
             + (slack == 0 ? 0 : mix64(index) % (slack + 1));
         w.represents = span;
-        w.warmupBegin = w.begin >= config.warmupInsts
-            ? w.begin - config.warmupInsts
-            : 0;
         windows.push_back(w);
     }
     return windows;
@@ -160,110 +157,95 @@ sampleTrace(const trace::Trace &trace, const SimConfig &machine,
 
     const std::vector<SampleWindow> windows =
         planWindows(trace.size(), config);
+    SampledStats out;
+    out.traceInstructions = trace.size();
+    if (windows.empty())
+        return out;
 
-    // Chunks are the parallel unit. Each chunk trains a cold
-    // MachineState over its first window's warmup prefix, then
-    // alternates detailed measurement (runWindow) with functional
-    // warming of the inter-window gaps, so every window after a
-    // chunk's first carries *continuous* state history — the
-    // bounded-warmup error is paid once per chunk, not once per
-    // window. The chunk partition depends only on the config, and
-    // results land in index-ordered slots merged after the pool
-    // drains, so the aggregate is bit-identical whatever the
-    // execution schedule was.
+    // Chunks are the parallel unit. A chunk starts from the state
+    // a functional walk of the whole trace before its first
+    // window leaves, then alternates detailed measurement
+    // (runWindow) with functional warming of the inter-window
+    // gaps, so every window carries continuous state history.
     //
-    // Cache miss rates are never extrapolated from windows: the
-    // functional stream covers the complete trace and the
-    // whole-trace dl1/l2 counters are read off the machine state.
-    // Whenever the last chunk's warmup reaches back to the trace's
-    // head (always true for a lone chunk, whose first window warms
-    // the full prefix regardless of warmupInsts; true for any
-    // chunk when warmupInsts exceeds the trace) that chunk's own
-    // walk [0, lastWindowEnd) plus a warmed tail IS the coverage
-    // stream, for free. Only a multi-chunk run with bounded
-    // warmups needs a dedicated coverage pass as one extra
-    // parallel task.
+    // One walker builds those states: it streams the trace through
+    // the functional model once, snapshots the state at each
+    // chunk's first window and hands the snapshot off, so chunks
+    // run while the walk goes on. At the last chunk the walker
+    // runs that chunk itself on its own state and warms the tail,
+    // so its stream covers the whole trace and the whole-trace
+    // dl1/l2 counters are harvested from it (miss rates are never
+    // extrapolated from windows). A lone chunk is exactly that
+    // stream. The chunk partition depends only on the config, and
+    // results land in index-ordered slots, so the aggregate is
+    // bit-identical whatever the execution schedule was.
     std::vector<SimStats> results(windows.size());
     const std::size_t chunk =
         static_cast<std::size_t>(std::min<std::uint64_t>(
             config.chunkWindows, windows.size()));
-    const std::size_t chunks =
-        chunk == 0 ? 0 : (windows.size() + chunk - 1) / chunk;
-    const bool lastCovers = chunks == 1
-        || (chunks > 1
-            && windows[(chunks - 1) * chunk].warmupBegin == 0);
-    std::uint64_t dl1_accesses = 0;
-    std::uint64_t dl1_misses = 0;
-    std::uint64_t l2_accesses = 0;
-    std::uint64_t l2_misses = 0;
-    const auto harvest = [&](const MachineState &state) {
-        dl1_accesses = state.dataHierarchy().dl1().accesses();
-        dl1_misses = state.dataHierarchy().dl1().misses();
-        l2_accesses = state.dataHierarchy().l2().accesses();
-        l2_misses = state.dataHierarchy().l2().misses();
+    const std::size_t chunks = (windows.size() + chunk - 1) / chunk;
+    const std::uint64_t lastChunkBegin =
+        windows[(chunks - 1) * chunk].begin;
+    // What a chunk warms after window i: the gap to its next
+    // window, or the trace's tail after the very last window.
+    const auto warmAfter = [&](std::size_t i) -> std::uint64_t {
+        const std::uint64_t end = windows[i].begin + windows[i].count;
+        if (i + 1 == windows.size())
+            return trace.size() - end;
+        return (i + 1) % chunk == 0 ? 0 : windows[i + 1].begin - end;
     };
-    const auto runChunk = [&](std::size_t c) {
-        if (c == chunks) {
-            // Dedicated coverage pass (bounded-warmup multi-chunk
-            // runs only): one pure functional walk of the whole
-            // trace for the exact miss-rate counters.
-            MachineState state(machine);
-            state.warm(trace.view());
-            harvest(state);
-            return;
-        }
-        const std::size_t first = c * chunk;
+    const auto runChunk = [&](std::size_t c, MachineState &state) {
         const std::size_t last =
-            std::min(first + chunk, windows.size());
-        const std::uint64_t warm_begin = chunks == 1
-            ? 0
-            : windows[first].warmupBegin;
-        MachineState state(machine);
+            std::min((c + 1) * chunk, windows.size());
         Simulator sim(machine);
-        if (windows[first].begin > warm_begin)
-            state.warm(trace.subspan(
-                warm_begin, windows[first].begin - warm_begin));
-        for (std::size_t i = first; i < last; ++i) {
+        for (std::size_t i = c * chunk; i < last; ++i) {
             const SampleWindow &w = windows[i];
             results[i] = sim.runWindow(
                 trace.subspan(w.begin, w.count), state);
-            if (i + 1 < last) {
-                const std::uint64_t gap_begin = w.begin + w.count;
-                state.warm(trace.subspan(
-                    gap_begin, windows[i + 1].begin - gap_begin));
-            }
-        }
-        if (lastCovers && c == chunks - 1) {
-            const SampleWindow &w = windows.back();
-            const std::uint64_t end = w.begin + w.count;
-            if (end < trace.size())
-                state.warm(
-                    trace.subspan(end, trace.size() - end));
-            harvest(state);
+            state.warm(trace.subspan(w.begin + w.count, warmAfter(i)));
         }
     };
+    const auto walk = [&](const auto &handOff) {
+        MachineState state(machine);
+        std::uint64_t walked = 0;
+        for (std::size_t c = 0; c < chunks; ++c) {
+            const std::uint64_t begin = windows[c * chunk].begin;
+            state.warm(trace.subspan(walked, begin - walked));
+            walked = begin;
+            if (c + 1 < chunks)
+                handOff(c, state.snapshot());
+        }
+        runChunk(chunks - 1, state);
+        const DataHierarchy &mem = state.dataHierarchy();
+        out.dl1Accesses = mem.dl1().accesses();
+        out.dl1Misses = mem.dl1().misses();
+        out.l2Accesses = mem.l2().accesses();
+        out.l2Misses = mem.l2().misses();
+    };
 
-    // One extra task when the coverage pass is separate.
-    const std::size_t tasks =
-        chunks == 0 ? 0 : (lastCovers ? chunks : chunks + 1);
-    if (config.jobs <= 1 || tasks <= 1) {
+    if (config.jobs <= 1 || chunks == 1) {
         // Serial path doubles as the nested-pool escape hatch: a
         // sweep point already running inside a ThreadPool task must
         // not wait() on a pool from within it.
-        for (std::size_t t = 0; t < tasks; ++t)
-            runChunk(t);
+        walk([&](std::size_t c, MachineState snap) {
+            runChunk(c, snap);
+        });
     } else {
+        // The walker is one pool task; it submits each chunk, with
+        // its snapshot moved in, from inside that task.
         core::ThreadPool pool(config.jobs);
-        pool.parallelFor(tasks, runChunk);
+        pool.submit([&] {
+            walk([&](std::size_t c, MachineState snap) {
+                pool.submit([&runChunk, c,
+                             state = std::move(snap)]() mutable {
+                    runChunk(c, state);
+                });
+            });
+        });
+        pool.wait();
     }
 
-    SampledStats out;
     out.windows = windows.size();
-    out.traceInstructions = trace.size();
-    out.dl1Accesses = dl1_accesses;
-    out.dl1Misses = dl1_misses;
-    out.l2Accesses = l2_accesses;
-    out.l2Misses = l2_misses;
     for (std::size_t i = 0; i < windows.size(); ++i) {
         const SampleWindow &w = windows[i];
         out.measured.accumulate(results[i]);
@@ -274,24 +256,12 @@ sampleTrace(const trace::Trace &trace, const SimConfig &machine,
             * (static_cast<double>(w.represents)
                / static_cast<double>(w.count));
     }
-    // Functionally-warmed instructions: each chunk's prefix and
-    // gaps, plus the tail or the dedicated coverage pass.
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-        const SampleWindow &w = windows[i];
-        if (i % chunk == 0)
-            out.warmupInstructions += chunks == 1
-                ? w.begin
-                : w.begin - w.warmupBegin;
-        else
-            out.warmupInstructions += w.begin
-                - (windows[i - 1].begin + windows[i - 1].count);
-    }
-    if (chunks > 0) {
-        const SampleWindow &w = windows.back();
-        out.warmupInstructions += lastCovers
-            ? trace.size() - (w.begin + w.count)
-            : trace.size();
-    }
+    // Functionally streamed instructions: the walk up to the last
+    // chunk, then every chunk's gaps and the tail. Chunks other
+    // than the last stream their gaps a second time.
+    out.warmupInstructions = lastChunkBegin;
+    for (std::size_t i = 0; i < windows.size(); ++i)
+        out.warmupInstructions += warmAfter(i);
     return out;
 }
 

@@ -7,38 +7,44 @@
  * paper's methodology tops out around 14 Minst/s, which makes
  * full-database-scale traces (and characterizing the serving
  * engine's own instruction stream) intractable. The sampler splits
- * a trace into measurement windows spaced periodInsts apart: each
- * window gets functional warmup (caches, TLBs, BTB and direction
- * predictor trained over the warmupInsts preceding instructions —
- * structural updates only, no timing) and then detailed simulation
- * of windowInsts instructions from that warm MachineState, with
- * the pipeline starting empty and draining at the window's end.
+ * a trace into measurement windows spaced periodInsts apart and
+ * detailed-simulates windowInsts instructions of each from a warm
+ * MachineState (caches, TLBs, BTB and direction predictor trained
+ * by a functional walk of everything before the window —
+ * structural updates only, no timing), with the pipeline starting
+ * empty and draining at the window's end.
  *
  * Windows are grouped into fixed-size *chunks* (SampleConfig::
  * chunkWindows): a chunk's windows run serially on one worker with
  * the machine state functionally warmed through the gaps between
- * them (SMARTS-style continuous warming — long-period state like a
- * big predictor table keeps its history instead of retraining from
- * a bounded prefix at every window). Chunks are independent, so
- * they fan out across a work-stealing ThreadPool and merge in
- * window order — the chunk partition is fixed by the config, never
- * the jobs count, so the merged SampledStats is bit-for-bit
- * identical for any jobs value, the same contract the design-space
- * sweep enforces.
+ * them (SMARTS-style continuous warming). Each chunk starts from a
+ * checkpoint: one functional *walker* streams the trace once,
+ * snapshots the state at every chunk's first window and hands the
+ * snapshot to a ThreadPool task, so chunks run while the walk goes
+ * on. The snapshot equals a cold state warmed over the chunk's
+ * whole prefix in one call, so every window sees the same state
+ * whatever the chunk size. The walker runs the last chunk itself
+ * and warms the tail. The chunk partition is fixed by the config,
+ * never the jobs count, and results merge in window order, so the
+ * merged SampledStats is bit-for-bit identical for any jobs value,
+ * the same contract the design-space sweep enforces.
+ *
+ * Chunks cannot hand state on to each other instead of starting
+ * from the walker's snapshots: a detailed window touches the
+ * D-cache at issue, out of trace order, so the state it leaves
+ * differs from a functional walk of the same span.
  *
  * Timing (cycles, IPC, stall traumas) is extrapolated per window —
  * each window stands for its surrounding period. Cache miss
- * *rates* are not extrapolated at all: the sampler always streams
- * the complete trace through the functional model (a single chunk
- * walks prefix + gaps + tail as it goes, as does the last chunk of
- * a full-prefix-warmup run; a bounded-warmup multi-chunk run adds
- * a dedicated coverage pass as one more parallel task), and the
- * whole-trace dl1/l2 counters are harvested from that stream.
- * These traces miss mostly on compulsory fills — a few hundred
- * events in millions of accesses — so any windowed estimate of a
- * miss rate is statistically hopeless, while the functional stream
- * reproduces the detailed loop's access sequence and makes the
- * rates exact. Error bounds are pinned against golden full runs in
+ * *rates* are not extrapolated at all: the walker's stream (its
+ * functional walk, then the last chunk's windows, gaps and tail)
+ * covers the complete trace, and the whole-trace dl1/l2 counters
+ * are harvested from it. These traces miss mostly on compulsory
+ * fills — a few hundred events in millions of accesses — so any
+ * windowed estimate of a miss rate is statistically hopeless,
+ * while the functional stream makes the detailed loop's accesses
+ * (in trace order rather than issue order) and the rates exact.
+ * Error bounds are pinned against golden full runs in
  * tests/sim_sample_test.cc.
  */
 
@@ -62,28 +68,25 @@ struct SampleConfig
     /** Distance between window starts; each window extrapolates to
      * the period it sits in. Must be >= windowInsts. */
     std::uint64_t periodInsts = 250'000;
-    /** Functional-warmup instructions ahead of each *chunk*'s
-     * first window (clamped to the trace's start). Only bounds the
-     * warmup of chunks after the first in a multi-chunk run; a
-     * chunk starting at the trace's head — in particular the lone
-     * chunk of a default single-chunk run — warms its complete
-     * prefix instead, which costs nothing extra since the
-     * functional stream must cover the trace anyway. */
-    std::uint64_t warmupInsts = 50'000;
+    /** Unused: every chunk starts from a functional walk of its
+     * whole prefix, which the checkpointing walker builds in one
+     * pass. Kept so callers that still set it compile. */
+    std::uint64_t warmupInsts = 0;
     /**
      * Windows per chunk. A chunk is the parallel unit: its windows
      * run serially on one worker with the machine state warmed
      * *continuously* through the gaps between them (SMARTS-style
-     * functional warming), so only the chunk's first window pays
-     * the bounded-warmup state error. The chunk partition is fixed
-     * by this config — never by the jobs count — which is what
-     * keeps the merged result bit-identical across jobs.
+     * functional warming), starting from the walker's snapshot at
+     * its first window. The chunk partition is fixed by this
+     * config — never by the jobs count — which is what keeps the
+     * merged result bit-identical across jobs.
      *
      * The default is large enough that any realistic trace runs as
-     * one chunk: warmupInsts is then moot (the lone chunk warms the
-     * whole prefix while streaming the trace) and the run is exact
-     * apart from window-placement error. Set it smaller to fan
-     * chunks across jobs on a multi-core host.
+     * one chunk: a single stream of prefix, windows, gaps and
+     * tail, the least functional work. Set it smaller to fan
+     * chunks across jobs on a multi-core host; every chunk but the
+     * last then warms its gaps twice (once in the walk, once
+     * itself), so functional work stays under twice the trace.
      */
     std::uint64_t chunkWindows = 1'000'000;
     /** Worker threads for the chunk fan-out. */
@@ -100,10 +103,6 @@ struct SampleConfig
 /** One planned measurement window. */
 struct SampleWindow
 {
-    /** First instruction of the functional-warmup prefix (only
-     * consumed when this window opens a chunk; later windows of a
-     * chunk inherit continuously warmed state instead). */
-    std::uint64_t warmupBegin = 0;
     /** First detailed-measured instruction. */
     std::uint64_t begin = 0;
     /** Detailed-measured instruction count (tail windows clamp). */
@@ -127,14 +126,17 @@ struct SampledStats
     /** Length of the full trace the sample stands for. */
     std::uint64_t traceInstructions = 0;
     std::uint64_t measuredInstructions = 0;
-    /** Instructions streamed through the functional model only
-     * (prefix, gaps, tail, bounded chunk warmups, coverage pass). */
+    /** Instructions streamed through the functional model: the
+     * walk up to the last chunk's first window, plus every chunk's
+     * gaps and the tail. A lone chunk streams trace minus measured
+     * instructions; more chunks add each earlier chunk's gaps. */
     std::uint64_t warmupInstructions = 0;
     /**
-     * Whole-trace cache counters from the functional stream (warm
-     * plus detailed windows cover every instruction). Exact, not
-     * extrapolated: the functional model reproduces the detailed
-     * loop's access sequence.
+     * Whole-trace cache counters from the walker's stream (its
+     * functional walk plus the last chunk's windows, gaps and tail
+     * cover every instruction). Exact, not extrapolated: the
+     * functional model makes the detailed loop's accesses, in
+     * trace order.
      */
     std::uint64_t dl1Accesses = 0;
     std::uint64_t dl1Misses = 0;
@@ -221,10 +223,12 @@ SampleError compareSampled(const SampledStats &sampled,
                            const SimStats &full);
 
 /**
- * Sample @p trace on @p machine: plan windows, measure them chunk
- * by chunk (chunks fanned across config.jobs workers, windows
+ * Sample @p trace on @p machine: plan windows, walk the trace once
+ * to checkpoint each chunk's start, measure the chunks (fanned
+ * across config.jobs workers, the walker one of them; windows
  * within a chunk serial with continuously warmed state), merge in
- * window order. Throws std::invalid_argument when
+ * window order. jobs <= 1 walks and runs the chunks in order on
+ * the calling thread. Throws std::invalid_argument when
  * config.validate() rejects.
  */
 SampledStats sampleTrace(const trace::Trace &trace,

@@ -8,10 +8,13 @@
  *    shares within 5 points) against golden full runs, for every
  *    workload x memory point of a reduced config grid;
  *  - determinism: the merged SampledStats is bit-for-bit identical
- *    across jobs {1, 2, 8} (fingerprint() and full equality);
+ *    across jobs {1, 2, 4, 8} (fingerprint() and full equality),
+ *    and equal to a per-chunk reference that warms every chunk's
+ *    prefix from a cold state;
  *  - checkpointing: MachineState snapshot/restore round-trips —
  *    a window simulated from a restored state reproduces the
- *    original run exactly, counter for counter.
+ *    original run exactly, counter for counter — and a warm split
+ *    into pieces equals one warm over the whole span.
  */
 
 #include <gtest/gtest.h>
@@ -47,7 +50,6 @@ testSample()
     sim::SampleConfig cfg;
     cfg.windowInsts = 10'000;
     cfg.periodInsts = 50'000;
-    cfg.warmupInsts = 20'000;
     cfg.jobs = 1;
     return cfg;
 }
@@ -86,7 +88,6 @@ TEST(SamplePlan, ShortTraceYieldsOneClampedWindow)
 {
     const auto windows = sim::planWindows(5'000, testSample());
     ASSERT_EQ(windows.size(), 1u);
-    EXPECT_EQ(windows[0].warmupBegin, 0u);
     EXPECT_EQ(windows[0].begin, 0u);
     EXPECT_EQ(windows[0].count, 5'000u);
     EXPECT_EQ(windows[0].represents, 5'000u);
@@ -100,9 +101,6 @@ TEST(SamplePlan, RepresentsPartitionsTheTrace)
     std::uint64_t represented = 0;
     for (std::size_t i = 0; i < windows.size(); ++i) {
         const sim::SampleWindow &w = windows[i];
-        EXPECT_LE(w.warmupBegin, w.begin);
-        EXPECT_LE(w.begin - w.warmupBegin,
-                  testSample().warmupInsts);
         EXPECT_GE(w.count, 1u);
         EXPECT_LE(w.count, testSample().windowInsts);
         EXPECT_LE(w.begin + w.count, insts);
@@ -257,38 +255,123 @@ TEST(SampleAccuracy, ErrorBoundsHoldAcrossWorkloadsAndMemories)
     }
 }
 
-/** Merged stats must be bit-identical whatever the jobs count —
- * for both parallel shapes: full-prefix-warmup chunks (the last
- * chunk doubles as the functional coverage stream) and
- * bounded-warmup chunks (a dedicated coverage pass rides the
- * pool as one extra task). */
+/** Merged stats must be bit-identical whatever the jobs count,
+ * with many chunks so the walker really fans them out. */
 TEST(SampleDeterminism, MergeIsIdenticalAcrossJobCounts)
 {
     const trace::Trace &tr =
         sampleSuite().trace(kernels::Workload::Ssearch34);
     const sim::SimConfig cfg = testMachine(sim::memoryMe1());
 
-    for (const std::uint64_t warmup :
-         {std::uint64_t{20'000},
-          std::uint64_t{1} << 60 /* full prefix */}) {
-        sim::SampleConfig sample = testSample();
-        sample.warmupInsts = warmup;
-        sample.chunkWindows = 8; // many chunks: real fan-out
-        sample.jobs = 1;
-        const sim::SampledStats one =
+    sim::SampleConfig sample = testSample();
+    sample.chunkWindows = 8; // many chunks: real fan-out
+    sample.jobs = 1;
+    const sim::SampledStats one = sim::sampleTrace(tr, cfg, sample);
+    for (const unsigned jobs : {2u, 4u, 8u}) {
+        sample.jobs = jobs;
+        const sim::SampledStats many =
             sim::sampleTrace(tr, cfg, sample);
-        sample.jobs = 2;
-        const sim::SampledStats two =
-            sim::sampleTrace(tr, cfg, sample);
-        sample.jobs = 8;
-        const sim::SampledStats eight =
-            sim::sampleTrace(tr, cfg, sample);
-
-        EXPECT_EQ(one, two);
-        EXPECT_EQ(one, eight);
-        EXPECT_EQ(one.fingerprint(), two.fingerprint());
-        EXPECT_EQ(one.fingerprint(), eight.fingerprint());
+        EXPECT_EQ(one, many) << "jobs " << jobs;
+        EXPECT_EQ(one.fingerprint(), many.fingerprint())
+            << "jobs " << jobs;
     }
+}
+
+/**
+ * The reference the checkpointing walker must reproduce: every
+ * chunk trains a cold state over its whole prefix in one warm()
+ * call, then alternates windows with gap warming; the last chunk
+ * also warms the tail, and its state gives the whole-trace cache
+ * counters. Everything but warmupInstructions is filled in.
+ */
+sim::SampledStats
+perChunkPrefixOracle(const trace::Trace &tr,
+                     const sim::SimConfig &machine,
+                     const sim::SampleConfig &config)
+{
+    const auto windows = sim::planWindows(tr.size(), config);
+    sim::SampledStats out;
+    out.windows = windows.size();
+    out.traceInstructions = tr.size();
+    sim::Simulator sim(machine);
+    for (std::size_t first = 0; first < windows.size();
+         first += config.chunkWindows) {
+        const std::size_t last = std::min<std::size_t>(
+            first + config.chunkWindows, windows.size());
+        sim::MachineState state(machine);
+        state.warm(tr.subspan(0, windows[first].begin));
+        for (std::size_t i = first; i < last; ++i) {
+            const sim::SampleWindow &w = windows[i];
+            const sim::SimStats s =
+                sim.runWindow(tr.subspan(w.begin, w.count), state);
+            out.measured.accumulate(s);
+            out.measuredInstructions += w.count;
+            out.estimatedCycles += static_cast<double>(s.cycles)
+                * (static_cast<double>(w.represents)
+                   / static_cast<double>(w.count));
+            const std::uint64_t end = w.begin + w.count;
+            const std::uint64_t next = i + 1 < last
+                ? windows[i + 1].begin
+                : (last == windows.size() ? tr.size() : end);
+            state.warm(tr.subspan(end, next - end));
+        }
+        if (last == windows.size()) {
+            const sim::DataHierarchy &mem = state.dataHierarchy();
+            out.dl1Accesses = mem.dl1().accesses();
+            out.dl1Misses = mem.dl1().misses();
+            out.l2Accesses = mem.l2().accesses();
+            out.l2Misses = mem.l2().misses();
+        }
+    }
+    return out;
+}
+
+/** Checkpointed fan-out is the per-chunk-prefix algorithm, bit for
+ * bit, for every jobs count: each walker snapshot equals a cold
+ * state warmed over the chunk's prefix in one call. */
+TEST(SampleDeterminism, CheckpointedMatchesPerChunkPrefixOracle)
+{
+    const trace::Trace &tr =
+        sampleSuite().trace(kernels::Workload::Ssearch34);
+    for (const sim::MemoryConfig &mem :
+         {sim::memoryMe1(), sim::memoryMe4()}) {
+        const sim::SimConfig cfg = testMachine(mem);
+        sim::SampleConfig sample = testSample();
+        sample.chunkWindows = 8;
+        const sim::SampledStats oracle =
+            perChunkPrefixOracle(tr, cfg, sample);
+        ASSERT_GT(oracle.windows, 3 * sample.chunkWindows);
+        for (const unsigned jobs : {1u, 2u, 4u}) {
+            sample.jobs = jobs;
+            sim::SampledStats got = sim::sampleTrace(tr, cfg, sample);
+            got.warmupInstructions = 0;
+            EXPECT_EQ(got, oracle) << mem.name << " jobs " << jobs;
+        }
+    }
+}
+
+/** warmupInstructions counts what the functional model streamed:
+ * a lone chunk streams everything it does not measure, and a
+ * multi-chunk run stays under twice the trace (one walk, plus the
+ * earlier chunks' gaps again) instead of re-streaming every
+ * chunk's prefix. */
+TEST(SampleAccounting, WarmCountsWhatTheFunctionalModelStreamed)
+{
+    const trace::Trace &tr =
+        sampleSuite().trace(kernels::Workload::Ssearch34);
+    const sim::SimConfig cfg = testMachine(sim::memoryMe1());
+    sim::SampleConfig sample = testSample();
+
+    const sim::SampledStats lone = sim::sampleTrace(tr, cfg, sample);
+    EXPECT_EQ(lone.warmupInstructions,
+              tr.size() - lone.measuredInstructions);
+
+    sample.chunkWindows = 8;
+    sample.jobs = 2;
+    const sim::SampledStats chunked =
+        sim::sampleTrace(tr, cfg, sample);
+    EXPECT_GT(chunked.warmupInstructions, lone.warmupInstructions);
+    EXPECT_LE(chunked.warmupInstructions, 2 * tr.size());
 }
 
 /**
@@ -350,6 +433,32 @@ TEST(SampleCheckpoint, ContinuationIsUnaffectedBySnapshotCycle)
     EXPECT_EQ(a1, b1);
     EXPECT_EQ(a2, b2);
     EXPECT_EQ(direct.stateDigest(), cycled.stateDigest());
+}
+
+/** warm() resumes where the previous call stopped: splitting a
+ * functional walk at any offset (mid I-line included) leaves the
+ * same state as one call over the whole span. */
+TEST(SampleCheckpoint, SplitWarmMatchesOneCallWarm)
+{
+    const trace::Trace &tr =
+        sampleSuite().trace(kernels::Workload::Fasta34);
+    const sim::SimConfig cfg = testMachine(sim::memoryMe1());
+    const std::uint64_t span = 60'000;
+    ASSERT_GT(tr.size(), span);
+
+    sim::MachineState whole(cfg);
+    whole.warm(tr.subspan(0, span));
+    for (const std::uint64_t split :
+         {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{1'001},
+          std::uint64_t{12'345}, std::uint64_t{33'333},
+          span - 1}) {
+        sim::MachineState pieces(cfg);
+        pieces.warm(tr.subspan(0, split));
+        pieces.warm(tr.subspan(split, 0));
+        pieces.warm(tr.subspan(split, span - split));
+        EXPECT_EQ(pieces.stateDigest(), whole.stateDigest())
+            << "split at " << split;
+    }
 }
 
 /** The digest must see every component of the machine state. */

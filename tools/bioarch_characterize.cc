@@ -58,8 +58,6 @@ usage(std::ostream &out)
            "                    (default 20000)\n"
            "  --sample-period N distance between window starts\n"
            "                    (default 250000; >= window)\n"
-           "  --sample-warmup N functional-warmup instructions per\n"
-           "                    window (default 50000)\n"
            "\n"
            "design-space sweep:\n"
            "  --sweep           simulate the full width x memory x\n"
@@ -276,8 +274,7 @@ main(int argc, char **argv)
             }
             cfg.bpred.kind = *bp;
         } else if (arg == "--sample-window"
-                   || arg == "--sample-period"
-                   || arg == "--sample-warmup") {
+                   || arg == "--sample-period") {
             // Reject zero / negative / non-numeric up front: a zero
             // window or period would plan no measurement at all,
             // and negative counts are nonsense.
@@ -291,11 +288,8 @@ main(int argc, char **argv)
             if (arg == "--sample-window")
                 sample_cfg.windowInsts =
                     static_cast<std::uint64_t>(n);
-            else if (arg == "--sample-period")
-                sample_cfg.periodInsts =
-                    static_cast<std::uint64_t>(n);
             else
-                sample_cfg.warmupInsts =
+                sample_cfg.periodInsts =
                     static_cast<std::uint64_t>(n);
             sampling = true;
         } else if (arg == "--sweep") {
@@ -387,8 +381,7 @@ main(int argc, char **argv)
     if (sampled) {
         summary.row().add("sampling").add(
             "window " + std::to_string(sample->windowInsts)
-            + " / period " + std::to_string(sample->periodInsts)
-            + " / warmup " + std::to_string(sample->warmupInsts));
+            + " / period " + std::to_string(sample->periodInsts));
         summary.row().add("windows").add(sampled->windows);
         summary.row().add("sampled insts %").add(
             100.0 * sampled->sampledFraction(), 2);
