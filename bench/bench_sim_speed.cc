@@ -13,16 +13,19 @@
  * sampled_speedup and max_*_error keys are what CI gates on
  * (speedup >= 5, error <= 2% IPC), and the per-point table shows
  * where the estimate lands. The sampled arm's period scales per
- * trace (~50 windows each) and it uses every available core —
- * parallel chunk fan-out is the sampler's design point, so on a
- * single-core host the arm degrades to the serial single-chunk
+ * trace (~50 windows each) and it runs max(1, min(8, nproc - 1))
+ * workers: parallel chunk fan-out is the sampler's design point,
+ * and leaving one CPU free keeps the functional walker (the
+ * critical path) from being preempted by its own chunks. On a one-
+ * or two-core host the arm degrades to the serial single-chunk
  * walk and the speedup is bounded by the functional-warming rate
  * (~3x aggregate; see EXPERIMENTS.md for the caveat).
  *
  * The JSON footer carries minst_per_sec (aggregate) plus the Me1
  * and Me4 aggregates so archived BENCH_*.json files track simulator
  * throughput release over release, the sampled-arm speedup/error
- * keys, and per-workload trace memory (trace::Trace::memoryBytes).
+ * keys, and per-workload trace memory (trace::Trace::memoryBytes);
+ * the table's B/inst column is that memory per instruction.
  */
 
 #include <algorithm>
@@ -46,8 +49,9 @@ main()
     const sim::CoreConfig core = sim::core8Way();
     const std::array<sim::MemoryConfig, 2> memories = {
         sim::memoryMe1(), sim::memoryMe4()};
-    const unsigned sample_jobs = std::max(
-        1u, std::min(8u, std::thread::hardware_concurrency()));
+    const unsigned nproc = std::thread::hardware_concurrency();
+    const unsigned sample_jobs =
+        std::max(1u, std::min(8u, nproc > 0 ? nproc - 1 : 0u));
     const std::uint64_t sample_window = 10'000;
     const std::uint64_t sample_target_windows = 50;
     // Per-trace sampled-arm config: ~50 windows of 10k
@@ -79,7 +83,8 @@ main()
               << std::setw(10) << "Minst/s"
               << std::setw(11) << "smpl-ms"
               << std::setw(9) << "speedup"
-              << std::setw(9) << "ipcerr%" << "\n";
+              << std::setw(9) << "ipcerr%"
+              << std::setw(8) << "B/inst" << "\n";
 
     std::vector<double> point_ms;
     std::array<double, 2> mem_insts{};
@@ -93,12 +98,14 @@ main()
     double max_l2_err = 0.0;
     double max_trauma_err = 0.0;
     std::vector<std::pair<std::string, std::uint64_t>> trace_mem;
+    std::vector<std::uint64_t> trace_insts;
 
     const Clock::time_point start = Clock::now();
     for (const kernels::Workload w : kernels::allWorkloads) {
         const trace::Trace &tr = bench::suite().trace(w);
         trace_mem.emplace_back(std::string(kernels::workloadName(w)),
                                tr.memoryBytes());
+        trace_insts.push_back(tr.size());
         for (std::size_t m = 0; m < memories.size(); ++m) {
             sim::SimConfig cfg;
             cfg.core = core;
@@ -149,7 +156,12 @@ main()
                       << std::setw(9)
                       << (sampled_ms <= 0.0 ? 0.0
                                             : ms / sampled_ms)
-                      << std::setw(9) << err.ipcPct << "\n";
+                      << std::setw(9) << err.ipcPct
+                      << std::setw(8)
+                      << static_cast<double>(tr.memoryBytes())
+                          / static_cast<double>(
+                              std::max<std::size_t>(1, tr.size()))
+                      << "\n";
         }
     }
     wall_ms = std::chrono::duration<double, std::milli>(
@@ -169,11 +181,13 @@ main()
     };
     std::ostringstream trace_bytes;
     std::uint64_t trace_bytes_total = 0;
+    std::uint64_t trace_insts_total = 0;
     trace_bytes << "{";
     for (std::size_t i = 0; i < trace_mem.size(); ++i) {
         trace_bytes << (i ? "," : "") << "\"" << trace_mem[i].first
                     << "\":" << trace_mem[i].second;
         trace_bytes_total += trace_mem[i].second;
+        trace_insts_total += trace_insts[i];
     }
     trace_bytes << "}";
     // Effective sampled throughput: the instructions the sampled
@@ -204,7 +218,11 @@ main()
          {"max_l2_error_pct", fmt(max_l2_err)},
          {"max_trauma_share_err_pts", fmt(max_trauma_err)},
          {"trace_bytes", trace_bytes.str()},
-         {"trace_bytes_total", std::to_string(trace_bytes_total)}},
+         {"trace_bytes_total", std::to_string(trace_bytes_total)},
+         {"trace_bytes_per_inst",
+          fmt(static_cast<double>(trace_bytes_total)
+              / static_cast<double>(
+                  std::max<std::uint64_t>(1, trace_insts_total)))}},
         point_ms);
     return 0;
 }

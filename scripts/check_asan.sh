@@ -7,7 +7,10 @@
 # (traceback_test), the served CIGARs across jobs, shards and
 # backends (serve_traceback_test), and the sampled simulator, whose
 # walker moves machine-state snapshots into pool tasks it submits
-# from inside its own task (sim_sample_test). The hardware SIMD
+# from inside its own task (sim_sample_test), and the compact
+# trace: its encoder and decoder (trace_test) and the v2 file
+# reader's validation of untrusted headers, static tables and
+# records (trace_io_test). The hardware SIMD
 # backends are compiled in, so the intrinsic paths run under the
 # sanitizers too. Any out-of-bounds access, leak or undefined
 # behavior fails the run.
@@ -20,7 +23,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DBIOARCH_ASAN=ON \
     -DBIOARCH_NATIVE_SIMD=ON
 cmake --build "$BUILD_DIR" -j --target traceback_test sw_native_test \
-    serve_traceback_test sim_sample_test
+    serve_traceback_test sim_sample_test trace_test trace_io_test
 ctest --test-dir "$BUILD_DIR" \
-    -L 'traceback_test|sw_native_test|serve_traceback_test|sim_sample_test' \
+    -L 'traceback_test|sw_native_test|serve_traceback_test|sim_sample_test|trace_test|trace_io_test' \
     --output-on-failure -j

@@ -1,13 +1,17 @@
 /**
  * @file
- * The dynamic instruction record consumed by the trace-driven
- * simulator.
+ * One dynamic instruction as the trace-driven simulator sees it.
  *
  * A trace instruction carries exactly what Turandot-style simulation
  * needs: the static PC (for I-cache, branch predictor, and BTB
  * indexing), the op class (for functional unit routing and latency),
  * SSA register dependencies (who produced my inputs), the effective
  * memory address for loads/stores, and the branch outcome.
+ *
+ * Inst is the decoded value type. Traces do not store it: a
+ * trace::Trace keeps a per-trace table of static instructions plus
+ * one 12-byte record per dynamic instruction (trace/trace.hh), and
+ * decodes an Inst by value on access.
  */
 
 #ifndef BIOARCH_ISA_INST_HH
@@ -24,24 +28,20 @@ namespace bioarch::isa
  * SSA virtual register id. Each dynamic instruction that produces a
  * value gets a fresh id, so there are no WAW/WAR hazards in the
  * trace (the simulator models physical-register pressure through
- * its in-flight window instead). Id 0 means "no register".
+ * its in-flight window instead). A decoded instruction's id is its
+ * trace index + 1, so a source id names its producer's position.
+ * Id 0 means "no register".
  */
 using RegId = std::uint32_t;
 
 /** Addresses are 32-bit: the traced kernels' working sets are far
- * below 4 GB and halving the record size matters at millions of
- * instructions. */
+ * below 4 GB, and the address is most of a trace record. */
 using Addr = std::uint32_t;
 
 /** Maximum register sources one instruction can name. */
 constexpr int maxSources = 3;
 
-/**
- * One dynamic instruction.
- *
- * Kept packed (32 bytes) because traces run to tens of millions of
- * records.
- */
+/** One dynamic instruction, decoded. */
 struct Inst
 {
     Addr pc = 0;            ///< static word PC (byte address / 4)
@@ -65,8 +65,6 @@ struct Inst
         return static_cast<std::uint64_t>(pc) * 4;
     }
 };
-
-static_assert(sizeof(Inst) <= 32, "trace records must stay compact");
 
 } // namespace bioarch::isa
 

@@ -13,29 +13,25 @@ namespace bioarch::kernels
 TracedRun
 traceWorkload(Workload workload, const TraceInput &input)
 {
-    TracedRun run = [&]() -> TracedRun {
-        switch (workload) {
-          case Workload::Ssearch34:
-            return traceSsearch(input);
-          case Workload::SwVmx128:
-            return traceSwVmx128(input);
-          case Workload::SwVmx256:
-            return traceSwVmx256(input);
-          case Workload::Fasta34:
-            return traceFasta(input);
-          case Workload::Blast:
-            return traceBlast(input);
-          case Workload::Blastn: // served-only, never traced here
-          case Workload::NumWorkloads:
-            break;
-        }
-        throw std::invalid_argument("unknown workload");
-    }();
-    // Tracing over-allocates (the dynamic length is unknown up
-    // front); the trace is immutable from here on, so return the
-    // vector headroom before the run is cached suite-wide.
-    run.trace.shrinkToFit();
-    return run;
+    // Traces are returned as built: their growth headroom was
+    // never touched, so it is not resident, and shrinking it would
+    // copy the whole trace.
+    switch (workload) {
+      case Workload::Ssearch34:
+        return traceSsearch(input);
+      case Workload::SwVmx128:
+        return traceSwVmx128(input);
+      case Workload::SwVmx256:
+        return traceSwVmx256(input);
+      case Workload::Fasta34:
+        return traceFasta(input);
+      case Workload::Blast:
+        return traceBlast(input);
+      case Workload::Blastn: // served-only, never traced here
+      case Workload::NumWorkloads:
+        break;
+    }
+    throw std::invalid_argument("unknown workload");
 }
 
 TracedRun

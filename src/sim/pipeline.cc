@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "core/digest.hh"
@@ -129,29 +131,35 @@ MachineState::warm(const trace::TraceView &window)
     std::visit(
         [&](auto &predictor) {
             using P = std::decay_t<decltype(predictor)>;
-            for (const isa::Inst &inst : window) {
+            const trace::Record *recs = window.records();
+            const trace::StaticInst *statics = window.statics();
+            for (std::size_t i = 0; i < window.size(); ++i) {
+                const trace::Record &rec = recs[i];
+                const trace::StaticInst &st =
+                    statics[rec.staticIndex()];
                 // Line bytes are a power of two (the cache model
                 // indexes by shift), so this stays off the
                 // integer divider — warm() runs this per
                 // instruction and it is the sampler's speed limit.
                 const std::uint64_t line =
-                    inst.byteAddress() >> _il1LineShift;
+                    st.byteAddress() >> _il1LineShift;
                 if (line != last_line) {
-                    _imem.fetch(inst.byteAddress());
+                    _imem.fetch(st.byteAddress());
                     last_line = line;
                 }
-                if (inst.isBranch()) {
-                    if (inst.conditional) {
+                if (st.isBranch()) {
+                    const bool taken = rec.taken();
+                    if (st.conditional) {
                         if constexpr (std::is_same_v<
                                           P, PerfectPredictor>)
-                            predictor.setOutcome(inst.taken);
-                        predictor.predict(inst.pc);
-                        predictor.update(inst.pc, inst.taken);
+                            predictor.setOutcome(taken);
+                        predictor.predict(st.pc);
+                        predictor.update(st.pc, taken);
                     }
-                    if (inst.taken)
-                        _btb.lookup(inst.pc);
-                } else if (inst.isMemory()) {
-                    _dmem.access(inst.addr, inst.isStore());
+                    if (taken)
+                        _btb.lookup(st.pc);
+                } else if (st.isMemory()) {
+                    _dmem.access(rec.addr, st.isStore());
                 }
             }
         },
@@ -338,31 +346,42 @@ struct RegEntry
 /**
  * Direct-mapped SSA producer table. The tag is the full register
  * id, so a hit is always the true producer; the only question is
- * whether an entry survives long enough. Ids are allocated
- * monotonically (at most one per rename), so two ids collide only
- * when they are >= 2^12 renames apart — and in-order rename stalls
- * once the <= 180-entry ROB fills, so a producer always leaves the
- * ROB (issued, waiters drained, ready time final) long before the
- * 4096th younger rename could overwrite its slot (runImpl asserts
- * the >= 8x margin against the configured ROB). Sources old enough
- * to have been evicted retired — hence completed — before their
- * consumer renamed, so a tag miss treated as "ready long ago" is
- * exact and can never carry the max ready time that issue
- * attribution wants. Keeping the table this small matters for
- * speed: destination writes sweep the table cyclically, and at
- * 2^12 x 24 B the whole sweep stays cache-resident instead of
- * evicting itself each revolution.
+ * whether an entry survives long enough. An instruction's id is its
+ * window index + 1, so two ids collide only when they are >= 2^12
+ * instructions apart — and in-order rename stalls once the ROB
+ * fills, so a producer always leaves the ROB (issued, waiters
+ * drained, ready time final) long before the 4096th younger
+ * instruction could overwrite its slot: the Simulator constructor
+ * rejects a ROB above maxRetireQueue, keeping an 8x margin. Sources
+ * old enough to have been evicted retired — hence completed —
+ * before their consumer renamed, so a tag miss treated as "ready
+ * long ago" is exact and can never carry the max ready time that
+ * issue attribution wants. The same argument makes the trace's
+ * dropped sources (farther than trace::maxSourceDistance) exact.
+ * Keeping the table this small matters for speed: destination
+ * writes sweep the table cyclically, and at 2^12 x 24 B the whole
+ * sweep stays cache-resident instead of evicting itself each
+ * revolution.
  */
 constexpr int regTableBits = 12;
 constexpr std::size_t regTableSize = std::size_t{1} << regTableBits;
 constexpr std::size_t regTableMask = regTableSize - 1;
+static_assert(std::size_t{Simulator::maxRetireQueue} * 8 <= regTableSize);
+static_assert(Simulator::maxRetireQueue <= trace::maxSourceDistance);
+
+/** retireInfo bits (see Entry::retireInfo). */
+constexpr std::uint8_t infoRegFile = 0x3;
+constexpr std::uint8_t infoHasDst = 0x4;
+constexpr std::uint8_t infoCondBranch = 0x8;
+constexpr std::uint8_t infoLoad = 0x10;
+constexpr std::uint8_t infoVecLoad = 0x20;
 
 /** One in-flight instruction, packed to one cache line (the ROB
- * ring and the issue scans touch these constantly). */
+ * ring and the issue scans touch these constantly). Rename copies
+ * in everything later stages need from the trace, so no stage
+ * after it reads the trace again. */
 struct alignas(64) Entry
 {
-    const isa::Inst *inst = nullptr;
-    std::uint64_t traceIdx = 0;
     std::uint64_t completeCycle = notReady;
     std::uint64_t enqueueCycle = 0;
     /**
@@ -376,31 +395,36 @@ struct alignas(64) Entry
      * the past.
      */
     std::uint64_t nextTry = 0;
+    /** Latest source-ready cycle and its producer, captured by the
+     * operand scan that set opsReady (the values are final by
+     * then); issue-time trauma attribution reads these instead of
+     * re-walking the register table. */
+    std::uint64_t srcReady = 0;
+    /** Window index (the register id is traceIdx + 1). */
+    std::uint32_t traceIdx = 0;
     /** Next consumer in the producer's waiter list (RegEntry::
      * waiterHead); noLink when not linked. */
     std::uint32_t waiterNext = noLink;
     /** Next entry in this entry's timer-wheel bucket; noLink when
      * not parked on the wheel. */
     std::uint32_t wheelNext = noLink;
-    /** Latest source-ready cycle and its producer, captured by the
-     * operand scan that set opsReady (the values are final by
-     * then); issue-time trauma attribution reads these instead of
-     * re-walking the register table. */
-    std::uint64_t srcReady = 0;
+    isa::Addr addr = 0; ///< effective address (memory ops)
+    /** Source distances (trace::Record::srcDist). */
+    std::uint16_t srcDist[isa::maxSources] = {0, 0, 0};
     enum class St : std::uint8_t { Renamed, Queued, Issued } st =
         St::Renamed;
     FuClass cls = FuClass::Fix;
     FuClass srcProducer = FuClass::Fix;
     bool srcProducerIsLoad = false;
     /**
-     * Immutable per-instruction facts cached at rename, while the
-     * trace line is hot: bits 0-1 the destination's register file,
-     * bit 2 "has a destination", bit 3 "conditional branch", bit 4
-     * "LdSt-class load" (the packed-queue low bit). Retire and the
-     * timer-wheel drain read these instead of chasing `inst` into
-     * the (by then long-evicted) trace array.
+     * Immutable per-instruction facts cached at rename, from the
+     * static table: bits 0-1 the destination's register file, bit 2
+     * "has a destination", bit 3 "conditional branch", bit 4 "load"
+     * (the packed-queue low bit; every load is LdSt-class), bit 5
+     * "vector load" (the info* constants).
      */
     std::uint8_t retireInfo = 0;
+    std::uint8_t accessSize = 0; ///< bytes (memory ops)
     bool mispredicted = false;
     bool storeBlocked = false; ///< was held back by an older store
     /**
@@ -433,6 +457,14 @@ struct IbufEntry
 
 Simulator::Simulator(const SimConfig &config) : _config(config)
 {
+    // The register table and the trace's dropped far sources are
+    // exact only for a ROB this small (see regTableSize).
+    if (config.core.retireQueue < 1
+        || config.core.retireQueue > maxRetireQueue)
+        throw std::invalid_argument(
+            "retireQueue must be in [1, "
+            + std::to_string(maxRetireQueue) + "], got "
+            + std::to_string(config.core.retireQueue));
 }
 
 SimStats
@@ -523,9 +555,12 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
         return regs[id & regTableMask];
     };
 
+    // The constructor bounds this (see the register-table comment).
     const int rob_cap = core.retireQueue;
-    // Register-table pinning safety margin (see RegEntry comment).
-    assert(static_cast<std::size_t>(rob_cap) * 8 <= regTableSize);
+    // Rename copies what later stages need into the Entry; fetch and
+    // rename read the records and the (L1-resident) static table.
+    const trace::Record *const recs = tr.records();
+    const trace::StaticInst *const statics = tr.statics();
     // The decode pipe's stage latches hold instructions in
     // addition to the ibuffer proper.
     const int fe_capacity =
@@ -700,9 +735,9 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
         while (retired < core.retireWidth && !rob.empty()
                && rob.front().completed(now)) {
             const std::uint8_t info = rob.front().retireInfo;
-            if (info & 0x4u)
-                ++free_regs[info & 0x3u];
-            if (info & 0x8u)
+            if (info & infoHasDst)
+                ++free_regs[info & infoRegFile];
+            if (info & infoCondBranch)
                 --unresolved_branches;
             rob.pop_front();
             ++retired;
@@ -759,7 +794,7 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                             queues[static_cast<std::size_t>(e.cls)];
                         const std::uint32_t packed =
                             (static_cast<std::uint32_t>(ti) << 1)
-                            | ((e.retireInfo >> 4) & 1u);
+                            | ((e.retireInfo & infoLoad) ? 1u : 0u);
                         q.insert(
                             std::lower_bound(q.begin(), q.end(),
                                              packed),
@@ -854,9 +889,13 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                     std::uint64_t max_ready = 0;
                     FuClass prod = FuClass::Fix;
                     bool prod_load = false;
-                    for (const isa::RegId src : e.inst->src) {
-                        if (src == 0)
+                    for (const std::uint16_t dist : e.srcDist) {
+                        // 0 = no source; a distance past the window
+                        // start names a producer this run never
+                        // renamed, which reads as ready.
+                        if (dist == 0 || dist > e.traceIdx)
                             continue;
+                        const isa::RegId src = e.traceIdx + 1u - dist;
                         RegEntry &re = reg_lookup(src);
                         if (re.tag != src)
                             continue;
@@ -891,8 +930,8 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                 if constexpr (is_mem.value) {
                     const bool is_load = (packed & 1u) != 0;
                     if (issue_now && is_load) {
-                        const std::uint64_t lo = e.inst->addr;
-                        const std::uint64_t hi = lo + e.inst->size;
+                        const std::uint64_t lo = e.addr;
+                        const std::uint64_t hi = lo + e.accessSize;
                         // Exact walk only when the load intersects
                         // the conservative live-store range.
                         if (lo < store_hi && hi > store_lo) {
@@ -927,8 +966,7 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                     // A penalized (double-pumped) wide vector load
                     // also occupies the permute network for its
                     // merge, like Altivec's load-alignment path.
-                    if (issue_now
-                        && e.inst->cls == isa::OpClass::VecLoad
+                    if (issue_now && (e.retireInfo & infoVecLoad)
                         && _config.memory.wideVectorLoadPenalty > 0
                         && avail[static_cast<std::size_t>(
                                FuClass::VPer)] == 0)
@@ -979,17 +1017,18 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                 std::uint64_t latency =
                     op_latency[static_cast<std::size_t>(c)];
                 if constexpr (is_mem.value) {
-                    if (e.inst->cls == isa::OpClass::VecLoad
+                    if ((e.retireInfo & infoVecLoad)
                         && _config.memory.wideVectorLoadPenalty > 0)
                         --avail[static_cast<std::size_t>(
                             FuClass::VPer)];
-                    const MemAccess acc = dmem.access(
-                        e.inst->addr, e.inst->isStore());
+                    // LdSt-class: not a load means a store.
+                    const MemAccess acc =
+                        dmem.access(e.addr, (packed & 1u) == 0);
                     if ((packed & 1u) != 0) {
                         --load_ports;
                         latency = static_cast<std::uint64_t>(
                             acc.latency);
-                        if (e.inst->cls == isa::OpClass::VecLoad)
+                        if (e.retireInfo & infoVecLoad)
                             latency += static_cast<std::uint64_t>(
                                 _config.memory
                                     .wideVectorLoadPenalty);
@@ -1028,12 +1067,13 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                 assert(latency < wheelSize);
                 ++comp_wheel[e.completeCycle & wheelMask];
                 ++comp_pending;
-                if (e.inst->dst != 0) {
-                    RegEntry &re = reg_lookup(e.inst->dst);
-                    re.tag = e.inst->dst;
+                if (e.retireInfo & infoHasDst) {
+                    const isa::RegId dst = e.traceIdx + 1u;
+                    RegEntry &re = reg_lookup(dst);
+                    re.tag = dst;
                     re.ready = e.completeCycle;
                     re.producer = e.cls;
-                    re.producerIsLoad = e.inst->isLoad();
+                    re.producerIsLoad = (e.retireInfo & infoLoad) != 0;
                     // Wake the consumers parked on this producer:
                     // they could not issue before now, and from now
                     // on this completion time bounds them.
@@ -1086,23 +1126,21 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                 break; // in-order dispatch: younger ops wait too
             queue.push_back(
                 (static_cast<std::uint32_t>(e.traceIdx) << 1)
-                | ((e.retireInfo >> 4) & 1u));
+                | ((e.retireInfo & infoLoad) ? 1u : 0u));
             ++queue_count[static_cast<std::size_t>(e.cls)];
             e.st = Entry::St::Queued;
             e.enqueueCycle = now;
             dispatched_any = true;
             // The issue scan walks the sources against the
             // register table no earlier than next cycle; start
-            // those (L2-resident) lines toward L1 now, while the
-            // instruction's trace line is still warm from rename.
-            for (const isa::RegId src : e.inst->src)
-                if (src != 0)
-                    __builtin_prefetch(&regs[src & regTableMask]);
-            if (e.inst->isStore()) {
-                const std::uint64_t lo = e.inst->addr;
-                const std::uint64_t hi =
-                    static_cast<std::uint64_t>(e.inst->addr)
-                    + e.inst->size;
+            // those (L2-resident) lines toward L1 now.
+            for (const std::uint16_t dist : e.srcDist)
+                if (dist != 0 && dist <= e.traceIdx)
+                    __builtin_prefetch(
+                        &regs[(e.traceIdx + 1u - dist) & regTableMask]);
+            if (e.cls == FuClass::LdSt && !(e.retireInfo & infoLoad)) {
+                const std::uint64_t lo = e.addr;
+                const std::uint64_t hi = lo + e.accessSize;
                 store_queue.push_back(StoreRec{e.traceIdx, lo, hi});
                 store_lo = std::min(store_lo, lo);
                 store_hi = std::max(store_hi, hi);
@@ -1117,42 +1155,44 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                 break;
             if (ibuffer.front().readyAt > now)
                 break; // still in the decode pipe
-            const std::uint64_t ti = ibuffer.front().traceIdx;
-            const isa::Inst &inst = tr[ti];
-            if (inst.dst != 0) {
-                int &avail_regs = free_regs[regFileTable[
-                    static_cast<std::size_t>(inst.cls)]];
+            const std::uint32_t ti = ibuffer.front().traceIdx;
+            const trace::Record &rec = recs[ti];
+            const trace::StaticInst &st = statics[rec.staticIndex()];
+            const std::size_t cls = static_cast<std::size_t>(st.cls);
+            if (st.produces) {
+                int &avail_regs = free_regs[regFileTable[cls]];
                 if (avail_regs <= 0)
                     break; // physical registers exhausted
                 --avail_regs;
             }
 
             Entry &e = rob.emplace_back();
-            e.inst = &inst;
             e.traceIdx = ti;
-            e.cls = fuClassTable[static_cast<std::size_t>(
-                inst.cls)];
+            e.addr = rec.addr;
+            std::copy(std::begin(rec.srcDist), std::end(rec.srcDist),
+                      e.srcDist);
+            e.accessSize = st.size;
+            e.cls = fuClassTable[cls];
             e.mispredicted = ibuffer.front().mispred;
             e.retireInfo = static_cast<std::uint8_t>(
-                (inst.dst != 0
-                     ? 0x4u
-                         | regFileTable[static_cast<std::size_t>(
-                             inst.cls)]
-                     : 0u)
-                | (inst.isBranch() && inst.conditional ? 0x8u : 0u)
-                | (e.cls == FuClass::LdSt && inst.isLoad() ? 0x10u
-                                                           : 0u));
-            if (inst.dst != 0) {
+                (st.produces ? infoHasDst | regFileTable[cls] : 0u)
+                | (st.isBranch() && st.conditional ? infoCondBranch
+                                                   : 0u)
+                | (st.isLoad() ? infoLoad : 0u)
+                | (st.cls == isa::OpClass::VecLoad ? infoVecLoad
+                                                   : 0u));
+            if (st.produces) {
                 // Mark the destination pending so consumers wait
                 // until the producer actually issues. Any previous
                 // tenant of this slot drained its waiters when it
                 // issued, so the list starts empty.
-                RegEntry &re = reg_lookup(inst.dst);
-                re.tag = inst.dst;
+                const isa::RegId dst = ti + 1u;
+                RegEntry &re = reg_lookup(dst);
+                re.tag = dst;
                 re.ready = notReady;
                 re.waiterHead = noLink;
                 re.producer = e.cls;
-                re.producerIsLoad = inst.isLoad();
+                re.producerIsLoad = st.isLoad();
             }
             ibuffer.pop_front();
             renamed_any = true;
@@ -1165,16 +1205,19 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
             while (fetched < core.fetchWidth
                    && static_cast<int>(ibuffer.size()) < fe_capacity
                    && next_fetch < total) {
-                const isa::Inst &inst = tr[next_fetch];
+                const trace::Record &rec = recs[next_fetch];
+                const trace::StaticInst &st =
+                    statics[rec.staticIndex()];
+                const bool taken = rec.taken();
 
                 // I-cache: access once per new line.
                 const std::uint64_t line = il1_line_shift >= 0
-                    ? inst.byteAddress() >> il1_line_shift
-                    : inst.byteAddress()
+                    ? st.byteAddress() >> il1_line_shift
+                    : st.byteAddress()
                         / static_cast<unsigned>(il1_line);
                 if (line != last_fetch_line) {
                     const MemAccess acc =
-                        imem.fetch(inst.byteAddress());
+                        imem.fetch(st.byteAddress());
                     last_fetch_line = line;
                     imem_accessed = true;
                     if (acc.level != MemLevel::L1
@@ -1201,28 +1244,27 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                 }
 
                 bool mispred = false;
-                if (inst.isBranch()) {
+                if (st.isBranch()) {
                     if (unresolved_branches
                         >= bp.maxPredictedBranches) {
                         front_end_reason = Trauma::IfBrch;
                         break;
                     }
-                    if (inst.conditional) {
+                    if (st.conditional) {
                         // Direct (devirtualized) calls: Predictor
                         // is a concrete final type.
                         if constexpr (std::is_same_v<
                                           Predictor,
                                           PerfectPredictor>)
-                            predictor.setOutcome(inst.taken);
-                        const bool pred =
-                            predictor.predict(inst.pc);
-                        predictor.update(inst.pc, inst.taken);
+                            predictor.setOutcome(taken);
+                        const bool pred = predictor.predict(st.pc);
+                        predictor.update(st.pc, taken);
                         ++branch_predictions;
-                        mispred = pred != inst.taken;
+                        mispred = pred != taken;
                         branch_mispredictions += mispred;
                         ++unresolved_branches;
                     }
-                    if (inst.taken && !btb.lookup(inst.pc)) {
+                    if (taken && !btb.lookup(st.pc)) {
                         fetch_stall_until = now
                             + static_cast<std::uint64_t>(
                                 bp.nfaMissPenalty);
@@ -1245,7 +1287,7 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
                     front_end_reason = Trauma::IfPred;
                     break;
                 }
-                if (inst.isBranch() && inst.taken)
+                if (st.isBranch() && taken)
                     break; // fetch group ends at a taken branch
             }
         } else if (fetch_blocked_mispred) {

@@ -197,6 +197,16 @@ class MachineState
 class Simulator
 {
   public:
+    /**
+     * Largest retire queue (ROB) the model accepts. The register
+     * table's exactness and the trace's dropped far sources both
+     * rely on a producer leaving the ROB within a few thousand
+     * younger instructions (pipeline.cc, register-table comment).
+     */
+    static constexpr int maxRetireQueue = 512;
+
+    /** @throws std::invalid_argument if config.core.retireQueue is
+     * outside [1, maxRetireQueue]. */
     explicit Simulator(const SimConfig &config);
 
     /** Simulate @p trace to completion and return the statistics. */

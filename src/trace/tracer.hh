@@ -14,7 +14,8 @@
  *     see real static instructions;
  *   - a fresh SSA register per produced value, with explicit source
  *     dependencies, so the out-of-order core sees the real
- *     dependency chains;
+ *     dependency chains (the register id is the producer's trace
+ *     index + 1, so a source is stored as a distance back);
  *   - effective addresses from a kernel-managed arena, so the cache
  *     hierarchy sees the real data layout and access pattern;
  *   - actual branch outcomes from the genuine computation, so
@@ -38,9 +39,10 @@ namespace bioarch::trace
 {
 
 /**
- * Handle for a value produced by a traced instruction. A
- * default-constructed Reg means "no dependency" (e.g. an immediate
- * or a value that has long been architecturally stable).
+ * Handle for a value produced by a traced instruction: the
+ * producer's trace index + 1. A default-constructed Reg means "no
+ * dependency" (e.g. an immediate or a value that has long been
+ * architecturally stable).
  */
 struct Reg
 {
@@ -52,7 +54,9 @@ struct Reg
 using Deps = std::initializer_list<Reg>;
 
 /**
- * Trace builder. One Tracer per traced kernel execution.
+ * Trace builder. One Tracer per traced kernel execution. Each
+ * emission interns its static tuple (pc, class, size, conditional,
+ * produces) in the trace's static table and appends one Record.
  */
 class Tracer
 {
@@ -136,7 +140,7 @@ class Tracer
 
     // ---- results ------------------------------------------------
 
-    std::size_t size() const { return _trace.size(); }
+    std::size_t size() const { return _records.size(); }
 
     /** Finalize and take the trace (Tracer is then empty). */
     Trace take();
@@ -145,17 +149,40 @@ class Tracer
     static constexpr isa::Addr arenaBase = 0x10000000;
 
   private:
-    isa::Addr sitePc(const std::source_location &site);
-    Reg emit(isa::OpClass cls, Deps srcs,
-             const std::source_location &site, bool produces,
-             isa::Addr addr = 0, unsigned size = 0);
+    /** What one emission records besides its sources. */
+    struct Op
+    {
+        isa::OpClass cls = isa::OpClass::Other;
+        bool produces = false;
+        isa::Addr addr = 0;
+        unsigned size = 0;
+        bool conditional = false;
+        bool taken = false;
+        Reg value{}; ///< stored value, the first source of a store
+    };
 
-    Trace _trace;
-    isa::RegId _nextReg = 1;
+    /** A call site's PC and the static entry it used last. */
+    struct Site
+    {
+        isa::Addr pc = 0;
+        std::uint32_t staticIndex = noStatic;
+    };
+    static constexpr std::uint32_t noStatic = ~std::uint32_t{0};
+
+    std::uint16_t staticIndex(const std::source_location &site,
+                              const Op &op);
+    Reg emit(const Op &op, Deps srcs,
+             const std::source_location &site);
+
+    std::string _name;
+    std::vector<StaticInst> _statics;
+    std::vector<Record> _records;
     isa::Addr _nextPc = 0x1000; // word PC; code starts at 16 KB
     isa::Addr _arenaTop = arenaBase;
-    /** (file, line/column) -> static PC. */
-    std::unordered_map<std::uint64_t, isa::Addr> _sites;
+    /** (file, line/column) -> static PC and last static entry. */
+    std::unordered_map<std::uint64_t, Site> _sites;
+    /** Full static tuple -> static-table index. */
+    std::unordered_map<std::uint64_t, std::uint16_t> _interned;
     std::vector<std::pair<std::string, std::size_t>> _allocs;
 };
 

@@ -16,6 +16,7 @@
 #include "align/smith_waterman.hh"
 #include "align/ssearch.hh"
 #include "bio/scoring.hh"
+#include "core/digest.hh"
 #include "kernels/factory.hh"
 #include "trace/trace.hh"
 
@@ -266,6 +267,64 @@ TEST(TracedRuns, WorkingSetsMatchApplicationCharacter)
         return lines.size();
     };
     EXPECT_GT(distinct_lines(blast), distinct_lines(ssearch));
+}
+
+/**
+ * The compact trace decodes to exactly what the former 28-byte
+ * instruction encoding held. The pinned digests were computed from
+ * that encoding (before traces were stored as static table + 12-byte
+ * records) over every instruction's pc, class, size, taken,
+ * conditional, address, "has a destination", and each source as
+ * its distance back to the producer — with a source farther than
+ * trace::maxSourceDistance counted as none, the one thing the
+ * compact encoding drops (and the simulator cannot observe).
+ */
+TEST(CompactTrace, TwinsDecodeToTheFullEncoding)
+{
+    struct Pin
+    {
+        Workload workload;
+        std::size_t instructions;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {Workload::Ssearch34, 2044300, 0x5e8eb987a934299cULL},
+        {Workload::SwVmx128, 443670, 0x565d4e9da13eab0cULL},
+        {Workload::SwVmx256, 396728, 0x4a797f4adaf785faULL},
+        {Workload::Fasta34, 283302, 0xa1f78fc8d6ecb9a0ULL},
+        {Workload::Blast, 186417, 0x749f428d394d04adULL},
+    };
+    TraceSpec spec;
+    spec.dbSequences = 2;
+    const TraceInput input = kernels::makeTraceInput(spec);
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(kernels::workloadName(pin.workload));
+        const trace::Trace tr =
+            kernels::traceWorkload(pin.workload, input).trace;
+        ASSERT_EQ(tr.size(), pin.instructions);
+        EXPECT_LE(tr.memoryBytes(), tr.size() * 121 / 10);
+        core::Fnv1a fnv;
+        std::uint64_t i = 0;
+        for (const isa::Inst &inst : tr) {
+            const std::uint64_t id = i + 1;
+            ASSERT_EQ(inst.dst == 0 ? 0 : id, inst.dst);
+            fnv.update64(inst.pc);
+            fnv.update64(static_cast<std::uint64_t>(inst.cls));
+            fnv.update64(inst.size);
+            fnv.update64(inst.taken);
+            fnv.update64(inst.conditional);
+            fnv.update64(inst.addr);
+            fnv.update64(inst.dst != 0);
+            for (const isa::RegId src : inst.src) {
+                ASSERT_LT(src, id);
+                const std::uint64_t dist = src == 0 ? 0 : id - src;
+                ASSERT_LE(dist, trace::maxSourceDistance);
+                fnv.update64(dist);
+            }
+            ++i;
+        }
+        EXPECT_EQ(fnv.digest(), pin.digest);
+    }
 }
 
 } // namespace

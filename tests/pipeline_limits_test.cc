@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/pipeline.hh"
 #include "trace/tracer.hh"
 
@@ -222,6 +224,63 @@ TEST(PipelineLimits, RetireWidthCapsIpc)
     const double ipc = sim::Simulator(cfg).run(tr).ipc();
     EXPECT_LE(ipc, 2.01);
     EXPECT_GT(ipc, 1.8);
+}
+
+TEST(PipelineLimits, RetireQueueOutsideOneTo512IsRejected)
+{
+    // The register table is exact, and the trace may drop far
+    // sources, only while a producer leaves the ROB within a few
+    // thousand younger instructions; the bound is a real check.
+    SimConfig cfg = idealMemoryConfig();
+    for (const int bad : {0, -1, sim::Simulator::maxRetireQueue + 1}) {
+        cfg.core.retireQueue = bad;
+        EXPECT_THROW(sim::Simulator{cfg}, std::invalid_argument) << bad;
+    }
+    Tracer t("rob");
+    Reg r = t.alu();
+    for (int i = 0; i < 200; ++i)
+        r = t.alu({r});
+    const trace::Trace tr = t.take();
+    for (const int ok : {1, sim::Simulator::maxRetireQueue}) {
+        cfg.core.retireQueue = ok;
+        EXPECT_EQ(sim::Simulator(cfg).run(tr).instructions, tr.size())
+            << ok;
+    }
+}
+
+/** A slow load, @p gap independent ALU ops, then a consumer that
+ * names the load as a source or not. */
+trace::Trace
+distantConsumer(int gap, bool with_source)
+{
+    Tracer t("far");
+    const isa::Addr buf = t.alloc(1u << 20, "buf");
+    const Reg load = t.load(buf + 4096, 4);
+    for (int i = 0; i < gap; ++i)
+        t.alu();
+    const Reg use = t.vcomplex({with_source ? load : Reg{}});
+    for (int i = 0; i < 50; ++i)
+        t.alu({use});
+    return t.take();
+}
+
+TEST(PipelineLimits, SourceOlderThanTheRobIsInvisible)
+{
+    // A producer farther back than the ROB retired before its
+    // consumer renamed, so naming it changes nothing — which is
+    // why the compact trace may store such a source as "none".
+    SimConfig cfg;
+    cfg.memory = sim::memoryMe1(); // the load misses to memory
+    const int far = 4 * cfg.core.retireQueue;
+    EXPECT_EQ(sim::Simulator(cfg).run(distantConsumer(far, true))
+                  .fingerprint(),
+              sim::Simulator(cfg).run(distantConsumer(far, false))
+                  .fingerprint());
+    // Control: inside the ROB the same source does cost cycles.
+    EXPECT_NE(sim::Simulator(cfg).run(distantConsumer(8, true))
+                  .fingerprint(),
+              sim::Simulator(cfg).run(distantConsumer(8, false))
+                  .fingerprint());
 }
 
 } // namespace

@@ -175,14 +175,19 @@ TEST(TraceWindows, SubspanViewsAreZeroCopyAndClamped)
     EXPECT_EQ(mid.size(), 25u);
     EXPECT_EQ(mid.baseIndex(), 50u);
     // Zero-copy: the view aliases the trace's own storage.
-    EXPECT_EQ(&mid[0], &tr[50]);
+    EXPECT_EQ(mid.records(), tr.records().data() + 50);
+    EXPECT_EQ(mid.statics(), tr.statics().data());
+    EXPECT_EQ(mid[0].pc, tr[50].pc);
 
     // Clamping: a window reaching past the end truncates; a window
     // starting past the end is empty.
     EXPECT_EQ(tr.subspan(tr.size() - 10, 100).size(), 10u);
     EXPECT_TRUE(tr.subspan(tr.size() + 5, 1).empty());
 
-    EXPECT_GE(tr.memoryBytes(), tr.size() * sizeof(isa::Inst));
+    // Resident bytes: 12 per record plus the static table.
+    EXPECT_EQ(tr.memoryBytes(),
+              tr.size() * sizeof(trace::Record)
+                  + tr.statics().size() * sizeof(trace::StaticInst));
 }
 
 /** run(trace) and runWindow(full view, cold state) are the same

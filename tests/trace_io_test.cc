@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "kernels/factory.hh"
 #include "trace/trace_io.hh"
@@ -36,6 +39,42 @@ makeSample()
     return t.take();
 }
 
+/** makeSample() serialized, for byte-level corruption. */
+std::string
+sampleBytes()
+{
+    std::stringstream buffer;
+    trace::writeTrace(buffer, makeSample());
+    return buffer.str();
+}
+
+/** Overwrite the @p T at byte @p offset of @p bytes. */
+template <class T>
+void
+poke(std::string &bytes, std::size_t offset, T value)
+{
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+}
+
+// v2 header: magic[8], nameLength u32 @8, staticCount u32 @12,
+// instCount u64 @16; then the name, the static table, the records.
+constexpr std::size_t headerBytes = 24;
+
+/** readTrace() on @p bytes throws a TraceIoError whose message
+ * contains @p needle. */
+void
+expectRejected(const std::string &bytes, const std::string &needle)
+{
+    std::stringstream in(bytes);
+    try {
+        trace::readTrace(in);
+        ADD_FAILURE() << "accepted; expected: " << needle;
+    } catch (const trace::TraceIoError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(TraceIo, RoundTripsThroughStream)
 {
     const trace::Trace original = makeSample();
@@ -51,6 +90,7 @@ TEST(TraceIo, RoundTripsThroughStream)
         EXPECT_EQ(back[i].dst, original[i].dst);
         EXPECT_EQ(back[i].src[0], original[i].src[0]);
         EXPECT_EQ(back[i].src[1], original[i].src[1]);
+        EXPECT_EQ(back[i].src[2], original[i].src[2]);
         EXPECT_EQ(back[i].addr, original[i].addr);
         EXPECT_EQ(back[i].size, original[i].size);
         EXPECT_EQ(back[i].taken, original[i].taken);
@@ -87,6 +127,67 @@ TEST(TraceIo, RejectsTruncatedFile)
     EXPECT_THROW(trace::readTrace(truncated), trace::TraceIoError);
 }
 
+TEST(TraceIo, RejectsStaticIndexOutOfRange)
+{
+    const trace::Trace original = makeSample();
+    std::string bytes = sampleBytes();
+    const std::size_t records = headerBytes + original.name().size()
+        + original.statics().size() * sizeof(trace::StaticInst);
+    // Record 7's info field (static index | taken bit).
+    poke(bytes, records + 7 * sizeof(trace::Record) + 4,
+         static_cast<std::uint16_t>(original.statics().size()));
+    expectRejected(bytes, "static index out of range");
+}
+
+TEST(TraceIo, RejectsImplausibleStaticTableSize)
+{
+    std::string bytes = sampleBytes();
+    poke(bytes, 12,
+         static_cast<std::uint32_t>(trace::maxStaticInsts + 1));
+    expectRejected(bytes, "implausible static table size");
+}
+
+TEST(TraceIo, RejectsInstCountBeyondTheStream)
+{
+    // A count the bytes cannot hold is refused from the header,
+    // before the reader allocates for it.
+    std::string bytes = sampleBytes();
+    poke(bytes, 16, std::uint64_t{1} << 60);
+    expectRejected(bytes, "exceeds the bytes");
+    bytes = sampleBytes();
+    poke(bytes, 16, static_cast<std::uint64_t>(makeSample().size() + 1));
+    expectRejected(bytes, "exceeds the bytes");
+}
+
+TEST(TraceIo, RejectsVersion1Files)
+{
+    std::string bytes = sampleBytes();
+    std::memcpy(bytes.data(), "BIOTRC01", 8);
+    expectRejected(bytes, "--save-trace");
+}
+
+TEST(TraceIo, RejectsMalformedStaticEntries)
+{
+    const trace::Trace original = makeSample();
+    std::string bytes = sampleBytes();
+    const std::size_t statics = headerBytes + original.name().size();
+    poke(bytes, statics + 4,
+         static_cast<std::uint8_t>(isa::numOpClasses));
+    expectRejected(bytes, "malformed static instruction");
+}
+
+TEST(TraceIo, RejectsSourcesBeforeTheTraceStart)
+{
+    const trace::Trace original = makeSample();
+    std::string bytes = sampleBytes();
+    const std::size_t records = headerBytes + original.name().size()
+        + original.statics().size() * sizeof(trace::StaticInst);
+    // Record 2 naming a producer 3 instructions back.
+    poke(bytes, records + 2 * sizeof(trace::Record) + 6,
+         std::uint16_t{3});
+    expectRejected(bytes, "before the trace start");
+}
+
 TEST(TraceIo, RejectsMissingFile)
 {
     EXPECT_THROW(
@@ -119,6 +220,11 @@ TEST(TraceIo, WorkloadTraceRoundTripsExactly)
               run.trace.conditionalBranches());
     EXPECT_EQ(back.staticFootprint(),
               run.trace.staticFootprint());
+    EXPECT_EQ(back.statics(), run.trace.statics());
+    EXPECT_EQ(std::memcmp(back.records().data(),
+                          run.trace.records().data(),
+                          run.trace.size() * sizeof(trace::Record)),
+              0);
 }
 
 } // namespace

@@ -148,6 +148,81 @@ TEST(TraceMix, FractionsSumToOne)
     EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
+TEST(CompactTrace, RegisterIdIsTraceIndexPlusOne)
+{
+    Tracer t("t");
+    t.branch(true);
+    const Reg a = t.alu();
+    const Reg b = t.load(0x100, 4, {a});
+    t.store(0x200, 4, b, {a});
+    const trace::Trace tr = t.take();
+    EXPECT_EQ(a.id, 2u);
+    EXPECT_EQ(b.id, 3u);
+    EXPECT_EQ(tr[0].dst, 0u);
+    EXPECT_EQ(tr[1].dst, a.id);
+    EXPECT_EQ(tr[2].dst, b.id);
+    EXPECT_EQ(tr[2].src[0], a.id);
+    // A store's value is its first source, its address deps follow.
+    EXPECT_EQ(tr[3].src[0], b.id);
+    EXPECT_EQ(tr[3].src[1], a.id);
+    EXPECT_EQ(tr[3].dst, 0u);
+    // Stored as distances back to the producer.
+    EXPECT_EQ(tr.records()[3].srcDist[0], 1u);
+    EXPECT_EQ(tr.records()[3].srcDist[1], 2u);
+}
+
+TEST(CompactTrace, StaticTableInternsWholeTuples)
+{
+    // One call site, two access sizes: two static entries at one
+    // PC, and each dynamic instance decodes its own size.
+    Tracer t("t");
+    for (int i = 0; i < 6; ++i)
+        t.load(0x100, i % 2 == 0 ? 4 : 8);
+    const trace::Trace tr = t.take();
+    ASSERT_EQ(tr.statics().size(), 2u);
+    EXPECT_EQ(tr.statics()[0].pc, tr.statics()[1].pc);
+    for (std::size_t i = 0; i < tr.size(); ++i)
+        EXPECT_EQ(tr[i].size, i % 2 == 0 ? 4 : 8);
+    EXPECT_EQ(tr.staticFootprint(), 1u);
+    EXPECT_EQ(tr.memoryBytes(),
+              6 * sizeof(trace::Record) + 2 * sizeof(trace::StaticInst));
+    EXPECT_EQ(sizeof(trace::Record), 12u);
+}
+
+TEST(CompactTrace, SourcesBeyondMaxDistanceDecodeAsNone)
+{
+    Tracer t("t");
+    const Reg far = t.alu();
+    const Reg edge = t.alu();
+    for (std::uint64_t i = 0; i + 1 < trace::maxSourceDistance; ++i)
+        t.alu();
+    // edge is exactly maxSourceDistance back, far one more.
+    t.alu({far, edge});
+    const trace::Trace tr = t.take();
+    const isa::Inst last = tr[tr.size() - 1];
+    EXPECT_EQ(last.src[0], 0u);
+    EXPECT_EQ(last.src[1], edge.id);
+    EXPECT_EQ(tr.records().back().srcDist[1],
+              trace::maxSourceDistance);
+}
+
+TEST(CompactTrace, ViewsDecodeTraceGlobalIds)
+{
+    Tracer t("t");
+    Reg r = t.alu();
+    for (int i = 0; i < 20; ++i)
+        r = t.alu({r});
+    const trace::Trace tr = t.take();
+    const trace::TraceView mid = tr.subspan(10, 5);
+    std::size_t i = 0;
+    for (const isa::Inst &inst : mid) {
+        EXPECT_EQ(inst.dst, tr[10 + i].dst);
+        EXPECT_EQ(inst.src[0], tr[10 + i].src[0]);
+        ++i;
+    }
+    EXPECT_EQ(i, 5u);
+}
+
 TEST(OpClass, NamesMatchPaperLegend)
 {
     EXPECT_EQ(isa::opClassName(isa::OpClass::IntAlu), "ialu");
