@@ -10,7 +10,10 @@
 # from inside its own task (sim_sample_test), and the compact
 # trace: its encoder and decoder (trace_test) and the v2 file
 # reader's validation of untrusted headers, static tables and
-# records (trace_io_test). The hardware SIMD
+# records (trace_io_test), and the serving engine's one entry
+# point, serveBatch, with its cache lookup / miss batch / stitch
+# path and the ServeLoop that drives it (serve_test, router_test).
+# The hardware SIMD
 # backends are compiled in, so the intrinsic paths run under the
 # sanitizers too. Any out-of-bounds access, leak or undefined
 # behavior fails the run.
@@ -23,7 +26,8 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DBIOARCH_ASAN=ON \
     -DBIOARCH_NATIVE_SIMD=ON
 cmake --build "$BUILD_DIR" -j --target traceback_test sw_native_test \
-    serve_traceback_test sim_sample_test trace_test trace_io_test
+    serve_traceback_test sim_sample_test trace_test trace_io_test \
+    serve_test router_test
 ctest --test-dir "$BUILD_DIR" \
-    -L 'traceback_test|sw_native_test|serve_traceback_test|sim_sample_test|trace_test|trace_io_test' \
+    -L 'traceback_test|sw_native_test|serve_traceback_test|sim_sample_test|trace_test|trace_io_test|serve_test|router_test' \
     --output-on-failure -j

@@ -1,7 +1,8 @@
 /**
  * @file
- * Quantile/percentile helpers shared by the serving engine's latency
- * accounting (src/serve/latency.hh) and the bench harnesses' JSON
+ * Quantile/percentile helpers shared by the metric histograms
+ * (src/obs/metrics.hh), bioarch-serve's reports and the bench
+ * harnesses' JSON
  * footers (bench/bench_common.hh), so both report the same numbers
  * for the same samples instead of carrying two ad-hoc
  * implementations.

@@ -24,28 +24,6 @@ Histogram::bucketBounds()
     return bounds;
 }
 
-Histogram::Histogram(const Histogram &other)
-{
-    std::lock_guard lock(other._mutex);
-    _samples = other._samples;
-    _sum = other._sum;
-    _max = other._max;
-    _counts = other._counts;
-}
-
-Histogram &
-Histogram::operator=(const Histogram &other)
-{
-    if (this == &other)
-        return *this;
-    std::scoped_lock lock(_mutex, other._mutex);
-    _samples = other._samples;
-    _sum = other._sum;
-    _max = other._max;
-    _counts = other._counts;
-    return *this;
-}
-
 int
 Histogram::bucketOf(double v)
 {

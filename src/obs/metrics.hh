@@ -119,11 +119,8 @@ class Histogram
     static int bucketOf(double v);
 
     Histogram() = default;
-    // Copyable so value-type holders (LatencyRecorder inside
-    // StreamReport) stay movable; copies snapshot the source under
-    // its lock and get a fresh mutex.
-    Histogram(const Histogram &other);
-    Histogram &operator=(const Histogram &other);
+    Histogram(const Histogram &) = delete;
+    Histogram &operator=(const Histogram &) = delete;
 
     void record(double v);
 

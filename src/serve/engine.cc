@@ -1,6 +1,5 @@
 #include "engine.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -73,7 +72,6 @@ Engine::Engine(EngineConfig config)
     _mTracebackUs = &m.histogram("serve_traceback_us");
     _mScanUs = &m.histogram("serve_scan_us");
     _mBatchUs = &m.histogram("serve_batch_us");
-    _mLatencyUs = &m.histogram("serve_latency_us");
     _mCacheHitUs = &m.histogram("serve_cache_hit_us");
     refreshPoolMetrics();
 }
@@ -432,32 +430,10 @@ Engine::runBatch(const Request *requests, std::size_t count,
     return out;
 }
 
-Response
-Engine::serve(const Request &request)
-{
-    const WallClock::time_point t0 = WallClock::now();
-    std::vector<Response> batch = runBatch(&request, 1, {});
-    batch.front().serviceUs = elapsedUs(t0, WallClock::now());
-    return std::move(batch.front());
-}
-
-std::vector<Response>
-Engine::serveBatch(const std::vector<Request> &requests)
-{
-    return serveBatchPinned(requests, {}, nullptr);
-}
-
 std::vector<Response>
 Engine::serveBatch(const std::vector<Request> &requests,
-                   const BatchControl &control)
-{
-    return serveBatchPinned(requests, control, nullptr);
-}
-
-std::vector<Response>
-Engine::serveBatchPinned(const std::vector<Request> &requests,
-                         const BatchControl &control,
-                         std::uint64_t *epochOut)
+                   const BatchControl &control,
+                   std::uint64_t *epochOut)
 {
     const std::size_t n = requests.size();
     std::vector<Response> out(n);
@@ -561,43 +537,6 @@ Engine::serveBatchPinned(const std::vector<Request> &requests,
         out[slot] = std::move(resp);
     }
     return out;
-}
-
-StreamReport
-Engine::serveStream(const std::vector<Request> &requests)
-{
-    StreamReport report;
-    report.jobs = _pool.size();
-    report.shards = _cfg.shards;
-    report.batchSize = _cfg.batch;
-    report.responses.reserve(requests.size());
-
-    const WallClock::time_point arrival = WallClock::now();
-    for (std::size_t begin = 0; begin < requests.size();
-         begin += _cfg.batch) {
-        const std::size_t count =
-            std::min(_cfg.batch, requests.size() - begin);
-        const WallClock::time_point dispatch = WallClock::now();
-        std::vector<Response> batch =
-            runBatch(requests.data() + begin, count, {});
-        const WallClock::time_point done = WallClock::now();
-
-        const double queue = elapsedUs(arrival, dispatch);
-        const double service = elapsedUs(dispatch, done);
-        for (Response &r : batch) {
-            r.queueUs = queue;
-            r.serviceUs = service;
-            report.latency.record(r.latencyUs());
-            _mLatencyUs->record(r.latencyUs());
-            report.totalCells += r.cellsComputed;
-            report.cpuMs += (r.scanUs + r.tracebackUs) / 1000.0;
-            report.responses.push_back(std::move(r));
-        }
-        ++report.batches;
-    }
-    report.wallMs =
-        elapsedUs(arrival, WallClock::now()) / 1000.0;
-    return report;
 }
 
 } // namespace bioarch::serve

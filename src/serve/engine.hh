@@ -1,10 +1,12 @@
 /**
  * @file
- * The batched query-serving engine: accepts a stream of alignment
- * requests, groups them into batches, fans (request x shard) scan
- * tasks across a core::ThreadPool, merges per-shard top-K heaps
- * into one ranked hit list per request, and records per-request
- * latency plus engine-level throughput.
+ * The batched query-serving engine: serveBatch(), its one entry
+ * point, takes a batch of alignment requests, fans (request x
+ * shard) scan tasks across a core::ThreadPool, merges per-shard
+ * top-K heaps into one ranked hit list per request, and records
+ * engine-level counters. Queueing, batching a stream and
+ * per-request latency belong to the ServeLoop in front of it
+ * (loop.hh).
  *
  * Determinism contract (asserted by tests/serve_test.cc): the
  * ranked hit list of a request — ids, scores, bit scores, E-values
@@ -41,7 +43,6 @@
 #include "core/thread_pool.hh"
 #include "index/epoch.hh"
 #include "index/seed_index.hh"
-#include "latency.hh"
 #include "obs/metrics.hh"
 #include "request.hh"
 #include "shard.hh"
@@ -80,7 +81,7 @@ struct EngineConfig
     unsigned jobs = core::ThreadPool::defaultJobs();
     /** Database shards scanned as independent tasks. */
     std::size_t shards = 4;
-    /** Requests grouped per batch by serveStream(). */
+    /** Requests per engine call a ServeLoop dispatches (>= 1). */
     std::size_t batch = 8;
     /** Default hits per response (requests may override). */
     std::size_t topK = 10;
@@ -140,43 +141,9 @@ struct EngineConfig
      * Result cache in front of serveBatch (capacityBytes 0, the
      * default, serves every request live). Keys carry the epoch
      * number, so a reload invalidates every entry of the old
-     * database. serve() and serveStream() always scan.
+     * database.
      */
     CacheConfig cache;
-};
-
-/** Engine-level accounting for one served stream. */
-struct StreamReport
-{
-    std::vector<Response> responses; ///< in request order
-    unsigned jobs = 1;
-    std::size_t shards = 1;
-    std::size_t batchSize = 1;
-    std::size_t batches = 0;
-    /** End-to-end wall clock of the stream (ms). */
-    double wallMs = 0.0;
-    /** Serial-equivalent scan work: sum of shard-scan times (ms). */
-    double cpuMs = 0.0;
-    std::uint64_t totalCells = 0;
-    /** Per-request end-to-end latencies. */
-    LatencyRecorder latency;
-
-    double
-    requestsPerSec() const
-    {
-        return wallMs <= 0.0
-            ? 0.0
-            : 1000.0 * static_cast<double>(responses.size())
-                / wallMs;
-    }
-    /** cpuMs / (wallMs * jobs): 1.0 = perfect scan scaling. */
-    double
-    parallelEfficiency() const
-    {
-        return wallMs <= 0.0 || jobs == 0
-            ? 0.0
-            : cpuMs / (wallMs * static_cast<double>(jobs));
-    }
 };
 
 /**
@@ -184,11 +151,10 @@ struct StreamReport
  * engine owns its thread pool, matrix, Karlin parameters and
  * metric handles for its whole life; the database, its shard
  * layout and its seed index form the per-epoch state, which
- * reload() swaps while the engine keeps serving.
- * serve()/serveBatch()/serveStream() are intended to be called
- * from one thread (the pool parallelizes inside a batch; a
- * ServeLoop dispatches from one thread at a time); reload() may be
- * called from any thread meanwhile.
+ * reload() swaps while the engine keeps serving. serveBatch() is
+ * intended to be called from one thread (the pool parallelizes
+ * inside a batch; a ServeLoop dispatches from one thread at a
+ * time); reload() may be called from any thread meanwhile.
  */
 class Engine
 {
@@ -225,54 +191,27 @@ class Engine
     /** The published epoch's layout; valid until the next reload. */
     const ShardedDatabase &sharded() const;
 
-    /** Serve one request (a batch of one). */
-    Response serve(const Request &request);
-
     /**
-     * Serve @p requests as a single batch: all (request, shard)
-     * scans are in flight together. Responses come back in request
-     * order with serviceUs = the batch's wall time (queueUs = 0).
+     * The engine's one entry point: serve @p requests as a single
+     * batch, all (request, shard) scans in flight together.
+     * Responses come back in request order with serviceUs = the
+     * batch's wall time. @p control cancels requests past their
+     * deadline at shard-scan granularity.
+     *
      * With the cache on, a hit comes back fromCache with its own
      * lookup time as serviceUs, and the misses run as one batch
-     * whose wall time is their serviceUs.
+     * whose wall time is their serviceUs. Lookups use the epoch
+     * published at batch start and inserts the one the misses
+     * pinned, so a reload landing mid-batch never files
+     * old-database hits under the new epoch; deadline-truncated
+     * responses are never cached. @p epochOut (may be null)
+     * receives the number of the epoch the misses ran against (the
+     * published one when every request hit the cache).
      */
-    std::vector<Response>
-    serveBatch(const std::vector<Request> &requests);
-
-    /** serveBatch with per-request deadline cancellation. */
     std::vector<Response>
     serveBatch(const std::vector<Request> &requests,
-               const BatchControl &control);
-
-    /**
-     * serveBatch that also reports, via @p epochOut (may be null),
-     * the number of the epoch the misses ran against (the
-     * published one when every request hit the cache). Cache
-     * lookups use the epoch published at batch start and inserts
-     * the pinned one, so a reload landing mid-batch never files
-     * old-database hits under the new epoch. Deadline-truncated
-     * responses are never cached.
-     */
-    std::vector<Response>
-    serveBatchPinned(const std::vector<Request> &requests,
-                     const BatchControl &control,
-                     std::uint64_t *epochOut);
-
-    /** ServeLoop's batch size when LoopConfig::batch is 0. */
-    std::size_t defaultBatch() const
-    {
-        return _cfg.batch;
-    }
-
-    /**
-     * Replay a whole stream: cut it into config().batch-sized
-     * batches, serve them in order, and account per-request
-     * latency as if every request arrived when the stream started
-     * (closed-loop replay: queueUs is the time spent behind
-     * earlier batches).
-     */
-    StreamReport
-    serveStream(const std::vector<Request> &requests);
+               const BatchControl &control = {},
+               std::uint64_t *epochOut = nullptr);
 
     /**
      * The registry this engine reports into (its own, or the one
@@ -282,9 +221,10 @@ class Engine
      * deadline-skips, cells; the native overflow ladder per
      * backend (native_scans_total{backend=...} and friends);
      * mirrored thread-pool tasks/steals. Histograms:
-     * serve_scan_us, serve_batch_us, serve_latency_us,
-     * serve_cache_hit_us; the result cache's serve_cache_* series
-     * (registered with the cache on or off).
+     * serve_scan_us, serve_batch_us, serve_cache_hit_us; the
+     * result cache's serve_cache_* series (registered with the
+     * cache on or off). Per-request latency (serve_latency_us) is
+     * the ServeLoop's.
      */
     obs::Registry &metrics() { return *_metrics; }
     const obs::Registry &metrics() const { return *_metrics; }
@@ -362,7 +302,6 @@ class Engine
     obs::Histogram *_mTracebackUs;
     obs::Histogram *_mScanUs;
     obs::Histogram *_mBatchUs;
-    obs::Histogram *_mLatencyUs;
     obs::Histogram *_mCacheHitUs;
     // Pool counters already seen by refreshPoolMetrics() (obs
     // counters are monotone, so mirroring applies deltas).

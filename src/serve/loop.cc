@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace bioarch::serve
 {
@@ -47,9 +48,7 @@ ServeLoop::ServeLoop(Engine &engine, LoopConfig config,
     if (_cfg.queueCapacity == 0)
         _cfg.queueCapacity = 1;
     if (_cfg.batch == 0)
-        _cfg.batch = _engine->defaultBatch();
-    if (_cfg.batch == 0)
-        _cfg.batch = 1;
+        _cfg.batch = _engine->config().batch;
 
     obs::Registry &m = _engine->metrics();
     _mOffered = &m.counter("loop_offered_total");
@@ -276,8 +275,7 @@ ServeLoop::processBatch(std::vector<Queued> batch)
                 r.status = LoopStatus::Deadline;
                 r.doneUs = dispatched;
                 _mDeadlineExpired->inc();
-                _tenants.at(q.request.tenant)
-                    .mDeadlineExpired->inc();
+                _tenants.at(r.tenant).mDeadlineExpired->inc();
                 --_inFlight;
                 continue;
             }
@@ -291,8 +289,8 @@ ServeLoop::processBatch(std::vector<Queued> batch)
     std::vector<double> deadlines;
     requests.reserve(run.size());
     deadlines.reserve(run.size());
-    for (const Queued &q : run) {
-        requests.push_back(q.request);
+    for (Queued &q : run) {
+        requests.push_back(std::move(q.request));
         deadlines.push_back(q.deadlineUs);
     }
     BatchControl control;
@@ -312,8 +310,7 @@ ServeLoop::processBatch(std::vector<Queued> batch)
             : 0.75 * _ewmaServiceUs + 0.25 * per_request;
         for (std::size_t i = 0; i < run.size(); ++i) {
             LoopResult &r = _results[run[i].ticket];
-            TenantState &t =
-                _tenants.at(run[i].request.tenant);
+            TenantState &t = _tenants.at(r.tenant);
             r.doneUs = done;
             r.response = std::move(responses[i]);
             // A miss is a miss whether the engine cancelled shard

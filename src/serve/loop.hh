@@ -1,9 +1,12 @@
 /**
  * @file
- * The online serving loop in front of serve::Engine: the request
- * lifecycle layer that turns the closed-loop batch runner into a
- * service with admission control, deadlines, load shedding, and
- * graceful shutdown.
+ * The serving loop in front of serve::Engine: the request
+ * lifecycle layer that turns the engine's one entry point
+ * (Engine::serveBatch) into a service with admission control,
+ * deadlines, load shedding, and graceful shutdown. bioarch-serve
+ * reaches the engine only through it: the open loop with the
+ * dispatcher thread, the closed-loop replay by queueing the whole
+ * stream and pumping it (pumpAll) in FIFO batches.
  *
  * Lifecycle of one request:
  *

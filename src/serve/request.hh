@@ -73,8 +73,6 @@ struct Response
      * scanned-residue budget).
      */
     std::uint64_t residuesScanned = 0;
-    /** Time the request spent queued behind earlier batches (us). */
-    double queueUs = 0.0;
     /** Wall time of the batch that served the request (us). */
     double serviceUs = 0.0;
     /** Serial-equivalent scan work of this request's shards (us). */
@@ -115,9 +113,6 @@ struct Response
     {
         return shardsSkipped > 0 || tracebacksSkipped > 0;
     }
-
-    /** End-to-end latency: arrival to ranked hit list (us). */
-    double latencyUs() const { return queueUs + serviceUs; }
 };
 
 /**

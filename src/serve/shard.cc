@@ -48,14 +48,30 @@ scanShard(const PreparedQuery &query,
     const double m = static_cast<double>(query.query().length());
     const std::vector<std::uint64_t> &offsets = db.packedOffsets();
 
-    // Indexed BLAST route: the engine probed the seed index once
-    // for this request; align only the candidates that fall in
-    // this shard. The candidate set provably contains every
-    // sequence blastScan would score above 0 (see
-    // index/seed_index.hh), so the heap sees exactly the hits a
-    // full scan would feed it and the ranked list is bit-identical.
-    const bool indexed = route.indexCandidates != nullptr;
-    if (indexed) {
+    // Every route below yields (db index, local score) here, the
+    // one place a score becomes a candidate hit. The heap's order
+    // is total, so the ranked list never depends on the order a
+    // route feeds it.
+    const auto feed = [&heap](std::size_t idx,
+                              const align::LocalScore &ls) {
+        if (ls.score <= 0)
+            return;
+        align::SearchHit hit;
+        hit.dbIndex = idx;
+        hit.score = ls.score;
+        hit.queryEnd = ls.queryEnd;
+        hit.subjectEnd = ls.subjectEnd;
+        heap.consider(hit);
+    };
+
+    if (route.indexCandidates != nullptr) {
+        // Indexed BLAST route: the engine probed the seed index
+        // once for this request; align only the candidates that
+        // fall in this shard. The candidate set provably contains
+        // every sequence blastScan would score above 0 (see
+        // index/seed_index.hh), so the heap sees exactly the hits
+        // a full scan would feed it and the ranked list is
+        // bit-identical.
         const std::vector<std::uint32_t> &cand =
             *route.indexCandidates;
         const auto lo = std::lower_bound(
@@ -67,36 +83,19 @@ scanShard(const PreparedQuery &query,
         out.prefilterSkipped = lo == hi;
         for (auto it = lo; it != hi; ++it) {
             const std::size_t idx = *it;
-            const align::LocalScore ls =
-                query.scan(db[idx], &out.cells, &out.native);
+            feed(idx, query.scan(db[idx], &out.cells, &out.native));
             ++out.sequences;
             out.residues += offsets[idx + 1] - offsets[idx];
-            if (ls.score <= 0)
-                continue;
-            align::SearchHit hit;
-            hit.dbIndex = idx;
-            hit.score = ls.score;
-            hit.queryEnd = ls.queryEnd;
-            hit.subjectEnd = ls.subjectEnd;
-            heap.consider(hit);
         }
-    }
-
-    // Native Smith-Waterman scans walk the database's packed
-    // residue arena (one contiguous stream per shard); the
-    // heuristics keep taking the Sequence path.
-    const bool packed = !indexed && query.usesNativeScan();
-    if (!indexed)
+    } else if (query.usesNativeScan()) {
+        // Native Smith-Waterman scans walk the database's packed
+        // residue arena (one contiguous stream per shard). Kernel
+        // choice per subject: lengths under the cutover go to the
+        // inter-sequence kernel (one subject per lane), the rest
+        // through the striped kernel. Scores land in a per-subject
+        // slot and are fed in ascending db index afterwards, so
+        // the lane schedule never shows in the hit list.
         out.residues = shard.residues;
-
-    if (packed) {
-        // Kernel choice per subject: lengths under the cutover go
-        // to the inter-sequence kernel (one subject per lane), the
-        // rest through the striped kernel. Whatever the batching
-        // does internally, scores land in a per-subject slot and
-        // the heap is fed in ascending db index afterwards, so the
-        // hit list's total order is a pure function of (query,
-        // shard) — never of the lane schedule.
         const bio::Residue *arena = db.packedResidues();
         const std::size_t n_subjects = shard.end - shard.begin;
         std::vector<align::LocalScore> scores(n_subjects);
@@ -142,33 +141,18 @@ scanShard(const PreparedQuery &query,
             for (std::size_t k = 0; k < batch.size(); ++k)
                 scores[batch_slot[k]] = batch_scores[k];
         }
-        out.sequences += n_subjects;
-        for (std::size_t slot = 0; slot < n_subjects; ++slot) {
-            const align::LocalScore &ls = scores[slot];
-            if (ls.score <= 0)
-                continue;
-            align::SearchHit hit;
-            hit.dbIndex = shard.begin + slot;
-            hit.score = ls.score;
-            hit.queryEnd = ls.queryEnd;
-            hit.subjectEnd = ls.subjectEnd;
-            heap.consider(hit);
+        out.sequences = n_subjects;
+        for (std::size_t slot = 0; slot < n_subjects; ++slot)
+            feed(shard.begin + slot, scores[slot]);
+    } else {
+        // The heuristics (FASTA, BLAST, blastn) take the
+        // Sequence path.
+        out.residues = shard.residues;
+        for (std::size_t idx = shard.begin; idx < shard.end;
+             ++idx) {
+            feed(idx, query.scan(db[idx], &out.cells, &out.native));
+            ++out.sequences;
         }
-    }
-
-    for (std::size_t idx = shard.begin;
-         !packed && !indexed && idx < shard.end; ++idx) {
-        const align::LocalScore ls =
-            query.scan(db[idx], &out.cells, &out.native);
-        ++out.sequences;
-        if (ls.score <= 0)
-            continue;
-        align::SearchHit hit;
-        hit.dbIndex = idx;
-        hit.score = ls.score;
-        hit.queryEnd = ls.queryEnd;
-        hit.subjectEnd = ls.subjectEnd;
-        heap.consider(hit);
     }
     // Hit statistics are pure functions of the score, so they can
     // wait until the heap has discarded everything below the top K

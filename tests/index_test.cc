@@ -535,7 +535,7 @@ TEST(IndexedEngine, PrefilterSkipsCountedButNotDeadline)
     ASSERT_GT(expect_skipped, 0u)
         << "workload drifted: every shard has candidates";
 
-    const serve::Response resp = engine.serve(request);
+    const serve::Response resp = engine.serveBatch({request}).front();
     const obs::Registry &m = engine.metrics();
     // A prefilter skip is a complete answer: it lands in
     // serve_shards_skipped_total but never marks the response
@@ -609,7 +609,8 @@ TEST(HotReload, SwapsEpochsMidRunWithoutLosingRequests)
     ref_cfg.jobs = 1;
     ref_cfg.shards = 1;
     serve::Engine reference(db2, ref_cfg);
-    const serve::Response want = reference.serve(requests.back());
+    const serve::Response want =
+        reference.serveBatch({requests.back()}).front();
     const std::vector<serve::LoopResult> &results =
         loop.results();
     ASSERT_FALSE(results.empty());
@@ -644,7 +645,7 @@ TEST(HotReload, ReloadableEngineServesLikePlainEngine)
             reloadable.reload(index::makeEpoch(db, true, 2));
         std::uint64_t pinned = 0;
         const std::vector<serve::Response> got =
-            reloadable.serveBatchPinned(requests, {}, &pinned);
+            reloadable.serveBatch(requests, {}, &pinned);
         EXPECT_EQ(pinned, epoch);
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i)
@@ -716,7 +717,7 @@ TEST(HotReload, ReloadsFromAnotherThreadWhileServing)
             engine.reload(index::makeEpoch(db, e % 2 == 0, e));
     });
     for (std::size_t r = 0; r < rounds.size(); ++r)
-        rounds[r] = engine.serveBatchPinned(requests, {}, &pinned[r]);
+        rounds[r] = engine.serveBatch(requests, {}, &pinned[r]);
     reloader.join();
 
     for (std::size_t r = 0; r < rounds.size(); ++r) {

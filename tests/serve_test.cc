@@ -13,8 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -26,7 +24,6 @@
 #include "serve/clock.hh"
 #include "serve/engine.hh"
 #include "serve/hit_list.hh"
-#include "serve/latency.hh"
 #include "serve/loop.hh"
 #include "serve/shard.hh"
 
@@ -160,11 +157,16 @@ TEST(ServeDeterminism, RankingInvariantAcrossJobsShardsBatches)
                     cfg.shards = shards;
                     cfg.batch = batch;
                     serve::Engine engine(testDb(), cfg);
-                    const serve::StreamReport report =
-                        engine.serveStream(stream);
+                    serve::LoopConfig lcfg;
+                    lcfg.queueCapacity = stream.size();
+                    serve::ServeLoop loop(engine, lcfg);
+                    for (const serve::Request &r : stream)
+                        ASSERT_TRUE(loop.submit(r).admitted);
+                    loop.pumpAll();
+                    const std::vector<serve::LoopResult> results =
+                        loop.results();
 
-                    ASSERT_EQ(report.responses.size(),
-                              stream.size());
+                    ASSERT_EQ(results.size(), stream.size());
                     for (std::size_t i = 0; i < stream.size();
                          ++i) {
                         const std::string context =
@@ -172,10 +174,10 @@ TEST(ServeDeterminism, RankingInvariantAcrossJobsShardsBatches)
                             + " shards=" + std::to_string(shards)
                             + " batch=" + std::to_string(batch)
                             + " request=" + std::to_string(i);
-                        EXPECT_EQ(report.responses[i].id,
+                        EXPECT_EQ(results[i].response.id,
                                   stream[i].id)
                             << context;
-                        expectSameHits(report.responses[i].hits,
+                        expectSameHits(results[i].response.hits,
                                        reference[i], context);
                     }
                 }
@@ -194,7 +196,7 @@ TEST(ServeDeterminism, EveryRequestScansTheWholeDatabase)
     serve::Request r;
     r.kind = kernels::Workload::Ssearch34;
     r.query = queryPool().front();
-    const serve::Response resp = engine.serve(r);
+    const serve::Response resp = engine.serveBatch({r}).front();
     EXPECT_EQ(resp.sequencesSearched, testDb().size());
     EXPECT_GT(resp.cellsComputed, 0u);
     EXPECT_FALSE(resp.hits.empty()); // homologs are planted
@@ -211,11 +213,11 @@ TEST(ServeEngine, PerRequestTopKOverridesDefault)
     r.kind = kernels::Workload::Ssearch34;
     r.query = queryPool().front();
     r.topK = 3;
-    const serve::Response resp = engine.serve(r);
+    const serve::Response resp = engine.serveBatch({r}).front();
     EXPECT_EQ(resp.hits.size(), 3u);
 
     r.topK = 0; // engine default
-    const serve::Response def = engine.serve(r);
+    const serve::Response def = engine.serveBatch({r}).front();
     EXPECT_LE(def.hits.size(), 10u);
     EXPECT_GT(def.hits.size(), 3u);
     // The override is a prefix of the default ranking.
@@ -223,31 +225,39 @@ TEST(ServeEngine, PerRequestTopKOverridesDefault)
         EXPECT_EQ(resp.hits[i].dbIndex, def.hits[i].dbIndex);
 }
 
-TEST(ServeEngine, StreamReportAccountsEveryRequest)
+TEST(ServeLoop, ClosedLoopReplayAccountsEveryRequest)
 {
     serve::EngineConfig cfg;
     cfg.jobs = 2;
     cfg.batch = 4;
     serve::Engine engine(testDb(), cfg);
-
     const std::vector<serve::Request> stream = mixedStream(
         kernels::Workload::Ssearch34, kernels::Workload::Blast);
-    const serve::StreamReport report = engine.serveStream(stream);
+    serve::LoopConfig lcfg;
+    lcfg.queueCapacity = stream.size();
+    serve::ServeLoop loop(engine, lcfg);
+    for (const serve::Request &r : stream)
+        ASSERT_TRUE(loop.submit(r).admitted);
+    EXPECT_EQ(loop.pumpAll(), stream.size());
 
-    EXPECT_EQ(report.responses.size(), stream.size());
-    EXPECT_EQ(report.latency.count(), stream.size());
-    EXPECT_EQ(report.batches, 2u); // 6 requests / batch of 4
-    EXPECT_GT(report.wallMs, 0.0);
-    EXPECT_GT(report.requestsPerSec(), 0.0);
-    EXPECT_GT(report.totalCells, 0u);
+    const std::vector<serve::LoopResult> results = loop.results();
+    obs::Registry &m = engine.metrics();
+    EXPECT_EQ(results.size(), stream.size());
+    EXPECT_EQ(m.counterValue("loop_served_total"), stream.size());
+    // 6 requests / batch of 4.
+    EXPECT_EQ(m.counterValue("serve_batches_total"), 2u);
+    EXPECT_GT(m.counterValue("serve_cells_total"), 0u);
 
-    const serve::LatencySummary lat = report.latency.summary();
+    const obs::HistogramSummary lat =
+        m.histogram("serve_latency_us").summary();
     EXPECT_EQ(lat.count, stream.size());
-    EXPECT_LE(lat.p50Us, lat.p95Us);
-    EXPECT_LE(lat.p95Us, lat.p99Us);
-    EXPECT_LE(lat.p99Us, lat.maxUs);
-    for (const serve::Response &r : report.responses)
-        EXPECT_GE(r.latencyUs(), r.serviceUs);
+    EXPECT_LE(lat.p50, lat.p95);
+    EXPECT_LE(lat.p95, lat.p99);
+    EXPECT_LE(lat.p99, lat.max);
+    for (const serve::LoopResult &r : results) {
+        EXPECT_EQ(r.status, serve::LoopStatus::Served);
+        EXPECT_GE(r.latencyUs(), r.response.serviceUs);
+    }
 }
 
 TEST(ServeEngine, NativeBackendMatchesScalarSsearchRanking)
@@ -657,71 +667,6 @@ TEST(Percentile, QuantileInterpolatesLinearly)
     EXPECT_DOUBLE_EQ(core::percentile({7.0}, 99.0), 7.0);
     // Order must not matter.
     EXPECT_DOUBLE_EQ(core::quantile({40, 10, 30, 20}, 0.5), 25.0);
-}
-
-TEST(LatencyRecorder, SummaryAndHistogram)
-{
-    serve::LatencyRecorder rec;
-    EXPECT_TRUE(rec.histogram().empty());
-    EXPECT_EQ(rec.summary().count, 0u);
-
-    for (const double us : {100.0, 200.0, 400.0, 800.0})
-        rec.record(us);
-    const serve::LatencySummary s = rec.summary();
-    EXPECT_EQ(s.count, 4u);
-    EXPECT_DOUBLE_EQ(s.meanUs, 375.0);
-    EXPECT_DOUBLE_EQ(s.maxUs, 800.0);
-    EXPECT_DOUBLE_EQ(s.p50Us, 300.0);
-
-    const std::vector<serve::LatencyBucket> hist =
-        rec.histogram();
-    ASSERT_FALSE(hist.empty());
-    std::size_t total = 0;
-    for (const serve::LatencyBucket &b : hist) {
-        EXPECT_LT(b.loUs, b.hiUs);
-        total += b.count;
-    }
-    EXPECT_EQ(total, 4u);
-}
-
-TEST(LatencyRecorder, BucketEdgesArePinned)
-{
-    // Regression: bucket boundaries are hoisted to construction
-    // and must be the exact powers of two, identical on every
-    // histogram() call.
-    const std::array<double, obs::Histogram::numBuckets> &bounds =
-        obs::Histogram::bucketBounds();
-    for (int i = 0; i < obs::Histogram::numBuckets; ++i)
-        EXPECT_DOUBLE_EQ(bounds[i], std::exp2(i + 1)) << i;
-    EXPECT_EQ(&bounds, &obs::Histogram::bucketBounds());
-
-    serve::LatencyRecorder rec;
-    for (const double us : {100.0, 200.0, 400.0, 800.0})
-        rec.record(us);
-    const std::vector<serve::LatencyBucket> hist = rec.histogram();
-    ASSERT_EQ(hist.size(), 4u);
-    const double lo[] = {64.0, 128.0, 256.0, 512.0};
-    const double hi[] = {128.0, 256.0, 512.0, 1024.0};
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_DOUBLE_EQ(hist[i].loUs, lo[i]) << i;
-        EXPECT_DOUBLE_EQ(hist[i].hiUs, hi[i]) << i;
-        EXPECT_EQ(hist[i].count, 1u) << i;
-    }
-    const std::vector<serve::LatencyBucket> again =
-        rec.histogram();
-    ASSERT_EQ(again.size(), hist.size());
-    for (std::size_t i = 0; i < hist.size(); ++i) {
-        EXPECT_DOUBLE_EQ(again[i].loUs, hist[i].loUs);
-        EXPECT_DOUBLE_EQ(again[i].hiUs, hist[i].hiUs);
-    }
-
-    // Sub-unit samples land in bucket 0, range [0, 2).
-    serve::LatencyRecorder tiny;
-    tiny.record(0.5);
-    const std::vector<serve::LatencyBucket> t = tiny.histogram();
-    ASSERT_EQ(t.size(), 1u);
-    EXPECT_DOUBLE_EQ(t[0].loUs, 0.0);
-    EXPECT_DOUBLE_EQ(t[0].hiUs, 2.0);
 }
 
 serve::Request

@@ -6,13 +6,16 @@
  * from the paper's five workloads — against a synthetic SwissProt
  * stand-in, and prints a latency/throughput report.
  *
- * Two modes:
- *  - closed loop (default): replay --requests through
- *    Engine::serveStream back to back;
+ * Both modes serve one reloadable epoch Engine through a
+ * ServeLoop, the tool's only way into the engine:
+ *  - closed loop (default): queue all --requests at once and pump
+ *    them in FIFO batches of --batch; exits 1 unless every request
+ *    is served and the latency histogram accounts for each;
  *  - open loop (--qps): a seeded deterministic arrival schedule
- *    (exponential inter-arrivals) drives the online ServeLoop with
- *    per-request deadlines, admission control and load shedding,
- *    and the run ends with a machine-readable counter footer.
+ *    (exponential inter-arrivals) drives the loop's dispatcher
+ *    with per-request deadlines, admission control and load
+ *    shedding, and the run ends with a machine-readable counter
+ *    footer.
  *
  * Examples:
  *   bioarch-serve --requests 64 --jobs 8
@@ -32,6 +35,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "bio/dna_workload.hh"
 #include "bio/random.hh"
@@ -39,7 +43,6 @@
 #include "core/percentile.hh"
 #include "core/report.hh"
 #include "index/epoch.hh"
-#include "index/seed_index.hh"
 #include "obs/snapshot.hh"
 #include "serve/engine.hh"
 #include "serve/loop.hh"
@@ -235,9 +238,8 @@ arrivalSchedule(double qps, double duration_s, std::uint64_t seed)
 }
 
 int
-runOpenLoop(const bio::SequenceDatabase &db,
+runOpenLoop(serve::Engine &engine,
             const std::vector<bio::Sequence> &pool,
-            const serve::EngineConfig &cfg,
             const serve::StreamSpec &stream_spec, double qps,
             double duration_s, double deadline_ms,
             std::size_t queue_cap, const std::string &metrics_out,
@@ -275,13 +277,8 @@ runOpenLoop(const bio::SequenceDatabase &db,
         }
     }
 
-    // The open loop always serves a reloadable epoch engine, with
-    // the result cache on when --cache-mb is set. --hot-reload
-    // slides a second epoch in mid-run while the loop keeps
-    // dispatching.
-    serve::EngineConfig ecfg = cfg;
-    ecfg.cache.capacityBytes = cache_mb * (1u << 20);
-    serve::Engine engine(index::makeEpoch(db, use_index, 1), ecfg);
+    // --hot-reload slides a second epoch in mid-run while the loop
+    // keeps dispatching.
     serve::LoopConfig lcfg;
     lcfg.queueCapacity = queue_cap;
     for (std::size_t i = 0; i < tenants.size(); ++i) {
@@ -309,7 +306,7 @@ runOpenLoop(const bio::SequenceDatabase &db,
             : 0.0;
         const serve::Priority priority =
             static_cast<serve::Priority>(i % 3);
-        (void)loop.submit(requests[i], priority, deadline);
+        (void)loop.submit(std::move(requests[i]), priority, deadline);
         if (i + 1 == arrivals.size() / 2) {
             if (!metrics_out.empty())
                 writeMetricsFiles(engine, metrics_out + ".mid",
@@ -487,6 +484,171 @@ runOpenLoop(const bio::SequenceDatabase &db,
     return 0;
 }
 
+/**
+ * Closed-loop replay: queue the whole stream at once, then pump it
+ * through the loop in FIFO batches of the engine's batch size, so
+ * a request's latency includes its wait behind earlier batches.
+ * Prints the summary, per-application and latency-histogram
+ * tables; returns 1 unless every request was served and the
+ * histogram accounts for each of them.
+ */
+int
+runClosedLoop(serve::Engine &engine,
+              const std::vector<bio::Sequence> &pool,
+              const serve::StreamSpec &stream, bool csv,
+              const std::string &metrics_out,
+              const std::string &metrics_prom)
+{
+    std::vector<serve::Request> requests =
+        serve::makeRequestStream(stream, pool);
+    serve::LoopConfig lcfg;
+    lcfg.queueCapacity = requests.size();
+    serve::ServeLoop loop(engine, lcfg);
+    const double start_us = loop.clock().nowUs();
+    for (serve::Request &r : requests)
+        (void)loop.submit(std::move(r));
+    loop.pumpAll();
+    const double wall_ms = (loop.clock().nowUs() - start_us) / 1000.0;
+    writeMetricsFiles(engine, metrics_out, metrics_prom);
+
+    const std::vector<serve::LoopResult> results = loop.results();
+    obs::Registry &m = engine.metrics();
+    const obs::Histogram &latency = m.histogram("serve_latency_us");
+    const obs::HistogramSummary lat = latency.summary();
+    const serve::EngineConfig &cfg = engine.config();
+    std::size_t served = 0;
+    double cpu_ms = 0.0;
+    std::uint64_t cells = 0;
+    std::uint64_t alignments = 0;
+    std::uint64_t traceback_cells = 0;
+    for (const serve::LoopResult &r : results) {
+        served += r.status == serve::LoopStatus::Served ? 1 : 0;
+        cpu_ms += (r.response.scanUs + r.response.tracebackUs) / 1000.0;
+        cells += r.response.cellsComputed;
+        alignments += r.response.alignments.size();
+        traceback_cells += r.response.tracebackCells;
+    }
+
+    if (!csv) {
+        const bio::SequenceDatabase &db = engine.sharded().db();
+        std::cout << "# bioarch-serve: " << results.size()
+                  << " requests vs " << db.size()
+                  << " sequences / " << db.totalResidues()
+                  << " residues\n";
+    }
+
+    core::Table summary({"metric", "value"});
+    summary.row().add("requests").add(
+        static_cast<std::uint64_t>(results.size()));
+    summary.row().add("batches").add(
+        m.counterValue("serve_batches_total"));
+    summary.row().add("batch size").add(
+        static_cast<std::uint64_t>(loop.config().batch));
+    summary.row().add("shards").add(
+        static_cast<std::uint64_t>(cfg.shards));
+    summary.row().add("jobs").add(static_cast<int>(cfg.jobs));
+    summary.row().add("backend").add(
+        std::string(align::backendName(cfg.backend)));
+    summary.row().add("wall ms").add(wall_ms, 2);
+    summary.row().add("requests/sec").add(
+        wall_ms <= 0.0
+            ? 0.0
+            : 1000.0 * static_cast<double>(results.size()) / wall_ms,
+        1);
+    summary.row().add("p50 latency ms").add(lat.p50 / 1000.0, 3);
+    summary.row().add("p95 latency ms").add(lat.p95 / 1000.0, 3);
+    summary.row().add("p99 latency ms").add(lat.p99 / 1000.0, 3);
+    summary.row().add("max latency ms").add(lat.max / 1000.0, 3);
+    summary.row().add("mean latency ms").add(lat.mean / 1000.0, 3);
+    summary.row().add("scan cpu ms").add(cpu_ms, 2);
+    summary.row().add("parallel efficiency").add(
+        wall_ms <= 0.0
+            ? 0.0
+            : cpu_ms / (wall_ms * static_cast<double>(cfg.jobs)),
+        2);
+    summary.row().add("total cells").add(cells);
+    if (stream.reportAlignments) {
+        summary.row().add("alignments").add(alignments);
+        summary.row().add("traceback cells").add(traceback_cells);
+    }
+
+    // Per-application slice of the stream (the five simulator
+    // workloads plus the served-only blastn kind).
+    std::vector<kernels::Workload> kinds(
+        std::begin(kernels::allWorkloads),
+        std::end(kernels::allWorkloads));
+    kinds.push_back(kernels::Workload::Blastn);
+    core::Table mix({"workload", "requests", "mean latency ms",
+                     "mean hits"});
+    for (const kernels::Workload w : kinds) {
+        std::uint64_t n = 0;
+        std::uint64_t hits = 0;
+        double latency_us = 0.0;
+        for (const serve::LoopResult &r : results) {
+            if (r.response.kind != w)
+                continue;
+            ++n;
+            hits += r.response.hits.size();
+            latency_us += r.latencyUs();
+        }
+        if (n == 0)
+            continue;
+        mix.row()
+            .add(std::string(kernels::workloadName(w)))
+            .add(n)
+            .add(latency_us / static_cast<double>(n) / 1000.0, 3)
+            .add(static_cast<double>(hits)
+                     / static_cast<double>(n),
+                 1);
+    }
+
+    // serve_latency_us's power-of-two buckets, empty ones at either
+    // end trimmed; bucket i spans [2^i, 2^(i+1)) us, bucket 0 also
+    // collects sub-microsecond samples.
+    const auto counts = latency.bucketCounts();
+    const auto &bounds = obs::Histogram::bucketBounds();
+    std::size_t lo = 0;
+    std::size_t hi = counts.size();
+    while (lo < hi && counts[lo] == 0)
+        ++lo;
+    while (hi > lo && counts[hi - 1] == 0)
+        --hi;
+    core::Table hist({"latency bucket", "requests"});
+    std::uint64_t histogram_total = 0;
+    for (std::size_t b = lo; b < hi; ++b) {
+        std::ostringstream label;
+        label.setf(std::ios::fixed);
+        label.precision(3);
+        label << "[" << (b == 0 ? 0.0 : bounds[b - 1]) / 1000.0
+              << ", " << bounds[b] / 1000.0 << ") ms";
+        hist.row().add(label.str()).add(counts[b]);
+        histogram_total += counts[b];
+    }
+
+    if (csv) {
+        summary.printCsv(std::cout);
+        mix.printCsv(std::cout);
+        hist.printCsv(std::cout);
+    } else {
+        summary.print(std::cout);
+        std::cout << "\nper-application mix:\n";
+        mix.print(std::cout);
+        std::cout << "\nlatency histogram:\n";
+        hist.print(std::cout);
+    }
+
+    // Every request of a closed loop must come back served, and
+    // each one's latency must be in the histogram.
+    if (served != stream.requests
+        || histogram_total != stream.requests) {
+        std::cerr << "closed loop: " << served << " served, "
+                  << histogram_total << " in the latency histogram, of "
+                  << stream.requests << " requests\n";
+        return 1;
+    }
+    return 0;
+}
+
 } // namespace
 
 int
@@ -605,6 +767,13 @@ main(int argc, char **argv)
         }
     }
 
+    if (qps <= 0.0
+        && (hot_reload || cache_mb > 0 || !tenants.empty())) {
+        std::cerr << "--hot-reload/--cache-mb/--tenants need the "
+                     "open loop (--qps)\n";
+        return 2;
+    }
+
     // The blastn kind serves the synthetic long-read nucleotide
     // workload instead of the SwissProt stand-in.
     const bool dna = stream.kinds.size() == 1
@@ -626,127 +795,16 @@ main(int argc, char **argv)
                   : bio::makeDefaultDatabase(db_seqs);
     }
 
+    // Both modes serve one reloadable epoch engine (its own seed
+    // index under --index, the result cache on under --cache-mb).
+    cfg.cache.capacityBytes = cache_mb * (1u << 20);
+    serve::Engine engine(index::makeEpoch(std::move(db), use_index, 1),
+                         cfg);
     if (qps > 0.0)
-        return runOpenLoop(db, pool, cfg, stream, qps, duration_s,
+        return runOpenLoop(engine, pool, stream, qps, duration_s,
                            deadline_ms, queue_cap, metrics_out,
                            metrics_prom, use_index, hot_reload,
                            db_seqs, zipf, cache_mb, tenants);
-    if (hot_reload || cache_mb > 0 || !tenants.empty()) {
-        std::cerr << "--hot-reload/--cache-mb/--tenants need the "
-                     "open loop (--qps)\n";
-        return 2;
-    }
-
-    const std::vector<serve::Request> requests =
-        serve::makeRequestStream(stream, pool);
-
-    index::SeedIndex seed_index;
-    if (use_index) {
-        seed_index = index::SeedIndex::build(db);
-        cfg.seedIndex = &seed_index;
-    }
-    serve::Engine engine(db, cfg);
-    const serve::StreamReport report =
-        engine.serveStream(requests);
-    const serve::LatencySummary lat = report.latency.summary();
-    writeMetricsFiles(engine, metrics_out, metrics_prom);
-
-    if (!csv) {
-        std::cout << "# bioarch-serve: " << requests.size()
-                  << " requests vs " << db.size()
-                  << " sequences / " << db.totalResidues()
-                  << " residues\n";
-    }
-
-    core::Table summary({"metric", "value"});
-    summary.row().add("requests").add(
-        static_cast<std::uint64_t>(report.responses.size()));
-    summary.row().add("batches").add(
-        static_cast<std::uint64_t>(report.batches));
-    summary.row().add("batch size").add(
-        static_cast<std::uint64_t>(report.batchSize));
-    summary.row().add("shards").add(
-        static_cast<std::uint64_t>(report.shards));
-    summary.row().add("jobs").add(
-        static_cast<int>(report.jobs));
-    summary.row().add("backend").add(
-        std::string(align::backendName(cfg.backend)));
-    summary.row().add("wall ms").add(report.wallMs, 2);
-    summary.row().add("requests/sec").add(
-        report.requestsPerSec(), 1);
-    summary.row().add("p50 latency ms").add(lat.p50Us / 1000.0, 3);
-    summary.row().add("p95 latency ms").add(lat.p95Us / 1000.0, 3);
-    summary.row().add("p99 latency ms").add(lat.p99Us / 1000.0, 3);
-    summary.row().add("max latency ms").add(lat.maxUs / 1000.0, 3);
-    summary.row().add("mean latency ms").add(
-        lat.meanUs / 1000.0, 3);
-    summary.row().add("scan cpu ms").add(report.cpuMs, 2);
-    summary.row().add("parallel efficiency").add(
-        report.parallelEfficiency(), 2);
-    summary.row().add("total cells").add(report.totalCells);
-    if (stream.reportAlignments) {
-        std::uint64_t aln = 0;
-        std::uint64_t tb_cells = 0;
-        for (const serve::Response &r : report.responses) {
-            aln += r.alignments.size();
-            tb_cells += r.tracebackCells;
-        }
-        summary.row().add("alignments").add(aln);
-        summary.row().add("traceback cells").add(tb_cells);
-    }
-
-    // Per-application slice of the stream (the five simulator
-    // workloads plus the served-only blastn kind).
-    std::vector<kernels::Workload> kinds(
-        std::begin(kernels::allWorkloads),
-        std::end(kernels::allWorkloads));
-    kinds.push_back(kernels::Workload::Blastn);
-    core::Table mix({"workload", "requests", "mean latency ms",
-                     "mean hits"});
-    for (const kernels::Workload w : kinds) {
-        std::uint64_t n = 0;
-        std::uint64_t hits = 0;
-        double latency_us = 0.0;
-        for (const serve::Response &r : report.responses) {
-            if (r.kind != w)
-                continue;
-            ++n;
-            hits += r.hits.size();
-            latency_us += r.latencyUs();
-        }
-        if (n == 0)
-            continue;
-        mix.row()
-            .add(std::string(kernels::workloadName(w)))
-            .add(n)
-            .add(latency_us / static_cast<double>(n) / 1000.0, 3)
-            .add(static_cast<double>(hits)
-                     / static_cast<double>(n),
-                 1);
-    }
-
-    core::Table hist({"latency bucket", "requests"});
-    for (const serve::LatencyBucket &b :
-         report.latency.histogram()) {
-        std::ostringstream label;
-        label.setf(std::ios::fixed);
-        label.precision(3);
-        label << "[" << b.loUs / 1000.0 << ", " << b.hiUs / 1000.0
-              << ") ms";
-        hist.row().add(label.str()).add(
-            static_cast<std::uint64_t>(b.count));
-    }
-
-    if (csv) {
-        summary.printCsv(std::cout);
-        mix.printCsv(std::cout);
-        hist.printCsv(std::cout);
-    } else {
-        summary.print(std::cout);
-        std::cout << "\nper-application mix:\n";
-        mix.print(std::cout);
-        std::cout << "\nlatency histogram:\n";
-        hist.print(std::cout);
-    }
-    return 0;
+    return runClosedLoop(engine, pool, stream, csv, metrics_out,
+                         metrics_prom);
 }
