@@ -11,7 +11,9 @@
  * (sw_intersequence_native) — reported as GCUPS in the standard
  * JSON footer, plus a GCUPS-by-subject-length-bucket breakdown of
  * striped vs inter-sequence that justifies the serving engine's
- * kernel-selection cutover.
+ * kernel-selection cutover, and an A/B of the native banded kernel
+ * (FASTA's opt stage, BLAST's gapped stage) against its scalar
+ * oracle over the same bands (gcups_banded, banded_speedup).
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +22,8 @@
 #include <limits>
 #include <string>
 
+#include "align/banded.hh"
+#include "align/banded_impl.hh"
 #include "align/blast.hh"
 #include "align/fasta.hh"
 #include "align/smith_waterman.hh"
@@ -149,17 +153,99 @@ BM_SwStripedNativeScan(benchmark::State &state,
         benchmark::Counter::kIsRate);
 }
 
-/** One BM_SwStripedNativeScan instance per compiled backend. */
+/** FASTA's opt-stage band: the default half width, on diagonal 0. */
+constexpr int kBandCenter = 0;
+const int kBandHalfWidth = align::FastaParams{}.bandHalfWidth;
+
+/** In-band cells of one query x subject matrix. */
+std::uint64_t
+bandCells(int m, int n)
+{
+    std::uint64_t cells = 0;
+    for (int j = 0; j < n; ++j) {
+        const int lo = std::max(0, j - kBandCenter - kBandHalfWidth);
+        const int hi =
+            std::min(m - 1, j - kBandCenter + kBandHalfWidth);
+        cells += static_cast<std::uint64_t>(std::max(0, hi - lo + 1));
+    }
+    return cells;
+}
+
+std::uint64_t
+databaseBandCells()
+{
+    std::uint64_t cells = 0;
+    for (const bio::Sequence &s : database())
+        cells += bandCells(static_cast<int>(query().length()),
+                           static_cast<int>(s.length()));
+    return cells;
+}
+
+/** Best banded score over the database on @p profile's backend. */
+int
+bandedScan(const align::BandedProfile &profile)
+{
+    int best = 0;
+    for (const bio::Sequence &s : database())
+        best = std::max(best, align::bandedSmithWaterman(
+                                  profile, s, kGaps, kBandCenter,
+                                  kBandHalfWidth)
+                                  .score);
+    return best;
+}
+
+void
+BM_BandedScore(benchmark::State &state, align::SimdBackend backend)
+{
+    const align::BandedProfile profile(query(), kMat, backend);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(bandedScan(profile));
+    state.counters["Mcells/s"] = benchmark::Counter(
+        static_cast<double>(databaseBandCells()) / 1e6,
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+
+/** The same bands through the scalar oracle the kernel must equal. */
+int
+oracleBandedScan()
+{
+    int best = 0;
+    for (const bio::Sequence &s : database())
+        best = std::max(best, align::bandedSmithWatermanScan(
+                                  query(), s, kMat, kGaps,
+                                  kBandCenter, kBandHalfWidth,
+                                  [](int, int, int, int, int) {})
+                                  .score);
+    return best;
+}
+
+void
+BM_BandedScoreScalarOracle(benchmark::State &state)
+{
+    for (auto _ : state)
+        benchmark::DoNotOptimize(oracleBandedScan());
+    state.counters["Mcells/s"] = benchmark::Counter(
+        static_cast<double>(databaseBandCells()) / 1e6,
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_BandedScoreScalarOracle)->Unit(benchmark::kMillisecond);
+
+/**
+ * One BM_SwStripedNativeScan and one BM_BandedScore instance per
+ * compiled backend.
+ */
 void
 registerNativeBenchmarks()
 {
     for (const align::SimdBackend backend :
          align::compiledNativeBackends()) {
-        const std::string name = "BM_SwStripedNativeScan/"
-            + std::string(align::backendName(backend));
-        benchmark::RegisterBenchmark(name.c_str(),
-                                     BM_SwStripedNativeScan,
-                                     backend)
+        const std::string name(align::backendName(backend));
+        benchmark::RegisterBenchmark(
+            ("BM_SwStripedNativeScan/" + name).c_str(),
+            BM_SwStripedNativeScan, backend)
+            ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(("BM_BandedScore/" + name).c_str(),
+                                     BM_BandedScore, backend)
             ->Unit(benchmark::kMillisecond);
     }
 }
@@ -342,16 +428,41 @@ runNativeGcups()
         wall_ms += n + i;
     }
 
-    const auto gcups = [cells](double ms) {
-        return ms <= 0.0
-            ? 0.0
-            : static_cast<double>(cells) / (ms * 1e6);
+    // The banded kernel vs its scalar oracle over the same bands,
+    // interleaved the same way; each timing sweeps the database
+    // bandReps times so the kernel arm runs for milliseconds.
+    constexpr int bandReps = 10;
+    const align::BandedProfile band_profile(q, kMat, backend);
+    auto banded_scan = [&](int &best) {
+        for (int r = 0; r < bandReps; ++r)
+            best = std::max(best, bandedScan(band_profile));
     };
+    auto oracle_scan = [&](int &best) {
+        for (int r = 0; r < bandReps; ++r)
+            best = std::max(best, oracleBandedScan());
+    };
+    double banded_ms = std::numeric_limits<double>::infinity();
+    double oracle_ms = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < rounds; ++r) {
+        banded_ms = std::min(banded_ms, time_ms(banded_scan));
+        oracle_ms = std::min(oracle_ms, time_ms(oracle_scan));
+    }
+    const std::uint64_t band_cells = databaseBandCells() * bandReps;
+
+    const auto gcups_of = [](std::uint64_t n, double ms) {
+        return ms <= 0.0 ? 0.0 : static_cast<double>(n) / (ms * 1e6);
+    };
+    const auto gcups = [&](double ms) { return gcups_of(cells, ms); };
     std::cout << "# native striped vs inter-sequence scan ("
               << align::backendName(backend) << "), " << rounds
               << " interleaved rounds, per-arm min: striped "
               << native_ms << " ms / inter-seq " << inter_ms
               << " ms\n";
+    std::cout << "# banded kernel vs scalar oracle, half width "
+              << kBandHalfWidth << ", per-arm min: kernel "
+              << banded_ms << " ms / oracle " << oracle_ms << " ms ("
+              << gcups_of(band_cells, banded_ms) << " vs "
+              << gcups_of(band_cells, oracle_ms) << " GCUPS)\n";
     const std::string buckets =
         runLengthBucketBreakdown(native_profile);
     bench::printJsonFooter(
@@ -366,6 +477,13 @@ runNativeGcups()
          {"interseq_cutover",
           std::to_string(align::interSequenceCutover())},
          {"gcups_by_subject_length", buckets},
+         {"banded_cells", std::to_string(band_cells)},
+         {"banded_ms", std::to_string(banded_ms)},
+         {"banded_oracle_ms", std::to_string(oracle_ms)},
+         {"gcups_banded", std::to_string(gcups_of(band_cells, banded_ms))},
+         {"gcups_banded_oracle",
+          std::to_string(gcups_of(band_cells, oracle_ms))},
+         {"banded_speedup", std::to_string(oracle_ms / banded_ms)},
          {"native_backend",
           "\"" + std::string(align::backendName(backend)) + "\""}},
         point_ms);

@@ -12,8 +12,11 @@
 # reader's validation of untrusted headers, static tables and
 # records (trace_io_test), and the serving engine's one entry
 # point, serveBatch, with its cache lookup / miss batch / stitch
-# path and the ServeLoop that drives it (serve_test, router_test).
-# The hardware SIMD
+# path and the ServeLoop that drives it (serve_test, router_test),
+# and the banded kernel, whose unaligned slice loads run up to one
+# vector into the pads of its profile rows: its oracle fuzz
+# (align_test), FASTA's opt stage over a corpus (fasta_test) and
+# BLAST's gapped stage (blast_test). The hardware SIMD
 # backends are compiled in, so the intrinsic paths run under the
 # sanitizers too. Any out-of-bounds access, leak or undefined
 # behavior fails the run.
@@ -27,7 +30,7 @@ cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DBIOARCH_ASAN=ON \
     -DBIOARCH_NATIVE_SIMD=ON
 cmake --build "$BUILD_DIR" -j --target traceback_test sw_native_test \
     serve_traceback_test sim_sample_test trace_test trace_io_test \
-    serve_test router_test
+    serve_test router_test align_test fasta_test blast_test
 ctest --test-dir "$BUILD_DIR" \
-    -L 'traceback_test|sw_native_test|serve_traceback_test|sim_sample_test|trace_test|trace_io_test|serve_test|router_test' \
+    -L 'traceback_test|sw_native_test|serve_traceback_test|sim_sample_test|trace_test|trace_io_test|serve_test|router_test|align_test|fasta_test|blast_test' \
     --output-on-failure -j

@@ -1,9 +1,128 @@
 #include "banded.hh"
 
+#include <algorithm>
+
 #include "banded_impl.hh"
+#include "banded_native_impl.hh"
 
 namespace bioarch::align
 {
+
+// Every kernel loads up to one vector beyond the query rows.
+static_assert(BandedProfile::pad >= vec::native::PortableI16::lanes
+                  && BandedProfile::pad >= 16 /* Avx2I16 */,
+              "profile pad must cover one vector of every backend");
+
+BandedProfile::BandedProfile(const bio::Sequence &query,
+                             const bio::ScoringMatrix &matrix,
+                             SimdBackend backend)
+    : _query(&query), _matrix(&matrix), _backend(backend),
+      _m(static_cast<int>(query.length())),
+      _stride(static_cast<std::size_t>(_m + 2 * pad)),
+      _scores(static_cast<std::size_t>(bio::Alphabet::numSymbols)
+                  * _stride,
+              padScore)
+{
+    for (int r = 0; r < bio::Alphabet::numSymbols; ++r) {
+        const std::int8_t *scores =
+            matrix.row(static_cast<bio::Residue>(r));
+        std::int16_t *out = _scores.data()
+            + static_cast<std::size_t>(r) * _stride + pad;
+        for (int i = 0; i < _m; ++i)
+            out[i] = scores[query[static_cast<std::size_t>(i)]];
+    }
+}
+
+#if BIOARCH_NATIVE_AVX2
+namespace detail
+{
+// Implemented in sw_striped_avx2.cc (the only -mavx2 TU).
+LocalScore bandedScanI16Avx2(const std::int16_t *profile,
+                             std::size_t stride, int m,
+                             const bio::Residue *subject, int n,
+                             int d_lo, int d_hi, int open_cost,
+                             int ext_cost, bool *saturated);
+} // namespace detail
+#endif
+
+namespace
+{
+
+LocalScore
+dispatchBanded(SimdBackend backend, const std::int16_t *profile,
+               std::size_t stride, int m, const bio::Residue *subject,
+               int n, int d_lo, int d_hi, int open_cost, int ext_cost,
+               bool *saturated)
+{
+    switch (backend) {
+#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+    case SimdBackend::SSE2:
+        return detail::bandedScanI16<vec::native::Sse2I16>(
+            profile, stride, m, subject, n, d_lo, d_hi, open_cost,
+            ext_cost, saturated);
+#endif
+#if BIOARCH_NATIVE_AVX2
+    case SimdBackend::AVX2:
+        return detail::bandedScanI16Avx2(profile, stride, m, subject,
+                                         n, d_lo, d_hi, open_cost,
+                                         ext_cost, saturated);
+#endif
+#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+    case SimdBackend::NEON:
+        return detail::bandedScanI16<vec::native::NeonI16>(
+            profile, stride, m, subject, n, d_lo, d_hi, open_cost,
+            ext_cost, saturated);
+#endif
+    default:
+        return detail::bandedScanI16<vec::native::PortableI16>(
+            profile, stride, m, subject, n, d_lo, d_hi, open_cost,
+            ext_cost, saturated);
+    }
+}
+
+} // namespace
+
+LocalScore
+bandedSmithWaterman(const BandedProfile &profile,
+                    const bio::Sequence &subject,
+                    const bio::GapPenalties &gaps,
+                    int center_diagonal, int half_width)
+{
+    const int m = profile.queryLength();
+    const int n = static_cast<int>(subject.length());
+    if (m == 0 || n == 0 || half_width < 0)
+        return {};
+    const int open_cost = gaps.openCost();
+    const int ext_cost = gaps.extendCost();
+    const auto oracle = [&] {
+        return bandedSmithWatermanScan(
+            profile.query(), subject, profile.matrix(), gaps,
+            center_diagonal, half_width, [](int, int, int, int, int) {});
+    };
+    if (open_cost < 0 || ext_cost < 0 || open_cost > 32767
+        || ext_cost > 32767)
+        return oracle();
+
+    // Diagonals beyond [-(m-1), n-1] hold no cells: clamping the
+    // band to them bounds the lane count by m + n - 1.
+    const long long d_lo =
+        std::max<long long>(static_cast<long long>(center_diagonal)
+                                - half_width,
+                            -(m - 1));
+    const long long d_hi =
+        std::min<long long>(static_cast<long long>(center_diagonal)
+                                + half_width,
+                            n - 1);
+    if (d_lo > d_hi)
+        return {};
+
+    bool saturated = false;
+    const LocalScore out = dispatchBanded(
+        profile.backend(), profile.row(0), profile.stride(), m,
+        subject.residues().data(), n, static_cast<int>(d_lo),
+        static_cast<int>(d_hi), open_cost, ext_cost, &saturated);
+    return saturated ? oracle() : out;
+}
 
 LocalScore
 bandedSmithWaterman(const bio::Sequence &query,
@@ -12,9 +131,8 @@ bandedSmithWaterman(const bio::Sequence &query,
                     const bio::GapPenalties &gaps,
                     int center_diagonal, int half_width)
 {
-    return bandedSmithWatermanScan(
-        query, subject, matrix, gaps, center_diagonal, half_width,
-        [](int, int, int, int, int) {});
+    return bandedSmithWaterman(BandedProfile(query, matrix), subject,
+                               gaps, center_diagonal, half_width);
 }
 
 } // namespace bioarch::align

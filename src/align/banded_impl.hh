@@ -1,11 +1,14 @@
 /**
  * @file
- * Header-only banded Smith-Waterman engine with a per-cell hook.
+ * Header-only scalar banded Smith-Waterman with a per-cell hook: the
+ * oracle of the banded kernel.
  *
  * The hook lets instrumented kernel twins (src/kernels) emit one
- * trace-instruction pattern per DP cell while computing exactly the
- * same scores as align::bandedSmithWaterman — which is itself this
- * template instantiated with a no-op hook.
+ * trace-instruction pattern per DP cell. align::bandedSmithWaterman
+ * runs a native SIMD kernel instead (banded_native_impl.hh) whose
+ * score and end cell equal this template's with a no-op hook
+ * (tests/align_test.cc, Banded.NativeMatchesScalarOracle), and falls
+ * back to it when a score reaches the kernel's 16-bit lanes.
  */
 
 #ifndef BIOARCH_ALIGN_BANDED_IMPL_HH

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "banded.hh"
 #include "karlin.hh"
 
 namespace bioarch::align
@@ -88,7 +87,8 @@ rescoreRun(const bio::Sequence &query, const bio::Sequence &subject,
 } // namespace
 
 FastaScores
-fastaScan(const KtupIndex &index, const bio::Sequence &query,
+fastaScan(const KtupIndex &index, const BandedProfile &profile,
+          const bio::Sequence &query,
           const bio::Sequence &subject, const bio::ScoringMatrix &matrix,
           const bio::GapPenalties &gaps, const FastaParams &params,
           std::uint64_t *cells)
@@ -185,15 +185,16 @@ fastaScan(const KtupIndex &index, const bio::Sequence &query,
               });
     while (!candidates.empty() && candidates.back().score <= 0)
         candidates.pop_back();
-    out.regions = candidates;
     if (candidates.empty())
         return out;
     out.init1 = candidates.front().score;
+    const int opt_diag = candidates.front().diag;
 
     // Stage 4: join regions (initn). Greedy chain in query order:
     // regions must not overlap in query rows; each join pays the
     // fixed gap penalty.
     std::vector<FastaRegion> byQuery = candidates;
+    out.regions = std::move(candidates);
     std::sort(byQuery.begin(), byQuery.end(),
               [](const FastaRegion &a, const FastaRegion &b) {
                   return a.queryStart < b.queryStart;
@@ -220,8 +221,7 @@ fastaScan(const KtupIndex &index, const bio::Sequence &query,
     // Stage 5: banded optimization around the best region (opt).
     if (out.initn >= params.optThreshold) {
         const LocalScore banded = bandedSmithWaterman(
-            query, subject, matrix, gaps, candidates.front().diag,
-            params.bandHalfWidth);
+            profile, subject, gaps, opt_diag, params.bandHalfWidth);
         out.opt = banded.score;
         if (cells) {
             *cells += static_cast<std::uint64_t>(
@@ -240,13 +240,14 @@ fastaSearch(const bio::Sequence &query, const bio::SequenceDatabase &db,
 {
     SearchResults out;
     const KtupIndex index(query, params.ktup);
+    const BandedProfile profile(query, matrix);
     const KarlinParams &ka = blosum62Karlin();
     const double total = static_cast<double>(db.totalResidues());
 
     for (std::size_t idx = 0; idx < db.size(); ++idx) {
         const FastaScores fs =
-            fastaScan(index, query, db[idx], matrix, gaps, params,
-                      &out.cellsComputed);
+            fastaScan(index, profile, query, db[idx], matrix, gaps,
+                      params, &out.cellsComputed);
         ++out.sequencesSearched;
         const int score = std::max(fs.opt, fs.initn);
         if (score <= 0)

@@ -14,7 +14,9 @@
  *      -> initn;
  *   5. run a banded Smith-Waterman around the best region for
  *      sequences that pass the initn threshold -> opt (the reported
- *      score).
+ *      score). This stage runs the native SIMD banded kernel
+ *      (banded.hh) on a BandedProfile built once per query, like
+ *      the k-tuple index; its scores are exactly the scalar band's.
  *
  * The stage structure — table lookups, per-diagonal counters, and
  * data-dependent thresholds at every step — is what gives FASTA its
@@ -27,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "banded.hh"
 #include "bio/database.hh"
 #include "bio/scoring.hh"
 #include "bio/sequence.hh"
@@ -110,6 +113,7 @@ struct FastaScores
  * Run the FASTA stages for one subject sequence.
  *
  * @param index prebuilt query k-tuple index
+ * @param profile prebuilt banded profile of @p query (opt stage)
  * @param query query sequence (needed for matrix rescoring)
  * @param subject subject sequence
  * @param matrix substitution matrix
@@ -117,7 +121,9 @@ struct FastaScores
  * @param params pipeline tunables
  * @param[out] cells optional work counter (diagonal cells + band)
  */
-FastaScores fastaScan(const KtupIndex &index, const bio::Sequence &query,
+FastaScores fastaScan(const KtupIndex &index,
+                      const BandedProfile &profile,
+                      const bio::Sequence &query,
                       const bio::Sequence &subject,
                       const bio::ScoringMatrix &matrix,
                       const bio::GapPenalties &gaps,

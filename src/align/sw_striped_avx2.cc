@@ -1,12 +1,14 @@
 /**
  * @file
  * The only translation unit compiled with -mavx2: the AVX2 kernel
- * instantiations (striped u8/i16 and inter-sequence u8), reached
+ * instantiations (striped u8/i16, inter-sequence u8 and the banded
+ * i16 kernel), reached
  * through plain function pointers so the rest of the library stays
  * at the baseline ISA and dispatch is guarded by runtime CPUID
- * (sw_striped_native.cc / sw_intersequence_native.cc).
+ * (sw_striped_native.cc / sw_intersequence_native.cc / banded.cc).
  */
 
+#include "banded_native_impl.hh"
 #include "sw_intersequence_native_impl.hh"
 #include "sw_striped_native_impl.hh"
 
@@ -50,6 +52,17 @@ interScanU8Avx2(const std::uint8_t *mat_t, const bio::Residue *query,
     interScanU8<vec::native::Avx2U8>(mat_t, query, m, subjects,
                                      count, open_cost, ext_cost,
                                      bias, results);
+}
+
+LocalScore
+bandedScanI16Avx2(const std::int16_t *profile, std::size_t stride,
+                  int m, const bio::Residue *subject, int n, int d_lo,
+                  int d_hi, int open_cost, int ext_cost,
+                  bool *saturated)
+{
+    return bandedScanI16<vec::native::Avx2I16>(
+        profile, stride, m, subject, n, d_lo, d_hi, open_cost,
+        ext_cost, saturated);
 }
 
 } // namespace bioarch::align::detail

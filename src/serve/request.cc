@@ -37,6 +37,8 @@ PreparedQuery::PreparedQuery(const Request &request,
     case kernels::Workload::Fasta34:
         _ktup = std::make_unique<align::KtupIndex>(*_query,
                                                    _fasta.ktup);
+        _banded = std::make_unique<align::BandedProfile>(
+            *_query, matrix, backend);
         // FASTA reports the optimal SW alignment; only reporting
         // requests pay for the profile its traceback locates with.
         if (request.reportAlignments)
@@ -72,8 +74,8 @@ PreparedQuery::scan(const bio::Sequence &subject,
     switch (_kind) {
     case kernels::Workload::Fasta34: {
         const align::FastaScores fs = align::fastaScan(
-            *_ktup, *_query, subject, *_matrix, _gaps, _fasta,
-            cells);
+            *_ktup, *_banded, *_query, subject, *_matrix, _gaps,
+            _fasta, cells);
         ls.score = std::max(fs.opt, fs.initn);
         return ls;
     }

@@ -119,8 +119,8 @@ struct Response
  * The query state an application builds once per request and then
  * shares, read-only, across every shard scan and traceback: the
  * native striped profile (all Smith-Waterman kinds), FASTA's
- * k-tuple index (plus the native profile when reporting), or
- * BLAST's neighborhood word index.
+ * k-tuple index and banded opt-stage profile (plus the native
+ * profile when reporting), or BLAST's neighborhood word index.
  *
  * References the request's query sequence (and the scoring matrix);
  * both must outlive the prepared query.
@@ -131,9 +131,10 @@ class PreparedQuery
     /**
      * @param backend native kernel backend for the Smith-Waterman
      *        kinds (ssearch34 / sw_vmx*), whose scans all go
-     *        through the striped native kernel, and for a
-     *        reporting FASTA request's traceback. BLAST is
-     *        unaffected.
+     *        through the striped native kernel, for FASTA's banded
+     *        opt stage, and for a reporting FASTA request's
+     *        traceback. BLAST's gapped stage uses the best native
+     *        backend.
      */
     PreparedQuery(const Request &request,
                   const bio::ScoringMatrix &matrix,
@@ -247,10 +248,12 @@ class PreparedQuery
     align::BlastParams _blast;
     align::BlastnParams _blastn;
 
-    // One of these is built, depending on _kind (plus _native for
-    // a reporting FASTA request, whose traceback locates with it).
+    // One of these is built, depending on _kind (FASTA builds its
+    // k-tuple index and banded profile, plus _native for a reporting
+    // request, whose traceback locates with it).
     std::unique_ptr<align::NativeQueryProfile> _native;
     std::unique_ptr<align::KtupIndex> _ktup;
+    std::unique_ptr<align::BandedProfile> _banded;
     std::unique_ptr<align::NeighborhoodIndex> _neighborhood;
     // Blastn: the query re-packed to 2 bits plus its word index.
     std::unique_ptr<bio::PackedDna> _dnaQuery;

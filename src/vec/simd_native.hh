@@ -28,6 +28,15 @@
  *   hmax(a)                            // horizontal maximum
  *   anyGt(a,b)                         // any lane a > b
  *
+ * The I16 flavors add what the diagonal-major banded kernel
+ * (align/banded_native_impl.hh) needs:
+ *
+ *   loadu(p), store(p,a)               // unaligned load; store
+ *                                      // requires 64B-aligned p
+ *   shiftLanes<K>(a)                   // K lanes toward higher
+ *                                      // index, 0 into the low K
+ *   broadcastLast(a)                   // the top lane in every lane
+ *
  * The U8 flavors are unsigned saturating (Farrar's biased 8-bit
  * profile arithmetic: clamping at 0 is exactly the Smith-Waterman
  * zero clamp); the I16 flavors are signed saturating (the 16-bit
@@ -266,6 +275,33 @@ struct PortableI16
             r.v[i] = a.v[i - 1];
         return r;
     }
+    static Reg
+    loadu(const Elem *p)
+    {
+        return load(p);
+    }
+    static void
+    store(Elem *p, Reg a)
+    {
+        for (int i = 0; i < lanes; ++i)
+            p[i] = a.v[i];
+    }
+    template <int K>
+    static Reg
+    shiftLanes(Reg a)
+    {
+        Reg r;
+        for (int i = 0; i < K; ++i)
+            r.v[i] = 0;
+        for (int i = K; i < lanes; ++i)
+            r.v[i] = a.v[i - K];
+        return r;
+    }
+    static Reg
+    broadcastLast(Reg a)
+    {
+        return splat(a.v[lanes - 1]);
+    }
     static Elem
     hmax(Reg a)
     {
@@ -346,6 +382,28 @@ struct Sse2I16
     static Reg max(Reg a, Reg b) { return _mm_max_epi16(a, b); }
     static Reg band(Reg a, Reg b) { return _mm_and_si128(a, b); }
     static Reg shiftInZero(Reg a) { return _mm_slli_si128(a, 2); }
+    static Reg
+    loadu(const Elem *p)
+    {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    }
+    static void
+    store(Elem *p, Reg a)
+    {
+        _mm_store_si128(reinterpret_cast<__m128i *>(p), a);
+    }
+    template <int K>
+    static Reg
+    shiftLanes(Reg a)
+    {
+        return _mm_slli_si128(a, 2 * K);
+    }
+    static Reg
+    broadcastLast(Reg a)
+    {
+        const __m128i hi = _mm_shufflehi_epi16(a, 0xFF);
+        return _mm_unpackhi_epi64(hi, hi);
+    }
     static Elem
     hmax(Reg a)
     {
@@ -452,6 +510,31 @@ struct Avx2I16
     {
         return detail::shiftLeft256<2>(a);
     }
+    static Reg
+    loadu(const Elem *p)
+    {
+        return _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(p));
+    }
+    static void
+    store(Elem *p, Reg a)
+    {
+        _mm256_store_si256(reinterpret_cast<__m256i *>(p), a);
+    }
+    template <int K>
+    static Reg
+    shiftLanes(Reg a)
+    {
+        return detail::shiftLeft256<2 * K>(a);
+    }
+    static Reg
+    broadcastLast(Reg a)
+    {
+        // Word 7 of each 128-bit half into its top quadword, then
+        // the top quadword (word 15) into all four.
+        const __m256i hi = _mm256_shufflehi_epi16(a, 0xFF);
+        return _mm256_permute4x64_epi64(hi, 0xFF);
+    }
     static Elem
     hmax(Reg a)
     {
@@ -517,6 +600,15 @@ struct NeonI16
     {
         return vextq_s16(vdupq_n_s16(0), a, 7);
     }
+    static Reg loadu(const Elem *p) { return vld1q_s16(p); }
+    static void store(Elem *p, Reg a) { vst1q_s16(p, a); }
+    template <int K>
+    static Reg
+    shiftLanes(Reg a)
+    {
+        return vextq_s16(vdupq_n_s16(0), a, lanes - K);
+    }
+    static Reg broadcastLast(Reg a) { return vdupq_laneq_s16(a, 7); }
     static Elem hmax(Reg a) { return vmaxvq_s16(a); }
     static bool
     anyGt(Reg a, Reg b)

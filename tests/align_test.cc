@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "align/banded.hh"
+#include "align/banded_impl.hh"
 #include "align/needleman_wunsch.hh"
 #include "align/smith_waterman.hh"
 #include "bio/random.hh"
@@ -229,6 +234,106 @@ TEST(Banded, EmptyBandOffMatrixScoresZero)
     const align::LocalScore ls = align::bandedSmithWaterman(
         q, s, kMat, kGaps, 1000, 2);
     EXPECT_EQ(ls.score, 0);
+}
+
+/** The scalar band: the hook template with a no-op hook. */
+align::LocalScore
+bandedOracle(const Sequence &q, const Sequence &s,
+             const bio::GapPenalties &gaps, int center, int half_width)
+{
+    return align::bandedSmithWatermanScan(
+        q, s, kMat, gaps, center, half_width,
+        [](int, int, int, int, int) {});
+}
+
+/**
+ * Exactness of the native banded kernel: on every compiled backend,
+ * score, queryEnd and subjectEnd equal the scalar oracle's. The
+ * fuzz covers half-widths around each lane count, bands wider than
+ * the matrix, centers off the matrix on both sides, lengths 1-600,
+ * traceback_test's extremeGaps() plus open = 0 and free gaps, and
+ * self-alignments just below and past the 16-bit lane limit (the
+ * latter only through the scalar fallback).
+ */
+TEST(Banded, NativeMatchesScalarOracle)
+{
+    const std::vector<bio::GapPenalties> gap_sets = {
+        {10, 1}, {1, 1}, {40, 2}, {0, 5}, // extremeGaps()
+        {0, 1},  {5, 2}, {12, 3}, {0, 0}};
+    const int widths[] = {0, 1, 7, 8, 15, 16, 17, 31, 32, 33, 64};
+    const auto &backends = align::compiledNativeBackends();
+    const auto check = [&](const Sequence &q, const Sequence &s,
+                           const bio::GapPenalties &gaps, int center,
+                           int half_width) -> int {
+        const align::LocalScore ref =
+            bandedOracle(q, s, gaps, center, half_width);
+        for (const align::SimdBackend backend : backends) {
+            const align::BandedProfile profile(q, kMat, backend);
+            const align::LocalScore got = align::bandedSmithWaterman(
+                profile, s, gaps, center, half_width);
+            EXPECT_EQ(got, ref)
+                << align::backendName(backend) << " m=" << q.length()
+                << " n=" << s.length() << " center=" << center
+                << " half_width=" << half_width << " gaps={"
+                << gaps.open << "," << gaps.extend << "} got {"
+                << got.score << "," << got.queryEnd << ","
+                << got.subjectEnd << "} want {" << ref.score << ","
+                << ref.queryEnd << "," << ref.subjectEnd << "}";
+        }
+        return ref.score;
+    };
+
+    bio::Rng rng(0xBA7DED);
+    int positive = 0;
+    for (int iter = 0; iter < 1500; ++iter) {
+        const int cap = iter % 16 == 0 ? 600 : 150;
+        const int la = static_cast<int>(1 + rng.below(cap));
+        const Sequence q = bio::makeRandomSequence(rng, la);
+        const Sequence s = iter % 3 == 0
+            ? bio::makeRandomSequence(
+                  rng, static_cast<int>(1 + rng.below(cap)))
+            : bio::mutate(rng, q, 0.4 + 0.5 * rng.uniform(), "S", "");
+        const int m = static_cast<int>(q.length());
+        const int n = static_cast<int>(s.length());
+        const bio::GapPenalties &gaps =
+            gap_sets[static_cast<std::size_t>(iter) % gap_sets.size()];
+        const int half_width = iter % 13 == 0
+            ? m + n + static_cast<int>(rng.below(50))
+            : widths[rng.below(std::size(widths))];
+        int center;
+        switch (iter % 10) {
+        case 0: // wholly above/right of the matrix
+            center = n + half_width + static_cast<int>(rng.below(20));
+            break;
+        case 1: // wholly below/left of it
+            center = -m - half_width - static_cast<int>(rng.below(20));
+            break;
+        default: // anywhere the band still touches the matrix
+            center = -(m - 1) - half_width
+                + static_cast<int>(
+                         rng.below(static_cast<std::uint64_t>(
+                             m + n + 2 * half_width - 1)));
+        }
+        positive += check(q, s, gaps, center, half_width) > 0;
+        if (HasFailure())
+            return;
+    }
+    EXPECT_GT(positive, 1000);
+
+    // Self-alignments of "WC" repeats: every second diagonal ties
+    // closely with the main one. 2900 residues score 29000, inside
+    // the 16-bit lanes; 3400 score 34000 and must come back through
+    // the scalar fallback.
+    for (const int len : {2900, 3400}) {
+        std::string letters;
+        for (int k = 0; k < len / 2; ++k)
+            letters += "WC";
+        const Sequence q = seq(letters);
+        for (const int half_width : {0, 16}) {
+            const int score = check(q, q, kGaps, 0, half_width);
+            EXPECT_EQ(score > 32767, len == 3400) << score;
+        }
+    }
 }
 
 /**

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
+#include "align/banded_impl.hh"
 #include "align/fasta.hh"
 #include "align/smith_waterman.hh"
 #include "bio/random.hh"
@@ -68,8 +71,9 @@ TEST(FastaScan, PerfectMatchScoresNearSelf)
 {
     const Sequence q = bio::makeDefaultQuery();
     const align::KtupIndex index(q, 2);
+    const align::BandedProfile profile(q, kMat);
     const align::FastaScores fs =
-        align::fastaScan(index, q, q, kMat, kGaps, {});
+        align::fastaScan(index, profile, q, q, kMat, kGaps, {});
     const int self = align::smithWatermanScore(q, q, kMat, kGaps).score;
     EXPECT_EQ(fs.opt, self); // band includes the main diagonal
     EXPECT_GT(fs.init1, 0);
@@ -82,8 +86,9 @@ TEST(FastaScan, NoHitsOnDissimilarSequences)
     const Sequence q("Q", "", "ACACACACAC");
     const Sequence s("S", "", "WYWYWYWYWY");
     const align::KtupIndex index(q, 2);
+    const align::BandedProfile profile(q, kMat);
     const align::FastaScores fs =
-        align::fastaScan(index, q, s, kMat, kGaps, {});
+        align::fastaScan(index, profile, q, s, kMat, kGaps, {});
     EXPECT_EQ(fs.init1, 0);
     EXPECT_EQ(fs.initn, 0);
     EXPECT_EQ(fs.opt, 0);
@@ -100,13 +105,65 @@ TEST(FastaScan, OptNeverExceedsSmithWaterman)
         const Sequence s =
             bio::mutate(rng, q, 0.4 + rng.uniform() * 0.5, "S", "");
         const align::KtupIndex index(q, params.ktup);
-        const align::FastaScores fs =
-            align::fastaScan(index, q, s, kMat, kGaps, params);
+        const align::BandedProfile profile(q, kMat);
+        const align::FastaScores fs = align::fastaScan(
+            index, profile, q, s, kMat, kGaps, params);
         const int sw =
             align::smithWatermanScore(q, s, kMat, kGaps).score;
         EXPECT_LE(fs.opt, sw);
         EXPECT_LE(fs.init1, fs.initn);
     }
+}
+
+/**
+ * The opt stage on the native banded kernel, over a corpus: for the
+ * seeded query set against a Zipf database, every FastaScores field
+ * on every compiled backend equals a scalar reference. The reference
+ * runs stages 2-4 with the opt stage switched off and takes opt from
+ * the scalar band oracle around regions.front().diag.
+ */
+TEST(FastaScan, CorpusMatchesScalarReferenceOnEveryBackend)
+{
+    const std::vector<Sequence> queries = bio::makeQuerySet();
+    const bio::SequenceDatabase db = bio::makeZipfDatabase(120, 0xFA57A);
+    const align::FastaParams params;
+    align::FastaParams no_opt = params;
+    no_opt.optThreshold = std::numeric_limits<int>::max();
+    int opt_runs = 0;
+    for (const Sequence &q : queries) {
+        const align::KtupIndex index(q, params.ktup);
+        std::vector<align::BandedProfile> profiles;
+        for (const align::SimdBackend b : align::compiledNativeBackends())
+            profiles.emplace_back(q, kMat, b);
+        for (std::size_t k = 0; k < db.size(); ++k) {
+            const Sequence &s = db[k];
+            align::FastaScores ref = align::fastaScan(
+                index, profiles.front(), q, s, kMat, kGaps, no_opt);
+            if (ref.initn >= params.optThreshold) {
+                ref.opt = align::bandedSmithWatermanScan(
+                              q, s, kMat, kGaps, ref.regions.front().diag,
+                              params.bandHalfWidth,
+                              [](int, int, int, int, int) {})
+                              .score;
+                ++opt_runs;
+            }
+            for (const align::BandedProfile &profile : profiles) {
+                const align::FastaScores got = align::fastaScan(
+                    index, profile, q, s, kMat, kGaps, params);
+                const auto where = [&] {
+                    return std::string(
+                               align::backendName(profile.backend()))
+                        + " query " + q.id() + " subject "
+                        + std::to_string(k);
+                };
+                ASSERT_EQ(got.init1, ref.init1) << where();
+                ASSERT_EQ(got.initn, ref.initn) << where();
+                ASSERT_EQ(got.opt, ref.opt) << where();
+                ASSERT_EQ(got.regions, ref.regions) << where();
+            }
+        }
+    }
+    EXPECT_GT(opt_runs, 100);
 }
 
 TEST(FastaScan, RegionsLieWithinSequences)
@@ -115,8 +172,9 @@ TEST(FastaScan, RegionsLieWithinSequences)
     const Sequence q = bio::makeRandomSequence(rng, 120);
     const Sequence s = bio::mutate(rng, q, 0.8, "S", "");
     const align::KtupIndex index(q, 2);
+    const align::BandedProfile profile(q, kMat);
     const align::FastaScores fs =
-        align::fastaScan(index, q, s, kMat, kGaps, {});
+        align::fastaScan(index, profile, q, s, kMat, kGaps, {});
     for (const align::FastaRegion &r : fs.regions) {
         EXPECT_GE(r.queryStart, 0);
         EXPECT_LE(r.queryEnd,

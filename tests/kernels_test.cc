@@ -97,10 +97,12 @@ TEST(FastaTraced, ScoresEqualLibrary)
     const kernels::TracedRun run =
         kernels::traceWorkload(Workload::Fasta34, input);
     const align::KtupIndex index(input.query, 2);
+    const align::BandedProfile profile(input.query, kMat);
     ASSERT_EQ(run.scores.size(), input.db.size());
     for (std::size_t i = 0; i < input.db.size(); ++i) {
         const align::FastaScores ref = align::fastaScan(
-            index, input.query, input.db[i], kMat, kGaps, {});
+            index, profile, input.query, input.db[i], kMat, kGaps,
+            {});
         EXPECT_EQ(run.scores[i], std::max(ref.opt, ref.initn))
             << "sequence " << i;
     }
