@@ -1,6 +1,7 @@
 #include "fasta.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "karlin.hh"
@@ -116,7 +117,21 @@ fastaScan(const KtupIndex &index, const BandedProfile &profile,
         std::int32_t bestStart = 0;
         std::int32_t bestEnd = 0;
     };
-    std::vector<DiagState> diags(static_cast<std::size_t>(num_diags));
+    // Per-thread scratch, kept at its defaults between calls: a hit
+    // marks its diagonal in `touched`, and the collection below
+    // visits only the marked diagonals and resets each state as it
+    // reads it, so no subject allocates or zero-fills m + n - 1
+    // states.
+    thread_local std::vector<DiagState> diags;
+    thread_local std::vector<std::uint64_t> touched;
+    const std::size_t diag_words =
+        (static_cast<std::size_t>(num_diags) + 63) / 64;
+    if (diags.size() < static_cast<std::size_t>(num_diags))
+        diags.resize(static_cast<std::size_t>(num_diags));
+    if (touched.size() < diag_words)
+        touched.resize(diag_words, 0);
+    DiagState *const states = diags.data();
+    std::uint64_t *const marks = touched.data();
 
     const int hit_bonus = 4 * ktup; // nominal score per word hit
     const auto *sres = subject.residues().data();
@@ -126,8 +141,9 @@ fastaScan(const KtupIndex &index, const BandedProfile &profile,
         const auto [begin, end] = index.positions(w);
         for (const std::int32_t *p = begin; p != end; ++p) {
             const int i = *p;
-            const int d = j - i + diag_offset;
-            DiagState &ds = diags[static_cast<std::size_t>(d)];
+            const auto d = static_cast<std::size_t>(j - i + diag_offset);
+            DiagState &ds = states[d];
+            marks[d / 64] |= std::uint64_t{1} << (d % 64);
             const int gap = i - ds.lastQueryPos - ktup;
             if (gap < 0) {
                 // Overlapping word; extends the run with no penalty.
@@ -149,18 +165,28 @@ fastaScan(const KtupIndex &index, const BandedProfile &profile,
             *cells += static_cast<std::uint64_t>(end - begin) + 1;
     }
 
-    // Collect the best regions across diagonals.
+    // Collect the best regions across diagonals, in diagonal order
+    // (the order the sort below sees, so ties land the same way),
+    // leaving the scratch at its defaults for the next subject.
     std::vector<FastaRegion> candidates;
-    for (int d = 0; d < num_diags; ++d) {
-        const DiagState &ds = diags[static_cast<std::size_t>(d)];
-        if (ds.bestScore <= 0)
-            continue;
-        FastaRegion r;
-        r.diag = d - diag_offset;
-        r.queryStart = ds.bestStart;
-        r.queryEnd = ds.bestEnd;
-        r.score = ds.bestScore;
-        candidates.push_back(r);
+    for (std::size_t w = 0; w < diag_words; ++w) {
+        std::uint64_t bits = marks[w];
+        marks[w] = 0;
+        while (bits != 0) {
+            const std::size_t d =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            DiagState &ds = states[d];
+            if (ds.bestScore > 0) {
+                FastaRegion r;
+                r.diag = static_cast<int>(d) - diag_offset;
+                r.queryStart = ds.bestStart;
+                r.queryEnd = ds.bestEnd;
+                r.score = ds.bestScore;
+                candidates.push_back(r);
+            }
+            ds = DiagState{};
+        }
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const FastaRegion &a, const FastaRegion &b) {
@@ -192,8 +218,10 @@ fastaScan(const KtupIndex &index, const BandedProfile &profile,
 
     // Stage 4: join regions (initn). Greedy chain in query order:
     // regions must not overlap in query rows; each join pays the
-    // fixed gap penalty.
-    std::vector<FastaRegion> byQuery = candidates;
+    // fixed gap penalty. The query-order copy is per-thread scratch
+    // too.
+    thread_local std::vector<FastaRegion> byQuery;
+    byQuery.assign(candidates.begin(), candidates.end());
     out.regions = std::move(candidates);
     std::sort(byQuery.begin(), byQuery.end(),
               [](const FastaRegion &a, const FastaRegion &b) {

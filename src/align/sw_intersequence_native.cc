@@ -95,10 +95,14 @@ swInterSequenceScan(const NativeQueryProfile &profile,
         return;
     }
 
-    // Length-sorted lane schedule: lanes retire together, and the
-    // stable (length, index) key makes the schedule — and therefore
-    // the retire/refill sequence — a pure function of the batch,
-    // independent of how the caller discovered the subjects.
+    // Longest-first lane schedule: the long subjects start
+    // together and the short ones refill the lanes that retire
+    // early, so the lanes drain close together instead of one long
+    // subject idling the rest at the end. The (length desc, index
+    // asc) key makes the schedule — and therefore the retire/refill
+    // sequence — a pure function of the batch, independent of how
+    // the caller discovered the subjects; lanes are independent, so
+    // scores and end columns do not depend on it.
     thread_local std::vector<std::uint32_t> order;
     order.clear();
     for (std::size_t i = 0; i < count; ++i)
@@ -110,7 +114,7 @@ swInterSequenceScan(const NativeQueryProfile &profile,
               [&](std::uint32_t a, std::uint32_t b) {
                   if (subjects[a].length != subjects[b].length)
                       return subjects[a].length
-                          < subjects[b].length;
+                          > subjects[b].length;
                   return a < b;
               });
 

@@ -50,9 +50,10 @@ struct SubjectSpan
 /**
  * Scan @p count subjects against the profile's query with the
  * inter-sequence kernel, writing one LocalScore per subject (in the
- * caller's order) to @p out. Subjects are processed in a stable
- * (length, index)-sorted lane schedule internally — results do not
- * depend on the caller's ordering beyond the output slots.
+ * caller's order) to @p out. Subjects are processed in a
+ * longest-first (length desc, index asc) lane schedule internally
+ * — results do not depend on the caller's ordering beyond the
+ * output slots.
  *
  * Scores and subjectEnd match swStripedNativeScan bit-for-bit;
  * queryEnd is -1 unless the scalar ladder level ran. Subjects that

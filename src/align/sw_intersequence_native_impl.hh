@@ -142,8 +142,9 @@ struct InterLaneResult
 
 /**
  * Scan @p count subjects, one per u8 lane, against the query.
- * Subjects should arrive length-sorted so co-resident lanes retire
- * together (correct in any order, just slower). A retiring lane is
+ * Subjects should arrive longest first, so the short tail refills
+ * lanes that retire early and the lanes drain together (correct in
+ * any order, just slower). A retiring lane is
  * refilled from the queue immediately; its H/E/best state is zeroed
  * with a lane mask, and exhausted lanes idle on the all-zero pad
  * row of @p mat_t until the batch drains.
@@ -214,9 +215,9 @@ interScanU8(const std::uint8_t *mat_t, const bio::Residue *query,
     while (active > 0) {
         // Retire finished subjects and refill from the queue. The
         // mask zeroes a refilled lane's H/E/best columns in one
-        // vectorized pass; length-sorted input makes simultaneous
-        // retirements (one mask pass for many lanes) the common
-        // case.
+        // vectorized pass; length-sorted input puts subjects of
+        // near-equal length side by side, so simultaneous
+        // retirements (one mask pass for many lanes) stay common.
         bool retired = false;
         for (int l = 0; l < lanes; ++l) {
             mask[l] = static_cast<Elem>(0xFF);

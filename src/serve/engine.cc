@@ -1,5 +1,6 @@
 #include "engine.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -19,6 +20,37 @@ elapsedUs(WallClock::time_point from, WallClock::time_point to)
 {
     return std::chrono::duration<double, std::micro>(to - from)
         .count();
+}
+
+/**
+ * The scan family of a request kind. The three Smith-Waterman
+ * kinds rank by the same exact score: PreparedQuery builds them
+ * one profile and scans and traces them through one native
+ * kernel, so they are one search.
+ */
+kernels::Workload
+scanFamily(kernels::Workload kind)
+{
+    switch (kind) {
+    case kernels::Workload::SwVmx128:
+    case kernels::Workload::SwVmx256:
+        return kernels::Workload::Ssearch34;
+    default:
+        return kind;
+    }
+}
+
+/**
+ * True when @p a and @p b prepare the same query state and rank
+ * the same hits (reporting is part of the key because a reporting
+ * FASTA query also builds a profile).
+ */
+bool
+samePreparedQuery(const Request &a, const Request &b)
+{
+    return scanFamily(a.kind) == scanFamily(b.kind)
+        && a.reportAlignments == b.reportAlignments
+        && a.query.residues() == b.query.residues();
 }
 
 } // namespace
@@ -180,235 +212,310 @@ Engine::runBatch(const Request *requests, std::size_t count,
     _mRequests->inc(count);
     _mBatches->inc();
 
-    // Phase 1: build each *distinct* request's query state
-    // (profile / word index) once, in parallel. Identical
-    // (kind, query-residues, reporting) requests in the batch
-    // share one PreparedQuery — profiles are read-only during
-    // scans, so sharing is free (reporting is part of the key
-    // because a reporting FASTA query also builds a profile).
-    // Batches are small, so the quadratic group scan is cheaper
-    // than hashing the residues.
-    std::vector<std::size_t> rep(count);
+    // Phase 1: group the batch by search identity — scan family,
+    // query residues, reporting and effective top-K. Each group is
+    // prepared, probed, scanned and traced once for all of its
+    // members; groups that differ only in top-K also share the
+    // prepared query and the probe (profiles are read-only during
+    // scans, so sharing is free). Batches are small, so the
+    // quadratic grouping is cheaper than hashing the residues.
+    struct Group
+    {
+        /** Member requests, ascending; the first represents it. */
+        std::vector<std::size_t> members;
+        /** The group whose PreparedQuery and probe this one uses. */
+        std::size_t prep = 0;
+        std::size_t topK = 0;
+    };
+    std::vector<Group> groups;
+    std::vector<std::size_t> group_of(count);
     for (std::size_t r = 0; r < count; ++r) {
-        rep[r] = r;
-        for (std::size_t p = 0; p < r; ++p) {
-            if (requests[p].kind == requests[r].kind
-                && requests[p].reportAlignments
-                    == requests[r].reportAlignments
-                && requests[p].query.residues()
-                    == requests[r].query.residues()) {
-                rep[r] = p;
+        const std::size_t top_k =
+            requests[r].topK ? requests[r].topK : _cfg.topK;
+        std::size_t g = 0;
+        std::size_t prep = groups.size();
+        for (; g < groups.size(); ++g) {
+            if (!samePreparedQuery(
+                    requests[groups[g].members.front()],
+                    requests[r]))
+                continue;
+            prep = groups[g].prep;
+            if (groups[g].topK == top_k)
                 break;
-            }
         }
+        if (g == groups.size())
+            groups.push_back(Group{{}, prep, top_k});
+        groups[g].members.push_back(r);
+        group_of[r] = g;
     }
-    std::vector<std::size_t> unique;
-    for (std::size_t r = 0; r < count; ++r)
-        if (rep[r] == r)
-            unique.push_back(r);
-    _mBatchUnique->inc(unique.size());
-    _mDedupSaved->inc(count - unique.size());
+    _mBatchUnique->inc(groups.size());
+    _mDedupSaved->inc(count - groups.size());
 
-    // A representative whose every sharer is already past its
-    // deadline is not worth preparing: all of its scans would be
+    // A prepared query whose every member is already past its
+    // deadline is not worth building: all of its scans would be
     // skipped anyway. (Time is monotone, so "expired now" stays
     // expired at scan time.)
-    std::vector<char> skip_prepare(count, 0);
-    if (control.deadlinesUs != nullptr) {
-        for (const std::size_t u : unique) {
-            bool all_expired = true;
-            for (std::size_t r = u; r < count && all_expired; ++r)
-                if (rep[r] == u && !control.expired(r))
-                    all_expired = false;
-            skip_prepare[u] = all_expired ? 1 : 0;
-        }
-    }
+    std::vector<char> needed(groups.size(), 0);
+    for (const Group &grp : groups)
+        for (const std::size_t r : grp.members)
+            if (!control.expired(r)) {
+                needed[grp.prep] = 1;
+                break;
+            }
+    std::vector<std::size_t> to_prepare;
+    for (std::size_t g = 0; g < groups.size(); ++g)
+        if (needed[g])
+            to_prepare.push_back(g);
 
-    std::vector<std::unique_ptr<PreparedQuery>> prepared(count);
-    _pool.parallelFor(unique.size(), [&](std::size_t i) {
-        const std::size_t r = unique[i];
-        if (skip_prepare[r])
-            return;
-        prepared[r] = std::make_unique<PreparedQuery>(
-            requests[r], *_matrix, _cfg.gaps, _cfg.fasta,
-            _cfg.blast, _cfg.backend, _cfg.blastn);
+    std::vector<std::unique_ptr<PreparedQuery>> prepared(
+        groups.size());
+    _pool.parallelFor(to_prepare.size(), [&](std::size_t i) {
+        const std::size_t g = to_prepare[i];
+        prepared[g] = std::make_unique<PreparedQuery>(
+            requests[groups[g].members.front()], *_matrix,
+            _cfg.gaps, _cfg.fasta, _cfg.blast, _cfg.backend,
+            _cfg.blastn);
     });
 
-    // Phase 1.5: probe the seed index once per distinct eligible
-    // request, in parallel. The probe never touches subject
-    // residues and its cost is independent of the shard count, so
-    // it runs at request granularity; shard tasks then slice the
-    // candidate list. A probe that marks too much of the database
-    // falls back to the full scan (the index would not pay for
-    // itself at that density).
+    // Phase 1.5: probe the seed index once per prepared BLAST
+    // query, in parallel. The probe never touches subject residues
+    // and its cost is independent of the shard count, so it runs
+    // at query granularity; shard tasks then slice the candidate
+    // list. A probe that marks too much of the database falls back
+    // to the full scan (the index would not pay for itself at that
+    // density).
     struct ProbeOutcome
     {
         std::vector<std::uint32_t> candidates;
         bool fallback = false;
     };
-    std::vector<std::unique_ptr<ProbeOutcome>> probes(count);
+    std::vector<std::unique_ptr<ProbeOutcome>> probes(groups.size());
     std::uint64_t index_probes = 0;
     std::uint64_t index_candidates = 0;
     std::uint64_t index_fallbacks = 0;
     if (seed_index != nullptr) {
-        _pool.parallelFor(unique.size(), [&](std::size_t i) {
-            const std::size_t r = unique[i];
-            const PreparedQuery *q = prepared[r].get();
-            if (q == nullptr
-                || q->kind() != kernels::Workload::Blast
-                || q->neighborhoodIndex() == nullptr
+        _pool.parallelFor(to_prepare.size(), [&](std::size_t i) {
+            const std::size_t g = to_prepare[i];
+            const PreparedQuery &q = *prepared[g];
+            if (q.kind() != kernels::Workload::Blast
+                || q.neighborhoodIndex() == nullptr
                 || seed_index->wordSize()
-                    != q->blastParams().wordSize)
+                    != q.blastParams().wordSize)
                 return;
             auto probe = std::make_unique<ProbeOutcome>();
             probe->candidates = index::probeCandidates(
-                *seed_index, *q->neighborhoodIndex(),
-                q->blastParams(), 0, db.size());
+                *seed_index, *q.neighborhoodIndex(),
+                q.blastParams(), 0, db.size());
             probe->fallback =
                 static_cast<double>(probe->candidates.size())
                 > _cfg.indexMaxSelectivity
                     * static_cast<double>(db.size());
-            probes[r] = std::move(probe);
+            probes[g] = std::move(probe);
         });
-        for (const std::size_t u : unique)
-            if (probes[u] != nullptr) {
+        for (const std::size_t g : to_prepare)
+            if (probes[g] != nullptr) {
                 ++index_probes;
-                index_candidates += probes[u]->candidates.size();
-                if (probes[u]->fallback)
+                index_candidates += probes[g]->candidates.size();
+                if (probes[g]->fallback)
                     ++index_fallbacks;
             }
     }
 
-    // Phase 2: fan (request x shard) scans out; each task writes
-    // its preallocated slot, so the schedule cannot reorder
-    // results. The deadline check sits immediately before the
-    // scan: an expired request stops consuming scan time at shard
-    // granularity.
+    // Phase 2: fan (group x shard) scans out; each task writes its
+    // preallocated slot, so the schedule cannot reorder results.
+    // The deadline checks sit immediately before the scan: a member
+    // already expired records the shard as skipped, and the scan
+    // runs only while some member is live, so an expired request
+    // stops consuming scan time at shard granularity.
     ScanRoute route;
     route.interseqCutover = _cfg.interseqCutover;
 
-    std::vector<ShardScan> scans(count * shards);
-    _pool.parallelFor(count * shards, [&](std::size_t u) {
-        const std::size_t r = u / shards;
+    std::vector<ShardScan> scans(groups.size() * shards);
+    std::vector<char> member_skipped(count * shards, 0);
+    _pool.parallelFor(groups.size() * shards, [&](std::size_t u) {
+        const Group &grp = groups[u / shards];
         const std::size_t s = u % shards;
-        if (control.expired(r) || prepared[rep[r]] == nullptr) {
+        const PreparedQuery *q = prepared[grp.prep].get();
+        bool live = false;
+        for (const std::size_t r : grp.members) {
+            const bool expired = q == nullptr || control.expired(r);
+            member_skipped[r * shards + s] = expired ? 1 : 0;
+            live = live || !expired;
+        }
+        if (!live) {
             scans[u].skipped = true;
             return;
         }
-        const std::size_t top_k = requests[r].topK
-            ? requests[r].topK
-            : _cfg.topK;
         ScanRoute task_route = route;
-        const ProbeOutcome *probe = probes[rep[r]].get();
+        const ProbeOutcome *probe = probes[grp.prep].get();
         if (probe != nullptr && !probe->fallback)
             task_route.indexCandidates = &probe->candidates;
         const WallClock::time_point t0 = WallClock::now();
-        scans[u] = scanShard(*prepared[rep[r]], db,
-                             sharded.shard(s), top_k, _karlin,
-                             total, task_route);
+        scans[u] = scanShard(*q, db, sharded.shard(s), grp.topK,
+                             _karlin, total, task_route);
         scans[u].elapsedUs = elapsedUs(t0, WallClock::now());
         _mScanUs->record(scans[u].elapsedUs);
     });
 
-    // Phase 3: merge per-shard top-K lists, in request order, and
-    // fold the scan accounting into the batch-level counters.
+    // Phase 3: fold each group's scans into the batch-level
+    // counters once, then merge per-shard top-K lists for each
+    // member over the shards it did not skip. A member that skipped
+    // the same shards as the one before it carries that member's
+    // list (list_owner), which is the usual case: none skipped. A
+    // shard's scan time is charged to the first member it served.
     std::uint64_t cells = 0;
     std::uint64_t karlin_fills = 0;
     std::uint64_t shards_scanned = 0;
     std::uint64_t shards_skipped = 0;
     align::NativeScanStats native;
     std::vector<Response> out(count);
-    for (std::size_t r = 0; r < count; ++r) {
-        Response &resp = out[r];
-        resp.id = requests[r].id;
-        resp.kind = requests[r].kind;
-        const std::size_t top_k = requests[r].topK
-            ? requests[r].topK
-            : _cfg.topK;
-        std::vector<std::vector<align::SearchHit>> lists;
-        lists.reserve(shards);
+    std::vector<std::size_t> list_owner(count);
+    std::vector<char> charged(shards);
+    std::vector<std::vector<align::SearchHit>> lists;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        const Group &grp = groups[g];
+        const ShardScan *group_scans = &scans[g * shards];
         for (std::size_t s = 0; s < shards; ++s) {
-            ShardScan &scan = scans[r * shards + s];
-            if (scan.skipped) {
-                ++resp.shardsSkipped;
-                ++shards_skipped;
-                continue;
-            }
+            const ShardScan &scan = group_scans[s];
             // A prefilter skip (probe found no candidates) is a
             // *complete* answer reached without alignment work, so
             // it counts as a skipped shard in the metrics but never
             // as a deadline skip on the response.
-            if (scan.prefilterSkipped)
+            if (scan.skipped || scan.prefilterSkipped)
                 ++shards_skipped;
             else
                 ++shards_scanned;
-            resp.cellsComputed += scan.cells;
-            resp.sequencesSearched += scan.sequences;
-            resp.residuesScanned += scan.residues;
-            resp.scanUs += scan.elapsedUs;
             cells += scan.cells;
             karlin_fills += scan.karlinFills;
             native += scan.native;
-            lists.push_back(std::move(scan.hits));
         }
-        resp.hits = mergeRanked(lists, top_k);
+        std::fill(charged.begin(), charged.end(), 0);
+        for (std::size_t k = 0; k < grp.members.size(); ++k) {
+            const std::size_t r = grp.members[k];
+            const char *skipped = &member_skipped[r * shards];
+            Response &resp = out[r];
+            resp.id = requests[r].id;
+            resp.kind = requests[r].kind;
+            for (std::size_t s = 0; s < shards; ++s) {
+                if (skipped[s]) {
+                    ++resp.shardsSkipped;
+                    continue;
+                }
+                const ShardScan &scan = group_scans[s];
+                resp.cellsComputed += scan.cells;
+                resp.sequencesSearched += scan.sequences;
+                resp.residuesScanned += scan.residues;
+                if (!charged[s]) {
+                    resp.scanUs += scan.elapsedUs;
+                    charged[s] = 1;
+                }
+            }
+            const std::size_t prev = grp.members[k > 0 ? k - 1 : 0];
+            if (k > 0
+                && std::equal(skipped, skipped + shards,
+                              &member_skipped[prev * shards])) {
+                list_owner[r] = list_owner[prev];
+                resp.hits = out[prev].hits;
+                continue;
+            }
+            list_owner[r] = r;
+            lists.clear();
+            for (std::size_t s = 0; s < shards; ++s)
+                if (!skipped[s])
+                    lists.push_back(group_scans[s].hits);
+            resp.hits = mergeRanked(lists, grp.topK);
+        }
     }
 
     // Phase 4: traceback reporting. Strictly after the merge, so
     // the ranked hit list (ids, scores, order) is already final —
     // reporting can only attach alignments, never perturb phase 1.
-    // One task per (reporting request, surviving hit); each writes
-    // its preallocated alignments[h] slot, so the schedule cannot
-    // reorder anything. The deadline check sits before each
-    // traceback, mirroring the per-shard checks of phase 2.
+    // One task per (hit list, surviving hit), shared by the members
+    // carrying that list; each writes its preallocated slot, so the
+    // schedule cannot reorder anything. The deadline checks sit
+    // before each traceback, mirroring the per-shard checks of
+    // phase 2: the task runs while any sharer is live.
     struct TraceTask
     {
-        std::size_t r;
+        std::size_t owner;
         std::size_t h;
     };
     std::vector<TraceTask> trace_tasks;
+    // Per reporting member, one deadline-skip flag per hit, from
+    // trace_base[r].
+    std::vector<std::size_t> trace_base(count, 0);
+    std::size_t trace_flags = 0;
     for (std::size_t r = 0; r < count; ++r) {
         if (!requests[r].reportAlignments
-            || prepared[rep[r]] == nullptr)
+            || prepared[groups[group_of[r]].prep] == nullptr)
             continue;
         out[r].alignments.resize(out[r].hits.size());
-        for (std::size_t h = 0; h < out[r].hits.size(); ++h)
-            trace_tasks.push_back(TraceTask{r, h});
+        trace_base[r] = trace_flags;
+        trace_flags += out[r].hits.size();
+        if (list_owner[r] == r)
+            for (std::size_t h = 0; h < out[r].hits.size(); ++h)
+                trace_tasks.push_back(TraceTask{r, h});
     }
     std::uint64_t traceback_cells = 0;
     std::uint64_t alignments_traced = 0;
     std::uint64_t tracebacks_skipped = 0;
     if (!trace_tasks.empty()) {
+        std::vector<align::CigarAlignment> task_aln(
+            trace_tasks.size());
         std::vector<align::TracebackStats> task_stats(
             trace_tasks.size());
         std::vector<double> task_us(trace_tasks.size(), 0.0);
         std::vector<char> task_skipped(trace_tasks.size(), 0);
+        std::vector<char> trace_skipped(trace_flags, 0);
         _pool.parallelFor(trace_tasks.size(), [&](std::size_t i) {
             const TraceTask &task = trace_tasks[i];
-            if (control.expired(task.r)) {
+            const Group &grp = groups[group_of[task.owner]];
+            bool live = false;
+            for (const std::size_t r : grp.members) {
+                if (list_owner[r] != task.owner)
+                    continue;
+                const bool expired = control.expired(r);
+                trace_skipped[trace_base[r] + task.h] =
+                    expired ? 1 : 0;
+                live = live || !expired;
+            }
+            if (!live) {
                 task_skipped[i] = 1;
                 return;
             }
             const align::SearchHit &hit =
-                out[task.r].hits[task.h];
+                out[task.owner].hits[task.h];
             const WallClock::time_point t0 = WallClock::now();
-            out[task.r].alignments[task.h] =
-                prepared[rep[task.r]]->traceback(
-                    db[hit.dbIndex], hit, &task_stats[i]);
+            task_aln[i] = prepared[grp.prep]->traceback(
+                db[hit.dbIndex], hit, &task_stats[i]);
             task_us[i] = elapsedUs(t0, WallClock::now());
             _mTracebackUs->record(task_us[i]);
         });
         for (std::size_t i = 0; i < trace_tasks.size(); ++i) {
-            Response &resp = out[trace_tasks[i].r];
+            const TraceTask &task = trace_tasks[i];
             if (task_skipped[i]) {
-                ++resp.tracebacksSkipped;
                 ++tracebacks_skipped;
-                continue;
+            } else {
+                ++alignments_traced;
+                traceback_cells += task_stats[i].totalCells;
             }
-            ++alignments_traced;
-            resp.tracebackCells += task_stats[i].totalCells;
-            resp.tracebackUs += task_us[i];
-            traceback_cells += task_stats[i].totalCells;
+            bool timed = false;
+            for (const std::size_t r :
+                 groups[group_of[task.owner]].members) {
+                if (list_owner[r] != task.owner)
+                    continue;
+                Response &resp = out[r];
+                if (trace_skipped[trace_base[r] + task.h]) {
+                    ++resp.tracebacksSkipped;
+                    continue;
+                }
+                resp.alignments[task.h] = task_aln[i];
+                resp.tracebackCells += task_stats[i].totalCells;
+                if (!timed) {
+                    resp.tracebackUs += task_us[i];
+                    timed = true;
+                }
+            }
         }
     }
 

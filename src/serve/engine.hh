@@ -1,12 +1,12 @@
 /**
  * @file
  * The batched query-serving engine: serveBatch(), its one entry
- * point, takes a batch of alignment requests, fans (request x
- * shard) scan tasks across a core::ThreadPool, merges per-shard
- * top-K heaps into one ranked hit list per request, and records
- * engine-level counters. Queueing, batching a stream and
- * per-request latency belong to the ServeLoop in front of it
- * (loop.hh).
+ * point, takes a batch of alignment requests, groups them into
+ * distinct searches, fans (search x shard) scan tasks across a
+ * core::ThreadPool, merges per-shard top-K heaps into one ranked
+ * hit list per request, and records engine-level counters.
+ * Queueing, batching a stream and per-request latency belong to
+ * the ServeLoop in front of it (loop.hh).
  *
  * Determinism contract (asserted by tests/serve_test.cc): the
  * ranked hit list of a request — ids, scores, bit scores, E-values
@@ -14,8 +14,15 @@
  * size, or worker count, and equal to a serial scan of the whole
  * database under the (score desc, db index asc) order. The
  * schedule only decides *when* a scan runs, never *what* it
- * computes: every task writes to a preallocated (request, shard)
+ * computes: every task writes to a preallocated (search, shard)
  * slot and the merge walks those slots in submission order.
+ *
+ * A search is a (scan family, query residues, effective top-K,
+ * reportAlignments) group of the batch; ssearch34, sw_vmx128 and
+ * sw_vmx256 are one family, because they build the same profile
+ * and rank by the same exact score. Each search is prepared,
+ * probed, scanned and traced once, and every member of it gets the
+ * same hits and alignments as if it had been served alone.
  *
  * With EngineConfig::cache on, serveBatch answers repeats from the
  * epoch-keyed result cache (cache.hh) and scans only the misses; a
@@ -51,12 +58,14 @@ namespace bioarch::serve
 {
 
 /**
- * Per-request cancellation plumbed into a batch: request r's
- * shard-scan tasks check deadlinesUs[r] (absolute, in @p clock's
- * time base; <= 0 means no deadline) immediately before scanning
- * and skip the scan once the deadline has passed — cancellation at
- * shard-scan granularity. Skipped shards are reported in
- * Response::shardsSkipped.
+ * Per-request cancellation plumbed into a batch: each shard-scan
+ * task checks deadlinesUs[r] (absolute, in @p clock's time base;
+ * <= 0 means no deadline) of every request r it serves immediately
+ * before scanning. A request past its deadline records the shard
+ * as skipped (Response::shardsSkipped), and the scan itself is
+ * skipped once every request sharing it has expired —
+ * cancellation at shard-scan granularity. Tracebacks are checked
+ * the same way.
  */
 struct BatchControl
 {
@@ -125,7 +134,7 @@ struct EngineConfig
      * probe marks more than this fraction of the database's
      * sequences as candidates, the request falls back to the full
      * scan (the index would not pay for itself). The probe runs
-     * once per distinct request, before the shard fan-out. See
+     * once per prepared query, before the shard fan-out. See
      * ScanRoute.
      */
     double indexMaxSelectivity = 0.2;
@@ -193,10 +202,15 @@ class Engine
 
     /**
      * The engine's one entry point: serve @p requests as a single
-     * batch, all (request, shard) scans in flight together.
+     * batch, all (search, shard) scans in flight together.
      * Responses come back in request order with serviceUs = the
-     * batch's wall time. @p control cancels requests past their
-     * deadline at shard-scan granularity.
+     * batch's wall time. Requests of one search each keep their id
+     * and kind and report the search's hits, alignments and work
+     * counts (cells, sequences, residues, traceback cells); its
+     * scan and traceback time is charged once, to the first member
+     * a task served, so the others carry zero scanUs and
+     * tracebackUs. @p control cancels requests past their deadline
+     * at shard-scan granularity.
      *
      * With the cache on, a hit comes back fromCache with its own
      * lookup time as serviceUs, and the misses run as one batch
@@ -215,10 +229,14 @@ class Engine
 
     /**
      * The registry this engine reports into (its own, or the one
-     * injected via EngineConfig::metrics). Counters: batch-level
-     * dedup savings (serve_dedup_saved_total / batch_unique),
-     * lazy Karlin statistic fills, shard scans and
-     * deadline-skips, cells; the native overflow ladder per
+     * injected via EngineConfig::metrics). Counters count work
+     * once per search, not per request: the distinct searches per
+     * batch (serve_batch_unique_total) and the requests that
+     * shared one (serve_dedup_saved_total), lazy Karlin statistic
+     * fills, shard scans run and skipped (a shard is skipped when
+     * every request of its search has expired, or when the index
+     * probe left it no candidates), cells, alignments and
+     * traceback cells; the native overflow ladder per
      * backend (native_scans_total{backend=...} and friends);
      * mirrored thread-pool tasks/steals. Histograms:
      * serve_scan_us, serve_batch_us, serve_cache_hit_us; the

@@ -88,7 +88,7 @@ struct ScanRoute
     const std::vector<std::uint32_t> *indexCandidates = nullptr;
 };
 
-/** What one (request, shard) scan task produces. */
+/** What one (search, shard) scan task produces. */
 struct ShardScan
 {
     /** The shard's top-K hits, ranked by (score desc, index asc). */

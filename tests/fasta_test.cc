@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "align/banded_impl.hh"
@@ -17,6 +18,7 @@
 #include "bio/random.hh"
 #include "bio/scoring.hh"
 #include "bio/synthetic.hh"
+#include "core/thread_pool.hh"
 
 namespace
 {
@@ -164,6 +166,53 @@ TEST(FastaScan, CorpusMatchesScalarReferenceOnEveryBackend)
         }
     }
     EXPECT_GT(opt_runs, 100);
+}
+
+/**
+ * fastaScan keeps its stage-2 diagonal state in per-thread scratch
+ * that every call must leave at its defaults. Scanning the corpus
+ * from a thread pool, with each worker switching between queries
+ * and subjects of different lengths, must give exactly the serial
+ * results (and, under ThreadSanitizer, no race).
+ */
+TEST(FastaScan, ThreadPoolScanEqualsSerial)
+{
+    const std::vector<Sequence> queries = bio::makeQuerySet();
+    const bio::SequenceDatabase db = bio::makeZipfDatabase(60, 0xFA57B);
+    const align::FastaParams params;
+    std::vector<align::KtupIndex> indexes;
+    std::vector<align::BandedProfile> profiles;
+    for (const Sequence &q : queries) {
+        indexes.emplace_back(q, params.ktup);
+        profiles.emplace_back(q, kMat);
+    }
+    const std::size_t nq = queries.size();
+    const auto scan = [&](std::size_t t) {
+        const std::size_t q = t % nq;
+        return align::fastaScan(indexes[q], profiles[q], queries[q],
+                                db[t / nq], kMat, kGaps, params);
+    };
+
+    const std::size_t tasks = nq * db.size();
+    std::vector<align::FastaScores> serial;
+    for (std::size_t t = 0; t < tasks; ++t)
+        serial.push_back(scan(t));
+    std::vector<align::FastaScores> pooled(tasks);
+    core::ThreadPool pool(4);
+    pool.parallelFor(tasks,
+                     [&](std::size_t t) { pooled[t] = scan(t); });
+
+    std::size_t with_regions = 0;
+    for (std::size_t t = 0; t < tasks; ++t) {
+        const std::string where = "query " + queries[t % nq].id()
+            + " subject " + std::to_string(t / nq);
+        ASSERT_EQ(pooled[t].init1, serial[t].init1) << where;
+        ASSERT_EQ(pooled[t].initn, serial[t].initn) << where;
+        ASSERT_EQ(pooled[t].opt, serial[t].opt) << where;
+        ASSERT_EQ(pooled[t].regions, serial[t].regions) << where;
+        with_regions += serial[t].regions.empty() ? 0 : 1;
+    }
+    EXPECT_GT(with_regions, tasks / 2);
 }
 
 TEST(FastaScan, RegionsLieWithinSequences)

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "align/ssearch.hh"
 #include "bio/synthetic.hh"
 #include "core/percentile.hh"
+#include "index/seed_index.hh"
 #include "obs/metrics.hh"
 #include "serve/clock.hh"
 #include "serve/engine.hh"
@@ -493,8 +496,8 @@ TEST(ServeEngine, BatchDedupSharesIdenticalRequests)
     cfg.batch = 8;
     serve::Engine engine(testDb(), cfg);
 
-    // 8 requests, but only 3 distinct (kind, query) groups: the
-    // same query under two kinds, plus one other query.
+    // 8 requests, but only 3 distinct searches: the same query
+    // under two kinds, plus one other query.
     std::vector<serve::Request> batch;
     for (std::size_t i = 0; i < 8; ++i) {
         serve::Request r;
@@ -515,21 +518,22 @@ TEST(ServeEngine, BatchDedupSharesIdenticalRequests)
         engine.serveBatch(batch);
     EXPECT_EQ(m.counterValue("serve_batch_unique_total") - unique0,
               3u);
-    // 8 requests, 3 distinct groups: 5 prepares saved by dedup.
+    // 8 requests, 3 distinct searches: 5 requests answered by
+    // another request's search.
     EXPECT_EQ(m.counterValue("serve_dedup_saved_total") - saved0,
               5u);
     // Karlin statistics are filled lazily, for per-shard heap
-    // survivors only — bounded by shards x top-K per request
-    // (dedup shares the prepared query; every request still scans
-    // its shards), never one fill per scanned sequence.
+    // survivors only — bounded by shards x top-K per search (each
+    // search scans its shards once, however many requests share
+    // it), never one fill per scanned sequence.
     ASSERT_EQ(responses.size(), 8u);
     std::uint64_t survivors = 0;
-    for (const serve::Response &r : responses)
-        survivors += r.hits.size();
+    for (const std::size_t rep : {0u, 5u, 7u})
+        survivors += responses[rep].hits.size();
     const std::uint64_t fills =
         m.counterValue("serve_karlin_lazy_fills_total") - fills0;
     EXPECT_GE(fills, survivors);
-    EXPECT_LE(fills, 8u * engine.config().shards
+    EXPECT_LE(fills, 3u * engine.config().shards
                          * engine.config().topK);
     EXPECT_LT(fills, 8u * testDb().size()); // lazy, not per scan
 
@@ -565,6 +569,143 @@ TEST(ServeEngine, BatchDedupSharesIdenticalRequests)
               stream.size());
     EXPECT_EQ(m.counterValue("serve_dedup_saved_total") - saved1,
               0u);
+}
+
+/**
+ * One search per group: the three Smith-Waterman kinds of a query,
+ * an exact duplicate, reporting copies, a FASTA duplicate and an
+ * indexed BLAST pair share scans inside one batch, and every
+ * member still answers exactly as if it had been served alone.
+ */
+TEST(ServeEngine, BatchGroupsSearchesAcrossKinds)
+{
+    const index::SeedIndex idx = index::SeedIndex::build(testDb());
+    serve::EngineConfig cfg;
+    cfg.jobs = 3;
+    cfg.shards = 4;
+    cfg.seedIndex = &idx;
+    // Probes filter, and the small database never falls back.
+    cfg.blast.neighborThreshold = 16;
+    cfg.indexMaxSelectivity = 1.0;
+    serve::Engine engine(testDb(), cfg);
+
+    using kernels::Workload;
+    struct Spec
+    {
+        Workload kind;
+        std::size_t query;
+        std::size_t topK;
+        bool report;
+    };
+    const Spec specs[] = {
+        {Workload::Ssearch34, 0, 0, false}, // search A
+        {Workload::SwVmx128, 0, 0, false},  // A
+        {Workload::SwVmx256, 0, 0, false},  // A
+        {Workload::Ssearch34, 0, 0, false}, // A, exact duplicate
+        {Workload::SwVmx128, 0, 5, false},  // B: another top-K
+        {Workload::SwVmx256, 0, 0, true},   // C: reporting
+        {Workload::Ssearch34, 0, 0, true},  // C
+        {Workload::Fasta34, 1, 0, false},   // D
+        {Workload::Fasta34, 1, 0, false},   // D, duplicate
+        {Workload::Blast, 2, 0, false},     // E: indexed
+        {Workload::Blast, 2, 0, false},     // E
+    };
+    const std::size_t firsts[] = {0, 4, 5, 7, 9};
+    std::vector<serve::Request> batch;
+    for (std::size_t i = 0; i < std::size(specs); ++i) {
+        serve::Request r;
+        r.id = 100 + i;
+        r.kind = specs[i].kind;
+        r.query = queryPool()[specs[i].query];
+        r.topK = specs[i].topK;
+        r.reportAlignments = specs[i].report;
+        batch.push_back(std::move(r));
+    }
+
+    const obs::Registry &m = engine.metrics();
+    const auto delta = [&m](const char *name, std::uint64_t before) {
+        return m.counterValue(name) - before;
+    };
+    const std::uint64_t unique0 =
+        m.counterValue("serve_batch_unique_total");
+    const std::uint64_t saved0 =
+        m.counterValue("serve_dedup_saved_total");
+    const std::uint64_t probes0 = m.counterValue("index_probe_total");
+    const std::uint64_t scanned0 =
+        m.counterValue("serve_shards_scanned_total");
+    const std::uint64_t skipped0 =
+        m.counterValue("serve_shards_skipped_total");
+    const std::vector<serve::Response> got = engine.serveBatch(batch);
+    EXPECT_EQ(delta("serve_batch_unique_total", unique0),
+              std::size(firsts));
+    EXPECT_EQ(delta("serve_dedup_saved_total", saved0),
+              batch.size() - std::size(firsts));
+    EXPECT_EQ(delta("index_probe_total", probes0), 1u);
+    EXPECT_EQ(delta("serve_shards_scanned_total", scanned0)
+                  + delta("serve_shards_skipped_total", skipped0),
+              std::size(firsts) * cfg.shards);
+
+    ASSERT_EQ(got.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const std::string ctx = "request " + std::to_string(i);
+        const serve::Response alone = engine.serveBatch({batch[i]})[0];
+        const serve::Response &r = got[i];
+        EXPECT_EQ(r.id, batch[i].id) << ctx;
+        EXPECT_EQ(r.kind, batch[i].kind) << ctx;
+        expectSameHits(r.hits, alone.hits, ctx);
+        EXPECT_EQ(r.alignments, alone.alignments) << ctx;
+        EXPECT_EQ(r.cellsComputed, alone.cellsComputed) << ctx;
+        EXPECT_EQ(r.sequencesSearched, alone.sequencesSearched)
+            << ctx;
+        EXPECT_EQ(r.residuesScanned, alone.residuesScanned) << ctx;
+        EXPECT_EQ(r.tracebackCells, alone.tracebackCells) << ctx;
+        EXPECT_FALSE(r.deadlineExpired()) << ctx;
+        EXPECT_FALSE(r.hits.empty()) << ctx;
+        EXPECT_EQ(r.alignments.size(),
+                  batch[i].reportAlignments ? r.hits.size() : 0u)
+            << ctx;
+        // Each search's time is charged once, to its first member.
+        const bool first = std::find(std::begin(firsts),
+                                     std::end(firsts), i)
+            != std::end(firsts);
+        if (first) {
+            EXPECT_GT(r.scanUs, 0.0) << ctx;
+        } else {
+            EXPECT_EQ(r.scanUs, 0.0) << ctx;
+            EXPECT_EQ(r.tracebackUs, 0.0) << ctx;
+        }
+    }
+    EXPECT_GT(got[5].tracebackUs, 0.0);
+    // The indexed route really ran: it scanned only candidates.
+    EXPECT_LT(got[9].residuesScanned, testDb().totalResidues());
+    EXPECT_EQ(got[4].hits.size(), 5u);
+
+    // Deadlines stay per request: an expired member next to a live
+    // sibling comes back partial, and the sibling complete.
+    serve::ManualClock clock;
+    clock.set(1000.0);
+    const std::vector<serve::Request> pair = {batch[6], batch[5]};
+    const double deadlines[] = {500.0, 0.0}; // expired / none
+    serve::BatchControl control;
+    control.deadlinesUs = deadlines;
+    control.clock = &clock;
+    const std::uint64_t scanned1 =
+        m.counterValue("serve_shards_scanned_total");
+    const std::vector<serve::Response> partial =
+        engine.serveBatch(pair, control);
+    ASSERT_EQ(partial.size(), 2u);
+    EXPECT_TRUE(partial[0].deadlineExpired());
+    EXPECT_EQ(partial[0].shardsSkipped, cfg.shards);
+    EXPECT_EQ(partial[0].sequencesSearched, 0u);
+    EXPECT_TRUE(partial[0].hits.empty());
+    EXPECT_EQ(partial[0].scanUs, 0.0);
+    EXPECT_FALSE(partial[1].deadlineExpired());
+    expectSameHits(partial[1].hits, got[5].hits, "live sibling");
+    EXPECT_EQ(partial[1].alignments, got[5].alignments);
+    EXPECT_GT(partial[1].scanUs, 0.0);
+    // The shared search still ran once, for the live member.
+    EXPECT_EQ(delta("serve_shards_scanned_total", scanned1),
+              cfg.shards);
 }
 
 TEST(ShardedDatabase, PartitionCoversEverySequenceOnce)
