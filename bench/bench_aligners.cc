@@ -11,9 +11,12 @@
  * (sw_intersequence_native) — reported as GCUPS in the standard
  * JSON footer, plus a GCUPS-by-subject-length-bucket breakdown of
  * striped vs inter-sequence that justifies the serving engine's
- * kernel-selection cutover, and an A/B of the native banded kernel
+ * kernel-selection cutover, an A/B of the native banded kernel
  * (FASTA's opt stage, BLAST's gapped stage) against its scalar
- * oracle over the same bands (gcups_banded, banded_speedup).
+ * oracle over the same bands (gcups_banded, banded_speedup), and an
+ * A/B of the 16-bit SIMD traceback rectangle fill against the
+ * scalar fill over the rectangles of real top-100 Smith-Waterman
+ * hits (gcups_fill, fill_speedup).
  */
 
 #include <benchmark/benchmark.h>
@@ -30,6 +33,7 @@
 #include "align/ssearch.hh"
 #include "align/sw_intersequence_native.hh"
 #include "align/sw_striped_native.hh"
+#include "align/traceback/native_align.hh"
 #include "bench_common.hh"
 #include "bio/scoring.hh"
 #include "bio/synthetic.hh"
@@ -230,9 +234,110 @@ BM_BandedScoreScalarOracle(benchmark::State &state)
 }
 BENCHMARK(BM_BandedScoreScalarOracle)->Unit(benchmark::kMillisecond);
 
+/** Hits per query whose rectangles the fill benchmarks replay. */
+constexpr std::size_t kFillTopK = 100;
+
+/** One traceback rectangle: the aligned query and subject spans. */
+struct FillRectangle
+{
+    const bio::Residue *query;
+    int qLen;
+    const bio::Residue *subject;
+    int sLen;
+};
+
 /**
- * One BM_SwStripedNativeScan and one BM_BandedScore instance per
- * compiled backend.
+ * The rectangles the serving tier fills for the top-kFillTopK
+ * Smith-Waterman hits of each Table II query against the
+ * 1000-sequence Zipf-length database (the perfbench search_report
+ * set-up), located by nativeLocalAlign.
+ */
+const std::vector<FillRectangle> &
+fillRectangles()
+{
+    static const std::vector<bio::Sequence> queries =
+        bio::makeQuerySet();
+    static const bio::SequenceDatabase db = bio::makeZipfDatabase(1000);
+    static const std::vector<FillRectangle> rects = [] {
+        std::vector<FillRectangle> out;
+        for (const bio::Sequence &q : queries) {
+            const align::NativeQueryProfile profile(
+                q, kMat, align::bestNativeBackend());
+            std::vector<std::pair<align::LocalScore, std::size_t>> hits;
+            for (std::size_t i = 0; i < db.size(); ++i)
+                hits.emplace_back(
+                    align::swStripedNativeScan(profile, db[i], kGaps),
+                    i);
+            const std::size_t k = std::min(kFillTopK, hits.size());
+            std::partial_sort(hits.begin(), hits.begin() + k,
+                              hits.end(), [](const auto &a,
+                                             const auto &b) {
+                                  return a.first.score > b.first.score;
+                              });
+            for (std::size_t h = 0; h < k; ++h) {
+                const bio::Sequence &s = db[hits[h].second];
+                const align::CigarAlignment aln = align::nativeLocalAlign(
+                    profile, s, kGaps, hits[h].first);
+                if (aln.empty())
+                    continue;
+                out.push_back({q.residues().data() + aln.qBegin,
+                               aln.qEnd - aln.qBegin + 1,
+                               s.residues().data() + aln.sBegin,
+                               aln.sEnd - aln.sBegin + 1});
+            }
+        }
+        return out;
+    }();
+    return rects;
+}
+
+std::uint64_t
+fillCells()
+{
+    std::uint64_t cells = 0;
+    for (const FillRectangle &r : fillRectangles())
+        cells += static_cast<std::uint64_t>(r.qLen) * r.sLen;
+    return cells;
+}
+
+/**
+ * Fill every rectangle on @p backend (the portable backend runs the
+ * scalar fill); returns the summed global scores.
+ */
+int
+fillAll(align::SimdBackend backend)
+{
+    thread_local align::detail::RectangleFill fill;
+    int sum = 0;
+    for (const FillRectangle &r : fillRectangles()) {
+        align::detail::fillRectangle(r.query, r.qLen, r.subject, r.sLen,
+                                     kMat, kGaps, backend, fill);
+        sum += fill.score;
+    }
+    return sum;
+}
+
+void
+BM_TracebackFill(benchmark::State &state, align::SimdBackend backend)
+{
+    fillRectangles(); // located once, outside the timing
+    for (auto _ : state)
+        benchmark::DoNotOptimize(fillAll(backend));
+    state.counters["Mcells/s"] = benchmark::Counter(
+        static_cast<double>(fillCells()) / 1e6,
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void
+BM_TracebackFillScalar(benchmark::State &state)
+{
+    BM_TracebackFill(state, align::SimdBackend::Portable);
+}
+BENCHMARK(BM_TracebackFillScalar)->Unit(benchmark::kMillisecond);
+
+/**
+ * One BM_SwStripedNativeScan, BM_BandedScore and BM_TracebackFill
+ * instance per compiled backend.
  */
 void
 registerNativeBenchmarks()
@@ -246,6 +351,10 @@ registerNativeBenchmarks()
             ->Unit(benchmark::kMillisecond);
         benchmark::RegisterBenchmark(("BM_BandedScore/" + name).c_str(),
                                      BM_BandedScore, backend)
+            ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ("BM_TracebackFill/" + name).c_str(), BM_TracebackFill,
+            backend)
             ->Unit(benchmark::kMillisecond);
     }
 }
@@ -449,6 +558,20 @@ runNativeGcups()
     }
     const std::uint64_t band_cells = databaseBandCells() * bandReps;
 
+    // The rectangle fill vs the scalar fill, interleaved the same way.
+    double fill_ms = std::numeric_limits<double>::infinity();
+    double fill_scalar_ms = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < rounds; ++r) {
+        fill_ms = std::min(fill_ms, time_ms([&](int &sum) {
+                               sum += fillAll(backend);
+                           }));
+        fill_scalar_ms = std::min(fill_scalar_ms, time_ms([](int &sum) {
+                                      sum += fillAll(
+                                          align::SimdBackend::Portable);
+                                  }));
+    }
+    const std::uint64_t fill_cells = fillCells();
+
     const auto gcups_of = [](std::uint64_t n, double ms) {
         return ms <= 0.0 ? 0.0 : static_cast<double>(n) / (ms * 1e6);
     };
@@ -463,6 +586,10 @@ runNativeGcups()
               << banded_ms << " ms / oracle " << oracle_ms << " ms ("
               << gcups_of(band_cells, banded_ms) << " vs "
               << gcups_of(band_cells, oracle_ms) << " GCUPS)\n";
+    std::cout << "# rectangle fill vs scalar fill, "
+              << fillRectangles().size() << " top-" << kFillTopK
+              << " Smith-Waterman rectangles, per-arm min: kernel "
+              << fill_ms << " ms / scalar " << fill_scalar_ms << " ms\n";
     const std::string buckets =
         runLengthBucketBreakdown(native_profile);
     bench::printJsonFooter(
@@ -484,6 +611,11 @@ runNativeGcups()
          {"gcups_banded_oracle",
           std::to_string(gcups_of(band_cells, oracle_ms))},
          {"banded_speedup", std::to_string(oracle_ms / banded_ms)},
+         {"fill_cells", std::to_string(fill_cells)},
+         {"gcups_fill", std::to_string(gcups_of(fill_cells, fill_ms))},
+         {"gcups_fill_scalar",
+          std::to_string(gcups_of(fill_cells, fill_scalar_ms))},
+         {"fill_speedup", std::to_string(fill_scalar_ms / fill_ms)},
          {"native_backend",
           "\"" + std::string(align::backendName(backend)) + "\""}},
         point_ms);

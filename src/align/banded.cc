@@ -9,8 +9,7 @@ namespace bioarch::align
 {
 
 // Every kernel loads up to one vector beyond the query rows.
-static_assert(BandedProfile::pad >= vec::native::PortableI16::lanes
-                  && BandedProfile::pad >= 16 /* Avx2I16 */,
+static_assert(BandedProfile::pad >= 16 /* Avx2I16, the widest */,
               "profile pad must cover one vector of every backend");
 
 BandedProfile::BandedProfile(const bio::Sequence &query,
@@ -48,35 +47,33 @@ LocalScore bandedScanI16Avx2(const std::int16_t *profile,
 namespace
 {
 
-LocalScore
-dispatchBanded(SimdBackend backend, const std::int16_t *profile,
-               std::size_t stride, int m, const bio::Residue *subject,
-               int n, int d_lo, int d_hi, int open_cost, int ext_cost,
-               bool *saturated)
+using BandedKernel = LocalScore (*)(const std::int16_t *, std::size_t,
+                                    int, const bio::Residue *, int,
+                                    int, int, int, int, bool *);
+
+/**
+ * The backend's SIMD banded kernel, or nullptr for the portable
+ * backend: its emulated lanes run about 4x slower than the scalar
+ * template, which it then uses instead.
+ */
+BandedKernel
+bandedKernel(SimdBackend backend)
 {
     switch (backend) {
 #if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
     case SimdBackend::SSE2:
-        return detail::bandedScanI16<vec::native::Sse2I16>(
-            profile, stride, m, subject, n, d_lo, d_hi, open_cost,
-            ext_cost, saturated);
+        return &detail::bandedScanI16<vec::native::Sse2I16>;
 #endif
 #if BIOARCH_NATIVE_AVX2
     case SimdBackend::AVX2:
-        return detail::bandedScanI16Avx2(profile, stride, m, subject,
-                                         n, d_lo, d_hi, open_cost,
-                                         ext_cost, saturated);
+        return &detail::bandedScanI16Avx2;
 #endif
 #if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
     case SimdBackend::NEON:
-        return detail::bandedScanI16<vec::native::NeonI16>(
-            profile, stride, m, subject, n, d_lo, d_hi, open_cost,
-            ext_cost, saturated);
+        return &detail::bandedScanI16<vec::native::NeonI16>;
 #endif
     default:
-        return detail::bandedScanI16<vec::native::PortableI16>(
-            profile, stride, m, subject, n, d_lo, d_hi, open_cost,
-            ext_cost, saturated);
+        return nullptr;
     }
 }
 
@@ -99,8 +96,9 @@ bandedSmithWaterman(const BandedProfile &profile,
             profile.query(), subject, profile.matrix(), gaps,
             center_diagonal, half_width, [](int, int, int, int, int) {});
     };
-    if (open_cost < 0 || ext_cost < 0 || open_cost > 32767
-        || ext_cost > 32767)
+    const BandedKernel kernel = bandedKernel(profile.backend());
+    if (kernel == nullptr || open_cost < 0 || ext_cost < 0
+        || open_cost > 32767 || ext_cost > 32767)
         return oracle();
 
     // Diagonals beyond [-(m-1), n-1] hold no cells: clamping the
@@ -117,10 +115,10 @@ bandedSmithWaterman(const BandedProfile &profile,
         return {};
 
     bool saturated = false;
-    const LocalScore out = dispatchBanded(
-        profile.backend(), profile.row(0), profile.stride(), m,
-        subject.residues().data(), n, static_cast<int>(d_lo),
-        static_cast<int>(d_hi), open_cost, ext_cost, &saturated);
+    const LocalScore out =
+        kernel(profile.row(0), profile.stride(), m,
+               subject.residues().data(), n, static_cast<int>(d_lo),
+               static_cast<int>(d_hi), open_cost, ext_cost, &saturated);
     return saturated ? oracle() : out;
 }
 

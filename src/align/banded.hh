@@ -4,11 +4,12 @@
  * FASTA "opt" stage and of BLAST's gapped extension.
  *
  * bandedSmithWaterman runs a native SIMD kernel
- * (banded_native_impl.hh) on the profile's backend. Its result is
- * exactly the scalar oracle's, bandedSmithWatermanScan
+ * (banded_native_impl.hh) on the profile's hardware backend. Its
+ * result is exactly the scalar oracle's, bandedSmithWatermanScan
  * (banded_impl.hh) with a no-op hook, which the traced kernel twins
  * keep using; a band whose best score reaches the 16-bit lane limit
- * is rerun on that oracle.
+ * is rerun on that oracle, and the portable backend runs the oracle
+ * outright.
  */
 
 #ifndef BIOARCH_ALIGN_BANDED_HH

@@ -1,16 +1,18 @@
 /**
  * @file
  * The only translation unit compiled with -mavx2: the AVX2 kernel
- * instantiations (striped u8/i16, inter-sequence u8 and the banded
- * i16 kernel), reached
- * through plain function pointers so the rest of the library stays
- * at the baseline ISA and dispatch is guarded by runtime CPUID
- * (sw_striped_native.cc / sw_intersequence_native.cc / banded.cc).
+ * instantiations (striped u8/i16, inter-sequence u8, the banded
+ * i16 kernel and the i16 traceback rectangle fill), reached through
+ * plain function pointers so the rest of the library stays at the
+ * baseline ISA and dispatch is guarded by runtime CPUID
+ * (sw_striped_native.cc / sw_intersequence_native.cc / banded.cc /
+ * traceback/native_align.cc).
  */
 
 #include "banded_native_impl.hh"
 #include "sw_intersequence_native_impl.hh"
 #include "sw_striped_native_impl.hh"
+#include "traceback/fill_native_impl.hh"
 
 #include "vec/simd_native.hh"
 
@@ -63,6 +65,15 @@ bandedScanI16Avx2(const std::int16_t *profile, std::size_t stride,
     return bandedScanI16<vec::native::Avx2I16>(
         profile, stride, m, subject, n, d_lo, d_hi, open_cost,
         ext_cost, saturated);
+}
+
+int
+fillRectangleAvx2(const bio::Residue *a, int rows, const bio::Residue *b,
+                  int cols, bool swapped, const bio::ScoringMatrix &matrix,
+                  const bio::GapPenalties &gaps, std::uint8_t *codes)
+{
+    return fillRectangleI16<vec::native::Avx2I16>(
+        a, rows, b, cols, swapped, matrix, gaps, codes);
 }
 
 } // namespace bioarch::align::detail

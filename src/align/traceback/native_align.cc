@@ -7,10 +7,23 @@
 #include <vector>
 
 #include "bio/alphabet.hh"
+#include "fill_native_impl.hh"
 #include "hirschberg.hh"
 
 namespace bioarch::align
 {
+
+#if BIOARCH_NATIVE_AVX2
+namespace detail
+{
+// Implemented in sw_striped_avx2.cc (the only -mavx2 TU).
+int fillRectangleAvx2(const bio::Residue *a, int rows,
+                      const bio::Residue *b, int cols, bool swapped,
+                      const bio::ScoringMatrix &matrix,
+                      const bio::GapPenalties &gaps,
+                      std::uint8_t *codes);
+} // namespace detail
+#endif
 
 namespace
 {
@@ -51,46 +64,32 @@ fillRowCells(std::uint64_t cols)
 }
 
 /**
- * Global affine alignment (terminal gaps charged) of
- * query[q0 .. q0 + q_len) against subject[s0 .. s0 + s_len): fill
- * the rectangle's direction codes into a per-thread buffer, walk
- * them back from the bottom-right corner and append the ops to
- * @p cigar. Returns the global score. Requires gaps.open >= 0.
+ * The scalar rectangle fill, the oracle of the SIMD fills: global
+ * affine alignment (terminal gaps charged) of a[0 .. rows) (the DP
+ * rows) against b[0 .. cols), direction codes to
+ * codes[(i - 1) * cols + j - 1]. Returns H(rows, cols). Requires
+ * gaps.open >= 0.
  *
- * The DP rows run along the longer side, so a row's arrays hold
- * at most sqrt(tracebackCodeBudget) + 1 elements. Each row takes
- * three sweeps, two of them free of loop-carried dependencies (and
- * so vectorizable): F and the diagonal from the previous row; then
- * E along the row, which with open >= 0 is a running maximum —
+ * Each row takes three sweeps, two of them free of loop-carried
+ * dependencies: F and the diagonal from the previous row; then E
+ * along the row, which with open >= 0 is a running maximum —
  * E(j) = max over k < j of T(k) - open - ext * (j - k), with
  * T = max(diagonal, F) — and H = max(T, E); then the codes. Ties
  * prefer the diagonal, then E, then F, and an open over an
  * extension.
  */
 int
-fillAndWalk(const bio::Residue *query, int q0, int q_len,
-            const bio::Residue *subject, int s0, int s_len,
-            const bio::ScoringMatrix &matrix,
-            const bio::GapPenalties &gaps, Cigar &cigar)
+scalarFill(const bio::Residue *a, int rows, const bio::Residue *b,
+           int cols, bool swapped, const bio::ScoringMatrix &matrix,
+           const bio::GapPenalties &gaps, std::uint8_t *codes)
 {
-    // A supplies the rows (F consumes it), B the columns (E).
-    const bool swapped = s_len > q_len;
-    const bio::Residue *const a = swapped ? subject + s0 : query + q0;
-    const bio::Residue *const b = swapped ? query + q0 : subject + s0;
-    const int rows = swapped ? s_len : q_len;
-    const int cols = swapped ? q_len : s_len;
-    const char op_a = swapped ? 'D' : 'I';
-    const char op_b = swapped ? 'I' : 'D';
     const std::size_t w1 = static_cast<std::size_t>(cols) + 1;
     const std::size_t width = static_cast<std::size_t>(cols);
 
     // Five row arrays, then one score row per A residue, filled on
     // first use: row x holds score(x, b[j - 1]) at j.
     constexpr int symbols = bio::Alphabet::numSymbols;
-    thread_local std::vector<std::uint8_t> codes;
     thread_local std::vector<int> arrays;
-    codes.resize(std::max(codes.size(),
-                          static_cast<std::size_t>(rows) * width));
     arrays.resize(std::max(arrays.size(), (5 + symbols) * w1));
     int *__restrict hp = arrays.data();
     int *__restrict hn = hp + w1;
@@ -120,7 +119,7 @@ fillAndWalk(const bio::Residue *query, int q0, int q_len,
             filled[x] = true;
         }
         // code[j - 1] is cell (i, j), j = 1..cols.
-        std::uint8_t *const __restrict code = codes.data()
+        std::uint8_t *const __restrict code = codes
             + static_cast<std::size_t>(i - 1) * width;
         for (int j = 1; j <= cols; ++j) {
             const int f_open = hp[j] - go;
@@ -150,38 +149,37 @@ fillAndWalk(const bio::Residue *query, int q0, int q_len,
         }
         std::swap(hp, hn);
     }
-
-    Cigar reversed;
-    int i = rows;
-    int j = cols;
-    int layer = hFromDiag; // which of H, E, F the walk is in
-    while (i > 0 && j > 0) {
-        const std::uint8_t c =
-            codes[static_cast<std::size_t>(i - 1) * width
-                  + static_cast<std::size_t>(j - 1)];
-        if (layer == hFromDiag) {
-            layer = c & hSourceMask;
-            if (layer == hFromDiag) {
-                cigarAppend(reversed, 'M', 1);
-                --i;
-                --j;
-            }
-        } else if (layer == hFromE) {
-            cigarAppend(reversed, op_b, 1);
-            layer = (c & eExtended) != 0 ? hFromE : hFromDiag;
-            --j;
-        } else {
-            cigarAppend(reversed, op_a, 1);
-            layer = (c & fExtended) != 0 ? hFromF : hFromDiag;
-            --i;
-        }
-    }
-    // The borders are one gap each (H(i, 0) = -cost(i)).
-    cigarAppend(reversed, op_a, i);
-    cigarAppend(reversed, op_b, j);
-    for (auto run = reversed.rbegin(); run != reversed.rend(); ++run)
-        cigarAppend(cigar, run->op, run->len);
     return hp[cols];
+}
+
+/** Bytes past rows * cols that a SIMD fill's last vector writes. */
+constexpr std::size_t codeSlack = 64;
+
+using FillKernel = int (*)(const bio::Residue *, int,
+                           const bio::Residue *, int, bool,
+                           const bio::ScoringMatrix &,
+                           const bio::GapPenalties &, std::uint8_t *);
+
+/** The backend's 16-bit SIMD fill; nullptr for the portable one. */
+FillKernel
+fillKernel(SimdBackend backend)
+{
+    switch (backend) {
+#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+    case SimdBackend::SSE2:
+        return &detail::fillRectangleI16<vec::native::Sse2I16>;
+#endif
+#if BIOARCH_NATIVE_AVX2
+    case SimdBackend::AVX2:
+        return &detail::fillRectangleAvx2;
+#endif
+#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+    case SimdBackend::NEON:
+        return &detail::fillRectangleI16<vec::native::NeonI16>;
+#endif
+    default:
+        return nullptr;
+    }
 }
 
 /** Identical residue pairs and columns of a query-oriented CIGAR. */
@@ -208,6 +206,102 @@ fillIdentityStats(CigarAlignment &aln, const bio::Residue *query,
 }
 
 } // namespace
+
+namespace detail
+{
+
+bool
+rectangleFitsI16(int rows, int cols, const bio::ScoringMatrix &matrix,
+                 const bio::GapPenalties &gaps)
+{
+    if (gaps.open < 0 || gaps.extend < 0)
+        return false;
+    constexpr std::int64_t limit = 32767;
+    const auto cost = [&gaps](int len) {
+        return len > 0 ? gaps.open
+                + static_cast<std::int64_t>(gaps.extend) * len
+                       : 0;
+    };
+    // Every H down to -(cost(rows) + cost(cols)), and H - open cost
+    // is still compared.
+    if (cost(rows) + cost(cols) + gaps.openCost() > limit)
+        return false;
+    // H rises by at most the matrix maximum per diagonal step, and
+    // the lanes (along the shorter side) add ge per column. int8
+    // scores cap the maximum at 127; scan the matrix only when that
+    // cap does not settle it.
+    const std::int64_t steps = std::min(rows, cols);
+    const std::int64_t slope = gaps.extend * steps;
+    return steps * 127 + slope <= limit
+        || steps * std::max(0, matrix.maxScore()) + slope <= limit;
+}
+
+void
+fillRectangle(const bio::Residue *query, int q_len,
+              const bio::Residue *subject, int s_len,
+              const bio::ScoringMatrix &matrix,
+              const bio::GapPenalties &gaps, SimdBackend backend,
+              RectangleFill &out)
+{
+    // A supplies the rows, B the columns. The rows run along the
+    // longer side, so a row's arrays hold at most
+    // sqrt(tracebackCodeBudget) + 1 elements.
+    out.swapped = s_len > q_len;
+    const bio::Residue *const a = out.swapped ? subject : query;
+    const bio::Residue *const b = out.swapped ? query : subject;
+    out.rows = out.swapped ? s_len : q_len;
+    out.cols = out.swapped ? q_len : s_len;
+    out.codes.resize(std::max(
+        out.codes.size(),
+        static_cast<std::size_t>(out.rows) * out.cols + codeSlack));
+    const FillKernel kernel = fillKernel(backend);
+    out.score = kernel != nullptr
+            && rectangleFitsI16(out.rows, out.cols, matrix, gaps)
+        ? kernel(a, out.rows, b, out.cols, out.swapped, matrix, gaps,
+                 out.codes.data())
+        : scalarFill(a, out.rows, b, out.cols, out.swapped, matrix,
+                     gaps, out.codes.data());
+}
+
+void
+walkRectangle(const RectangleFill &fill, Cigar &cigar)
+{
+    const char op_a = fill.swapped ? 'D' : 'I';
+    const char op_b = fill.swapped ? 'I' : 'D';
+    const std::size_t width = static_cast<std::size_t>(fill.cols);
+    Cigar reversed;
+    int i = fill.rows;
+    int j = fill.cols;
+    int layer = hFromDiag; // which of H, E, F the walk is in
+    while (i > 0 && j > 0) {
+        const std::uint8_t c =
+            fill.codes[static_cast<std::size_t>(i - 1) * width
+                       + static_cast<std::size_t>(j - 1)];
+        if (layer == hFromDiag) {
+            layer = c & hSourceMask;
+            if (layer == hFromDiag) {
+                cigarAppend(reversed, 'M', 1);
+                --i;
+                --j;
+            }
+        } else if (layer == hFromE) {
+            cigarAppend(reversed, op_b, 1);
+            layer = (c & eExtended) != 0 ? hFromE : hFromDiag;
+            --j;
+        } else {
+            cigarAppend(reversed, op_a, 1);
+            layer = (c & fExtended) != 0 ? hFromF : hFromDiag;
+            --i;
+        }
+    }
+    // The borders are one gap each (H(i, 0) = -cost(i)).
+    cigarAppend(reversed, op_a, i);
+    cigarAppend(reversed, op_b, j);
+    for (auto run = reversed.rbegin(); run != reversed.rend(); ++run)
+        cigarAppend(cigar, run->op, run->len);
+}
+
+} // namespace detail
 
 CigarAlignment
 nativeLocalAlign(const NativeQueryProfile &profile,
@@ -260,13 +354,16 @@ nativeLocalAlign(const NativeQueryProfile &profile,
             * static_cast<std::uint64_t>(cols);
         const bio::Residue *query = profile.query().residues().data();
         if (window <= tracebackCodeBudget && gaps.open >= 0) {
-            const int global = fillAndWalk(
-                query, out.qBegin, rows, subject, out.sBegin, cols,
-                profile.matrix(), gaps, out.cigar);
-            if (global != out.score)
+            thread_local detail::RectangleFill fill;
+            detail::fillRectangle(query + out.qBegin, rows,
+                                  subject + out.sBegin, cols,
+                                  profile.matrix(), gaps,
+                                  profile.backend(), fill);
+            if (fill.score != out.score)
                 throw std::logic_error(
                     "nativeLocalAlign: rectangle fill disagrees "
                     "with the located score");
+            detail::walkRectangle(fill, out.cigar);
             work.totalCells += window;
             work.peakCells = std::max(
                 work.peakCells,

@@ -18,9 +18,12 @@
  *      per cell in a per-thread buffer and walks them back to a
  *      CIGAR. The global optimum of that rectangle is the local
  *      optimum, and every alignment achieving it starts and ends
- *      with a match. A rectangle over tracebackCodeBudget cells
- *      is emitted by the linear-space Myers-Miller fallback
- *      (hirschberg.hh) instead.
+ *      with a match. On a hardware backend the fill runs row-wise
+ *      in 16-bit lanes (fill_native_impl.hh), with the scalar fill
+ *      as its oracle; the portable backend, and a rectangle whose
+ *      values could leave 16 bits, run the scalar fill. A
+ *      rectangle over tracebackCodeBudget cells is emitted by the
+ *      linear-space Myers-Miller fallback (hirschberg.hh) instead.
  *
  * The reported score equals smithWatermanScore's, the CIGAR
  * replays to it through cigarScore(), and the result depends on
@@ -33,6 +36,8 @@
 #define BIOARCH_ALIGN_TRACEBACK_NATIVE_ALIGN_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "align/sw_striped_native.hh"
 #include "align/types.hh"
@@ -79,6 +84,54 @@ CigarAlignment nativeLocalAlign(const NativeQueryProfile &profile,
                                 const bio::GapPenalties &gaps,
                                 const LocalScore &end = {},
                                 TracebackStats *stats = nullptr);
+
+namespace detail
+{
+
+/**
+ * One rectangle's global affine fill: the direction codes the walk
+ * back reads, and the global score. Rows run along the longer side.
+ */
+struct RectangleFill
+{
+    /** Row-major rows x cols codes, plus slack past the end. */
+    std::vector<std::uint8_t> codes;
+    int rows = 0;
+    int cols = 0;
+    /** The rows run along the subject (it is the longer side). */
+    bool swapped = false;
+    int score = 0;
+};
+
+/**
+ * True when every value of the 16-bit fill of a rows x cols
+ * rectangle fits 16 bits: H(i, 0) = -cost(i) alone reaches
+ * -cost(rows), every H is at least -(cost(rows) + cost(cols)) and
+ * at most the matrix maximum per diagonal step, and the row-wise
+ * prefix max adds ge per column. Requires gaps.open >= 0 and
+ * gaps.extend >= 0.
+ */
+bool rectangleFitsI16(int rows, int cols,
+                      const bio::ScoringMatrix &matrix,
+                      const bio::GapPenalties &gaps);
+
+/**
+ * Global affine fill (terminal gaps charged, gaps.open >= 0) of
+ * query[0 .. q_len) against subject[0 .. s_len) into @p out, which
+ * is reused across calls. Runs the 16-bit SIMD fill of @p backend
+ * when it has one and rectangleFitsI16 holds, the scalar fill (its
+ * oracle) otherwise; both write the same codes and score.
+ */
+void fillRectangle(const bio::Residue *query, int q_len,
+                   const bio::Residue *subject, int s_len,
+                   const bio::ScoringMatrix &matrix,
+                   const bio::GapPenalties &gaps, SimdBackend backend,
+                   RectangleFill &out);
+
+/** Walk @p fill back from its bottom-right corner onto @p cigar. */
+void walkRectangle(const RectangleFill &fill, Cigar &cigar);
+
+} // namespace detail
 
 } // namespace bioarch::align
 

@@ -28,14 +28,22 @@
  *   hmax(a)                            // horizontal maximum
  *   anyGt(a,b)                         // any lane a > b
  *
- * The I16 flavors add what the diagonal-major banded kernel
- * (align/banded_native_impl.hh) needs:
+ * The hardware I16 flavors add what the diagonal-major banded
+ * kernel (align/banded_native_impl.hh) and the traceback rectangle
+ * fill (align/traceback/fill_native_impl.hh) need; the portable
+ * backend runs the scalar versions of both instead:
  *
  *   loadu(p), store(p,a)               // unaligned load; store
  *                                      // requires 64B-aligned p
  *   shiftLanes<K>(a)                   // K lanes toward higher
  *                                      // index, 0 into the low K
  *   broadcastLast(a)                   // the top lane in every lane
+ *   shiftInLast(a,prev)                // one lane toward higher
+ *                                      // index, prev's top lane
+ *                                      // into lane 0
+ *   cmpeq(a,b), cmpgt(a,b)             // all-ones lanes where true
+ *   storeBytes(p,a)                    // lanes (in [0, 255]) as
+ *                                      // bytes to unaligned p
  *
  * The U8 flavors are unsigned saturating (Farrar's biased 8-bit
  * profile arithmetic: clamping at 0 is exactly the Smith-Waterman
@@ -275,33 +283,6 @@ struct PortableI16
             r.v[i] = a.v[i - 1];
         return r;
     }
-    static Reg
-    loadu(const Elem *p)
-    {
-        return load(p);
-    }
-    static void
-    store(Elem *p, Reg a)
-    {
-        for (int i = 0; i < lanes; ++i)
-            p[i] = a.v[i];
-    }
-    template <int K>
-    static Reg
-    shiftLanes(Reg a)
-    {
-        Reg r;
-        for (int i = 0; i < K; ++i)
-            r.v[i] = 0;
-        for (int i = K; i < lanes; ++i)
-            r.v[i] = a.v[i - K];
-        return r;
-    }
-    static Reg
-    broadcastLast(Reg a)
-    {
-        return splat(a.v[lanes - 1]);
-    }
     static Elem
     hmax(Reg a)
     {
@@ -403,6 +384,20 @@ struct Sse2I16
     {
         const __m128i hi = _mm_shufflehi_epi16(a, 0xFF);
         return _mm_unpackhi_epi64(hi, hi);
+    }
+    static Reg
+    shiftInLast(Reg a, Reg prev)
+    {
+        return _mm_or_si128(_mm_slli_si128(a, 2),
+                            _mm_srli_si128(prev, 14));
+    }
+    static Reg cmpeq(Reg a, Reg b) { return _mm_cmpeq_epi16(a, b); }
+    static Reg cmpgt(Reg a, Reg b) { return _mm_cmpgt_epi16(a, b); }
+    static void
+    storeBytes(std::uint8_t *p, Reg a)
+    {
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(p),
+                         _mm_packus_epi16(a, a));
     }
     static Elem
     hmax(Reg a)
@@ -535,6 +530,31 @@ struct Avx2I16
         const __m256i hi = _mm256_shufflehi_epi16(a, 0xFF);
         return _mm256_permute4x64_epi64(hi, 0xFF);
     }
+    static Reg
+    shiftInLast(Reg a, Reg prev)
+    {
+        // [prev.high, a.low] supplies each half's incoming word.
+        return _mm256_alignr_epi8(
+            a, _mm256_permute2x128_si256(prev, a, 0x21), 14);
+    }
+    static Reg
+    cmpeq(Reg a, Reg b)
+    {
+        return _mm256_cmpeq_epi16(a, b);
+    }
+    static Reg
+    cmpgt(Reg a, Reg b)
+    {
+        return _mm256_cmpgt_epi16(a, b);
+    }
+    static void
+    storeBytes(std::uint8_t *p, Reg a)
+    {
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(p),
+            _mm_packus_epi16(_mm256_castsi256_si128(a),
+                             _mm256_extracti128_si256(a, 1)));
+    }
     static Elem
     hmax(Reg a)
     {
@@ -609,6 +629,26 @@ struct NeonI16
         return vextq_s16(vdupq_n_s16(0), a, lanes - K);
     }
     static Reg broadcastLast(Reg a) { return vdupq_laneq_s16(a, 7); }
+    static Reg
+    shiftInLast(Reg a, Reg prev)
+    {
+        return vextq_s16(prev, a, 7);
+    }
+    static Reg
+    cmpeq(Reg a, Reg b)
+    {
+        return vreinterpretq_s16_u16(vceqq_s16(a, b));
+    }
+    static Reg
+    cmpgt(Reg a, Reg b)
+    {
+        return vreinterpretq_s16_u16(vcgtq_s16(a, b));
+    }
+    static void
+    storeBytes(std::uint8_t *p, Reg a)
+    {
+        vst1_u8(p, vqmovun_s16(a));
+    }
     static Elem hmax(Reg a) { return vmaxvq_s16(a); }
     static bool
     anyGt(Reg a, Reg b)

@@ -553,6 +553,125 @@ TEST(NativeAlign, AnchoredBeginIgnoresEqualScoringDecoy)
     }
 }
 
+/**
+ * @p len residues of one fuzz kind: 0 random, 1 a 60%-identity copy
+ * of @p ref padded with random residues, 2 a two-letter repeat
+ * whose many equal-scoring paths exercise every tie rule.
+ */
+std::vector<bio::Residue>
+fillFuzzResidues(bio::Rng &rng, int len, int kind,
+                 const std::vector<bio::Residue> &ref)
+{
+    std::vector<bio::Residue> out =
+        bio::makeRandomSequence(rng, len).residues();
+    if (kind == 1) {
+        const std::vector<bio::Residue> copy =
+            bio::mutate(rng, bio::Sequence("R", "", ref), 0.6, "M", "")
+                .residues();
+        std::copy_n(copy.begin(), std::min(copy.size(), out.size()),
+                    out.begin());
+    } else if (kind == 2) {
+        const bio::Sequence al("AL", "", std::string_view("AL"));
+        for (bio::Residue &r : out)
+            r = al[rng.below(3) == 0 ? 1 : 0];
+    }
+    return out;
+}
+
+/**
+ * The 16-bit SIMD rectangle fill of every backend writes the scalar
+ * fill's direction codes and global score, and so walks back to the
+ * same CIGAR, which replays to that score. Widths bracket one and
+ * two vectors of 8 and 16 lanes, both orientations run, and a
+ * rectangle past the 16-bit bound takes the scalar fill.
+ */
+TEST(NativeAlign, SimdFillMatchesScalarFill)
+{
+    const bio::ScoringMatrix &matrix = bio::blosum62();
+    const std::vector<bio::GapPenalties> gap_sets = {
+        {0, 0}, {0, 1}, {5, 2}, {10, 1}, {12, 3}};
+    std::vector<std::pair<int, int>> shapes = {{1, 1}};
+    for (const int n : {2, 16, 17, 40}) {
+        shapes.emplace_back(1, n);
+        shapes.emplace_back(n, 1);
+    }
+    for (const int c : {7, 8, 9, 15, 16, 17, 33}) {
+        for (const int r : {c, c + 1, 2 * c + 3, 4 * c}) {
+            shapes.emplace_back(r, c); // rows along the query
+            shapes.emplace_back(c, r); // rows along the subject
+        }
+    }
+    bio::Rng rng(0xF111);
+    const auto check = [&](const std::vector<bio::Residue> &q,
+                            const std::vector<bio::Residue> &s,
+                            const bio::GapPenalties &gaps,
+                            const std::string &ctx) {
+        const int m = static_cast<int>(q.size());
+        const int n = static_cast<int>(s.size());
+        detail::RectangleFill want;
+        detail::fillRectangle(q.data(), m, s.data(), n, matrix, gaps,
+                              SimdBackend::Portable, want);
+        Cigar want_cigar;
+        detail::walkRectangle(want, want_cigar);
+        CigarAlignment global;
+        global.qEnd = m - 1;
+        global.sEnd = n - 1;
+        global.cigar = want_cigar;
+        ASSERT_EQ(cigarScore(global, q.data(), q.size(), s.data(),
+                             s.size(), matrix, gaps),
+                  want.score)
+            << ctx;
+        const std::size_t cells = static_cast<std::size_t>(m) * n;
+        for (const SimdBackend backend : compiledNativeBackends()) {
+            detail::RectangleFill got;
+            detail::fillRectangle(q.data(), m, s.data(), n, matrix,
+                                  gaps, backend, got);
+            const std::string where =
+                ctx + " backend=" + std::string(backendName(backend));
+            ASSERT_EQ(got.score, want.score) << where;
+            ASSERT_EQ(got.swapped, want.swapped) << where;
+            ASSERT_TRUE(std::equal(want.codes.begin(),
+                                   want.codes.begin() + cells,
+                                   got.codes.begin()))
+                << where;
+            Cigar got_cigar;
+            detail::walkRectangle(got, got_cigar);
+            ASSERT_EQ(got_cigar, want_cigar) << where;
+        }
+    };
+    for (const bio::GapPenalties &gaps : gap_sets) {
+        for (const auto &[m, n] : shapes) {
+            for (int kind = 0; kind < 3; ++kind) {
+                const std::vector<bio::Residue> q =
+                    fillFuzzResidues(rng, m, kind == 2 ? 2 : 0, {});
+                const std::vector<bio::Residue> s =
+                    fillFuzzResidues(rng, n, kind, q);
+                check(q, s, gaps,
+                      "gaps=" + std::to_string(gaps.open) + ","
+                          + std::to_string(gaps.extend) + " shape="
+                          + std::to_string(m) + "x"
+                          + std::to_string(n) + " kind="
+                          + std::to_string(kind));
+            }
+        }
+    }
+
+    // 1 x 30000 stays inside the 16-bit bound; 1 x 40000 at {10, 1}
+    // reaches H(40000, 0) = -40010 and must take the scalar fill.
+    const bio::GapPenalties gaps{10, 1};
+    EXPECT_TRUE(detail::rectangleFitsI16(30000, 1, matrix, gaps));
+    EXPECT_FALSE(detail::rectangleFitsI16(40000, 1, matrix, gaps));
+    EXPECT_FALSE(detail::rectangleFitsI16(40, 40, matrix, {-1, 1}));
+    for (const int n : {30000, 40000}) {
+        const std::vector<bio::Residue> q =
+            fillFuzzResidues(rng, 1, 0, {});
+        const std::vector<bio::Residue> s =
+            fillFuzzResidues(rng, n, 0, {});
+        check(q, s, gaps, "long n=" + std::to_string(n));
+        check(s, q, gaps, "long swapped n=" + std::to_string(n));
+    }
+}
+
 TEST(BandedExtend, ScoreMatchesScoreOnlyBandedScan)
 {
     bio::Rng rng(0xBA2D);
