@@ -262,7 +262,7 @@ fillRectangles()
         std::vector<FillRectangle> out;
         for (const bio::Sequence &q : queries) {
             const align::NativeQueryProfile profile(
-                q, kMat, align::bestNativeBackend());
+                q, kMat, align::defaultScanBackend());
             std::vector<std::pair<align::LocalScore, std::size_t>> hits;
             for (std::size_t i = 0; i < db.size(); ++i)
                 hits.emplace_back(
@@ -301,7 +301,7 @@ fillCells()
 }
 
 /**
- * Fill every rectangle on @p backend (the portable backend runs the
+ * Fill every rectangle on @p backend (the Scalar backend runs the
  * scalar fill); returns the summed global scores.
  */
 int
@@ -331,19 +331,23 @@ BM_TracebackFill(benchmark::State &state, align::SimdBackend backend)
 void
 BM_TracebackFillScalar(benchmark::State &state)
 {
-    BM_TracebackFill(state, align::SimdBackend::Portable);
+    BM_TracebackFill(state, align::SimdBackend::Scalar);
 }
 BENCHMARK(BM_TracebackFillScalar)->Unit(benchmark::kMillisecond);
 
 /**
  * One BM_SwStripedNativeScan, BM_BandedScore and BM_TracebackFill
- * instance per compiled backend.
+ * instance per compiled hardware backend. Scalar's would repeat
+ * BM_SmithWatermanScan, BM_BandedScoreScalarOracle and
+ * BM_TracebackFillScalar.
  */
 void
 registerNativeBenchmarks()
 {
     for (const align::SimdBackend backend :
          align::compiledNativeBackends()) {
+        if (backend == align::SimdBackend::Scalar)
+            continue;
         const std::string name(align::backendName(backend));
         benchmark::RegisterBenchmark(
             ("BM_SwStripedNativeScan/" + name).c_str(),
@@ -487,7 +491,7 @@ runNativeGcups()
     const bio::SequenceDatabase &db = database();
     const std::uint64_t cells = db.totalResidues() * q.length();
 
-    const align::SimdBackend backend = align::bestNativeBackend();
+    const align::SimdBackend backend = align::defaultScanBackend();
     const align::NativeQueryProfile native_profile(q, kMat,
                                                    backend);
 
@@ -567,7 +571,7 @@ runNativeGcups()
                            }));
         fill_scalar_ms = std::min(fill_scalar_ms, time_ms([](int &sum) {
                                       sum += fillAll(
-                                          align::SimdBackend::Portable);
+                                          align::SimdBackend::Scalar);
                                   }));
     }
     const std::uint64_t fill_cells = fillCells();

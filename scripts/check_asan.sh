@@ -16,8 +16,8 @@
 # and the banded kernel, whose unaligned slice loads run up to one
 # vector into the pads of its profile rows: its oracle fuzz
 # (align_test), FASTA's opt stage over a corpus (fasta_test) and
-# BLAST's gapped stage (blast_test). The hardware SIMD
-# backends are compiled in, so the intrinsic paths run under the
+# BLAST's gapped stage (blast_test). Every build compiles the
+# hardware SIMD backends, so the intrinsic paths run under the
 # sanitizers too. Any out-of-bounds access, leak or undefined
 # behavior fails the run.
 #
@@ -26,8 +26,7 @@ set -eu
 
 BUILD_DIR="${1:-build-asan}"
 
-cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DBIOARCH_ASAN=ON \
-    -DBIOARCH_NATIVE_SIMD=ON
+cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DBIOARCH_ASAN=ON
 cmake --build "$BUILD_DIR" -j --target traceback_test sw_native_test \
     serve_traceback_test sim_sample_test trace_test trace_io_test \
     serve_test router_test align_test fasta_test blast_test

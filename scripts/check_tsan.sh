@@ -9,6 +9,8 @@
 # fan-out, the two-phase traceback fan-out with its cached
 # alignments, and the FASTA scan's per-thread diagonal scratch).
 # Keeps the pool, loop, cache, registry, and sampler race-free.
+# Every build compiles the hardware SIMD kernels, so the serving
+# and traceback tests run their intrinsic paths under TSAN too.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu

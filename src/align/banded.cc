@@ -51,16 +51,12 @@ using BandedKernel = LocalScore (*)(const std::int16_t *, std::size_t,
                                     int, const bio::Residue *, int,
                                     int, int, int, int, bool *);
 
-/**
- * The backend's SIMD banded kernel, or nullptr for the portable
- * backend: its emulated lanes run about 4x slower than the scalar
- * template, which it then uses instead.
- */
+/** The backend's SIMD banded kernel, or nullptr for Scalar. */
 BandedKernel
 bandedKernel(SimdBackend backend)
 {
     switch (backend) {
-#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+#if defined(__SSE2__)
     case SimdBackend::SSE2:
         return &detail::bandedScanI16<vec::native::Sse2I16>;
 #endif
@@ -68,7 +64,7 @@ bandedKernel(SimdBackend backend)
     case SimdBackend::AVX2:
         return &detail::bandedScanI16Avx2;
 #endif
-#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+#if defined(__ARM_NEON) && defined(__aarch64__)
     case SimdBackend::NEON:
         return &detail::bandedScanI16<vec::native::NeonI16>;
 #endif

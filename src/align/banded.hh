@@ -8,7 +8,7 @@
  * result is exactly the scalar oracle's, bandedSmithWatermanScan
  * (banded_impl.hh) with a no-op hook, which the traced kernel twins
  * keep using; a band whose best score reaches the 16-bit lane limit
- * is rerun on that oracle, and the portable backend runs the oracle
+ * is rerun on that oracle, and the Scalar backend runs the oracle
  * outright.
  */
 
@@ -46,7 +46,7 @@ class BandedProfile
 
     BandedProfile(const bio::Sequence &query,
                   const bio::ScoringMatrix &matrix,
-                  SimdBackend backend = bestNativeBackend());
+                  SimdBackend backend = defaultScanBackend());
 
     SimdBackend backend() const { return _backend; }
     const bio::Sequence &query() const { return *_query; }

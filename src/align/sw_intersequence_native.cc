@@ -1,7 +1,6 @@
 #include "sw_intersequence_native.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "sw_intersequence_native_impl.hh"
@@ -32,7 +31,7 @@ dispatchInterU8(SimdBackend backend, const std::uint8_t *mat_t,
                 int bias, detail::InterLaneResult *results)
 {
     switch (backend) {
-#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+#if defined(__SSE2__)
     case SimdBackend::SSE2:
         detail::interScanU8<vec::native::Sse2U8>(
             mat_t, query, m, subjects, count, open_cost, ext_cost,
@@ -45,7 +44,7 @@ dispatchInterU8(SimdBackend backend, const std::uint8_t *mat_t,
                                 open_cost, ext_cost, bias, results);
         return;
 #endif
-#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+#if defined(__ARM_NEON) && defined(__aarch64__)
     case SimdBackend::NEON:
         detail::interScanU8<vec::native::NeonU8>(
             mat_t, query, m, subjects, count, open_cost, ext_cost,
@@ -53,9 +52,10 @@ dispatchInterU8(SimdBackend backend, const std::uint8_t *mat_t,
         return;
 #endif
     default:
-        detail::interScanU8<vec::native::PortableU8>(
-            mat_t, query, m, subjects, count, open_cost, ext_cost,
-            bias, results);
+        // A backend this build lacks: every lane climbs the ladder
+        // (Scalar has no u8 profile and never gets here).
+        for (std::size_t k = 0; k < count; ++k)
+            results[k].saturated = true;
         return;
     }
 }
@@ -157,13 +157,6 @@ swInterSequenceScan(const NativeQueryProfile &profile,
 std::size_t
 interSequenceCutover()
 {
-    if (const char *env =
-            std::getenv("BIOARCH_INTERSEQ_CUTOVER")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 0)
-            return static_cast<std::size_t>(v);
-    }
     // From bench_aligners' GCUPS-by-length-bucket breakdown (AVX2,
     // reference container): with lanes filled, the inter-sequence
     // kernel leads in every bucket — ~1.1x at 128-255 residues,

@@ -57,11 +57,11 @@ struct SubjectSpan
  *
  * Scores and subjectEnd match swStripedNativeScan bit-for-bit;
  * queryEnd is -1 unless the scalar ladder level ran. Subjects that
- * cannot take the 8-bit inter-sequence path (no u8 profile, or gap
- * costs outside a byte) fall back to the striped kernel per
- * subject; u8-saturated lanes are rescanned up the striped 16-bit
- * -> scalar ladder. stats->interSequence / stats->striped count the
- * subjects each kernel handled.
+ * cannot take the 8-bit inter-sequence path (no u8 profile, as on
+ * the Scalar backend, or gap costs outside a byte) take
+ * swStripedNativeScan one by one; u8-saturated lanes are rescanned
+ * up the striped 16-bit -> scalar ladder. stats->interSequence /
+ * stats->striped count the subjects each kernel handled.
  */
 void swInterSequenceScan(const NativeQueryProfile &profile,
                          const SubjectSpan *subjects,
@@ -75,8 +75,8 @@ void swInterSequenceScan(const NativeQueryProfile &profile,
  * Default subject-length cutover of the serving heuristic: subjects
  * strictly shorter go to the inter-sequence kernel, the rest stay
  * striped. Chosen from bench_aligners' GCUPS-by-length-bucket
- * breakdown; the BIOARCH_INTERSEQ_CUTOVER environment variable
- * overrides it (0 disables the inter-sequence kernel entirely).
+ * breakdown; EngineConfig::interseqCutover overrides it (0 disables
+ * the inter-sequence kernel entirely).
  */
 std::size_t interSequenceCutover();
 

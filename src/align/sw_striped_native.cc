@@ -1,7 +1,6 @@
 #include "sw_striped_native.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -14,51 +13,20 @@ namespace bioarch::align
 namespace
 {
 
-/** Lane counts per backend for the two ladder levels. */
+/**
+ * Lane counts per backend for the two ladder levels: a register's
+ * bytes and half that. Scalar never reaches the lane code.
+ */
 int
 lanes8(SimdBackend backend)
 {
-    switch (backend) {
-    case SimdBackend::Portable:
-        return vec::native::PortableU8::lanes;
-#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
-    case SimdBackend::SSE2:
-        return vec::native::Sse2U8::lanes;
-#endif
-#if BIOARCH_NATIVE_AVX2
-    case SimdBackend::AVX2:
-        return 32;
-#endif
-#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
-    case SimdBackend::NEON:
-        return vec::native::NeonU8::lanes;
-#endif
-    default:
-        return vec::native::PortableU8::lanes;
-    }
+    return backend == SimdBackend::AVX2 ? 32 : 16;
 }
 
 int
 lanes16(SimdBackend backend)
 {
-    switch (backend) {
-    case SimdBackend::Portable:
-        return vec::native::PortableI16::lanes;
-#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
-    case SimdBackend::SSE2:
-        return vec::native::Sse2I16::lanes;
-#endif
-#if BIOARCH_NATIVE_AVX2
-    case SimdBackend::AVX2:
-        return 16;
-#endif
-#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
-    case SimdBackend::NEON:
-        return vec::native::NeonI16::lanes;
-#endif
-    default:
-        return vec::native::PortableI16::lanes;
-    }
+    return lanes8(backend) / 2;
 }
 
 bool
@@ -78,13 +46,13 @@ computeCompiledBackends()
     std::vector<SimdBackend> out;
     if (avx2Runnable())
         out.push_back(SimdBackend::AVX2);
-#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+#if defined(__SSE2__)
     out.push_back(SimdBackend::SSE2);
 #endif
-#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+#if defined(__ARM_NEON) && defined(__aarch64__)
     out.push_back(SimdBackend::NEON);
 #endif
-    out.push_back(SimdBackend::Portable);
+    out.push_back(SimdBackend::Scalar);
     return out;
 }
 
@@ -94,8 +62,8 @@ std::string_view
 backendName(SimdBackend backend)
 {
     switch (backend) {
-    case SimdBackend::Portable:
-        return "portable";
+    case SimdBackend::Scalar:
+        return "scalar";
     case SimdBackend::SSE2:
         return "sse2";
     case SimdBackend::AVX2:
@@ -109,8 +77,8 @@ backendName(SimdBackend backend)
 std::optional<SimdBackend>
 parseBackend(std::string_view name)
 {
-    if (name == "portable")
-        return SimdBackend::Portable;
+    if (name == "scalar")
+        return SimdBackend::Scalar;
     if (name == "sse2")
         return SimdBackend::SSE2;
     if (name == "avx2")
@@ -118,7 +86,7 @@ parseBackend(std::string_view name)
     if (name == "neon")
         return SimdBackend::NEON;
     if (name == "auto")
-        return bestNativeBackend();
+        return defaultScanBackend();
     return std::nullopt;
 }
 
@@ -131,25 +99,9 @@ compiledNativeBackends()
 }
 
 SimdBackend
-bestNativeBackend()
-{
-    return compiledNativeBackends().front();
-}
-
-SimdBackend
 defaultScanBackend()
 {
-    if (const char *env = std::getenv("BIOARCH_SIMD_BACKEND")) {
-        const auto parsed = parseBackend(env);
-        if (parsed) {
-            const auto &avail = compiledNativeBackends();
-            if (std::find(avail.begin(), avail.end(), *parsed)
-                != avail.end())
-                return *parsed;
-        }
-        // Unknown or unrunnable request: fall through to auto.
-    }
-    return bestNativeBackend();
+    return compiledNativeBackends().front();
 }
 
 namespace
@@ -192,7 +144,7 @@ NativeQueryProfile::NativeQueryProfile(
       _m(static_cast<int>(query.length())), _bias(0), _seg8(0),
       _seg16(0)
 {
-    if (_m == 0)
+    if (_m == 0 || _backend == SimdBackend::Scalar)
         return;
 
     const int min_score = matrix.minScore();
@@ -284,7 +236,7 @@ dispatchU8(SimdBackend backend, const std::uint8_t *profile,
            const detail::StripedPass *pass = nullptr)
 {
     switch (backend) {
-#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+#if defined(__SSE2__)
     case SimdBackend::SSE2:
         return detail::stripedScanU8<vec::native::Sse2U8>(
             profile, seg, subject, n, open_cost, ext_cost, bias,
@@ -296,16 +248,17 @@ dispatchU8(SimdBackend backend, const std::uint8_t *profile,
                                   open_cost, ext_cost, bias,
                                   saturated, pass);
 #endif
-#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+#if defined(__ARM_NEON) && defined(__aarch64__)
     case SimdBackend::NEON:
         return detail::stripedScanU8<vec::native::NeonU8>(
             profile, seg, subject, n, open_cost, ext_cost, bias,
             saturated, pass);
 #endif
     default:
-        return detail::stripedScanU8<vec::native::PortableU8>(
-            profile, seg, subject, n, open_cost, ext_cost, bias,
-            saturated, pass);
+        // A backend this build lacks has no lanes: the ladder
+        // climbs to its scalar rung.
+        *saturated = true;
+        return {};
     }
 }
 
@@ -316,7 +269,7 @@ dispatchI16(SimdBackend backend, const std::int16_t *profile,
             const detail::StripedPass *pass = nullptr)
 {
     switch (backend) {
-#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+#if defined(__SSE2__)
     case SimdBackend::SSE2:
         return detail::stripedScanI16<vec::native::Sse2I16>(
             profile, seg, subject, n, open_cost, ext_cost,
@@ -328,16 +281,15 @@ dispatchI16(SimdBackend backend, const std::int16_t *profile,
                                    open_cost, ext_cost, saturated,
                                    pass);
 #endif
-#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+#if defined(__ARM_NEON) && defined(__aarch64__)
     case SimdBackend::NEON:
         return detail::stripedScanI16<vec::native::NeonI16>(
             profile, seg, subject, n, open_cost, ext_cost,
             saturated, pass);
 #endif
     default:
-        return detail::stripedScanI16<vec::native::PortableI16>(
-            profile, seg, subject, n, open_cost, ext_cost,
-            saturated, pass);
+        *saturated = true;
+        return {};
     }
 }
 
@@ -347,6 +299,34 @@ gapsFit16(const bio::GapPenalties &gaps)
 {
     return gaps.openCost() >= 0 && gaps.extendCost() >= 0
         && gaps.openCost() <= 32767 && gaps.extendCost() <= 32767;
+}
+
+/** Whether the lane kernels run: a hardware backend and gapsFit16. */
+bool
+lanesFit(const NativeQueryProfile &profile,
+         const bio::GapPenalties &gaps)
+{
+    return profile.backend() != SimdBackend::Scalar && gapsFit16(gaps);
+}
+
+/**
+ * The scan of a profile the lanes cannot take, by the scalar
+ * reference. It reports what the lanes would, so that hit lists
+ * match across backends: their ladder knows queryEnd only from its
+ * scalar rung.
+ */
+LocalScore
+scalarScan(const NativeQueryProfile &profile,
+           const bio::Residue *subject, std::size_t n,
+           const bio::GapPenalties &gaps)
+{
+    LocalScore out = smithWatermanScoreRaw(
+        profile.query().residues().data(),
+        static_cast<std::size_t>(profile.queryLength()), subject, n,
+        profile.matrix(), gaps);
+    if (gapsFit16(gaps) && out.score < detail::i16SaturationCeiling)
+        out.queryEnd = -1;
+    return out;
 }
 
 /** This thread's column snapshot buffer, at least @p count long. */
@@ -449,11 +429,8 @@ swStripedNativeScan(const NativeQueryProfile &profile,
     const int ext_cost = gaps.extendCost();
     // Gap costs outside the 16-bit range would corrupt the splat
     // registers; no realistic penalty comes close, but stay exact.
-    if (!gapsFit16(gaps))
-        return smithWatermanScoreRaw(
-            profile.query().residues().data(),
-            static_cast<std::size_t>(m), subject, n,
-            profile.matrix(), gaps);
+    if (!lanesFit(profile, gaps))
+        return scalarScan(profile, subject, n, gaps);
 
     bool saturated = false;
     if (profile.hasU8() && open_cost <= 255 && ext_cost <= 255) {
@@ -476,6 +453,8 @@ swStripedScan16Tail(const NativeQueryProfile &profile,
                     const bio::GapPenalties &gaps,
                     NativeScanStats *stats)
 {
+    if (!lanesFit(profile, gaps))
+        return scalarScan(profile, subject, n, gaps);
     const int open_cost = gaps.openCost();
     const int ext_cost = gaps.extendCost();
     bool saturated = false;
@@ -488,10 +467,7 @@ swStripedScan16Tail(const NativeQueryProfile &profile,
 
     if (stats)
         ++stats->rescansScalar;
-    return smithWatermanScoreRaw(
-        profile.query().residues().data(),
-        static_cast<std::size_t>(profile.queryLength()), subject, n,
-        profile.matrix(), gaps);
+    return scalarScan(profile, subject, n, gaps);
 }
 
 LocalScore
@@ -508,7 +484,7 @@ swStripedLocate(const NativeQueryProfile &profile,
             static_cast<std::size_t>(m), subject, n,
             profile.matrix(), gaps);
     };
-    if (!gapsFit16(gaps))
+    if (!lanesFit(profile, gaps))
         return scalar();
 
     const int open_cost = gaps.openCost();
@@ -584,7 +560,9 @@ swStripedBeginCell(const NativeQueryProfile &profile,
     std::reverse_copy(subject, subject + cols, rev_subject.begin());
 
     std::pair<int, int> cell{-1, -1};
-    if (gapsFit16(gaps) && target < detail::i16SaturationCeiling) {
+    bool saturated = true; // until a lane pass runs
+    if (lanesFit(profile, gaps)
+        && target < detail::i16SaturationCeiling) {
         // A fresh 16-bit profile of the reversed query prefix, in
         // a per-thread buffer that only grows.
         const int lanes = lanes16(profile.backend());
@@ -607,15 +585,16 @@ swStripedBeginCell(const NativeQueryProfile &profile,
         pass.snapshot = column;
         pass.seed = seed;
         pass.stopAt = target;
-        bool saturated = false;
+        saturated = false;
         const LocalScore out = dispatchI16(
             profile.backend(), rev.get(), seg, rev_subject.data(),
             static_cast<std::size_t>(cols), gaps.openCost(),
             gaps.extendCost(), &saturated, &pass);
-        if (out.score == target)
+        if (!saturated && out.score == target)
             cell = {firstRowAt(column, seg, lanes, rows, target),
                     out.subjectEnd};
-    } else {
+    }
+    if (saturated) {
         cell = anchoredBeginScalar(rev_query.data(), rows,
                                    rev_subject.data(), cols,
                                    profile.matrix(), gaps, seed,

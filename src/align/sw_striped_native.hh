@@ -18,14 +18,13 @@
  * align::smithWatermanScore for every input (asserted by
  * tests/sw_native_test.cc across all compiled backends).
  *
- * Backend selection: the BIOARCH_NATIVE_SIMD CMake option compiles
- * the intrinsic variants (SSE2 on x86-64, AVX2 in its own -mavx2
- * TU, NEON on aarch64); the portable autovectorizable variant is
- * always compiled. bestNativeBackend() picks the widest variant the
- * running CPU supports (AVX2 is additionally guarded by runtime
- * CPUID), and the BIOARCH_SIMD_BACKEND environment variable forces
- * a specific backend. The portable variant is the only one on hosts
- * without SSE2/AVX2/NEON.
+ * Backend selection: every build compiles the intrinsic variants
+ * its target ISA has (SSE2 on x86-64, AVX2 in its own -mavx2 TU,
+ * NEON on aarch64) plus the Scalar backend, which runs the scalar
+ * reference at every step. defaultScanBackend() picks the widest
+ * variant the running CPU supports (AVX2 is additionally guarded by
+ * runtime CPUID); Scalar is the only one on hosts without
+ * SSE2/AVX2/NEON.
  */
 
 #ifndef BIOARCH_ALIGN_SW_STRIPED_NATIVE_HH
@@ -47,32 +46,28 @@ namespace bioarch::align
 /** Which native kernel implementation scans the database. */
 enum class SimdBackend
 {
-    Portable,
+    Scalar,
     SSE2,
     AVX2,
     NEON,
 };
 
-/** Lower-case display name ("portable", "sse2", ...). */
+/** Lower-case display name ("scalar", "sse2", ...). */
 std::string_view backendName(SimdBackend backend);
 
-/** Parse a backend name; "auto" maps to bestNativeBackend(). */
+/** Parse a backend name; "auto" maps to defaultScanBackend(). */
 std::optional<SimdBackend> parseBackend(std::string_view name);
 
 /**
  * The native backends this binary can actually run, best first:
- * compiled in (BIOARCH_NATIVE_SIMD + ISA availability) and passing
- * the runtime CPUID guard. Always contains at least Portable.
+ * those the target ISA compiles, minus AVX2 when the CPU lacks it,
+ * and always Scalar last.
  */
 const std::vector<SimdBackend> &compiledNativeBackends();
 
-/** The widest runnable native backend. */
-SimdBackend bestNativeBackend();
-
 /**
- * The backend the serving layer uses when nothing else is
- * specified: BIOARCH_SIMD_BACKEND if set (unknown or unrunnable
- * values fall back to auto), else bestNativeBackend().
+ * The widest runnable native backend: what the serving layer uses
+ * when nothing else is specified.
  */
 SimdBackend defaultScanBackend();
 
@@ -103,10 +98,10 @@ operator+=(NativeScanStats &a, const NativeScanStats &b)
 /**
  * Striped query profile for one native backend: the 8-bit biased
  * and 16-bit raw score layouts, both padded to the backend's lane
- * count and 64-byte aligned. Built once per query and shared
- * read-only across every shard-scan task. The query and matrix
- * must outlive the profile (it keeps references for the scalar
- * fallback level).
+ * count and 64-byte aligned (the Scalar backend builds neither).
+ * Built once per query and shared read-only across every
+ * shard-scan task. The query and matrix must outlive the profile
+ * (it keeps references for the scalar fallback level).
  */
 class NativeQueryProfile
 {

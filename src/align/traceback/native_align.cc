@@ -160,12 +160,12 @@ using FillKernel = int (*)(const bio::Residue *, int,
                            const bio::ScoringMatrix &,
                            const bio::GapPenalties &, std::uint8_t *);
 
-/** The backend's 16-bit SIMD fill; nullptr for the portable one. */
+/** The backend's 16-bit SIMD fill; nullptr for Scalar. */
 FillKernel
 fillKernel(SimdBackend backend)
 {
     switch (backend) {
-#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+#if defined(__SSE2__)
     case SimdBackend::SSE2:
         return &detail::fillRectangleI16<vec::native::Sse2I16>;
 #endif
@@ -173,7 +173,7 @@ fillKernel(SimdBackend backend)
     case SimdBackend::AVX2:
         return &detail::fillRectangleAvx2;
 #endif
-#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+#if defined(__ARM_NEON) && defined(__aarch64__)
     case SimdBackend::NEON:
         return &detail::fillRectangleI16<vec::native::NeonI16>;
 #endif

@@ -20,7 +20,7 @@
  *      optimum, and every alignment achieving it starts and ends
  *      with a match. On a hardware backend the fill runs row-wise
  *      in 16-bit lanes (fill_native_impl.hh), with the scalar fill
- *      as its oracle; the portable backend, and a rectangle whose
+ *      as its oracle; the Scalar backend, and a rectangle whose
  *      values could leave 16 bits, run the scalar fill. A
  *      rectangle over tracebackCodeBudget cells is emitted by the
  *      linear-space Myers-Miller fallback (hirschberg.hh) instead.

@@ -96,16 +96,14 @@ struct EngineConfig
     std::size_t topK = 10;
     /**
      * Native SIMD kernel backend for the Smith-Waterman request
-     * kinds (see align::defaultScanBackend and the
-     * BIOARCH_SIMD_BACKEND environment variable).
+     * kinds (see align::defaultScanBackend).
      */
     align::SimdBackend backend = align::defaultScanBackend();
     /**
      * Native-path kernel heuristic: subjects strictly shorter than
      * this go to the inter-sequence kernel (one subject per SIMD
      * lane), the rest to the striped kernel. Hit lists are
-     * bit-identical either way; 0 keeps everything striped. The
-     * default follows BIOARCH_INTERSEQ_CUTOVER when set.
+     * bit-identical either way; 0 keeps everything striped.
      */
     std::size_t interseqCutover = align::interSequenceCutover();
     bio::GapPenalties gaps;

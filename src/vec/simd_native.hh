@@ -5,15 +5,16 @@
  * The traced kernels (kernels/sw_vmx_traced) do not use it: they
  * emit one trace instruction per modelled Altivec primitive, which
  * Table III depends on. This header is the execution layer the
- * serving engine scans the database with — real intrinsics, chosen
- * at compile time:
+ * serving engine scans the database with — real intrinsics, every
+ * flavor the target ISA has compiled into every build:
  *
  *   Sse2U8/Sse2I16   — 128-bit SSE2 (x86-64 baseline)
  *   Avx2U8/Avx2I16   — 256-bit AVX2 (separate -mavx2 TU, runtime
  *                      CPUID-guarded dispatch)
  *   NeonU8/NeonI16   — 128-bit NEON (aarch64)
- *   PortableU8/I16   — plain C++ lanes arrays (autovectorizable
- *                      fallback, also the TSAN-friendly backend)
+ *
+ * A host with none of them serves on the scalar reference
+ * (align::SimdBackend::Scalar), which needs no lanes.
  *
  * Each variant exposes the same static interface, so the striped
  * Smith-Waterman kernel (align/sw_striped_native_impl.hh) is written
@@ -28,10 +29,9 @@
  *   hmax(a)                            // horizontal maximum
  *   anyGt(a,b)                         // any lane a > b
  *
- * The hardware I16 flavors add what the diagonal-major banded
- * kernel (align/banded_native_impl.hh) and the traceback rectangle
- * fill (align/traceback/fill_native_impl.hh) need; the portable
- * backend runs the scalar versions of both instead:
+ * The I16 flavors add what the diagonal-major banded kernel
+ * (align/banded_native_impl.hh) and the traceback rectangle fill
+ * (align/traceback/fill_native_impl.hh) need:
  *
  *   loadu(p), store(p,a)               // unaligned load; store
  *                                      // requires 64B-aligned p
@@ -106,200 +106,6 @@ allocateAligned(std::size_t count)
                                std::align_val_t(registerAlignment));
     return AlignedArray<T>(static_cast<T *>(p));
 }
-
-/**
- * Portable fallback lanes, sized to match AVX2 so the striped
- * profile layout (and therefore the lazy-F behavior) is identical
- * between the two on any machine. The loops are written to
- * autovectorize; correctness never depends on that.
- */
-struct PortableU8
-{
-    static constexpr int lanes = 32;
-    using Elem = std::uint8_t;
-    struct Reg
-    {
-        alignas(32) Elem v[lanes];
-    };
-
-    static Reg
-    zero()
-    {
-        return Reg{};
-    }
-    static Reg
-    splat(Elem x)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i)
-            r.v[i] = x;
-        return r;
-    }
-    static Reg
-    load(const Elem *p)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i)
-            r.v[i] = p[i];
-        return r;
-    }
-    static Reg
-    adds(Reg a, Reg b)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i) {
-            const int s = int(a.v[i]) + int(b.v[i]);
-            r.v[i] = static_cast<Elem>(s > 255 ? 255 : s);
-        }
-        return r;
-    }
-    static Reg
-    subs(Reg a, Reg b)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i) {
-            const int s = int(a.v[i]) - int(b.v[i]);
-            r.v[i] = static_cast<Elem>(s < 0 ? 0 : s);
-        }
-        return r;
-    }
-    static Reg
-    max(Reg a, Reg b)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i)
-            r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-        return r;
-    }
-    static Reg
-    band(Reg a, Reg b)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i)
-            r.v[i] = a.v[i] & b.v[i];
-        return r;
-    }
-    static Reg
-    shiftInZero(Reg a)
-    {
-        Reg r;
-        r.v[0] = 0;
-        for (int i = 1; i < lanes; ++i)
-            r.v[i] = a.v[i - 1];
-        return r;
-    }
-    static Elem
-    hmax(Reg a)
-    {
-        Elem m = 0;
-        for (int i = 0; i < lanes; ++i)
-            m = a.v[i] > m ? a.v[i] : m;
-        return m;
-    }
-    static bool
-    anyGt(Reg a, Reg b)
-    {
-        unsigned acc = 0;
-        for (int i = 0; i < lanes; ++i)
-            acc |= unsigned(a.v[i] > b.v[i]);
-        return acc != 0;
-    }
-};
-
-struct PortableI16
-{
-    static constexpr int lanes = 16;
-    using Elem = std::int16_t;
-    struct Reg
-    {
-        alignas(32) Elem v[lanes];
-    };
-
-    static Reg
-    zero()
-    {
-        return Reg{};
-    }
-    static Reg
-    splat(Elem x)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i)
-            r.v[i] = x;
-        return r;
-    }
-    static Reg
-    load(const Elem *p)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i)
-            r.v[i] = p[i];
-        return r;
-    }
-    static Reg
-    adds(Reg a, Reg b)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i) {
-            const int s = int(a.v[i]) + int(b.v[i]);
-            r.v[i] = static_cast<Elem>(
-                s > 32767 ? 32767 : (s < -32768 ? -32768 : s));
-        }
-        return r;
-    }
-    static Reg
-    subs(Reg a, Reg b)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i) {
-            const int s = int(a.v[i]) - int(b.v[i]);
-            r.v[i] = static_cast<Elem>(
-                s > 32767 ? 32767 : (s < -32768 ? -32768 : s));
-        }
-        return r;
-    }
-    static Reg
-    max(Reg a, Reg b)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i)
-            r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-        return r;
-    }
-    static Reg
-    band(Reg a, Reg b)
-    {
-        Reg r;
-        for (int i = 0; i < lanes; ++i)
-            r.v[i] = static_cast<Elem>(a.v[i] & b.v[i]);
-        return r;
-    }
-    static Reg
-    shiftInZero(Reg a)
-    {
-        Reg r;
-        r.v[0] = 0;
-        for (int i = 1; i < lanes; ++i)
-            r.v[i] = a.v[i - 1];
-        return r;
-    }
-    static Elem
-    hmax(Reg a)
-    {
-        Elem m = a.v[0];
-        for (int i = 1; i < lanes; ++i)
-            m = a.v[i] > m ? a.v[i] : m;
-        return m;
-    }
-    static bool
-    anyGt(Reg a, Reg b)
-    {
-        unsigned acc = 0;
-        for (int i = 0; i < lanes; ++i)
-            acc |= unsigned(a.v[i] > b.v[i]);
-        return acc != 0;
-    }
-};
 
 #if defined(__SSE2__)
 

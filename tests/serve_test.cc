@@ -368,7 +368,15 @@ TEST(ServeDeterminism, HitsBitIdenticalAcrossKernelChoices)
     // coordinates — must be bit-for-bit identical whether every
     // subject goes striped (cutover 0), every subject goes
     // inter-sequence (huge cutover), or the mix splits at the
-    // default, across jobs {1, 2, 8}.
+    // default, across jobs {1, 2, 8}. So is the backend: the Scalar
+    // one, which never batches, serves the same hits, and so does
+    // one this build lacks (NEON on x86-64, SSE2 elsewhere), whose
+    // lanes all climb to the scalar rung.
+#if defined(__x86_64__)
+    constexpr align::SimdBackend absent = align::SimdBackend::NEON;
+#else
+    constexpr align::SimdBackend absent = align::SimdBackend::SSE2;
+#endif
     std::vector<serve::Request> stream;
     for (std::size_t i = 0; i < 4; ++i) {
         serve::Request r;
@@ -387,53 +395,50 @@ TEST(ServeDeterminism, HitsBitIdenticalAcrossKernelChoices)
         ref_engine.serveBatch(stream);
     ASSERT_TRUE(ref_engine.config().interseqCutover == 0);
 
-    for (const std::size_t cutover :
-         {std::size_t{0}, align::interSequenceCutover(),
-          std::size_t{1} << 30}) {
-        for (const unsigned jobs : {1u, 2u, 8u}) {
-            serve::EngineConfig cfg;
-            cfg.jobs = jobs;
-            cfg.interseqCutover = cutover;
-            serve::Engine engine(testDb(), cfg);
-            const std::vector<serve::Response> got =
-                engine.serveBatch(stream);
-            ASSERT_EQ(got.size(), reference.size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-                expectSameHits(
-                    got[i].hits, reference[i].hits,
-                    "cutover=" + std::to_string(cutover)
-                        + " jobs=" + std::to_string(jobs)
-                        + " request=" + std::to_string(i));
+    for (const align::SimdBackend backend :
+         {align::defaultScanBackend(), align::SimdBackend::Scalar,
+          absent}) {
+        for (const std::size_t cutover :
+             {std::size_t{0}, align::interSequenceCutover(),
+              std::size_t{1} << 30}) {
+            for (const unsigned jobs : {1u, 2u, 8u}) {
+                serve::EngineConfig cfg;
+                cfg.jobs = jobs;
+                cfg.interseqCutover = cutover;
+                cfg.backend = backend;
+                serve::Engine engine(testDb(), cfg);
+                const std::vector<serve::Response> got =
+                    engine.serveBatch(stream);
+                ASSERT_EQ(got.size(), reference.size());
+                for (std::size_t i = 0; i < got.size(); ++i)
+                    expectSameHits(
+                        got[i].hits, reference[i].hits,
+                        std::string(align::backendName(backend))
+                            + " cutover=" + std::to_string(cutover)
+                            + " jobs=" + std::to_string(jobs)
+                            + " request=" + std::to_string(i));
 
-            // The per-kernel accounting covers every scan exactly
-            // once, and the extreme cutovers route exclusively.
-            const obs::Registry &m = engine.metrics();
-            const std::uint64_t inter = m.counterValue(
-                "native_intersequence_total",
-                "backend=\""
-                    + std::string(align::backendName(
-                        engine.config().backend))
-                    + "\"");
-            const std::uint64_t striped = m.counterValue(
-                "native_striped_total",
-                "backend=\""
-                    + std::string(align::backendName(
-                        engine.config().backend))
-                    + "\"");
-            EXPECT_EQ(inter + striped,
-                      m.counterValue(
-                          "native_scans_total",
-                          "backend=\""
-                              + std::string(align::backendName(
-                                  engine.config().backend))
-                              + "\""));
-            // Cutover 0 never forms a batch; a huge cutover
-            // batches everything except shards below the
-            // occupancy floor, which fall back to striped.
-            if (cutover == 0) {
-                EXPECT_EQ(inter, 0u);
-            } else if (cutover == (std::size_t{1} << 30)) {
-                EXPECT_GT(inter, 0u);
+                // The per-kernel accounting covers every scan exactly
+                // once, and the extreme cutovers route exclusively.
+                const obs::Registry &m = engine.metrics();
+                const std::string label = "backend=\""
+                    + std::string(align::backendName(backend)) + "\"";
+                const std::uint64_t inter = m.counterValue(
+                    "native_intersequence_total", label);
+                const std::uint64_t striped =
+                    m.counterValue("native_striped_total", label);
+                EXPECT_EQ(inter + striped,
+                          m.counterValue("native_scans_total", label));
+                // Cutover 0 and the Scalar backend never batch; a
+                // huge cutover batches everything except shards
+                // below the occupancy floor, which fall back to
+                // striped.
+                if (cutover == 0
+                    || backend == align::SimdBackend::Scalar) {
+                    EXPECT_EQ(inter, 0u);
+                } else if (cutover == (std::size_t{1} << 30)) {
+                    EXPECT_GT(inter, 0u);
+                }
             }
         }
     }

@@ -6,8 +6,8 @@
  * and a database search, and the overflow ladder
  * (8-bit saturation -> 16-bit rescan -> scalar fallback) on
  * adversarial high-identity inputs. Every test loops over every
- * backend compiled into this binary, so the CI native-SIMD leg
- * exercises SSE2/AVX2 and the default leg the portable lanes.
+ * backend compiled into this binary: the hardware ones the host
+ * runs and the Scalar backend.
  */
 
 #include <gtest/gtest.h>
@@ -43,29 +43,45 @@ randomSeq(bio::Rng &rng, int length, const std::string &id)
     return bio::Sequence(id, "", std::move(rs));
 }
 
+/** Whether @p backend has lanes: Scalar climbs no overflow ladder. */
+bool
+hasLanes(align::SimdBackend backend)
+{
+    return backend != align::SimdBackend::Scalar;
+}
+
 TEST(SwNativeBackend, ResolutionAndNames)
 {
     const auto &backends = align::compiledNativeBackends();
     ASSERT_FALSE(backends.empty());
-    // Portable is always compiled and always last (the fallback).
-    EXPECT_EQ(backends.back(), align::SimdBackend::Portable);
-    EXPECT_EQ(align::bestNativeBackend(), backends.front());
+    // Scalar is always compiled and always last (the fallback).
+    EXPECT_EQ(backends.back(), align::SimdBackend::Scalar);
+    EXPECT_EQ(align::defaultScanBackend(), backends.front());
+    // Every build compiles the target ISA's intrinsic backend, and
+    // the default serves with it (or a wider one).
+#if defined(__x86_64__) || defined(__aarch64__)
+#if defined(__x86_64__)
+    constexpr align::SimdBackend hardware = align::SimdBackend::SSE2;
+#else
+    constexpr align::SimdBackend hardware = align::SimdBackend::NEON;
+#endif
+    EXPECT_NE(std::find(backends.begin(), backends.end(), hardware),
+              backends.end());
+    EXPECT_NE(align::defaultScanBackend(), align::SimdBackend::Scalar);
+#endif
 
     for (const align::SimdBackend b : backends) {
         const auto parsed = align::parseBackend(align::backendName(b));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, b);
     }
-    // Only native backends parse; "model" is not one.
+    EXPECT_EQ(align::backendName(align::SimdBackend::Scalar), "scalar");
+    // Only backend names and "auto" parse.
     EXPECT_EQ(align::parseBackend("model"), std::nullopt);
+    EXPECT_EQ(align::parseBackend("portable"), std::nullopt);
     EXPECT_EQ(align::parseBackend("auto"),
-              align::bestNativeBackend());
+              align::defaultScanBackend());
     EXPECT_FALSE(align::parseBackend("vliw").has_value());
-    // Whatever BIOARCH_SIMD_BACKEND says, the serving default is a
-    // backend this binary can run.
-    EXPECT_NE(std::find(backends.begin(), backends.end(),
-                        align::defaultScanBackend()),
-              backends.end());
 }
 
 TEST(SwNativeScan, FuzzMatchesScalarOnAllBackends)
@@ -327,7 +343,7 @@ TEST(SwNativeScan, U8SaturationRescansAt16Bits)
     for (const align::SimdBackend backend :
          align::compiledNativeBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
-        ASSERT_TRUE(profile.hasU8());
+        ASSERT_EQ(profile.hasU8(), hasLanes(backend));
         align::NativeScanStats stats;
         std::uint64_t cells = 0;
         const align::LocalScore got = align::swStripedNativeScan(
@@ -335,7 +351,7 @@ TEST(SwNativeScan, U8SaturationRescansAt16Bits)
         EXPECT_EQ(got.score, ref.score)
             << align::backendName(backend);
         EXPECT_EQ(stats.scans, 1u);
-        EXPECT_EQ(stats.rescans16, 1u);
+        EXPECT_EQ(stats.rescans16, hasLanes(backend) ? 1u : 0u);
         EXPECT_EQ(stats.rescansScalar, 0u);
         EXPECT_EQ(cells, 600u * 600u);
     }
@@ -361,7 +377,7 @@ TEST(SwNativeScan, I16SaturationFallsBackToScalar)
             profile, q, gaps, nullptr, &stats);
         EXPECT_EQ(got.score, ref.score)
             << align::backendName(backend);
-        EXPECT_EQ(stats.rescansScalar, 1u);
+        EXPECT_EQ(stats.rescansScalar, hasLanes(backend) ? 1u : 0u);
         // The scalar level tracks coordinates too.
         EXPECT_EQ(got.queryEnd, ref.queryEnd);
         EXPECT_EQ(got.subjectEnd, ref.subjectEnd);
@@ -388,7 +404,7 @@ TEST(SwNativeScan, ExtremeMatrixForces16BitPads)
             const align::NativeQueryProfile profile(q, mat,
                                                     backend);
             // int8 scores always fit the biased byte level...
-            EXPECT_TRUE(profile.hasU8());
+            EXPECT_EQ(profile.hasU8(), hasLanes(backend));
             align::NativeScanStats stats;
             EXPECT_EQ(align::swStripedNativeScan(profile, subject,
                                                  gaps, nullptr,
@@ -399,7 +415,7 @@ TEST(SwNativeScan, ExtremeMatrixForces16BitPads)
                 << align::backendName(backend);
             // ...but one 127-point match reaches the saturation
             // band (255 - bias = 127), so every scan rescans.
-            EXPECT_EQ(stats.rescans16, 1u);
+            EXPECT_EQ(stats.rescans16, hasLanes(backend) ? 1u : 0u);
             EXPECT_EQ(stats.rescansScalar, 0u);
         }
     }
@@ -482,7 +498,9 @@ TEST(SwInterSequence, FuzzBatchesMatchScalarOnAllBackends)
             EXPECT_EQ(stats.scans,
                       static_cast<std::uint64_t>(count));
             EXPECT_EQ(stats.interSequence,
-                      static_cast<std::uint64_t>(count));
+                      hasLanes(backend)
+                          ? static_cast<std::uint64_t>(count)
+                          : 0u);
             std::uint64_t expect_cells = 0;
             for (int i = 0; i < count; ++i) {
                 const align::LocalScore ref =
@@ -580,14 +598,14 @@ TEST(SwInterSequence, SaturationInIndividualLanes)
     for (const align::SimdBackend backend :
          align::compiledNativeBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
-        ASSERT_TRUE(profile.hasU8());
+        ASSERT_EQ(profile.hasU8(), hasLanes(backend));
         std::vector<align::LocalScore> got(spans.size());
         align::NativeScanStats stats;
         align::swInterSequenceScan(profile, spans.data(),
                                    spans.size(), gaps, got.data(),
                                    nullptr, &stats);
         // Exactly the hot lane climbed the ladder.
-        EXPECT_EQ(stats.rescans16, 1u)
+        EXPECT_EQ(stats.rescans16, hasLanes(backend) ? 1u : 0u)
             << align::backendName(backend);
         EXPECT_EQ(stats.rescansScalar, 0u);
         for (std::size_t i = 0; i < subjects.size(); ++i) {
@@ -627,8 +645,8 @@ TEST(SwInterSequence, I16SaturationInOneLaneFallsBackToScalar)
         align::swInterSequenceScan(profile, spans.data(),
                                    spans.size(), gaps, got.data(),
                                    nullptr, &stats);
-        EXPECT_EQ(stats.rescans16, 1u);
-        EXPECT_EQ(stats.rescansScalar, 1u);
+        EXPECT_EQ(stats.rescans16, hasLanes(backend) ? 1u : 0u);
+        EXPECT_EQ(stats.rescansScalar, hasLanes(backend) ? 1u : 0u);
         for (std::size_t i = 0; i < subjects.size(); ++i) {
             const align::LocalScore ref = align::smithWatermanScore(
                 q, subjects[i], mat, gaps);
@@ -715,7 +733,7 @@ TEST(SwInterSequence, ExtremeMatrixSaturatesEveryLane)
         align::swInterSequenceScan(profile, spans.data(),
                                    spans.size(), gaps, got.data(),
                                    nullptr, &stats);
-        EXPECT_EQ(stats.rescans16, spans.size());
+        EXPECT_EQ(stats.rescans16, hasLanes(backend) ? spans.size() : 0u);
         for (std::size_t i = 0; i < subjects.size(); ++i)
             EXPECT_EQ(got[i].score,
                       align::smithWatermanScore(q, subjects[i],

@@ -80,11 +80,10 @@ usage(std::ostream &out)
            "                    threads)\n"
            "  --top-k K         hits per response (default 10)\n"
            "  --backend NAME    native Smith-Waterman kernel\n"
-           "                    backend: auto | portable | sse2 |\n"
-           "                    avx2 | neon (default: the\n"
-           "                    BIOARCH_SIMD_BACKEND environment\n"
-           "                    variable, else the widest native\n"
-           "                    backend this CPU supports)\n"
+           "                    backend: auto | scalar | sse2 |\n"
+           "                    avx2 | neon (default auto: the\n"
+           "                    widest native backend this CPU\n"
+           "                    supports)\n"
            "\n"
            "working set:\n"
            "  --db-seqs N       database sequences (default 200)\n"
