@@ -308,10 +308,11 @@ int
 fillAll(align::SimdBackend backend)
 {
     thread_local align::detail::RectangleFill fill;
+    const align::NativeKernels *kernels = align::nativeKernels(backend);
     int sum = 0;
     for (const FillRectangle &r : fillRectangles()) {
         align::detail::fillRectangle(r.query, r.qLen, r.subject, r.sLen,
-                                     kMat, kGaps, backend, fill);
+                                     kMat, kGaps, kernels, fill);
         sum += fill.score;
     }
     return sum;
@@ -337,7 +338,7 @@ BENCHMARK(BM_TracebackFillScalar)->Unit(benchmark::kMillisecond);
 
 /**
  * One BM_SwStripedNativeScan, BM_BandedScore and BM_TracebackFill
- * instance per compiled hardware backend. Scalar's would repeat
+ * instance per runnable hardware backend. Scalar's would repeat
  * BM_SmithWatermanScan, BM_BandedScoreScalarOracle and
  * BM_TracebackFillScalar.
  */
@@ -345,7 +346,7 @@ void
 registerNativeBenchmarks()
 {
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         if (backend == align::SimdBackend::Scalar)
             continue;
         const std::string name(align::backendName(backend));

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # CLI contract of bioarch-serve and bioarch-dbtool: unknown flags,
-# unknown --workload / --backend values, and malformed argument
-# combinations fail fast with a one-line error on stderr and exit
-# status 2 (registered as the `serve_cli` ctest).
+# unknown --workload / --backend values, backends this host cannot
+# run, and malformed argument combinations fail fast with a
+# one-line error on stderr and exit status 2 (registered as the
+# `serve_cli` ctest).
 #
 # Usage: check_serve_cli.sh path/to/bioarch-serve path/to/bioarch-dbtool
 set -u
@@ -34,6 +35,13 @@ check_rejects "$SERVE" "unknown option" --frobnicate
 check_rejects "$SERVE" "unknown workload" --workload nope
 check_rejects "$SERVE" "unknown backend" --backend warp9
 check_rejects "$SERVE" "model backend removed" --backend model
+# The other architecture's backend is a known name this host cannot
+# run.
+case "$(uname -m)" in
+    x86_64|amd64) foreign=neon ;;
+    *) foreign=sse2 ;;
+esac
+check_rejects "$SERVE" "unrunnable backend $foreign" --backend "$foreign"
 check_rejects "$SERVE" "missing option value" --workload
 check_rejects "$SERVE" "non-positive requests" --requests 0
 check_rejects "$SERVE" "non-positive qps" --qps -3
@@ -69,6 +77,13 @@ fi
 lines=$("$SERVE" --backend model 2>&1 | wc -l)
 if [ "$lines" -ne 1 ]; then
     echo "FAIL: serve --backend model error should be one line, got $lines"
+    fails=1
+fi
+# ... and that line lists the runnable backends (scalar always runs).
+err=$("$SERVE" --backend "$foreign" 2>&1)
+if [ "$(echo "$err" | wc -l)" -ne 1 ] \
+    || ! echo "$err" | grep -q "auto | .*scalar"; then
+    echo "FAIL: serve --backend $foreign should give one line listing the runnable backends, got: $err"
     fails=1
 fi
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "banded_impl.hh"
-#include "banded_native_impl.hh"
 
 namespace bioarch::align
 {
@@ -16,6 +15,7 @@ BandedProfile::BandedProfile(const bio::Sequence &query,
                              const bio::ScoringMatrix &matrix,
                              SimdBackend backend)
     : _query(&query), _matrix(&matrix), _backend(backend),
+      _kernels(nativeKernels(backend)),
       _m(static_cast<int>(query.length())),
       _stride(static_cast<std::size_t>(_m + 2 * pad)),
       _scores(static_cast<std::size_t>(bio::Alphabet::numSymbols)
@@ -31,49 +31,6 @@ BandedProfile::BandedProfile(const bio::Sequence &query,
             out[i] = scores[query[static_cast<std::size_t>(i)]];
     }
 }
-
-#if BIOARCH_NATIVE_AVX2
-namespace detail
-{
-// Implemented in sw_striped_avx2.cc (the only -mavx2 TU).
-LocalScore bandedScanI16Avx2(const std::int16_t *profile,
-                             std::size_t stride, int m,
-                             const bio::Residue *subject, int n,
-                             int d_lo, int d_hi, int open_cost,
-                             int ext_cost, bool *saturated);
-} // namespace detail
-#endif
-
-namespace
-{
-
-using BandedKernel = LocalScore (*)(const std::int16_t *, std::size_t,
-                                    int, const bio::Residue *, int,
-                                    int, int, int, int, bool *);
-
-/** The backend's SIMD banded kernel, or nullptr for Scalar. */
-BandedKernel
-bandedKernel(SimdBackend backend)
-{
-    switch (backend) {
-#if defined(__SSE2__)
-    case SimdBackend::SSE2:
-        return &detail::bandedScanI16<vec::native::Sse2I16>;
-#endif
-#if BIOARCH_NATIVE_AVX2
-    case SimdBackend::AVX2:
-        return &detail::bandedScanI16Avx2;
-#endif
-#if defined(__ARM_NEON) && defined(__aarch64__)
-    case SimdBackend::NEON:
-        return &detail::bandedScanI16<vec::native::NeonI16>;
-#endif
-    default:
-        return nullptr;
-    }
-}
-
-} // namespace
 
 LocalScore
 bandedSmithWaterman(const BandedProfile &profile,
@@ -92,8 +49,8 @@ bandedSmithWaterman(const BandedProfile &profile,
             profile.query(), subject, profile.matrix(), gaps,
             center_diagonal, half_width, [](int, int, int, int, int) {});
     };
-    const BandedKernel kernel = bandedKernel(profile.backend());
-    if (kernel == nullptr || open_cost < 0 || ext_cost < 0
+    const NativeKernels *kernels = profile.kernels();
+    if (kernels == nullptr || open_cost < 0 || ext_cost < 0
         || open_cost > 32767 || ext_cost > 32767)
         return oracle();
 
@@ -111,10 +68,10 @@ bandedSmithWaterman(const BandedProfile &profile,
         return {};
 
     bool saturated = false;
-    const LocalScore out =
-        kernel(profile.row(0), profile.stride(), m,
-               subject.residues().data(), n, static_cast<int>(d_lo),
-               static_cast<int>(d_hi), open_cost, ext_cost, &saturated);
+    const LocalScore out = kernels->bandedI16(
+        profile.row(0), profile.stride(), m, subject.residues().data(),
+        n, static_cast<int>(d_lo), static_cast<int>(d_hi), open_cost,
+        ext_cost, &saturated);
     return saturated ? oracle() : out;
 }
 

@@ -34,7 +34,8 @@ namespace bioarch::align
  * entries hold padScore. Band-independent: built once per query
  * (FASTA builds it next to its KtupIndex) and shared read-only. The
  * query and matrix must outlive the profile (the scalar fallback
- * reads them).
+ * reads them). The backend's kernels are resolved once, here; an
+ * unrunnable backend throws std::invalid_argument.
  */
 class BandedProfile
 {
@@ -49,6 +50,8 @@ class BandedProfile
                   SimdBackend backend = defaultScanBackend());
 
     SimdBackend backend() const { return _backend; }
+    /** The backend's kernels (nullptr for Scalar). */
+    const NativeKernels *kernels() const { return _kernels; }
     const bio::Sequence &query() const { return *_query; }
     const bio::ScoringMatrix &matrix() const { return *_matrix; }
     int queryLength() const { return _m; }
@@ -70,6 +73,7 @@ class BandedProfile
     const bio::Sequence *_query;
     const bio::ScoringMatrix *_matrix;
     SimdBackend _backend;
+    const NativeKernels *_kernels;
     int _m;
     std::size_t _stride;
     std::vector<std::int16_t> _scores;

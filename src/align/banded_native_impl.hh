@@ -1,8 +1,8 @@
 /**
  * @file
  * The banded Smith-Waterman kernel template instantiated once per
- * native SIMD backend (the I16 variants of vec/simd_native.hh).
- * Private to banded.cc and sw_striped_avx2.cc; everything else
+ * native SIMD backend (the I16 variants of vec/simd_native.hh) by
+ * the backend tables (native_kernels_impl.hh); everything else
  * calls align::bandedSmithWaterman (banded.hh).
  *
  * The band is swept in diagonal-major order. For subject column j,

@@ -8,60 +8,6 @@
 namespace bioarch::align
 {
 
-#if BIOARCH_NATIVE_AVX2
-// Implemented in sw_striped_avx2.cc (the only -mavx2 TU).
-namespace detail
-{
-void interScanU8Avx2(const std::uint8_t *mat_t,
-                     const bio::Residue *query, int m,
-                     const InterSubject *subjects,
-                     std::size_t count, int open_cost, int ext_cost,
-                     int bias, InterLaneResult *results);
-} // namespace detail
-#endif
-
-namespace
-{
-
-void
-dispatchInterU8(SimdBackend backend, const std::uint8_t *mat_t,
-                const bio::Residue *query, int m,
-                const detail::InterSubject *subjects,
-                std::size_t count, int open_cost, int ext_cost,
-                int bias, detail::InterLaneResult *results)
-{
-    switch (backend) {
-#if defined(__SSE2__)
-    case SimdBackend::SSE2:
-        detail::interScanU8<vec::native::Sse2U8>(
-            mat_t, query, m, subjects, count, open_cost, ext_cost,
-            bias, results);
-        return;
-#endif
-#if BIOARCH_NATIVE_AVX2
-    case SimdBackend::AVX2:
-        detail::interScanU8Avx2(mat_t, query, m, subjects, count,
-                                open_cost, ext_cost, bias, results);
-        return;
-#endif
-#if defined(__ARM_NEON) && defined(__aarch64__)
-    case SimdBackend::NEON:
-        detail::interScanU8<vec::native::NeonU8>(
-            mat_t, query, m, subjects, count, open_cost, ext_cost,
-            bias, results);
-        return;
-#endif
-    default:
-        // A backend this build lacks: every lane climbs the ladder
-        // (Scalar has no u8 profile and never gets here).
-        for (std::size_t k = 0; k < count; ++k)
-            results[k].saturated = true;
-        return;
-    }
-}
-
-} // namespace
-
 void
 swInterSequenceScan(const NativeQueryProfile &profile,
                     const SubjectSpan *subjects, std::size_t count,
@@ -127,10 +73,11 @@ swInterSequenceScan(const NativeQueryProfile &profile,
             subjects[order[k]].data,
             static_cast<int>(subjects[order[k]].length)};
 
-    dispatchInterU8(profile.backend(), profile.interMatrix(),
-                    profile.query().residues().data(), m,
-                    sorted.data(), sorted.size(), open_cost,
-                    ext_cost, profile.bias(), results.data());
+    // hasU8() implies a hardware backend, so kernels() is set.
+    profile.kernels()->interU8(profile.interMatrix(),
+                               profile.query().residues().data(), m,
+                               sorted.data(), sorted.size(), open_cost,
+                               ext_cost, profile.bias(), results.data());
     if (stats) {
         stats->scans += order.size();
         stats->interSequence += order.size();

@@ -1,9 +1,8 @@
 /**
  * @file
  * The inter-sequence (multi-subject) Smith-Waterman kernel template
- * instantiated once per native SIMD backend. Private to
- * sw_intersequence_native.cc and sw_striped_avx2.cc — everything
- * else goes through the dispatching API in
+ * instantiated once per native SIMD backend by the backend tables
+ * (native_kernels_impl.hh). Everything else goes through the API in
  * sw_intersequence_native.hh.
  *
  * Where the striped kernel (sw_striped_native_impl.hh) spreads ONE
@@ -56,11 +55,18 @@ namespace bioarch::align::detail
  * output row kInterBitrev16[c] holds input column c (the network
  * permutes rows by 4-bit bit-reversal; callers index through the
  * table, which is its own inverse).
+ *
+ * This and interGatherGroup16 are templated on the calling kernel's
+ * lane type V, which they do not otherwise use: the -mavx2 TU's
+ * VEX-encoded copies and the baseline TU's SSE2 copies are then
+ * distinct symbols, so the link cannot keep an AVX2 copy for the
+ * baseline kernels (scripts/check_isa_isolation.sh).
  */
 inline constexpr int kInterBitrev16[16] = {0, 8, 4, 12, 2, 10,
                                            6, 14, 1, 9,  5, 13,
                                            3, 11, 7, 15};
 
+template <class V>
 inline void
 interTranspose16(__m128i v[16])
 {
@@ -91,6 +97,7 @@ interTranspose16(__m128i v[16])
  * slice ends exactly at the end of the matrix buffer), transpose
  * both blocks, and store one 16-byte vector per query symbol.
  */
+template <class V>
 inline void
 interGatherGroup16(const std::uint8_t *mat_t, const int *col_idx,
                    std::uint8_t *scratch_group, int lanes)
@@ -107,8 +114,8 @@ interGatherGroup16(const std::uint8_t *mat_t, const int *col_idx,
         hi[l] = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(row + 7));
     }
-    interTranspose16(lo);
-    interTranspose16(hi);
+    interTranspose16<V>(lo);
+    interTranspose16<V>(hi);
     for (int r = 0; r < 16; ++r)
         _mm_storeu_si128(
             reinterpret_cast<__m128i *>(
@@ -268,7 +275,7 @@ interScanU8(const std::uint8_t *mat_t, const bio::Residue *query,
 #if defined(__SSE2__)
         if constexpr (sizeof(Elem) == 1 && lanes % 16 == 0) {
             for (int g = 0; g < lanes / 16; ++g)
-                interGatherGroup16(
+                interGatherGroup16<V>(
                     mat_t, col_idx + g * 16,
                     reinterpret_cast<std::uint8_t *>(scratch)
                         + g * 16,

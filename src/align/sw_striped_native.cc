@@ -14,100 +14,6 @@ namespace
 {
 
 /**
- * Lane counts per backend for the two ladder levels: a register's
- * bytes and half that. Scalar never reaches the lane code.
- */
-int
-lanes8(SimdBackend backend)
-{
-    return backend == SimdBackend::AVX2 ? 32 : 16;
-}
-
-int
-lanes16(SimdBackend backend)
-{
-    return lanes8(backend) / 2;
-}
-
-bool
-avx2Runnable()
-{
-#if BIOARCH_NATIVE_AVX2 && defined(__GNUC__) \
-    && (defined(__x86_64__) || defined(__i386__))
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
-}
-
-std::vector<SimdBackend>
-computeCompiledBackends()
-{
-    std::vector<SimdBackend> out;
-    if (avx2Runnable())
-        out.push_back(SimdBackend::AVX2);
-#if defined(__SSE2__)
-    out.push_back(SimdBackend::SSE2);
-#endif
-#if defined(__ARM_NEON) && defined(__aarch64__)
-    out.push_back(SimdBackend::NEON);
-#endif
-    out.push_back(SimdBackend::Scalar);
-    return out;
-}
-
-} // namespace
-
-std::string_view
-backendName(SimdBackend backend)
-{
-    switch (backend) {
-    case SimdBackend::Scalar:
-        return "scalar";
-    case SimdBackend::SSE2:
-        return "sse2";
-    case SimdBackend::AVX2:
-        return "avx2";
-    case SimdBackend::NEON:
-        return "neon";
-    }
-    return "unknown";
-}
-
-std::optional<SimdBackend>
-parseBackend(std::string_view name)
-{
-    if (name == "scalar")
-        return SimdBackend::Scalar;
-    if (name == "sse2")
-        return SimdBackend::SSE2;
-    if (name == "avx2")
-        return SimdBackend::AVX2;
-    if (name == "neon")
-        return SimdBackend::NEON;
-    if (name == "auto")
-        return defaultScanBackend();
-    return std::nullopt;
-}
-
-const std::vector<SimdBackend> &
-compiledNativeBackends()
-{
-    static const std::vector<SimdBackend> backends =
-        computeCompiledBackends();
-    return backends;
-}
-
-SimdBackend
-defaultScanBackend()
-{
-    return compiledNativeBackends().front();
-}
-
-namespace
-{
-
-/**
  * Fill a striped 16-bit profile of the @p m residues at @p query:
  * [residue][segment][lane], row p = s + l * seg, pad rows holding
  * NativeQueryProfile::padScore.
@@ -140,17 +46,17 @@ NativeQueryProfile::NativeQueryProfile(
     const bio::Sequence &query, const bio::ScoringMatrix &matrix,
     SimdBackend backend)
     : _query(&query), _matrix(&matrix),
-      _backend(backend),
+      _kernels(nativeKernels(backend)),
       _m(static_cast<int>(query.length())), _bias(0), _seg8(0),
       _seg16(0)
 {
-    if (_m == 0 || _backend == SimdBackend::Scalar)
+    if (_m == 0 || _kernels == nullptr)
         return;
 
     const int min_score = matrix.minScore();
     _bias = min_score < 0 ? -min_score : 0;
 
-    const int l16 = lanes16(_backend);
+    const int l16 = _kernels->lanesU8 / 2;
     _seg16 = (_m + l16 - 1) / l16;
     _i16 = vec::native::allocateAligned<std::int16_t>(
         static_cast<std::size_t>(bio::Alphabet::numSymbols)
@@ -164,7 +70,7 @@ NativeQueryProfile::NativeQueryProfile(
     // the check guards against a future wider score type.
     if (_bias + matrix.maxScore() > 255)
         return;
-    const int l8 = lanes8(_backend);
+    const int l8 = _kernels->lanesU8;
     _seg8 = (_m + l8 - 1) / l8;
     _u8 = vec::native::allocateAligned<std::uint8_t>(
         static_cast<std::size_t>(bio::Alphabet::numSymbols)
@@ -210,88 +116,8 @@ NativeQueryProfile::NativeQueryProfile(
         _matT[n_sym * n_sym + r] = 0;
 }
 
-#if BIOARCH_NATIVE_AVX2
-// Implemented in sw_striped_avx2.cc (the only -mavx2 TU).
-namespace detail
-{
-LocalScore scanU8Avx2(const std::uint8_t *profile, int seg,
-                      const bio::Residue *subject, std::size_t n,
-                      int open_cost, int ext_cost, int bias,
-                      bool *saturated, const StripedPass *pass);
-LocalScore scanI16Avx2(const std::int16_t *profile, int seg,
-                       const bio::Residue *subject, std::size_t n,
-                       int open_cost, int ext_cost,
-                       bool *saturated, const StripedPass *pass);
-} // namespace detail
-#endif
-
 namespace
 {
-
-/** @p pass selects the StripedOption extras (null: score only). */
-LocalScore
-dispatchU8(SimdBackend backend, const std::uint8_t *profile,
-           int seg, const bio::Residue *subject, std::size_t n,
-           int open_cost, int ext_cost, int bias, bool *saturated,
-           const detail::StripedPass *pass = nullptr)
-{
-    switch (backend) {
-#if defined(__SSE2__)
-    case SimdBackend::SSE2:
-        return detail::stripedScanU8<vec::native::Sse2U8>(
-            profile, seg, subject, n, open_cost, ext_cost, bias,
-            saturated, pass);
-#endif
-#if BIOARCH_NATIVE_AVX2
-    case SimdBackend::AVX2:
-        return detail::scanU8Avx2(profile, seg, subject, n,
-                                  open_cost, ext_cost, bias,
-                                  saturated, pass);
-#endif
-#if defined(__ARM_NEON) && defined(__aarch64__)
-    case SimdBackend::NEON:
-        return detail::stripedScanU8<vec::native::NeonU8>(
-            profile, seg, subject, n, open_cost, ext_cost, bias,
-            saturated, pass);
-#endif
-    default:
-        // A backend this build lacks has no lanes: the ladder
-        // climbs to its scalar rung.
-        *saturated = true;
-        return {};
-    }
-}
-
-LocalScore
-dispatchI16(SimdBackend backend, const std::int16_t *profile,
-            int seg, const bio::Residue *subject, std::size_t n,
-            int open_cost, int ext_cost, bool *saturated,
-            const detail::StripedPass *pass = nullptr)
-{
-    switch (backend) {
-#if defined(__SSE2__)
-    case SimdBackend::SSE2:
-        return detail::stripedScanI16<vec::native::Sse2I16>(
-            profile, seg, subject, n, open_cost, ext_cost,
-            saturated, pass);
-#endif
-#if BIOARCH_NATIVE_AVX2
-    case SimdBackend::AVX2:
-        return detail::scanI16Avx2(profile, seg, subject, n,
-                                   open_cost, ext_cost, saturated,
-                                   pass);
-#endif
-#if defined(__ARM_NEON) && defined(__aarch64__)
-    case SimdBackend::NEON:
-        return detail::stripedScanI16<vec::native::NeonI16>(
-            profile, seg, subject, n, open_cost, ext_cost,
-            saturated, pass);
-#endif
-    default:
-        *saturated = true;
-        return {};
-    }
-}
 
 /** Whether the gap costs fit the 16-bit splat registers. */
 bool
@@ -306,7 +132,7 @@ bool
 lanesFit(const NativeQueryProfile &profile,
          const bio::GapPenalties &gaps)
 {
-    return profile.backend() != SimdBackend::Scalar && gapsFit16(gaps);
+    return profile.kernels() != nullptr && gapsFit16(gaps);
 }
 
 /**
@@ -434,10 +260,9 @@ swStripedNativeScan(const NativeQueryProfile &profile,
 
     bool saturated = false;
     if (profile.hasU8() && open_cost <= 255 && ext_cost <= 255) {
-        out = dispatchU8(profile.backend(), profile.profile8(),
-                         profile.segmentLength8(), subject, n,
-                         open_cost, ext_cost, profile.bias(),
-                         &saturated);
+        out = profile.kernels()->stripedU8(
+            profile.profile8(), profile.segmentLength8(), subject, n,
+            open_cost, ext_cost, profile.bias(), &saturated, nullptr);
         if (!saturated)
             return out;
         if (stats)
@@ -458,10 +283,9 @@ swStripedScan16Tail(const NativeQueryProfile &profile,
     const int open_cost = gaps.openCost();
     const int ext_cost = gaps.extendCost();
     bool saturated = false;
-    const LocalScore out = dispatchI16(
-        profile.backend(), profile.profile16(),
-        profile.segmentLength16(), subject, n, open_cost, ext_cost,
-        &saturated);
+    const LocalScore out = profile.kernels()->stripedI16(
+        profile.profile16(), profile.segmentLength16(), subject, n,
+        open_cost, ext_cost, &saturated, nullptr);
     if (!saturated)
         return out;
 
@@ -509,25 +333,25 @@ swStripedLocate(const NativeQueryProfile &profile,
     if (profile.hasU8() && open_cost <= 255 && ext_cost <= 255
         && known_score < 255 - profile.bias()) {
         const int seg = profile.segmentLength8();
-        const int lanes = lanes8(profile.backend());
+        const int lanes = profile.kernels()->lanesU8;
         std::uint8_t *column = snapshotBuffer<std::uint8_t>(
             static_cast<std::size_t>(seg * lanes));
         pass.snapshot = column;
-        const LocalScore out = dispatchU8(
-            profile.backend(), profile.profile8(), seg, subject, n,
-            open_cost, ext_cost, profile.bias(), &saturated, &pass);
+        const LocalScore out = profile.kernels()->stripedU8(
+            profile.profile8(), seg, subject, n, open_cost, ext_cost,
+            profile.bias(), &saturated, &pass);
         if (!saturated)
             return finish(out, column, seg, lanes);
     }
     if (known_score < detail::i16SaturationCeiling) {
         const int seg = profile.segmentLength16();
-        const int lanes = lanes16(profile.backend());
+        const int lanes = profile.kernels()->lanesU8 / 2;
         std::int16_t *column = snapshotBuffer<std::int16_t>(
             static_cast<std::size_t>(seg * lanes));
         pass.snapshot = column;
-        const LocalScore out = dispatchI16(
-            profile.backend(), profile.profile16(), seg, subject, n,
-            open_cost, ext_cost, &saturated, &pass);
+        const LocalScore out = profile.kernels()->stripedI16(
+            profile.profile16(), seg, subject, n, open_cost, ext_cost,
+            &saturated, &pass);
         if (!saturated)
             return finish(out, column, seg, lanes);
     }
@@ -565,7 +389,7 @@ swStripedBeginCell(const NativeQueryProfile &profile,
         && target < detail::i16SaturationCeiling) {
         // A fresh 16-bit profile of the reversed query prefix, in
         // a per-thread buffer that only grows.
-        const int lanes = lanes16(profile.backend());
+        const int lanes = profile.kernels()->lanesU8 / 2;
         const int seg = (rows + lanes - 1) / lanes;
         const std::size_t size =
             static_cast<std::size_t>(bio::Alphabet::numSymbols)
@@ -586,8 +410,8 @@ swStripedBeginCell(const NativeQueryProfile &profile,
         pass.seed = seed;
         pass.stopAt = target;
         saturated = false;
-        const LocalScore out = dispatchI16(
-            profile.backend(), rev.get(), seg, rev_subject.data(),
+        const LocalScore out = profile.kernels()->stripedI16(
+            rev.get(), seg, rev_subject.data(),
             static_cast<std::size_t>(cols), gaps.openCost(),
             gaps.extendCost(), &saturated, &pass);
         if (!saturated && out.score == target)

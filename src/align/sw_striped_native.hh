@@ -16,15 +16,17 @@
  * subject that saturates those too falls back to the scalar
  * reference. Final scores are therefore bit-identical to
  * align::smithWatermanScore for every input (asserted by
- * tests/sw_native_test.cc across all compiled backends).
+ * tests/sw_native_test.cc across all runnable backends).
  *
  * Backend selection: every build compiles the intrinsic variants
  * its target ISA has (SSE2 on x86-64, AVX2 in its own -mavx2 TU,
  * NEON on aarch64) plus the Scalar backend, which runs the scalar
- * reference at every step. defaultScanBackend() picks the widest
- * variant the running CPU supports (AVX2 is additionally guarded by
- * runtime CPUID); Scalar is the only one on hosts without
- * SSE2/AVX2/NEON.
+ * reference at every step. Each hardware backend is one
+ * NativeKernels table (native_kernels.cc, and sw_striped_avx2.cc
+ * for AVX2), and runnableBackends() lists the backends this CPU
+ * runs: AVX2 only where CPUID reports it, Scalar always last.
+ * Nothing accepts a backend outside that list: parseBackend
+ * rejects its name and nativeKernels() throws.
  */
 
 #ifndef BIOARCH_ALIGN_SW_STRIPED_NATIVE_HH
@@ -55,21 +57,78 @@ enum class SimdBackend
 /** Lower-case display name ("scalar", "sse2", ...). */
 std::string_view backendName(SimdBackend backend);
 
-/** Parse a backend name; "auto" maps to defaultScanBackend(). */
+/**
+ * Parse the name of a runnable backend; "auto" maps to
+ * defaultScanBackend(). Any other name, including a backend this
+ * host cannot run, gives nullopt.
+ */
 std::optional<SimdBackend> parseBackend(std::string_view name);
 
 /**
- * The native backends this binary can actually run, best first:
- * those the target ISA compiles, minus AVX2 when the CPU lacks it,
- * and always Scalar last.
+ * The backends this host runs, best first: the ISA variants this
+ * build compiles, minus AVX2 when the CPU lacks it, and always
+ * Scalar last.
  */
-const std::vector<SimdBackend> &compiledNativeBackends();
+const std::vector<SimdBackend> &runnableBackends();
 
 /**
  * The widest runnable native backend: what the serving layer uses
  * when nothing else is specified.
  */
 SimdBackend defaultScanBackend();
+
+namespace detail
+{
+struct StripedPass;
+struct InterSubject;
+struct InterLaneResult;
+} // namespace detail
+
+/**
+ * One hardware backend's kernels, built from its lane types by
+ * detail::kernelTable (native_kernels_impl.hh): the striped scan at
+ * both ladder levels, the inter-sequence scan, the banded scan and
+ * the traceback rectangle fill.
+ */
+struct NativeKernels
+{
+    /** Lanes of the 8-bit level; the 16-bit level has half. */
+    int lanesU8;
+    LocalScore (*stripedU8)(const std::uint8_t *profile, int seg,
+                            const bio::Residue *subject,
+                            std::size_t n, int open_cost,
+                            int ext_cost, int bias, bool *saturated,
+                            const detail::StripedPass *pass);
+    LocalScore (*stripedI16)(const std::int16_t *profile, int seg,
+                             const bio::Residue *subject,
+                             std::size_t n, int open_cost,
+                             int ext_cost, bool *saturated,
+                             const detail::StripedPass *pass);
+    void (*interU8)(const std::uint8_t *mat_t,
+                    const bio::Residue *query, int m,
+                    const detail::InterSubject *subjects,
+                    std::size_t count, int open_cost, int ext_cost,
+                    int bias, detail::InterLaneResult *results);
+    LocalScore (*bandedI16)(const std::int16_t *profile,
+                            std::size_t stride, int m,
+                            const bio::Residue *subject, int n,
+                            int d_lo, int d_hi, int open_cost,
+                            int ext_cost, bool *saturated);
+    int (*fillI16)(const bio::Residue *a, int rows,
+                   const bio::Residue *b, int cols, bool swapped,
+                   const bio::ScoringMatrix &matrix,
+                   const bio::GapPenalties &gaps,
+                   std::uint8_t *codes);
+};
+
+/**
+ * The kernel table of @p backend: nullptr for Scalar, which has no
+ * lanes.
+ *
+ * @throws std::invalid_argument if @p backend is not in
+ *         runnableBackends()
+ */
+const NativeKernels *nativeKernels(SimdBackend backend);
 
 /** Ladder accounting, for tests and bench/obs reporting. */
 struct NativeScanStats
@@ -101,7 +160,9 @@ operator+=(NativeScanStats &a, const NativeScanStats &b)
  * count and 64-byte aligned (the Scalar backend builds neither).
  * Built once per query and shared read-only across every
  * shard-scan task. The query and matrix must outlive the profile
- * (it keeps references for the scalar fallback level).
+ * (it keeps references for the scalar fallback level). The
+ * backend's kernels are resolved once, here; an unrunnable backend
+ * throws std::invalid_argument.
  */
 class NativeQueryProfile
 {
@@ -113,7 +174,8 @@ class NativeQueryProfile
                        const bio::ScoringMatrix &matrix,
                        SimdBackend backend);
 
-    SimdBackend backend() const { return _backend; }
+    /** The backend's kernels (nullptr for Scalar). */
+    const NativeKernels *kernels() const { return _kernels; }
     const bio::Sequence &query() const { return *_query; }
     int queryLength() const { return _m; }
     /** Bias added to every 8-bit profile score (= -min score). */
@@ -139,7 +201,7 @@ class NativeQueryProfile
   private:
     const bio::Sequence *_query;
     const bio::ScoringMatrix *_matrix;
-    SimdBackend _backend;
+    const NativeKernels *_kernels;
     int _m;
     int _bias;
     int _seg8;

@@ -1,9 +1,9 @@
 /**
  * @file
  * The striped Smith-Waterman kernel template instantiated once per
- * native SIMD backend (vec/simd_native.hh variants). Private to
- * sw_striped_native.cc and sw_striped_avx2.cc — everything else
- * goes through the dispatching API in sw_striped_native.hh.
+ * native SIMD backend (vec/simd_native.hh variants) by the backend
+ * tables (native_kernels_impl.hh). Everything else goes through the
+ * API in sw_striped_native.hh.
  *
  * The recurrence is Farrar's striped Smith-Waterman (bit-identical
  * to the scalar reference, tests/sw_native_test.cc), with three

@@ -2,10 +2,9 @@
  * @file
  * The traceback rectangle fill of native_align.cc as a row-wise
  * 16-bit SIMD kernel, instantiated once per hardware backend (the
- * I16 variants of vec/simd_native.hh): SSE2 and NEON in
- * native_align.cc, AVX2 in sw_striped_avx2.cc. Private to those
- * two; everything else calls detail::fillRectangle
- * (native_align.hh).
+ * I16 variants of vec/simd_native.hh) by the backend tables
+ * (native_kernels_impl.hh); everything else calls
+ * detail::fillRectangle (native_align.hh).
  *
  * Rows run along A, lanes along B. For row i and the vector holding
  * columns j0 .. j0 + lanes - 1, with go the open cost and ge the

@@ -7,23 +7,10 @@
 #include <vector>
 
 #include "bio/alphabet.hh"
-#include "fill_native_impl.hh"
 #include "hirschberg.hh"
 
 namespace bioarch::align
 {
-
-#if BIOARCH_NATIVE_AVX2
-namespace detail
-{
-// Implemented in sw_striped_avx2.cc (the only -mavx2 TU).
-int fillRectangleAvx2(const bio::Residue *a, int rows,
-                      const bio::Residue *b, int cols, bool swapped,
-                      const bio::ScoringMatrix &matrix,
-                      const bio::GapPenalties &gaps,
-                      std::uint8_t *codes);
-} // namespace detail
-#endif
 
 namespace
 {
@@ -155,33 +142,6 @@ scalarFill(const bio::Residue *a, int rows, const bio::Residue *b,
 /** Bytes past rows * cols that a SIMD fill's last vector writes. */
 constexpr std::size_t codeSlack = 64;
 
-using FillKernel = int (*)(const bio::Residue *, int,
-                           const bio::Residue *, int, bool,
-                           const bio::ScoringMatrix &,
-                           const bio::GapPenalties &, std::uint8_t *);
-
-/** The backend's 16-bit SIMD fill; nullptr for Scalar. */
-FillKernel
-fillKernel(SimdBackend backend)
-{
-    switch (backend) {
-#if defined(__SSE2__)
-    case SimdBackend::SSE2:
-        return &detail::fillRectangleI16<vec::native::Sse2I16>;
-#endif
-#if BIOARCH_NATIVE_AVX2
-    case SimdBackend::AVX2:
-        return &detail::fillRectangleAvx2;
-#endif
-#if defined(__ARM_NEON) && defined(__aarch64__)
-    case SimdBackend::NEON:
-        return &detail::fillRectangleI16<vec::native::NeonI16>;
-#endif
-    default:
-        return nullptr;
-    }
-}
-
 /** Identical residue pairs and columns of a query-oriented CIGAR. */
 void
 fillIdentityStats(CigarAlignment &aln, const bio::Residue *query,
@@ -240,8 +200,8 @@ void
 fillRectangle(const bio::Residue *query, int q_len,
               const bio::Residue *subject, int s_len,
               const bio::ScoringMatrix &matrix,
-              const bio::GapPenalties &gaps, SimdBackend backend,
-              RectangleFill &out)
+              const bio::GapPenalties &gaps,
+              const NativeKernels *kernels, RectangleFill &out)
 {
     // A supplies the rows, B the columns. The rows run along the
     // longer side, so a row's arrays hold at most
@@ -254,11 +214,10 @@ fillRectangle(const bio::Residue *query, int q_len,
     out.codes.resize(std::max(
         out.codes.size(),
         static_cast<std::size_t>(out.rows) * out.cols + codeSlack));
-    const FillKernel kernel = fillKernel(backend);
-    out.score = kernel != nullptr
+    out.score = kernels != nullptr
             && rectangleFitsI16(out.rows, out.cols, matrix, gaps)
-        ? kernel(a, out.rows, b, out.cols, out.swapped, matrix, gaps,
-                 out.codes.data())
+        ? kernels->fillI16(a, out.rows, b, out.cols, out.swapped,
+                           matrix, gaps, out.codes.data())
         : scalarFill(a, out.rows, b, out.cols, out.swapped, matrix,
                      gaps, out.codes.data());
 }
@@ -358,7 +317,7 @@ nativeLocalAlign(const NativeQueryProfile &profile,
             detail::fillRectangle(query + out.qBegin, rows,
                                   subject + out.sBegin, cols,
                                   profile.matrix(), gaps,
-                                  profile.backend(), fill);
+                                  profile.kernels(), fill);
             if (fill.score != out.score)
                 throw std::logic_error(
                     "nativeLocalAlign: rectangle fill disagrees "

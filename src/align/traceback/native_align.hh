@@ -118,15 +118,16 @@ bool rectangleFitsI16(int rows, int cols,
 /**
  * Global affine fill (terminal gaps charged, gaps.open >= 0) of
  * query[0 .. q_len) against subject[0 .. s_len) into @p out, which
- * is reused across calls. Runs the 16-bit SIMD fill of @p backend
- * when it has one and rectangleFitsI16 holds, the scalar fill (its
- * oracle) otherwise; both write the same codes and score.
+ * is reused across calls. Runs the 16-bit SIMD fill of @p kernels
+ * (nativeKernels) when rectangleFitsI16 holds, the scalar fill (its
+ * oracle) otherwise or when @p kernels is nullptr (Scalar); both
+ * write the same codes and score.
  */
 void fillRectangle(const bio::Residue *query, int q_len,
                    const bio::Residue *subject, int s_len,
                    const bio::ScoringMatrix &matrix,
-                   const bio::GapPenalties &gaps, SimdBackend backend,
-                   RectangleFill &out);
+                   const bio::GapPenalties &gaps,
+                   const NativeKernels *kernels, RectangleFill &out);
 
 /** Walk @p fill back from its bottom-right corner onto @p cigar. */
 void walkRectangle(const RectangleFill &fill, Cigar &cigar);

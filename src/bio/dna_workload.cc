@@ -58,13 +58,6 @@ mutateBases(Rng &rng, const std::vector<Residue> &src,
 
 } // namespace
 
-Sequence
-makeDnaQuery(Rng &rng, std::size_t length, const std::string &id)
-{
-    return Sequence(id, "synthetic DNA read",
-                    randomBases(rng, length));
-}
-
 std::vector<Sequence>
 makeDnaQueryPool(std::size_t count, std::size_t length,
                  std::uint64_t seed)
@@ -73,8 +66,9 @@ makeDnaQueryPool(std::size_t count, std::size_t length,
     std::vector<Sequence> pool;
     pool.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
-        pool.push_back(makeDnaQuery(
-            rng, length, "DNAQ" + std::to_string(i)));
+        pool.emplace_back("DNAQ" + std::to_string(i),
+                          "synthetic DNA read",
+                          randomBases(rng, length));
     return pool;
 }
 

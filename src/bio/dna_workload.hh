@@ -40,10 +40,6 @@ struct DnaWorkloadSpec
     std::uint64_t seed = 0xD7AD8A5Eu;
 };
 
-/** One @p length-base DNA query as a residue Sequence. */
-Sequence makeDnaQuery(Rng &rng, std::size_t length,
-                      const std::string &id);
-
 /** Deterministic pool of @p count DNA queries (for streams). */
 std::vector<Sequence> makeDnaQueryPool(std::size_t count,
                                        std::size_t length,

@@ -53,10 +53,18 @@ samePreparedQuery(const Request &a, const Request &b)
         && a.query.residues() == b.query.residues();
 }
 
+/** @p config, once its backend is known to run on this host. */
+EngineConfig
+runnableConfig(EngineConfig config)
+{
+    align::nativeKernels(config.backend); // throws if unrunnable
+    return config;
+}
+
 } // namespace
 
 Engine::Engine(EngineConfig config)
-    : _cfg(config),
+    : _cfg(runnableConfig(config)),
       _matrix(&bio::blosum62()),
       _karlin(align::blosum62Karlin()),
       _pool(config.jobs),

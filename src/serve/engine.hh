@@ -96,7 +96,9 @@ struct EngineConfig
     std::size_t topK = 10;
     /**
      * Native SIMD kernel backend for the Smith-Waterman request
-     * kinds (see align::defaultScanBackend).
+     * kinds (see align::defaultScanBackend). The engine's
+     * constructors throw std::invalid_argument for a backend outside
+     * align::runnableBackends().
      */
     align::SimdBackend backend = align::defaultScanBackend();
     /**

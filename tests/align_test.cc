@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the reference aligners: Needleman-Wunsch, Smith-Waterman
- * (score and traceback), and banded SW, including property tests
+ * Tests of the reference aligners: Smith-Waterman (score and
+ * traceback) and banded SW, including property tests
  * against each other on random sequences.
  */
 
@@ -13,7 +13,6 @@
 
 #include "align/banded.hh"
 #include "align/banded_impl.hh"
-#include "align/needleman_wunsch.hh"
 #include "align/smith_waterman.hh"
 #include "bio/random.hh"
 #include "bio/scoring.hh"
@@ -144,40 +143,6 @@ TEST(SmithWatermanAlign, IdentityAlignmentHasNoGaps)
     EXPECT_EQ(a.queryEnd, 19);
 }
 
-TEST(NeedlemanWunsch, GlobalChargesEndGaps)
-{
-    // Global alignment of "AA" against "AAAA" pays for the 2-gap.
-    const bio::ScoringMatrix mm = bio::makeMatchMismatch(2, -1);
-    const int score = align::needlemanWunschScore(
-        seq("AA"), seq("AAAA"), mm, kGaps);
-    EXPECT_EQ(score, 2 * 2 - kGaps.cost(2));
-}
-
-TEST(NeedlemanWunsch, EqualSequencesScoreFullMatch)
-{
-    const Sequence s = seq("ACDEFGHIKL");
-    int self = 0;
-    for (std::size_t i = 0; i < s.length(); ++i)
-        self += kMat.score(s[i], s[i]);
-    EXPECT_EQ(align::needlemanWunschScore(s, s, kMat, kGaps), self);
-}
-
-TEST(NeedlemanWunsch, GlobalNeverExceedsLocal)
-{
-    bio::Rng rng(77);
-    for (int t = 0; t < 50; ++t) {
-        const Sequence a = bio::makeRandomSequence(
-            rng, static_cast<int>(10 + rng.below(60)));
-        const Sequence b = bio::makeRandomSequence(
-            rng, static_cast<int>(10 + rng.below(60)));
-        const int global =
-            align::needlemanWunschScore(a, b, kMat, kGaps);
-        const int local =
-            align::smithWatermanScore(a, b, kMat, kGaps).score;
-        EXPECT_LE(global, local);
-    }
-}
-
 TEST(Banded, FullWidthBandEqualsFullSmithWaterman)
 {
     bio::Rng rng(123);
@@ -247,7 +212,7 @@ bandedOracle(const Sequence &q, const Sequence &s,
 }
 
 /**
- * Exactness of the native banded kernel: on every compiled backend,
+ * Exactness of the native banded kernel: on every runnable backend,
  * score, queryEnd and subjectEnd equal the scalar oracle's. The
  * fuzz covers half-widths around each lane count, bands wider than
  * the matrix, centers off the matrix on both sides, lengths 1-600,
@@ -261,7 +226,7 @@ TEST(Banded, NativeMatchesScalarOracle)
         {10, 1}, {1, 1}, {40, 2}, {0, 5}, // extremeGaps()
         {0, 1},  {5, 2}, {12, 3}, {0, 0}};
     const int widths[] = {0, 1, 7, 8, 15, 16, 17, 31, 32, 33, 64};
-    const auto &backends = align::compiledNativeBackends();
+    const auto &backends = align::runnableBackends();
     const auto check = [&](const Sequence &q, const Sequence &s,
                            const bio::GapPenalties &gaps, int center,
                            int half_width) -> int {

@@ -120,7 +120,7 @@ TEST(FastaScan, OptNeverExceedsSmithWaterman)
 /**
  * The opt stage on the native banded kernel, over a corpus: for the
  * seeded query set against a Zipf database, every FastaScores field
- * on every compiled backend equals a scalar reference. The reference
+ * on every runnable backend equals a scalar reference. The reference
  * runs stages 2-4 with the opt stage switched off and takes opt from
  * the scalar band oracle around regions.front().diag.
  */
@@ -135,7 +135,7 @@ TEST(FastaScan, CorpusMatchesScalarReferenceOnEveryBackend)
     for (const Sequence &q : queries) {
         const align::KtupIndex index(q, params.ktup);
         std::vector<align::BandedProfile> profiles;
-        for (const align::SimdBackend b : align::compiledNativeBackends())
+        for (const align::SimdBackend b : align::runnableBackends())
             profiles.emplace_back(q, kMat, b);
         for (std::size_t k = 0; k < db.size(); ++k) {
             const Sequence &s = db[k];

@@ -265,7 +265,7 @@ TEST(ServeLoop, ClosedLoopReplayAccountsEveryRequest)
 
 TEST(ServeEngine, NativeBackendMatchesScalarSsearchRanking)
 {
-    // Every compiled native backend must rank exactly like the
+    // Every runnable native backend must rank exactly like the
     // scalar SSEARCH reference for all three Smith-Waterman kinds:
     // same db ids, scores, bit scores and E-values. The reference
     // is built here from align::QueryProfile + align::ssearchScan,
@@ -327,7 +327,7 @@ TEST(ServeEngine, NativeBackendMatchesScalarSsearchRanking)
         }
 
         for (const align::SimdBackend backend :
-             align::compiledNativeBackends()) {
+             align::runnableBackends()) {
             serve::EngineConfig cfg;
             cfg.backend = backend;
             serve::Engine engine(db, cfg);
@@ -368,15 +368,8 @@ TEST(ServeDeterminism, HitsBitIdenticalAcrossKernelChoices)
     // coordinates — must be bit-for-bit identical whether every
     // subject goes striped (cutover 0), every subject goes
     // inter-sequence (huge cutover), or the mix splits at the
-    // default, across jobs {1, 2, 8}. So is the backend: the Scalar
-    // one, which never batches, serves the same hits, and so does
-    // one this build lacks (NEON on x86-64, SSE2 elsewhere), whose
-    // lanes all climb to the scalar rung.
-#if defined(__x86_64__)
-    constexpr align::SimdBackend absent = align::SimdBackend::NEON;
-#else
-    constexpr align::SimdBackend absent = align::SimdBackend::SSE2;
-#endif
+    // default, across jobs {1, 2, 8}, and on every runnable
+    // backend, the Scalar one (which never batches) included.
     std::vector<serve::Request> stream;
     for (std::size_t i = 0; i < 4; ++i) {
         serve::Request r;
@@ -395,9 +388,7 @@ TEST(ServeDeterminism, HitsBitIdenticalAcrossKernelChoices)
         ref_engine.serveBatch(stream);
     ASSERT_TRUE(ref_engine.config().interseqCutover == 0);
 
-    for (const align::SimdBackend backend :
-         {align::defaultScanBackend(), align::SimdBackend::Scalar,
-          absent}) {
+    for (const align::SimdBackend backend : align::runnableBackends()) {
         for (const std::size_t cutover :
              {std::size_t{0}, align::interSequenceCutover(),
               std::size_t{1} << 30}) {

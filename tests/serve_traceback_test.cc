@@ -140,7 +140,7 @@ TEST(TwoPhase, RankedHitsBitIdenticalWithReportingOn)
     const std::vector<serve::Response> want_report =
         serve::Engine(testDb(), ref_cfg).serveBatch(reporting);
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         for (const unsigned jobs : {1u, 2u, 8u}) {
             for (const std::size_t shards : {1u, 4u}) {
                 serve::EngineConfig cfg;

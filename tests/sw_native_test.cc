@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "bio/scoring.hh"
 #include "bio/sequence.hh"
 #include "bio/synthetic.hh"
+#include "serve/engine.hh"
 
 namespace
 {
@@ -52,10 +54,12 @@ hasLanes(align::SimdBackend backend)
 
 TEST(SwNativeBackend, ResolutionAndNames)
 {
-    const auto &backends = align::compiledNativeBackends();
+    const auto &backends = align::runnableBackends();
     ASSERT_FALSE(backends.empty());
-    // Scalar is always compiled and always last (the fallback).
+    // Scalar always runs and is always last (the fallback).
     EXPECT_EQ(backends.back(), align::SimdBackend::Scalar);
+    EXPECT_EQ(align::nativeKernels(align::SimdBackend::Scalar),
+              nullptr);
     EXPECT_EQ(align::defaultScanBackend(), backends.front());
     // Every build compiles the target ISA's intrinsic backend, and
     // the default serves with it (or a wider one).
@@ -68,6 +72,21 @@ TEST(SwNativeBackend, ResolutionAndNames)
     EXPECT_NE(std::find(backends.begin(), backends.end(), hardware),
               backends.end());
     EXPECT_NE(align::defaultScanBackend(), align::SimdBackend::Scalar);
+
+    // The other architecture's backend is never runnable: its name
+    // does not parse, it has no table, and no engine serves on it.
+#if defined(__x86_64__)
+    constexpr align::SimdBackend foreign = align::SimdBackend::NEON;
+#else
+    constexpr align::SimdBackend foreign = align::SimdBackend::SSE2;
+#endif
+    EXPECT_EQ(align::parseBackend(align::backendName(foreign)),
+              std::nullopt);
+    EXPECT_THROW(align::nativeKernels(foreign), std::invalid_argument);
+    serve::EngineConfig cfg;
+    cfg.backend = foreign;
+    const bio::SequenceDatabase db;
+    EXPECT_THROW(serve::Engine(db, cfg), std::invalid_argument);
 #endif
 
     for (const align::SimdBackend b : backends) {
@@ -99,7 +118,7 @@ TEST(SwNativeScan, FuzzMatchesScalarOnAllBackends)
             align::smithWatermanScore(q, s, mat, gaps);
 
         for (const align::SimdBackend backend :
-             align::compiledNativeBackends()) {
+             align::runnableBackends()) {
             const align::NativeQueryProfile profile(q, mat,
                                                     backend);
             const align::LocalScore got =
@@ -113,7 +132,7 @@ TEST(SwNativeScan, FuzzMatchesScalarOnAllBackends)
 }
 
 // The striped layout's pad rows kick in at the lane-count
-// boundaries; sweep query lengths around every compiled backend's
+// boundaries; sweep query lengths around every runnable backend's
 // 8-bit and 16-bit lane counts (1..2N+1 for N up to 32).
 TEST(SwNativeScan, PadBoundaryQueryLengths)
 {
@@ -128,7 +147,7 @@ TEST(SwNativeScan, PadBoundaryQueryLengths)
         const align::LocalScore ref =
             align::smithWatermanScore(q, subject, mat, gaps);
         for (const align::SimdBackend backend :
-             align::compiledNativeBackends()) {
+             align::runnableBackends()) {
             const align::NativeQueryProfile profile(q, mat,
                                                     backend);
             EXPECT_EQ(
@@ -168,7 +187,7 @@ TEST_P(StripedGapSweep, MatchesScalarAcrossPenalties)
         const int ref = align::smithWatermanScore(q, s, mat, gaps)
                             .score;
         for (const align::SimdBackend backend :
-             align::compiledNativeBackends()) {
+             align::runnableBackends()) {
             const align::NativeQueryProfile profile(q, mat,
                                                     backend);
             ASSERT_EQ(
@@ -194,7 +213,7 @@ TEST(Striped, MatchesScalarOnIdenticalSequences)
     const align::LocalScore ref =
         align::smithWatermanScore(s, s, mat, gaps);
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(s, mat, backend);
         const align::LocalScore got =
             align::swStripedNativeScan(profile, s, gaps);
@@ -212,7 +231,7 @@ TEST(Striped, EmptyInputsScoreZero)
     const bio::Sequence q("Q", "", "ACD");
     const bio::Sequence e("E", "", "");
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         EXPECT_EQ(align::swStripedNativeScan(profile, e, gaps).score,
                   0)
@@ -247,7 +266,7 @@ TEST(StripedProperty, Lanes8MatchesScalar)
     const bio::ScoringMatrix &mat = bio::blosum62();
     const bio::GapPenalties gaps;
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         align::NativeScanStats stats;
         forStripedCorpus(11, [&](const bio::Sequence &q,
                                  const bio::Sequence &s) {
@@ -273,7 +292,7 @@ TEST(StripedProperty, Lanes16MatchesScalar)
     const bio::ScoringMatrix &mat = bio::blosum62();
     const bio::GapPenalties gaps;
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         align::NativeScanStats stats;
         forStripedCorpus(22, [&](const bio::Sequence &q,
                                  const bio::Sequence &s) {
@@ -306,7 +325,7 @@ TEST(StripedSearch, AgreesWithSsearchScores)
     ASSERT_FALSE(scalar.hits.empty());
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(query, mat, backend);
         std::vector<int> scores;
         std::size_t positive = 0;
@@ -341,7 +360,7 @@ TEST(SwNativeScan, U8SaturationRescansAt16Bits)
     ASSERT_GT(ref.score, 255); // adversarial premise
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         ASSERT_EQ(profile.hasU8(), hasLanes(backend));
         align::NativeScanStats stats;
@@ -370,7 +389,7 @@ TEST(SwNativeScan, I16SaturationFallsBackToScalar)
     ASSERT_GT(ref.score, 32767);
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         align::NativeScanStats stats;
         const align::LocalScore got = align::swStripedNativeScan(
@@ -400,7 +419,7 @@ TEST(SwNativeScan, ExtremeMatrixForces16BitPads)
         const align::LocalScore ref =
             align::smithWatermanScore(q, subject, mat, gaps);
         for (const align::SimdBackend backend :
-             align::compiledNativeBackends()) {
+             align::runnableBackends()) {
             const align::NativeQueryProfile profile(q, mat,
                                                     backend);
             // int8 scores always fit the biased byte level...
@@ -430,7 +449,7 @@ TEST(SwNativeScan, EmptyInputsScoreZero)
     const bio::Sequence empty("e", "", std::string());
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         std::uint64_t cells = 0;
         EXPECT_EQ(
@@ -463,7 +482,7 @@ spansOf(const std::vector<bio::Sequence> &subjects)
 // Mixed-length batches, larger and smaller than the lane count, in
 // shuffled length order: every subject's score AND subjectEnd must
 // be bit-identical to both the scalar oracle and the striped
-// kernel, on every compiled backend. Exercises lane refill (batch
+// kernel, on every runnable backend. Exercises lane refill (batch
 // > lanes), partial fills (batch < lanes), and the in-kernel
 // (length, index) sort.
 TEST(SwInterSequence, FuzzBatchesMatchScalarOnAllBackends)
@@ -486,7 +505,7 @@ TEST(SwInterSequence, FuzzBatchesMatchScalarOnAllBackends)
             spansOf(subjects);
 
         for (const align::SimdBackend backend :
-             align::compiledNativeBackends()) {
+             align::runnableBackends()) {
             const align::NativeQueryProfile profile(q, mat,
                                                     backend);
             std::vector<align::LocalScore> got(spans.size());
@@ -549,7 +568,7 @@ TEST(SwInterSequence, LaneRefillBoundaries)
         spansOf(subjects);
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         std::vector<align::LocalScore> got(spans.size());
         align::swInterSequenceScan(profile, spans.data(),
@@ -596,7 +615,7 @@ TEST(SwInterSequence, SaturationInIndividualLanes)
     ASSERT_GT(hot_ref.score, 255);
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         ASSERT_EQ(profile.hasU8(), hasLanes(backend));
         std::vector<align::LocalScore> got(spans.size());
@@ -638,7 +657,7 @@ TEST(SwInterSequence, I16SaturationInOneLaneFallsBackToScalar)
         spansOf(subjects);
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         std::vector<align::LocalScore> got(spans.size());
         align::NativeScanStats stats;
@@ -672,7 +691,7 @@ TEST(SwInterSequence, EmptyAndZeroLengthInputs)
     const bio::Sequence empty("e", "", std::string());
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         // Empty batch is a no-op.
         align::swInterSequenceScan(profile, nullptr, 0, gaps,
@@ -726,7 +745,7 @@ TEST(SwInterSequence, ExtremeMatrixSaturatesEveryLane)
         spansOf(subjects);
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         std::vector<align::LocalScore> got(spans.size());
         align::NativeScanStats stats;
@@ -753,7 +772,7 @@ TEST(SwNativeScan, CellAccountingIsLogicalDpSize)
     const bio::Sequence s = randomSeq(rng, 91, "s");
 
     for (const align::SimdBackend backend :
-         align::compiledNativeBackends()) {
+         align::runnableBackends()) {
         const align::NativeQueryProfile profile(q, mat, backend);
         std::uint64_t cells = 0;
         align::NativeScanStats stats;

@@ -5,7 +5,7 @@
  * The central contracts:
  *  - nativeLocalAlign's score is bit-identical to the full-matrix
  *    smithWatermanAlign on fuzzed protein, DNA and low-complexity
- *    pairs, on every compiled backend, every overflow-ladder rung
+ *    pairs, on every runnable backend, every overflow-ladder rung
  *    and every end hint, its CIGAR replays to exactly that score
  *    through the cigarScore oracle, and the alignment itself is
  *    the same whichever backend or hint produced it;
@@ -214,23 +214,6 @@ endHints(const Alignment &full)
     };
 }
 
-/**
- * The compiled backends plus one this build lacks (NEON on x86-64,
- * SSE2 elsewhere), which a caller can still name: it has no lanes,
- * so every pass takes its scalar rung.
- */
-std::vector<SimdBackend>
-backendsAndAbsent()
-{
-    std::vector<SimdBackend> out = compiledNativeBackends();
-#if defined(__x86_64__)
-    out.push_back(SimdBackend::NEON);
-#else
-    out.push_back(SimdBackend::SSE2);
-#endif
-    return out;
-}
-
 /** nativeLocalAlign on one backend, with a fresh profile. */
 CigarAlignment
 nativeAlign(const bio::Sequence &q, const bio::Sequence &s,
@@ -256,7 +239,7 @@ checkAgainstFullMatrix(const bio::Sequence &q, const bio::Sequence &s,
 {
     const Alignment full = smithWatermanAlign(q, s, matrix, gaps);
     std::optional<CigarAlignment> first;
-    for (const SimdBackend backend : backendsAndAbsent()) {
+    for (const SimdBackend backend : runnableBackends()) {
         for (const LocalScore &end : endHints(full)) {
             TracebackStats stats;
             const CigarAlignment aln =
@@ -417,7 +400,7 @@ TEST(Hirschberg, LinearSpaceHoldsOnLongPairs)
     const bio::ScoringMatrix &matrix = bio::blosum62();
     const bio::GapPenalties gaps;
 
-    for (const SimdBackend backend : compiledNativeBackends()) {
+    for (const SimdBackend backend : runnableBackends()) {
         TracebackStats stats;
         const CigarAlignment aln =
             nativeAlign(q, s, matrix, gaps, backend, {}, &stats);
@@ -455,7 +438,7 @@ TEST(Hirschberg, DegenerateInputs)
     const bio::Sequence one("O", "", std::vector<bio::Residue>{5});
     const bio::Sequence other("P", "", std::vector<bio::Residue>{6});
 
-    for (const SimdBackend backend : compiledNativeBackends()) {
+    for (const SimdBackend backend : runnableBackends()) {
         EXPECT_TRUE(
             nativeAlign(empty, one, matrix, gaps, backend).empty());
         EXPECT_TRUE(
@@ -511,7 +494,7 @@ TEST(NativeAlign, EveryLadderRungTraces)
             smithWatermanScore(*c.q, *c.s, matrix, gaps);
         ASSERT_GE(ref.score, c.minScore);
         ASSERT_LE(ref.score, c.maxScore);
-        for (const SimdBackend backend : compiledNativeBackends()) {
+        for (const SimdBackend backend : runnableBackends()) {
             // The scan's hint: the end column, plus the row when
             // the scalar rung ran (score above the 16-bit lanes).
             const NativeQueryProfile profile(*c.q, matrix, backend);
@@ -557,7 +540,7 @@ TEST(NativeAlign, AnchoredBeginIgnoresEqualScoringDecoy)
     ASSERT_EQ(1 - unseeded.queryEnd, 0); // decoy begin row
     ASSERT_EQ(1 - unseeded.subjectEnd, 1); // decoy begin column
 
-    for (const SimdBackend backend : compiledNativeBackends()) {
+    for (const SimdBackend backend : runnableBackends()) {
         const CigarAlignment aln =
             nativeAlign(q, s, matrix, gaps, backend, anchor);
         EXPECT_EQ(aln.score, 9);
@@ -627,7 +610,7 @@ TEST(NativeAlign, SimdFillMatchesScalarFill)
         const int n = static_cast<int>(s.size());
         detail::RectangleFill want;
         detail::fillRectangle(q.data(), m, s.data(), n, matrix, gaps,
-                              SimdBackend::Scalar, want);
+                              nullptr, want);
         Cigar want_cigar;
         detail::walkRectangle(want, want_cigar);
         CigarAlignment global;
@@ -639,10 +622,10 @@ TEST(NativeAlign, SimdFillMatchesScalarFill)
                   want.score)
             << ctx;
         const std::size_t cells = static_cast<std::size_t>(m) * n;
-        for (const SimdBackend backend : compiledNativeBackends()) {
+        for (const SimdBackend backend : runnableBackends()) {
             detail::RectangleFill got;
             detail::fillRectangle(q.data(), m, s.data(), n, matrix,
-                                  gaps, backend, got);
+                                  gaps, nativeKernels(backend), got);
             const std::string where =
                 ctx + " backend=" + std::string(backendName(backend));
             ASSERT_EQ(got.score, want.score) << where;

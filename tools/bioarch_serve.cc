@@ -52,6 +52,16 @@ using namespace bioarch;
 namespace
 {
 
+/** The names --backend accepts on this host: "auto | avx2 | ...". */
+std::string
+backendChoices()
+{
+    std::string out = "auto";
+    for (const align::SimdBackend b : align::runnableBackends())
+        out += " | " + std::string(align::backendName(b));
+    return out;
+}
+
 void
 usage(std::ostream &out)
 {
@@ -80,10 +90,11 @@ usage(std::ostream &out)
            "                    threads)\n"
            "  --top-k K         hits per response (default 10)\n"
            "  --backend NAME    native Smith-Waterman kernel\n"
-           "                    backend: auto | scalar | sse2 |\n"
-           "                    avx2 | neon (default auto: the\n"
-           "                    widest native backend this CPU\n"
-           "                    supports)\n"
+           "                    backend (default auto: the\n"
+           "                    widest); this host runs\n"
+           "                    "
+        << backendChoices()
+        << "\n"
            "\n"
            "working set:\n"
            "  --db-seqs N       database sequences (default 200)\n"
@@ -712,9 +723,13 @@ main(int argc, char **argv)
         } else if (arg == "--top-k") {
             cfg.topK = static_cast<std::size_t>(positive(value()));
         } else if (arg == "--backend") {
-            const auto b = align::parseBackend(value());
+            const std::string name = value();
+            const auto b = align::parseBackend(name);
             if (!b) {
-                std::cerr << "unknown backend (--help)\n";
+                std::cerr << "backend '" << name
+                          << "' is unknown or does not run on this "
+                             "host (runnable: "
+                          << backendChoices() << ")\n";
                 return 2;
             }
             cfg.backend = *b;
