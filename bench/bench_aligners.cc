@@ -16,7 +16,10 @@
  * oracle over the same bands (gcups_banded, banded_speedup), and an
  * A/B of the 16-bit SIMD traceback rectangle fill against the
  * scalar fill over the rectangles of real top-100 Smith-Waterman
- * hits (gcups_fill, fill_speedup).
+ * hits (gcups_fill, fill_speedup), and an A/B of FASTA's k-tuple
+ * stages 2-4 against the branchy reference they replaced over
+ * perfbench's 11 x 1000 query-subject pairs (fasta_scan_ms,
+ * fasta_reference_ms, fasta_speedup).
  */
 
 #include <benchmark/benchmark.h>
@@ -37,6 +40,7 @@
 #include "bench_common.hh"
 #include "bio/scoring.hh"
 #include "bio/synthetic.hh"
+#include "fasta_reference.hh"
 
 namespace
 {
@@ -337,6 +341,84 @@ BM_TracebackFillScalar(benchmark::State &state)
 BENCHMARK(BM_TracebackFillScalar)->Unit(benchmark::kMillisecond);
 
 /**
+ * perfbench's query-subject pairs for the FASTA arms: the 11 Table II
+ * queries, each with its k-tuple index and banded profile, against
+ * the 1000-sequence Zipf-length database.
+ */
+struct FastaPairs
+{
+    std::vector<bio::Sequence> queries = bio::makeQuerySet();
+    bio::SequenceDatabase db = bio::makeZipfDatabase(1000, 0xDBDBDBDB);
+    std::vector<align::KtupIndex> indexes;
+    std::vector<align::BandedProfile> profiles;
+    /** Stages 2-4 only: the reference arm runs no opt stage. */
+    align::FastaParams params;
+
+    FastaPairs()
+    {
+        params.optThreshold = std::numeric_limits<int>::max();
+        for (const bio::Sequence &q : queries) {
+            indexes.emplace_back(q, params.ktup);
+            profiles.emplace_back(q, kMat);
+        }
+    }
+};
+
+const FastaPairs &
+fastaPairs()
+{
+    static const FastaPairs pairs;
+    return pairs;
+}
+
+/** Summed initn of fastaScan over every pair (opt stage off). */
+int
+fastaScanAll()
+{
+    const FastaPairs &p = fastaPairs();
+    int sum = 0;
+    for (std::size_t q = 0; q < p.queries.size(); ++q)
+        for (const bio::Sequence &s : p.db)
+            sum += align::fastaScan(p.indexes[q], p.profiles[q],
+                                    p.queries[q], s, kMat, kGaps,
+                                    p.params)
+                       .initn;
+    return sum;
+}
+
+/** The same pairs through the reference stages 2-4. */
+int
+fastaReferenceAll()
+{
+    const FastaPairs &p = fastaPairs();
+    int sum = 0;
+    for (std::size_t q = 0; q < p.queries.size(); ++q)
+        for (const bio::Sequence &s : p.db)
+            sum += reference::fastaStages2to4(p.indexes[q], p.queries[q],
+                                              s, kMat, p.params)
+                       .initn;
+    return sum;
+}
+
+void
+BM_FastaScan(benchmark::State &state)
+{
+    fastaPairs(); // built once, outside the timing
+    for (auto _ : state)
+        benchmark::DoNotOptimize(fastaScanAll());
+}
+BENCHMARK(BM_FastaScan)->Unit(benchmark::kMillisecond);
+
+void
+BM_FastaScanReference(benchmark::State &state)
+{
+    fastaPairs();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(fastaReferenceAll());
+}
+BENCHMARK(BM_FastaScanReference)->Unit(benchmark::kMillisecond);
+
+/**
  * One BM_SwStripedNativeScan, BM_BandedScore and BM_TracebackFill
  * instance per runnable hardware backend. Scalar's would repeat
  * BM_SmithWatermanScan, BM_BandedScoreScalarOracle and
@@ -577,6 +659,19 @@ runNativeGcups()
     }
     const std::uint64_t fill_cells = fillCells();
 
+    // FASTA stages 2-4 vs the reference, interleaved the same way.
+    fastaPairs();
+    double fasta_ms = std::numeric_limits<double>::infinity();
+    double fasta_ref_ms = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < rounds; ++r) {
+        fasta_ms = std::min(fasta_ms, time_ms([](int &sum) {
+                                sum += fastaScanAll();
+                            }));
+        fasta_ref_ms = std::min(fasta_ref_ms, time_ms([](int &sum) {
+                                    sum += fastaReferenceAll();
+                                }));
+    }
+
     const auto gcups_of = [](std::uint64_t n, double ms) {
         return ms <= 0.0 ? 0.0 : static_cast<double>(n) / (ms * 1e6);
     };
@@ -595,6 +690,11 @@ runNativeGcups()
               << fillRectangles().size() << " top-" << kFillTopK
               << " Smith-Waterman rectangles, per-arm min: kernel "
               << fill_ms << " ms / scalar " << fill_scalar_ms << " ms\n";
+    std::cout << "# FASTA stages 2-4 vs reference, "
+              << fastaPairs().queries.size() << " x "
+              << fastaPairs().db.size()
+              << " pairs, per-arm min: fastaScan " << fasta_ms
+              << " ms / reference " << fasta_ref_ms << " ms\n";
     const std::string buckets =
         runLengthBucketBreakdown(native_profile);
     bench::printJsonFooter(
@@ -621,6 +721,9 @@ runNativeGcups()
          {"gcups_fill_scalar",
           std::to_string(gcups_of(fill_cells, fill_scalar_ms))},
          {"fill_speedup", std::to_string(fill_scalar_ms / fill_ms)},
+         {"fasta_scan_ms", std::to_string(fasta_ms)},
+         {"fasta_reference_ms", std::to_string(fasta_ref_ms)},
+         {"fasta_speedup", std::to_string(fasta_ref_ms / fasta_ms)},
          {"native_backend",
           "\"" + std::string(align::backendName(backend)) + "\""}},
         point_ms);

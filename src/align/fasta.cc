@@ -1,8 +1,8 @@
 #include "fasta.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "karlin.hh"
 
@@ -12,43 +12,47 @@ namespace bioarch::align
 namespace
 {
 
-/** Power of the alphabet size, for direct-address table sizing. */
-std::size_t
-tablePower(int ktup)
+constexpr int kHitBlock = 256; ///< hits per stage-2 block (stays in L1)
+
+/** @p a where @p mask is all ones, @p b where it is 0: no branch. */
+int
+select(int mask, int a, int b)
 {
-    std::size_t size = 1;
-    for (int k = 0; k < ktup; ++k)
-        size *= bio::Alphabet::numSymbols;
-    return size;
+    return b ^ ((a ^ b) & mask);
 }
 
 } // namespace
 
-KtupIndex::KtupIndex(const bio::Sequence &query, int ktup)
-    : _ktup(ktup), _queryLength(static_cast<int>(query.length())),
-      _heads(tablePower(ktup) + 1, 0)
+int
+KtupIndex::checkKtup(int ktup)
 {
-    const int num_words = _queryLength - _ktup + 1;
-    if (num_words <= 0)
-        return;
+    if (ktup >= 1 && ktup <= maxKtup)
+        return ktup;
+    throw std::invalid_argument("FASTA ktup must be in [1, "
+                                + std::to_string(maxKtup) + "], got "
+                                + std::to_string(ktup));
+}
 
-    // Counting pass, then prefix sums (CSR construction).
-    std::vector<std::uint32_t> words(
-        static_cast<std::size_t>(num_words));
-    for (int i = 0; i < num_words; ++i) {
-        words[static_cast<std::size_t>(i)] =
-            encode(query.residues().data() + i);
-        ++_heads[words[static_cast<std::size_t>(i)] + 1];
-    }
+KtupIndex::KtupIndex(const bio::Sequence &query, int ktup)
+    : _ktup(checkKtup(ktup)),
+      _queryLength(static_cast<int>(query.length()))
+{
+    std::size_t words = 1;
+    for (int k = 0; k < _ktup; ++k)
+        words *= bio::Alphabet::numSymbols;
+    _heads.assign(words + 1, 0);
+    const int num_words = std::max(0, _queryLength - _ktup + 1);
+    const bio::Residue *res = query.residues().data();
+
+    // Counting pass, prefix sums, then a placing pass (CSR).
+    for (int i = 0; i < num_words; ++i)
+        ++_heads[encode(res + i) + 1];
     for (std::size_t w = 1; w < _heads.size(); ++w)
         _heads[w] += _heads[w - 1];
-
-    _positions.resize(static_cast<std::size_t>(num_words));
+    _positions.assign(static_cast<std::size_t>(num_words + positionSlack), 0);
     std::vector<std::int32_t> cursor(_heads.begin(), _heads.end() - 1);
-    for (int i = 0; i < num_words; ++i) {
-        const std::uint32_t w = words[static_cast<std::size_t>(i)];
-        _positions[static_cast<std::size_t>(cursor[w]++)] = i;
-    }
+    for (int i = 0; i < num_words; ++i)
+        _positions[static_cast<std::size_t>(cursor[encode(res + i)]++)] = i;
 }
 
 namespace
@@ -101,99 +105,95 @@ fastaScan(const KtupIndex &index, const BandedProfile &profile,
     if (m < ktup || n < ktup)
         return out;
 
-    // Stage 2: diagonal hit accumulation. For each diagonal we track
-    // the last hit and a running hit-count score; a gap between hits
-    // on the same diagonal pays a distance penalty, and when the
-    // running score goes negative the run is flushed as a candidate
-    // region (the "savemax" of fasta's dropff.c).
-    const int num_diags = m + n - 1;
-    const int diag_offset = m - 1; // diag d=j-i maps to d+offset >= 0
-    struct DiagState
-    {
-        std::int32_t lastQueryPos = -1000000;
-        std::int32_t runStart = 0;
-        std::int32_t runScore = 0;
-        std::int32_t bestScore = 0;
-        std::int32_t bestStart = 0;
-        std::int32_t bestEnd = 0;
-    };
-    // Per-thread scratch, kept at its defaults between calls: a hit
-    // marks its diagonal in `touched`, and the collection below
-    // visits only the marked diagonals and resets each state as it
-    // reads it, so no subject allocates or zero-fills m + n - 1
-    // states.
-    thread_local std::vector<DiagState> diags;
-    thread_local std::vector<std::uint64_t> touched;
-    const std::size_t diag_words =
-        (static_cast<std::size_t>(num_diags) + 63) / 64;
-    if (diags.size() < static_cast<std::size_t>(num_diags))
-        diags.resize(static_cast<std::size_t>(num_diags));
-    if (touched.size() < diag_words)
-        touched.resize(diag_words, 0);
-    DiagState *const states = diags.data();
-    std::uint64_t *const marks = touched.data();
+    // Stage 2: diagonal hit accumulation (fasta's dropff.c savemax).
+    // Per-thread scratch: six int32 arrays over d = j - i + m - 1
+    // (last hit, run score and best score, reset here so a first hit
+    // opens a run; run start, best start and best end, read only
+    // after a hit), then a block of hits (row i, then j + m - 1).
+    const auto num_diags = static_cast<std::size_t>(m + n - 1);
+    const int diag_offset = m - 1;
+    constexpr int slack = KtupIndex::positionSlack;
+    const auto hit_cap = static_cast<std::size_t>(kHitBlock + m + slack);
+    thread_local std::vector<std::int32_t> scratch;
+    thread_local std::vector<std::uint64_t> keys;
+    scratch.resize(std::max(scratch.size(), 6 * num_diags + 2 * hit_cap));
+    keys.resize(std::max(keys.size(), num_diags));
+    std::int32_t *const last_hit = scratch.data();
+    std::int32_t *const run_score = last_hit + num_diags;
+    std::int32_t *const best_score = run_score + num_diags;
+    std::int32_t *const run_start = best_score + num_diags;
+    std::int32_t *const best_start = run_start + num_diags;
+    std::int32_t *const best_end = best_start + num_diags;
+    std::int32_t *const hit_row = best_end + num_diags;
+    std::int32_t *const hit_base = hit_row + hit_cap;
+    std::fill_n(last_hit, num_diags, -ktup);
+    std::fill_n(run_score, 2 * num_diags, 0);
 
     const int hit_bonus = 4 * ktup; // nominal score per word hit
     const auto *sres = subject.residues().data();
-
-    for (int j = 0; j + ktup <= n; ++j) {
-        const std::uint32_t w = index.encode(sres + j);
-        const auto [begin, end] = index.positions(w);
-        for (const std::int32_t *p = begin; p != end; ++p) {
-            const int i = *p;
-            const auto d = static_cast<std::size_t>(j - i + diag_offset);
-            DiagState &ds = states[d];
-            marks[d / 64] |= std::uint64_t{1} << (d % 64);
-            const int gap = i - ds.lastQueryPos - ktup;
-            if (gap < 0) {
-                // Overlapping word; extends the run with no penalty.
-                ds.runScore += hit_bonus + 2 * gap;
-            } else if (ds.runScore - gap > 0) {
-                ds.runScore += hit_bonus - gap;
-            } else {
-                ds.runScore = hit_bonus;
-                ds.runStart = i;
+    // Rolling word code: append a residue, drop the one leaving.
+    const auto lead = static_cast<std::uint32_t>(index.tableSize() - 1);
+    std::uint32_t w = index.encode(sres) / bio::Alphabet::numSymbols;
+    std::uint32_t leaving = 0;
+    for (int j = 0; j + ktup <= n;) {
+        // Gather a block of hits: each word copies `slack` rows (the
+        // index pads its lists) and advances by its count.
+        int k = 0;
+        const int j0 = j;
+        for (; j + ktup <= n && k < kHitBlock; ++j) {
+            w = w * bio::Alphabet::numSymbols
+                + (sres[j + ktup - 1] - leaving * lead);
+            leaving = sres[j];
+            const auto [begin, end] = index.positions(w);
+            std::copy_n(begin, slack, hit_row + k);
+            std::fill_n(hit_base + k, slack, j + diag_offset);
+            for (int t = slack; t < end - begin; ++t) {
+                hit_row[k + t] = begin[t];
+                hit_base[k + t] = j + diag_offset;
             }
-            ds.lastQueryPos = i;
-            if (ds.runScore > ds.bestScore) {
-                ds.bestScore = ds.runScore;
-                ds.bestStart = ds.runStart;
-                ds.bestEnd = i + ktup - 1;
-            }
+            k += static_cast<int>(end - begin);
         }
         if (cells)
-            *cells += static_cast<std::uint64_t>(end - begin) + 1;
-    }
+            *cells += static_cast<std::uint64_t>(k + j - j0);
 
-    // Collect the best regions across diagonals, in diagonal order
-    // (the order the sort below sees, so ties land the same way),
-    // leaving the scratch at its defaults for the next subject.
-    std::vector<FastaRegion> candidates;
-    for (std::size_t w = 0; w < diag_words; ++w) {
-        std::uint64_t bits = marks[w];
-        marks[w] = 0;
-        while (bits != 0) {
-            const std::size_t d =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            DiagState &ds = states[d];
-            if (ds.bestScore > 0) {
-                FastaRegion r;
-                r.diag = static_cast<int>(d) - diag_offset;
-                r.queryStart = ds.bestStart;
-                r.queryEnd = ds.bestEnd;
-                r.score = ds.bestScore;
-                candidates.push_back(r);
-            }
-            ds = DiagState{};
+        // Apply them in order, with masked selects: a gap costs its
+        // length, an overlap (gap < 0) adds 2 per shared residue.
+        for (int h = 0; h < k; ++h) {
+            const int i = hit_row[h];
+            const auto d = static_cast<std::size_t>(hit_base[h] - i);
+            const int gap = i - last_hit[d] - ktup;
+            const int run = run_score[d];
+            const int extend = -static_cast<int>(run - gap > 0);
+            const int score = hit_bonus
+                + (extend & (run + std::min(2 * gap, -gap)));
+            const int start = select(extend, run_start[d], i);
+            last_hit[d] = i;
+            run_score[d] = score;
+            run_start[d] = start;
+            const int better = -static_cast<int>(score > best_score[d]);
+            best_score[d] = select(better, score, best_score[d]);
+            best_start[d] = select(better, start, best_start[d]);
+            best_end[d] = select(better, i + ktup - 1, best_end[d]);
         }
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const FastaRegion &a, const FastaRegion &b) {
-                  return a.score > b.score;
-              });
-    if (static_cast<int>(candidates.size()) > params.maxRegions)
-        candidates.resize(static_cast<std::size_t>(params.maxRegions));
+
+    // Collect each diagonal's best region as a (score, diagonal) key,
+    // in diagonal order, and sort the keys by score alone: the same
+    // comparisons as sorting the regions, so ties land the same way.
+    std::size_t num_keys = 0;
+    for (std::size_t d = 0; d < num_diags; ++d) {
+        keys[num_keys] = static_cast<std::uint64_t>(best_score[d]) << 32 | d;
+        num_keys += best_score[d] > 0 ? 1 : 0;
+    }
+    std::sort(keys.begin(), keys.begin() + num_keys,
+              [](auto a, auto b) { return a >> 32 > b >> 32; });
+    std::vector<FastaRegion> candidates(std::min<std::size_t>(
+        num_keys, std::max(0, params.maxRegions)));
+    for (std::size_t k = 0; k < candidates.size(); ++k) {
+        const std::size_t d = keys[k] & 0xffffffffu;
+        candidates[k] = {static_cast<int>(d) - diag_offset,
+                         best_start[d], best_end[d], best_score[d]};
+    }
 
     // Stage 3: matrix rescoring of each region (init1).
     for (FastaRegion &r : candidates) {

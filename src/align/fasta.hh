@@ -56,6 +56,19 @@ struct FastaParams
 class KtupIndex
 {
   public:
+    /** Largest word size: the table holds 23^ktup + 1 int32s. */
+    static constexpr int maxKtup = 4;
+
+    /** Readable entries past the end of every positions() range, so
+     *  a scan may copy this many from any range's begin. */
+    static constexpr int positionSlack = 4;
+
+    /** @p ktup itself; throws std::invalid_argument outside
+     *  [1, maxKtup]. */
+    static int checkKtup(int ktup);
+
+    /** Throws std::invalid_argument unless ktup is in
+     *  [1, maxKtup]. */
     KtupIndex(const bio::Sequence &query, int ktup);
 
     int ktup() const { return _ktup; }
@@ -84,7 +97,8 @@ class KtupIndex
   private:
     int _ktup;
     int _queryLength;
-    /** CSR layout: _heads[w].._heads[w+1] indexes _positions. */
+    /** CSR layout: _heads[w].._heads[w+1] indexes _positions,
+     *  which ends in positionSlack zero entries. */
     std::vector<std::int32_t> _heads;
     std::vector<std::int32_t> _positions;
 };
@@ -111,6 +125,15 @@ struct FastaScores
 
 /**
  * Run the FASTA stages for one subject sequence.
+ *
+ * Stage 2 is branch-free over per-thread scratch that each call
+ * resets for its own m + n - 1 diagonals: the per-diagonal state
+ * lives in six int32 arrays (the run's last hit, score and start;
+ * the best region's score, start and end), each k-tuple's code
+ * rolls from the previous one, hits are gathered in blocks and
+ * applied with masked selects, and candidates are keyed and sorted
+ * in diagonal order, so ties land as in fasta's branchy savemax
+ * loop (tests/fasta_reference.hh keeps that loop as the oracle).
  *
  * @param index prebuilt query k-tuple index
  * @param profile prebuilt banded profile of @p query (opt stage)

@@ -53,11 +53,15 @@ samePreparedQuery(const Request &a, const Request &b)
         && a.query.residues() == b.query.residues();
 }
 
-/** @p config, once its backend is known to run on this host. */
+/**
+ * @p config, once its backend is known to run on this host and its
+ * FASTA ktup to build an index.
+ */
 EngineConfig
 runnableConfig(EngineConfig config)
 {
     align::nativeKernels(config.backend); // throws if unrunnable
+    align::KtupIndex::checkKtup(config.fasta.ktup);
     return config;
 }
 

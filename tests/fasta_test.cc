@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "bio/scoring.hh"
 #include "bio/synthetic.hh"
 #include "core/thread_pool.hh"
+#include "fasta_reference.hh"
 
 namespace
 {
@@ -67,6 +70,26 @@ TEST(KtupIndex, ShortQueryYieldsNoWords)
     const bio::Residue w[2] = {0, 0};
     const auto [begin, end] = index.positions(index.encode(w));
     EXPECT_EQ(begin, end);
+}
+
+/**
+ * The direct-address table holds 23^ktup + 1 entries, so a word
+ * size outside [1, 4] is refused before anything is allocated
+ * (ktup 7 would ask for over 13 GB).
+ */
+TEST(KtupIndex, RejectsKtupOutsideOneToFour)
+{
+    const Sequence q("Q", "", "ACDEFGHIK");
+    for (const int ktup : {-1, 0, 5, 7, 64})
+        EXPECT_THROW(align::KtupIndex(q, ktup), std::invalid_argument)
+            << "ktup " << ktup;
+    for (int ktup = 1; ktup <= align::KtupIndex::maxKtup; ++ktup) {
+        const align::KtupIndex index(q, ktup);
+        const auto [begin, end] =
+            index.positions(index.encode(q.residues().data()));
+        ASSERT_EQ(end - begin, 1) << "ktup " << ktup;
+        EXPECT_EQ(*begin, 0);
+    }
 }
 
 TEST(FastaScan, PerfectMatchScoresNearSelf)
@@ -169,15 +192,159 @@ TEST(FastaScan, CorpusMatchesScalarReferenceOnEveryBackend)
 }
 
 /**
+ * Every FastaScores field of fastaScan for query @p q against
+ * subject @p s, on each of @p profiles' backends, against the
+ * reference stages 2-4 (tests/fasta_reference.hh) plus the same
+ * backend's band around the reference's best region for opt.
+ */
+::testing::AssertionResult
+matchesReference(const align::KtupIndex &index,
+                 std::span<const align::BandedProfile> profiles,
+                 const Sequence &q, const Sequence &s,
+                 const align::FastaParams &params)
+{
+    align::FastaScores ref =
+        reference::fastaStages2to4(index, q, s, kMat, params);
+    for (const align::BandedProfile &profile : profiles) {
+        if (ref.initn >= params.optThreshold)
+            ref.opt = align::bandedSmithWaterman(
+                          profile, s, kGaps, ref.regions.front().diag,
+                          params.bandHalfWidth)
+                          .score;
+        const align::FastaScores got = align::fastaScan(
+            index, profile, q, s, kMat, kGaps, params);
+        if (got.init1 != ref.init1 || got.initn != ref.initn
+            || got.opt != ref.opt || got.regions != ref.regions) {
+            return ::testing::AssertionFailure()
+                << align::backendName(profile.backend()) << " ktup "
+                << params.ktup << " query " << q.id() << " ("
+                << q.length() << ") subject " << s.id() << " ("
+                << s.length() << "): init1 " << got.init1 << "/"
+                << ref.init1 << " initn " << got.initn << "/"
+                << ref.initn << " opt " << got.opt << "/" << ref.opt
+                << " regions " << got.regions.size() << "/"
+                << ref.regions.size();
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** A profile of @p q on every runnable backend. */
+std::vector<align::BandedProfile>
+profilesOf(const Sequence &q)
+{
+    std::vector<align::BandedProfile> profiles;
+    for (const align::SimdBackend b : align::runnableBackends())
+        profiles.emplace_back(q, kMat, b);
+    return profiles;
+}
+
+/**
+ * A low-complexity sequence: @p motif repeated to @p length, each
+ * residue replaced by a random one with probability @p noise. Two of
+ * them from one motif put hundreds of hits on single diagonals, with
+ * gaps of every size between them.
+ */
+Sequence
+repeatSequence(bio::Rng &rng, const std::string &motif, int length,
+               double noise, const std::string &id)
+{
+    std::string text;
+    for (int i = 0; i < length; ++i)
+        text += rng.chance(noise)
+            ? "ACDEFGHIKLMNPQRSTVWY"[rng.below(20)]
+            : motif[static_cast<std::size_t>(i) % motif.size()];
+    return Sequence(id, "", text);
+}
+
+/**
+ * fastaScan's branch-free stage 2 (rolling word codes, SoA diagonal
+ * state, selects for the gap cases and the best region, candidates
+ * keyed in diagonal order) against the branchy reference it
+ * replaced, field for field, at ktup 1, 2 and 3: over perfbench's
+ * 11 queries x 1000 Zipf subjects, and over a seeded corpus of
+ * lengths 0 to ktup + 1, low-complexity repeats and 3000-residue
+ * self-alignments. The corpus and the default ktup 2 run on every
+ * runnable backend; ktup 1 and 3 over the perfbench pairs run on
+ * the default backend (the backend only chooses the opt band's
+ * kernel, which ktup 2 already covers there).
+ */
+TEST(FastaScan, MatchesParentReference)
+{
+    const std::vector<Sequence> queries = bio::makeQuerySet();
+    const bio::SequenceDatabase db =
+        bio::makeZipfDatabase(1000, 0xDBDBDBDB);
+    for (const int ktup : {1, 2, 3}) {
+        align::FastaParams params;
+        params.ktup = ktup;
+        for (const Sequence &q : queries) {
+            const align::KtupIndex index(q, ktup);
+            const std::vector<align::BandedProfile> all = profilesOf(q);
+            const auto profiles = std::span(all).first(
+                ktup == align::FastaParams{}.ktup ? all.size() : 1);
+            for (const Sequence &s : db)
+                ASSERT_TRUE(matchesReference(index, profiles, q, s, params));
+        }
+    }
+
+    bio::Rng rng(0xFA57C);
+    std::vector<std::pair<Sequence, Sequence>> corpus;
+    for (int qlen = 0; qlen <= 4; ++qlen)
+        for (int slen = 0; slen <= 4; ++slen) {
+            const Sequence q = bio::makeRandomSequence(rng, qlen, "short");
+            corpus.emplace_back(q, bio::makeRandomSequence(rng, slen, "r"));
+            corpus.emplace_back(
+                q, Sequence("prefix", "",
+                            std::vector<bio::Residue>(
+                                q.residues().begin(),
+                                q.residues().begin()
+                                    + std::min(qlen, slen))));
+        }
+    for (const std::string motif : {"A", "AC", "WKW", "GGSP", "LLLLV"})
+        for (int t = 0; t < 6; ++t)
+            corpus.emplace_back(
+                repeatSequence(rng, motif,
+                               static_cast<int>(100 + rng.below(400)),
+                               0.05 * t, "rep"),
+                repeatSequence(rng, motif,
+                               static_cast<int>(100 + rng.below(400)),
+                               0.03 * t, "rep"));
+    for (int t = 0; t < 40; ++t) {
+        const Sequence q = bio::makeRandomSequence(
+            rng, static_cast<int>(1 + rng.below(400)), "rnd");
+        corpus.emplace_back(q, bio::mutate(rng, q, 0.3 + 0.7 * rng.uniform(),
+                                           "mut", ""));
+    }
+    const Sequence big = bio::makeRandomSequence(rng, 3000, "big");
+    corpus.emplace_back(big, big);
+    corpus.emplace_back(big, bio::mutate(rng, big, 0.8, "bigmut", ""));
+    const Sequence big_rep = repeatSequence(rng, "AKQ", 3000, 0.02, "bigrep");
+    corpus.emplace_back(big_rep, big_rep);
+
+    for (const int ktup : {1, 2, 3}) {
+        align::FastaParams params;
+        params.ktup = ktup;
+        for (const auto &[q, s] : corpus) {
+            const align::KtupIndex index(q, ktup);
+            ASSERT_TRUE(matchesReference(index, profilesOf(q), q, s, params));
+        }
+    }
+}
+
+/**
  * fastaScan keeps its stage-2 diagonal state in per-thread scratch
- * that every call must leave at its defaults. Scanning the corpus
+ * that every call resets for its own diagonals. Scanning the corpus
  * from a thread pool, with each worker switching between queries
  * and subjects of different lengths, must give exactly the serial
- * results (and, under ThreadSanitizer, no race).
+ * results (and, under ThreadSanitizer, no race). One long
+ * low-complexity query makes workers switch between very different
+ * diagonal counts and hit densities.
  */
 TEST(FastaScan, ThreadPoolScanEqualsSerial)
 {
-    const std::vector<Sequence> queries = bio::makeQuerySet();
+    std::vector<Sequence> queries = bio::makeQuerySet();
+    bio::Rng rng(0xFA57D);
+    queries.push_back(repeatSequence(rng, "SSGK", 2500, 0.1, "lowcx"));
     const bio::SequenceDatabase db = bio::makeZipfDatabase(60, 0xFA57B);
     const align::FastaParams params;
     std::vector<align::KtupIndex> indexes;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -226,6 +227,29 @@ TEST(ServeEngine, PerRequestTopKOverridesDefault)
     // The override is a prefix of the default ranking.
     for (std::size_t i = 0; i < resp.hits.size(); ++i)
         EXPECT_EQ(resp.hits[i].dbIndex, def.hits[i].dbIndex);
+}
+
+/**
+ * A FASTA ktup no k-tuple index can be built for fails at engine
+ * construction, before any request: a batch would reach the index
+ * build inside the loop's dispatcher, which catches nothing.
+ */
+TEST(ServeEngine, RejectsUnbuildableFastaKtup)
+{
+    for (const int ktup : {-1, 0, 5, 7}) {
+        serve::EngineConfig cfg;
+        cfg.fasta.ktup = ktup;
+        EXPECT_THROW(serve::Engine(testDb(), cfg), std::invalid_argument)
+            << "ktup " << ktup;
+    }
+    serve::EngineConfig cfg;
+    cfg.fasta.ktup = align::KtupIndex::maxKtup;
+    serve::Engine engine(testDb(), cfg);
+    serve::Request r;
+    r.kind = kernels::Workload::Fasta34;
+    r.query = queryPool().front();
+    EXPECT_EQ(engine.serveBatch({r}).front().sequencesSearched,
+              testDb().size());
 }
 
 TEST(ServeLoop, ClosedLoopReplayAccountsEveryRequest)
