@@ -16,7 +16,8 @@
 # and the banded kernel, whose unaligned slice loads run up to one
 # vector into the pads of its profile rows: its oracle fuzz
 # (align_test), FASTA's opt stage over a corpus (fasta_test) and
-# BLAST's gapped stage (blast_test). Every build compiles the
+# BLAST's gapped stage, protein (blast_test) and nucleotide
+# (blastn_test). Every build compiles the
 # hardware SIMD backends, so the intrinsic paths run under the
 # sanitizers too. Any out-of-bounds access, leak or undefined
 # behavior fails the run.
@@ -29,7 +30,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DBIOARCH_ASAN=ON
 cmake --build "$BUILD_DIR" -j --target traceback_test sw_native_test \
     serve_traceback_test sim_sample_test trace_test trace_io_test \
-    serve_test router_test align_test fasta_test blast_test
+    serve_test router_test align_test fasta_test blast_test blastn_test
 ctest --test-dir "$BUILD_DIR" \
-    -L 'traceback_test|sw_native_test|serve_traceback_test|sim_sample_test|trace_test|trace_io_test|serve_test|router_test|align_test|fasta_test|blast_test' \
+    -L 'traceback_test|sw_native_test|serve_traceback_test|sim_sample_test|trace_test|trace_io_test|serve_test|router_test|align_test|fasta_test|blast_test|blastn_test' \
     --output-on-failure -j

@@ -1,37 +1,62 @@
 #include "blast.hh"
 
-#include <algorithm>
+#include <stdexcept>
+#include <string>
 
-#include "banded.hh"
+#include "blast_impl.hh"
 #include "karlin.hh"
-#include "traceback/banded_extend.hh"
-#include "xdrop.hh"
 
 namespace bioarch::align
 {
 
-namespace
+int
+WordTable::checkWordSize(int word_size, int max_word_size,
+                         const char *what)
 {
+    if (word_size >= 1 && word_size <= max_word_size)
+        return word_size;
+    throw std::invalid_argument(std::string(what)
+                                + " word size must be in [1, "
+                                + std::to_string(max_word_size)
+                                + "], got " + std::to_string(word_size));
+}
 
-std::size_t
-wordSpace(int word_size)
+WordTable::WordTable(int word_size, int alphabet) : _wordSize(word_size)
 {
     std::size_t space = 1;
     for (int k = 0; k < word_size; ++k)
-        space *= bio::Alphabet::numSymbols;
-    return space;
+        space *= static_cast<std::size_t>(alphabet);
+    _heads.assign(space + 1, 0);
 }
 
-} // namespace
+void
+WordTable::fill(const std::vector<Entry> &entries)
+{
+    for (const Entry &e : entries)
+        ++_heads[e.word + 1];
+    for (std::size_t w = 1; w < _heads.size(); ++w)
+        _heads[w] += _heads[w - 1];
+    _positions.resize(entries.size());
+    std::vector<std::int32_t> cursor(_heads.begin(), _heads.end() - 1);
+    for (const Entry &e : entries)
+        _positions[static_cast<std::size_t>(cursor[e.word]++)] =
+            e.qpos;
+}
+
+int
+NeighborhoodIndex::checkWordSize(int word_size)
+{
+    return WordTable::checkWordSize(word_size, maxWordSize, "BLAST");
+}
 
 NeighborhoodIndex::NeighborhoodIndex(const bio::Sequence &query,
                                      const bio::ScoringMatrix &matrix,
                                      const BlastParams &params)
-    : _wordSize(params.wordSize),
-      _queryLength(static_cast<int>(query.length())),
-      _heads(wordSpace(params.wordSize) + 1, 0)
+    : WordTable(checkWordSize(params.wordSize),
+                bio::Alphabet::numSymbols)
 {
-    const int num_words = _queryLength - _wordSize + 1;
+    const int w = wordSize();
+    const int num_words = static_cast<int>(query.length()) - w + 1;
     if (num_words <= 0)
         return;
 
@@ -39,11 +64,6 @@ NeighborhoodIndex::NeighborhoodIndex(const bio::Sequence &query,
     // residues whose pairwise score reaches the threshold T. The
     // candidate space is pruned with per-position "best remaining"
     // bounds so the recursion only explores viable prefixes.
-    struct Entry
-    {
-        std::uint32_t word;
-        std::int32_t qpos;
-    };
     std::vector<Entry> entries;
 
     // bestTail[k] = max over residues of matrix row max, for the
@@ -61,17 +81,15 @@ NeighborhoodIndex::NeighborhoodIndex(const bio::Sequence &query,
 
     for (int i = 0; i < num_words; ++i) {
         const bio::Residue *qw = query.residues().data() + i;
-        std::vector<int> tail(static_cast<std::size_t>(_wordSize) + 1,
-                              0);
-        for (int k = _wordSize - 1; k >= 0; --k)
+        std::vector<int> tail(static_cast<std::size_t>(w) + 1, 0);
+        for (int k = w - 1; k >= 0; --k)
             tail[static_cast<std::size_t>(k)] =
                 tail[static_cast<std::size_t>(k) + 1]
                 + row_max[qw[k]];
 
         // Iterative DFS over word prefixes.
         struct Frame { int residue; int score; };
-        std::vector<Frame> stack(static_cast<std::size_t>(_wordSize),
-                                 Frame{0, 0});
+        std::vector<Frame> stack(static_cast<std::size_t>(w), Frame{0, 0});
         int depth = 0;
         while (depth >= 0) {
             Frame &f = stack[static_cast<std::size_t>(depth)];
@@ -90,20 +108,20 @@ NeighborhoodIndex::NeighborhoodIndex(const bio::Sequence &query,
                 ++f.residue;
                 continue;
             }
-            if (depth == _wordSize - 1) {
+            if (depth == w - 1) {
                 if (s >= params.neighborThreshold) {
-                    std::uint32_t w = 0;
-                    for (int k = 0; k < _wordSize; ++k) {
+                    std::uint32_t code = 0;
+                    for (int k = 0; k < w; ++k) {
                         const int r =
                             k == depth
                                 ? f.residue
                                 : stack[static_cast<std::size_t>(k)]
                                       .residue;
-                        w = w * bio::Alphabet::numSymbols
+                        code = code * bio::Alphabet::numSymbols
                             + static_cast<std::uint32_t>(r);
                     }
                     entries.push_back(
-                        Entry{w, static_cast<std::int32_t>(i)});
+                        Entry{code, static_cast<std::int32_t>(i)});
                 }
                 ++f.residue;
             } else {
@@ -114,16 +132,7 @@ NeighborhoodIndex::NeighborhoodIndex(const bio::Sequence &query,
         }
     }
 
-    // CSR construction.
-    for (const Entry &e : entries)
-        ++_heads[e.word + 1];
-    for (std::size_t w = 1; w < _heads.size(); ++w)
-        _heads[w] += _heads[w - 1];
-    _positions.resize(entries.size());
-    std::vector<std::int32_t> cursor(_heads.begin(), _heads.end() - 1);
-    for (const Entry &e : entries)
-        _positions[static_cast<std::size_t>(cursor[e.word]++)] =
-            e.qpos;
+    fill(entries);
 }
 
 UngappedExtension
@@ -131,31 +140,11 @@ ungappedExtend(const bio::Sequence &query, const bio::Sequence &subject,
                const bio::ScoringMatrix &matrix, int qpos, int spos,
                int seed_len, int x_drop)
 {
-    UngappedExtension out;
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-
-    int seed = 0;
-    for (int k = 0; k < seed_len; ++k)
-        seed += matrix.score(query[qpos + k], subject[spos + k]);
-
-    // Right extension from the end of the seed, then left extension
-    // from its start, both via the shared x-drop run scorer.
-    const XdropRun right = xdropRun(
-        std::min(m - qpos, n - spos) - seed_len, x_drop, [&](int k) {
-            return matrix.score(query[qpos + seed_len + k],
-                                subject[spos + seed_len + k]);
-        });
-    const XdropRun left =
-        xdropRun(std::min(qpos, spos), x_drop, [&](int k) {
-            return matrix.score(query[qpos - 1 - k],
-                                subject[spos - 1 - k]);
-        });
-
-    out.score = seed + right.best + left.best;
-    out.queryStart = qpos - left.len;
-    out.queryEnd = qpos + seed_len - 1 + right.len;
-    return out;
+    return extendSeed(query.residues().data(),
+                      static_cast<int>(query.length()),
+                      subject.residues().data(),
+                      static_cast<int>(subject.length()), matrix, qpos,
+                      spos, seed_len, x_drop);
 }
 
 GappedWindow
@@ -175,107 +164,19 @@ gappedWindow(const UngappedExtension &ext, int diag, int query_len,
 namespace
 {
 
-/** Extract [lo, hi] of a sequence (for windowed gapped extension). */
-bio::Sequence
-window(const bio::Sequence &seq, int lo, int hi)
-{
-    const auto &res = seq.residues();
-    return bio::Sequence(
-        seq.id(), "window",
-        std::vector<bio::Residue>(
-            res.begin() + lo, res.begin() + hi + 1));
-}
-
-/** The word scan + ungapped stage, up to (but not including) the
- * gapped extension: counters plus the best HSP and its diagonal.
- * blastScan and blastAlign share this so the alignment a hit
- * reports is derived from exactly the HSP its score came from. */
-struct HspScan
-{
-    BlastScores scores;       ///< gapped fields still zero
-    int bestDiag = 0;
-    UngappedExtension bestExt;
-};
-
+/** blastp's HSP scan: residue readers, words encoded in place. */
 HspScan
-hspScan(const NeighborhoodIndex &index, const bio::Sequence &query,
-        const bio::Sequence &subject, const bio::ScoringMatrix &matrix,
-        const BlastParams &params, std::uint64_t *cells)
+proteinHsp(const NeighborhoodIndex &index, const bio::Sequence &query,
+           const bio::Sequence &subject,
+           const bio::ScoringMatrix &matrix, const BlastParams &params,
+           std::uint64_t *cells)
 {
-    HspScan hsp;
-    BlastScores &out = hsp.scores;
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-    const int w = index.wordSize();
-    if (m < w || n < w)
-        return hsp;
-
-    // Per-diagonal state: subject position of the last unextended
-    // hit, and the subject position up to which the diagonal has
-    // already been covered by an extension (suppresses re-triggering
-    // inside an extended region, as NCBI BLAST's diag array does).
-    const int num_diags = m + n - 1;
-    const int diag_offset = m - 1;
-    struct DiagState
-    {
-        std::int32_t lastHit = -1000000;
-        std::int32_t extendedTo = -1;
-    };
-    std::vector<DiagState> diag(static_cast<std::size_t>(num_diags));
-
-    // Best ungapped HSP seen during the scan; the (single) gapped
-    // extension runs around its diagonal after the scan, mirroring
-    // how NCBI BLAST gap-extends the preliminary HSP list rather
-    // than every triggering seed.
-    const auto *sres = subject.residues().data();
-
-    for (int j = 0; j + w <= n; ++j) {
-        const std::uint32_t word = index.encode(sres + j);
-        const auto [begin, end] = index.positions(word);
-        if (cells)
-            *cells += 1;
-        for (const std::int32_t *p = begin; p != end; ++p) {
-            const int i = *p;
-            const int d = j - i + diag_offset;
-            DiagState &ds = diag[static_cast<std::size_t>(d)];
-            ++out.wordHits;
-            if (j <= ds.extendedTo)
-                continue; // inside an already-extended region
-
-            bool trigger;
-            if (params.twoHit) {
-                const int dist = j - ds.lastHit;
-                if (dist < w) {
-                    // Overlapping the previous hit: neither triggers
-                    // nor replaces it (otherwise runs of consecutive
-                    // hits — e.g. a perfect match — would never put
-                    // two non-overlapping hits in the window).
-                    continue;
-                }
-                trigger = dist <= params.twoHitWindow;
-            } else {
-                trigger = true;
-            }
-            ds.lastHit = j;
-            if (!trigger)
-                continue;
-
-            ++out.extensionsTried;
-            const UngappedExtension ext =
-                ungappedExtend(query, subject, matrix, i, j, w,
-                               params.xDropUngapped);
-            if (cells)
-                *cells += static_cast<std::uint64_t>(
-                    ext.queryEnd - ext.queryStart + 1);
-            ds.extendedTo = ext.queryEnd + (j - i);
-            if (ext.score > out.bestUngapped) {
-                out.bestUngapped = ext.score;
-                hsp.bestDiag = j - i;
-                hsp.bestExt = ext;
-            }
-        }
-    }
-    return hsp;
+    const bio::Residue *sres = subject.residues().data();
+    return hspScan(
+        index, query.residues().data(), static_cast<int>(query.length()),
+        sres, static_cast<int>(subject.length()),
+        [&](int j) { return index.encode(sres + j); }, matrix, params,
+        cells);
 }
 
 } // namespace
@@ -286,38 +187,11 @@ blastScan(const NeighborhoodIndex &index, const bio::Sequence &query,
           const bio::GapPenalties &gaps, const BlastParams &params,
           std::uint64_t *cells)
 {
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-    const HspScan hsp =
-        hspScan(index, query, subject, matrix, params, cells);
-    BlastScores out = hsp.scores;
-    if (m < index.wordSize() || n < index.wordSize())
-        return out;
-
-    if (out.bestUngapped >= params.gapTrigger) {
-        ++out.gappedExtensions;
-        // The gapped stage explores a window around the HSP, not
-        // the whole subject (the real gapped extension's X-drop
-        // keeps it local).
-        const GappedWindow win =
-            gappedWindow(hsp.bestExt, hsp.bestDiag, m, n,
-                         params.gappedWindowMargin);
-        const bio::Sequence qw =
-            window(query, win.queryLo, win.queryHi);
-        const bio::Sequence sw =
-            window(subject, win.subjectLo, win.subjectHi);
-        const LocalScore gapped =
-            bandedSmithWaterman(qw, sw, matrix, gaps, win.center,
-                                params.bandHalfWidth);
-        if (cells) {
-            *cells += static_cast<std::uint64_t>(
-                          2 * params.bandHalfWidth + 1)
-                * static_cast<std::uint64_t>(
-                          win.subjectHi - win.subjectLo + 1);
-        }
-        out.score = std::max(gapped.score, 0);
-    }
-    return out;
+    return gappedScore(
+        proteinHsp(index, query, subject, matrix, params, cells),
+        query.residues().data(), static_cast<int>(query.length()),
+        subject.residues().data(), static_cast<int>(subject.length()),
+        matrix, gaps, params, cells);
 }
 
 CigarAlignment
@@ -325,40 +199,13 @@ blastAlign(const NeighborhoodIndex &index, const bio::Sequence &query,
            const bio::Sequence &subject,
            const bio::ScoringMatrix &matrix,
            const bio::GapPenalties &gaps, const BlastParams &params,
-           std::uint64_t *cells, int x_drop_gapped,
            TracebackStats *stats)
 {
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-    const HspScan hsp =
-        hspScan(index, query, subject, matrix, params, cells);
-
-    CigarAlignment out;
-    if (m < index.wordSize() || n < index.wordSize()
-        || hsp.scores.bestUngapped < params.gapTrigger)
-        return out;
-    // Re-run the gapped stage of blastScan over the identical
-    // window and band, with traceback. A disabled X-drop keeps the
-    // banded sweep — and therefore the score — bit-identical to
-    // the score-only scan the hit was ranked by.
-    const GappedWindow win =
-        gappedWindow(hsp.bestExt, hsp.bestDiag, m, n,
-                     params.gappedWindowMargin);
-    const bio::Sequence qw = window(query, win.queryLo, win.queryHi);
-    const bio::Sequence sw =
-        window(subject, win.subjectLo, win.subjectHi);
-    out = bandedExtendAlign(qw, sw, matrix, gaps, win.center,
-                            params.bandHalfWidth, x_drop_gapped,
-                            stats);
-    if (cells && stats)
-        *cells += stats->totalCells;
-    if (out.empty())
-        return out;
-    out.qBegin += win.queryLo;
-    out.qEnd += win.queryLo;
-    out.sBegin += win.subjectLo;
-    out.sEnd += win.subjectLo;
-    return out;
+    return gappedAlign(
+        proteinHsp(index, query, subject, matrix, params, nullptr),
+        query.residues().data(), static_cast<int>(query.length()),
+        subject.residues().data(), static_cast<int>(subject.length()),
+        matrix, gaps, params, stats);
 }
 
 SearchResults
@@ -388,12 +235,7 @@ blastSearch(const bio::Sequence &query, const bio::SequenceDatabase &db,
             score, static_cast<double>(query.length()), total);
         out.hits.push_back(hit);
     }
-    std::sort(out.hits.begin(), out.hits.end(),
-              [](const SearchHit &a, const SearchHit &b) {
-                  return a.score > b.score;
-              });
-    if (out.hits.size() > max_hits)
-        out.hits.resize(max_hits);
+    rankHits(out.hits, max_hits);
     return out;
 }
 

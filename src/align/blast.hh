@@ -1,23 +1,28 @@
 /**
  * @file
- * BLASTP-style heuristic database search (the paper's NCBI BLAST
- * workload).
+ * BLAST heuristic database search (the paper's NCBI BLAST
+ * workload): the one seed-and-extend pipeline behind BLASTP and
+ * blastn (blastn.hh runs it over DNA).
  *
  * Stages follow Altschul et al. (1990, 1997):
  *
- *   1. build the query's *neighborhood word index*: for every
- *      length-w query word, all words scoring >= T against it are
- *      entered into a direct-address lookup table over the full word
- *      space (alphabet^w entries). This table is the large, randomly
- *      indexed data structure that makes BLAST memory-bound in the
- *      paper;
+ *   1. build the query's *word table* (WordTable): word ->
+ *      query positions, direct-addressed over the full word space
+ *      (alphabet^w entries). BLASTP enters every word scoring >= T
+ *      against a query word (NeighborhoodIndex); blastn enters the
+ *      query's exact words (DnaWordIndex). This table is the large,
+ *      randomly indexed data structure that makes BLAST
+ *      memory-bound in the paper;
  *   2. scan each database sequence word by word (the
  *      BlastWordFinder of Listing 1); on a table hit, apply the
- *      *two-hit* heuristic: two non-overlapping hits on the same
- *      diagonal within a window trigger an ungapped extension;
+ *      *two-hit* heuristic (two non-overlapping hits on the same
+ *      diagonal within a window trigger an ungapped extension) or,
+ *      with twoHit off (blastn), extend every hit at once;
  *   3. ungapped X-drop extension along the diagonal;
- *   4. if the ungapped score passes the gap trigger, run a gapped
- *      (banded Smith-Waterman) extension and report the best score.
+ *   4. if the best ungapped score passes the gap trigger, run a
+ *      banded Smith-Waterman over a window around that HSP and
+ *      report its score. blastAlign reruns the identical band with
+ *      traceback for the reporting tier.
  */
 
 #ifndef BIOARCH_ALIGN_BLAST_HH
@@ -54,23 +59,18 @@ struct BlastParams
 };
 
 /**
- * Neighborhood word index over the full word space.
- *
- * The table is direct-addressed: word -> CSR range of query
- * positions whose neighborhood contains that word. For w = 3 over a
- * 23-symbol alphabet the head array alone is ~48 KB and the accesses
- * during the scan are data-dependent (indexed by database content),
- * which reproduces BLAST's large irregular working set.
+ * The word table of the scan: word code -> CSR range of the query
+ * positions the word hits, direct-addressed over all alphabet^w
+ * codes. The accesses during the scan are data-dependent (indexed
+ * by database content), which reproduces BLAST's large irregular
+ * working set. Protein and nucleotide BLAST share this one table;
+ * their indexes differ only in how they enumerate (word, query
+ * position) pairs.
  */
-class NeighborhoodIndex
+class WordTable
 {
   public:
-    NeighborhoodIndex(const bio::Sequence &query,
-                      const bio::ScoringMatrix &matrix,
-                      const BlastParams &params);
-
     int wordSize() const { return _wordSize; }
-    int queryLength() const { return _queryLength; }
 
     /** Total (word, query position) pairs stored. */
     std::size_t numEntries() const { return _positions.size(); }
@@ -78,17 +78,7 @@ class NeighborhoodIndex
     /** Number of direct-address table slots (alphabet^w). */
     std::size_t tableSize() const { return _heads.size() - 1; }
 
-    /** Encode the word starting at @p residues. */
-    std::uint32_t
-    encode(const bio::Residue *residues) const
-    {
-        std::uint32_t w = 0;
-        for (int k = 0; k < _wordSize; ++k)
-            w = w * bio::Alphabet::numSymbols + residues[k];
-        return w;
-    }
-
-    /** Query positions whose neighborhood contains word @p w. */
+    /** Query positions that word @p w hits. */
     std::pair<const std::int32_t *, const std::int32_t *>
     positions(std::uint32_t w) const
     {
@@ -97,11 +87,64 @@ class NeighborhoodIndex
         return {_positions.data() + head, _positions.data() + tail};
     }
 
+  protected:
+    /** One (word, query position) pair of a table. */
+    struct Entry
+    {
+        std::uint32_t word;
+        std::int32_t qpos;
+    };
+
+    /**
+     * @p word_size itself; throws std::invalid_argument outside
+     * [1, @p max_word_size]. @p what names the table in the message.
+     */
+    static int checkWordSize(int word_size, int max_word_size,
+                             const char *what);
+
+    /** An empty table over @p alphabet^@p word_size codes. */
+    WordTable(int word_size, int alphabet);
+
+    /** Build the position lists from @p entries: counting pass,
+     * prefix sums, placing pass (entry order within a word). */
+    void fill(const std::vector<Entry> &entries);
+
   private:
     int _wordSize;
-    int _queryLength;
-    std::vector<std::int32_t> _heads;     ///< CSR heads, size^w + 1
+    std::vector<std::int32_t> _heads;     ///< CSR heads, alphabet^w + 1
     std::vector<std::int32_t> _positions; ///< query positions
+};
+
+/**
+ * BLASTP's word table: each query word's T-neighborhood. For w = 3
+ * over a 23-symbol alphabet the head array alone is ~48 KB.
+ */
+class NeighborhoodIndex : public WordTable
+{
+  public:
+    /** Largest word size: 23^5 heads (~26 MB), the range the seed
+     * index and its container accept too. */
+    static constexpr int maxWordSize = 5;
+
+    /** @p word_size itself; throws std::invalid_argument outside
+     *  [1, maxWordSize]. */
+    static int checkWordSize(int word_size);
+
+    /** Throws std::invalid_argument unless params.wordSize is in
+     *  [1, maxWordSize]. */
+    NeighborhoodIndex(const bio::Sequence &query,
+                      const bio::ScoringMatrix &matrix,
+                      const BlastParams &params);
+
+    /** Encode the word starting at @p residues. */
+    std::uint32_t
+    encode(const bio::Residue *residues) const
+    {
+        std::uint32_t w = 0;
+        for (int k = 0; k < wordSize(); ++k)
+            w = w * bio::Alphabet::numSymbols + residues[k];
+        return w;
+    }
 };
 
 /** Result of one ungapped extension. */
@@ -180,7 +223,8 @@ struct BlastScores
  * @param matrix substitution matrix
  * @param gaps gap penalties for the gapped stage
  * @param params pipeline tunables
- * @param[out] cells optional work counter
+ * @param[out] cells optional work counter: word positions scanned,
+ *        plus ungapped extension extents, plus band cells
  */
 BlastScores blastScan(const NeighborhoodIndex &index,
                       const bio::Sequence &query,
@@ -193,15 +237,11 @@ BlastScores blastScan(const NeighborhoodIndex &index,
 /**
  * Phase-2 reporting twin of blastScan: rerun the word scan and
  * ungapped stage, then trace the gapped extension of the best HSP
- * through the identical band and window. With @p x_drop_gapped
- * negative (the serving default) the returned score is
+ * through the identical band and window, so the returned score is
  * bit-identical to blastScan's — the CIGAR explains exactly the
  * score the hit was ranked by. Returns an empty alignment when the
  * gap trigger never fires (blastScan would have scored 0).
  *
- * @param x_drop_gapped column X-drop of the traced gapped
- *        extension; negative sweeps the full band (score parity
- *        with blastScan), non-negative values may stop early
  * @param[out] stats traceback DP accounting (cells, peak space)
  */
 CigarAlignment blastAlign(const NeighborhoodIndex &index,
@@ -210,8 +250,6 @@ CigarAlignment blastAlign(const NeighborhoodIndex &index,
                           const bio::ScoringMatrix &matrix,
                           const bio::GapPenalties &gaps,
                           const BlastParams &params,
-                          std::uint64_t *cells = nullptr,
-                          int x_drop_gapped = -1,
                           TracebackStats *stats = nullptr);
 
 /** Full database search ranked by score / E-value. */

@@ -1,26 +1,15 @@
 #include "blastn.hh"
 
-#include <algorithm>
 #include <cmath>
 
-#include "banded_impl.hh"
 #include "bio/scoring.hh"
-#include "blast.hh"
-#include "traceback/banded_extend.hh"
-#include "xdrop.hh"
+#include "blast_impl.hh"
 
 namespace bioarch::align
 {
 
 namespace
 {
-
-/** 4^w. */
-std::size_t
-dnaWordSpace(int w)
-{
-    return std::size_t{1} << (2 * w);
-}
 
 /**
  * Karlin lambda for uniform-composition match/mismatch scoring:
@@ -46,219 +35,102 @@ dnaLambda(int match, int mismatch)
     return 0.5 * (lo + hi);
 }
 
-/** Decode packed DNA into a Sequence over residues 0..3 (for the
- * banded gapped stage, which is alphabet-agnostic). */
-bio::Sequence
-decode(const bio::PackedDna &dna, std::size_t lo, std::size_t hi)
+/** The 2-bit word mask of word size @p w. */
+std::uint32_t
+wordMask(int w)
 {
-    std::vector<bio::Residue> out;
-    out.reserve(hi - lo + 1);
-    for (std::size_t i = lo; i <= hi; ++i)
-        out.push_back(static_cast<bio::Residue>(dna[i]));
-    return bio::Sequence(dna.id(), "window", std::move(out));
+    return static_cast<std::uint32_t>((std::size_t{1} << (2 * w)) - 1);
 }
-
-} // namespace
-
-DnaWordIndex::DnaWordIndex(const bio::PackedDna &query, int word_size)
-    : _wordSize(word_size), _heads(dnaWordSpace(word_size) + 1, 0)
-{
-    const std::size_t m = query.length();
-    if (m < static_cast<std::size_t>(word_size))
-        return;
-    const std::size_t num = m - static_cast<std::size_t>(word_size)
-        + 1;
-    const std::uint32_t mask = static_cast<std::uint32_t>(
-        dnaWordSpace(word_size) - 1);
-
-    std::vector<std::uint32_t> words(num);
-    std::uint32_t w = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-        w = ((w << 2) | query[i]) & mask;
-        if (i + 1 >= static_cast<std::size_t>(word_size)) {
-            const std::size_t start =
-                i + 1 - static_cast<std::size_t>(word_size);
-            words[start] = w;
-            ++_heads[w + 1];
-        }
-    }
-    for (std::size_t k = 1; k < _heads.size(); ++k)
-        _heads[k] += _heads[k - 1];
-    _positions.resize(num);
-    std::vector<std::int32_t> cursor(_heads.begin(),
-                                     _heads.end() - 1);
-    for (std::size_t i = 0; i < num; ++i)
-        _positions[static_cast<std::size_t>(
-            cursor[words[i]]++)] = static_cast<std::int32_t>(i);
-}
-
-namespace
-{
-
-/** Counters plus the best ungapped HSP of one blastn word scan
- * (the gapped stage runs afterwards, in the caller). */
-struct HspScanN
-{
-    BlastnScores scores;
-    int bestDiag = 0;
-    UngappedExtension bestExt;
-};
 
 /**
- * The word scan + ungapped x-drop stage, shared — via the
- * subject-base accessor @p sub — between the 2-bit packed subject
- * path and the residue-array path the serving tier scans
- * (identical arithmetic, bit-identical HSPs).
+ * Word codes of a subject reader, read left to right: the call for
+ * j returns the 2-bit word starting at j, rolling one base in (the
+ * first call loads the word's first w - 1 bases).
  */
-template <typename SubjectAt>
-HspScanN
-hspScanN(const DnaWordIndex &index, const bio::PackedDna &query,
-         SubjectAt &&sub, int n, const BlastnParams &params,
-         std::uint64_t *cells)
+template <typename Subject>
+auto
+rollingWords(const Subject &subject, int w)
 {
-    HspScanN hsp;
-    BlastnScores &out = hsp.scores;
-    const int m = static_cast<int>(query.length());
-    const int w = index.wordSize();
-    if (m < w || n < w)
-        return hsp;
+    return [&subject, w, mask = wordMask(w),
+            word = std::uint32_t{0}](int j) mutable {
+        if (j == 0)
+            for (int k = 0; k + 1 < w; ++k)
+                word = (word << 2) | subject[k];
+        word = ((word << 2) | subject[j + w - 1]) & mask;
+        return word;
+    };
+}
 
-    const int num_diags = m + n - 1;
-    const int diag_offset = m - 1;
-    std::vector<std::int32_t> extended_to(
-        static_cast<std::size_t>(num_diags), -1);
-
-    const std::uint32_t mask = static_cast<std::uint32_t>(
-        (std::size_t{1} << (2 * w)) - 1);
-    std::uint32_t word = 0;
-    for (int j = 0; j < n; ++j) {
-        word = ((word << 2) | sub(j)) & mask;
-        if (j + 1 < w)
-            continue;
-        const int start = j + 1 - w;
-        const auto [begin, end] = index.positions(word);
-        if (cells)
-            ++*cells;
-        for (const std::int32_t *p = begin; p != end; ++p) {
-            const int i = *p;
-            const int d = start - i + diag_offset;
-            ++out.wordHits;
-            if (start <= extended_to[static_cast<std::size_t>(d)])
-                continue;
-
-            // One-hit seeding: extend immediately (classic
-            // blastn), unpacking base by base (the
-            // READDB_UNPACK_BASE pattern).
-            ++out.extensionsTried;
-            const int seed = params.matchScore * w;
-            const auto count_step = [&](int) {
-                if (cells)
-                    ++*cells;
-            };
-            const XdropRun right = xdropRun(
-                std::min(m - i, n - start) - w,
-                params.xDropUngapped,
-                [&](int k) {
-                    return query[static_cast<std::size_t>(i + w
-                                                          + k)]
-                            == sub(start + w + k)
-                        ? params.matchScore
-                        : params.mismatchScore;
-                },
-                count_step);
-            const XdropRun left = xdropRun(
-                std::min(i, start), params.xDropUngapped,
-                [&](int k) {
-                    return query[static_cast<std::size_t>(i - 1
-                                                          - k)]
-                            == sub(start - 1 - k)
-                        ? params.matchScore
-                        : params.mismatchScore;
-                },
-                count_step);
-
-            const int score = seed + right.best + left.best;
-            extended_to[static_cast<std::size_t>(d)] =
-                start + w - 1 + right.len;
-            if (score > out.bestUngapped) {
-                out.bestUngapped = score;
-                hsp.bestDiag = start - i;
-                hsp.bestExt.score = score;
-                hsp.bestExt.queryStart = i - left.len;
-                hsp.bestExt.queryEnd = i + w - 1 + right.len;
-            }
-        }
+/** blastn as the shared pipeline's knobs: one-hit seeding over
+ * match/mismatch scoring. */
+struct NucleotidePipeline
+{
+    explicit NucleotidePipeline(const BlastnParams &p)
+        : matrix(bio::makeMatchMismatch(p.matchScore, p.mismatchScore)),
+          gaps{p.gapOpen, p.gapExtend}
+    {
+        params.wordSize = p.wordSize;
+        params.xDropUngapped = p.xDropUngapped;
+        params.gapTrigger = p.gapTrigger;
+        params.bandHalfWidth = p.bandHalfWidth;
+        params.gappedWindowMargin = p.gappedWindowMargin;
+        params.twoHit = false;
     }
-    return hsp;
-}
 
-/** The gapped window of the best HSP (empty() when none fires). */
-GappedWindow
-gappedWindowN(const HspScanN &hsp, int m, int n,
-              const BlastnParams &params)
-{
-    if (hsp.scores.bestUngapped < params.gapTrigger)
-        return GappedWindow{};
-    return gappedWindow(hsp.bestExt, hsp.bestDiag, m, n,
-                        params.gappedWindowMargin);
-}
-
-/** Score-only gapped stage shared by both blastnScan overloads. */
-void
-gappedStageN(const GappedWindow &win, const bio::Sequence &qw,
-             const bio::Sequence &sw, const BlastnParams &params,
-             BlastnScores &out, std::uint64_t *cells)
-{
-    ++out.gappedExtensions;
-    const bio::ScoringMatrix mm = bio::makeMatchMismatch(
-        params.matchScore, params.mismatchScore);
-    const bio::GapPenalties gaps{params.gapOpen, params.gapExtend};
-    const LocalScore gapped = bandedSmithWatermanScan(
-        qw, sw, mm, gaps, win.center, params.bandHalfWidth,
-        [](int, int, int, int, int) {});
-    if (cells) {
-        *cells += static_cast<std::uint64_t>(
-                      2 * params.bandHalfWidth + 1)
-            * static_cast<std::uint64_t>(win.subjectHi
-                                         - win.subjectLo + 1);
+    /** The HSP scan of a subject reader of @p n bases. */
+    template <typename Subject>
+    HspScan
+    scan(const DnaWordIndex &index, const bio::PackedDna &query,
+         const Subject &subject, int n, std::uint64_t *cells) const
+    {
+        return hspScan(index, query, static_cast<int>(query.length()),
+                       subject, n,
+                       rollingWords(subject, index.wordSize()), matrix,
+                       params, cells);
     }
-    out.score = std::max(gapped.score, 0);
-}
 
-/** Window of a residue-array subject (bases stored as residues). */
-bio::Sequence
-residueWindow(const bio::Residue *subject, int lo, int hi)
-{
-    return bio::Sequence(
-        "subject", "window",
-        std::vector<bio::Residue>(subject + lo, subject + hi + 1));
-}
+    /** blastnScan of a subject reader of @p n bases. */
+    template <typename Subject>
+    BlastnScores
+    score(const DnaWordIndex &index, const bio::PackedDna &query,
+          const Subject &subject, int n, std::uint64_t *cells) const
+    {
+        return gappedScore(scan(index, query, subject, n, cells), query,
+                           static_cast<int>(query.length()), subject, n,
+                           matrix, gaps, params, cells);
+    }
+
+    BlastParams params;
+    bio::ScoringMatrix matrix;
+    bio::GapPenalties gaps;
+};
 
 } // namespace
+
+int
+DnaWordIndex::checkWordSize(int word_size)
+{
+    return WordTable::checkWordSize(word_size, maxWordSize, "blastn");
+}
+
+DnaWordIndex::DnaWordIndex(const bio::PackedDna &query, int word_size)
+    : WordTable(checkWordSize(word_size), 4)
+{
+    const int m = static_cast<int>(query.length());
+    std::vector<Entry> entries;
+    auto word_at = rollingWords(query, word_size);
+    for (int i = 0; i + word_size <= m; ++i)
+        entries.push_back(Entry{word_at(i), i});
+    fill(entries);
+}
 
 BlastnScores
 blastnScan(const DnaWordIndex &index, const bio::PackedDna &query,
            const bio::PackedDna &subject, const BlastnParams &params,
            std::uint64_t *cells)
 {
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-    const HspScanN hsp = hspScanN(
-        index, query,
-        [&](int k) { return subject[static_cast<std::size_t>(k)]; },
-        n, params, cells);
-    BlastnScores out = hsp.scores;
-    const GappedWindow win = gappedWindowN(hsp, m, n, params);
-    if (!win.empty()) {
-        const bio::Sequence qw = decode(
-            query, static_cast<std::size_t>(win.queryLo),
-            static_cast<std::size_t>(win.queryHi));
-        const bio::Sequence sw = decode(
-            subject, static_cast<std::size_t>(win.subjectLo),
-            static_cast<std::size_t>(win.subjectHi));
-        gappedStageN(win, qw, sw, params, out, cells);
-    }
-    return out;
+    return NucleotidePipeline(params).score(
+        index, query, subject, static_cast<int>(subject.length()), cells);
 }
 
 BlastnScores
@@ -266,65 +138,20 @@ blastnScan(const DnaWordIndex &index, const bio::PackedDna &query,
            const bio::Residue *subject, std::size_t subject_len,
            const BlastnParams &params, std::uint64_t *cells)
 {
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject_len);
-    const HspScanN hsp = hspScanN(
-        index, query,
-        [&](int k) { return static_cast<unsigned>(subject[k]); }, n,
-        params, cells);
-    BlastnScores out = hsp.scores;
-    const GappedWindow win = gappedWindowN(hsp, m, n, params);
-    if (!win.empty()) {
-        const bio::Sequence qw = decode(
-            query, static_cast<std::size_t>(win.queryLo),
-            static_cast<std::size_t>(win.queryHi));
-        const bio::Sequence sw =
-            residueWindow(subject, win.subjectLo, win.subjectHi);
-        gappedStageN(win, qw, sw, params, out, cells);
-    }
-    return out;
+    return NucleotidePipeline(params).score(
+        index, query, subject, static_cast<int>(subject_len), cells);
 }
 
 CigarAlignment
 blastnAlign(const DnaWordIndex &index, const bio::PackedDna &query,
             const bio::Residue *subject, std::size_t subject_len,
-            const BlastnParams &params, std::uint64_t *cells,
-            int x_drop_gapped, TracebackStats *stats)
+            const BlastnParams &params, TracebackStats *stats)
 {
-    const int m = static_cast<int>(query.length());
+    const NucleotidePipeline pipe(params);
     const int n = static_cast<int>(subject_len);
-    const HspScanN hsp = hspScanN(
-        index, query,
-        [&](int k) { return static_cast<unsigned>(subject[k]); }, n,
-        params, cells);
-
-    CigarAlignment out;
-    const GappedWindow win = gappedWindowN(hsp, m, n, params);
-    if (win.empty())
-        return out;
-    // Same window, band and scoring as the score-only gapped
-    // stage; a disabled X-drop keeps the traced score
-    // bit-identical to blastnScan's.
-    const bio::Sequence qw =
-        decode(query, static_cast<std::size_t>(win.queryLo),
-               static_cast<std::size_t>(win.queryHi));
-    const bio::Sequence sw =
-        residueWindow(subject, win.subjectLo, win.subjectHi);
-    const bio::ScoringMatrix mm = bio::makeMatchMismatch(
-        params.matchScore, params.mismatchScore);
-    const bio::GapPenalties gaps{params.gapOpen, params.gapExtend};
-    out = bandedExtendAlign(qw, sw, mm, gaps, win.center,
-                            params.bandHalfWidth, x_drop_gapped,
-                            stats);
-    if (cells && stats)
-        *cells += stats->totalCells;
-    if (out.empty())
-        return out;
-    out.qBegin += win.queryLo;
-    out.qEnd += win.queryLo;
-    out.sBegin += win.subjectLo;
-    out.sEnd += win.subjectLo;
-    return out;
+    return gappedAlign(pipe.scan(index, query, subject, n, nullptr),
+                       query, static_cast<int>(query.length()), subject,
+                       n, pipe.matrix, pipe.gaps, pipe.params, stats);
 }
 
 SearchResults
@@ -333,14 +160,17 @@ blastnSearch(const bio::PackedDna &query, const bio::DnaDatabase &db,
 {
     SearchResults out;
     const DnaWordIndex index(query, params.wordSize);
+    const NucleotidePipeline pipe(params);
     const double lambda =
         dnaLambda(params.matchScore, params.mismatchScore);
     const double k = 0.3; // standard blastn-scale constant
     const double total = static_cast<double>(db.totalBases());
 
     for (std::size_t idx = 0; idx < db.size(); ++idx) {
-        const BlastnScores bs = blastnScan(
-            index, query, db[idx], params, &out.cellsComputed);
+        const BlastnScores bs =
+            pipe.score(index, query, db[idx],
+                       static_cast<int>(db[idx].length()),
+                       &out.cellsComputed);
         ++out.sequencesSearched;
         if (bs.score <= 0)
             continue;
@@ -353,12 +183,7 @@ blastnSearch(const bio::PackedDna &query, const bio::DnaDatabase &db,
             * std::exp(-lambda * bs.score);
         out.hits.push_back(hit);
     }
-    std::sort(out.hits.begin(), out.hits.end(),
-              [](const SearchHit &a, const SearchHit &b) {
-                  return a.score > b.score;
-              });
-    if (out.hits.size() > max_hits)
-        out.hits.resize(max_hits);
+    rankHits(out.hits, max_hits);
     return out;
 }
 

@@ -4,15 +4,17 @@
  * path the paper's Listing 1 (BlastNtWordFinder with
  * READDB_UNPACK_BASE) belongs to.
  *
- * Differences from the protein pipeline (blast.hh):
- *  - exact word matching (no neighborhood: DNA words only hit on
+ * blastn is a parameterization of the protein pipeline (blast.hh),
+ * not a second pipeline. It runs the same HSP scan, gapped stage and
+ * traced gapped stage with:
+ *  - an exact-word table (no neighborhood: DNA words only hit on
  *    identity), with a larger word size (default w = 8 over a
  *    4-letter alphabet -> a 64K-entry direct-address table);
- *  - match/mismatch scoring (+1 / -3 by default) instead of a
- *    substitution matrix;
- *  - one-hit seeding (classic blastn), ungapped X-drop extension
- *    performed directly on the packed representation (unpack per
- *    base, as Listing 1 does), then a windowed gapped extension.
+ *  - match/mismatch scoring (+1 / -3 by default,
+ *    bio::makeMatchMismatch) instead of a substitution matrix;
+ *  - one-hit seeding (classic blastn, BlastParams::twoHit off), with
+ *    the ungapped X-drop extension reading the packed subject base
+ *    by base (unpack per base, as Listing 1 does).
  */
 
 #ifndef BIOARCH_ALIGN_BLASTN_HH
@@ -23,6 +25,7 @@
 
 #include "bio/nucleotide.hh"
 #include "bio/sequence.hh"
+#include "blast.hh"
 #include "traceback/cigar.hh"
 #include "types.hh"
 
@@ -44,43 +47,35 @@ struct BlastnParams
 };
 
 /**
- * Exact-word query index over the 4^w word space.
+ * blastn's word table: the query's exact 2-bit words over the 4^w
+ * word space.
  */
-class DnaWordIndex
+class DnaWordIndex : public WordTable
 {
   public:
+    /** Largest word size: 4^12 heads, 64 MB. */
+    static constexpr int maxWordSize = 12;
+
+    /** @p word_size itself; throws std::invalid_argument outside
+     *  [1, maxWordSize]. */
+    static int checkWordSize(int word_size);
+
+    /** Throws std::invalid_argument unless @p word_size is in
+     *  [1, maxWordSize]. */
     DnaWordIndex(const bio::PackedDna &query, int word_size);
 
-    int wordSize() const { return _wordSize; }
-    std::size_t tableSize() const { return _heads.size() - 1; }
-    std::size_t numWords() const { return _positions.size(); }
-
-    /** Query positions where word @p w starts. */
-    std::pair<const std::int32_t *, const std::int32_t *>
-    positions(std::uint32_t w) const
-    {
-        return {_positions.data() + _heads[w],
-                _positions.data() + _heads[w + 1]};
-    }
-
-  private:
-    int _wordSize;
-    std::vector<std::int32_t> _heads;
-    std::vector<std::int32_t> _positions;
+    /** Query positions indexed (one per word start). */
+    std::size_t numWords() const { return numEntries(); }
 };
 
-/** Per-subject outcome of a blastn scan. */
-struct BlastnScores
-{
-    int wordHits = 0;
-    int extensionsTried = 0;
-    int bestUngapped = 0;
-    int gappedExtensions = 0;
-    int score = 0;
-};
+/** Per-subject outcome of a blastn scan (the protein counters). */
+using BlastnScores = BlastScores;
 
 /**
  * Scan one packed subject against the query.
+ *
+ * @param[out] cells optional work counter, as blastScan's: word
+ *        positions, ungapped extension extents and band cells
  */
 BlastnScores blastnScan(const DnaWordIndex &index,
                         const bio::PackedDna &query,
@@ -103,17 +98,14 @@ BlastnScores blastnScan(const DnaWordIndex &index,
 /**
  * Phase-2 reporting twin of blastnScan (see blastAlign): rerun the
  * word scan and ungapped stage, then trace the gapped extension of
- * the best HSP. With @p x_drop_gapped negative the score is
- * bit-identical to blastnScan's. Empty when the gap trigger never
- * fires.
+ * the best HSP; the score is bit-identical to blastnScan's. Empty
+ * when the gap trigger never fires.
  */
 CigarAlignment blastnAlign(const DnaWordIndex &index,
                            const bio::PackedDna &query,
                            const bio::Residue *subject,
                            std::size_t subject_len,
                            const BlastnParams &params,
-                           std::uint64_t *cells = nullptr,
-                           int x_drop_gapped = -1,
                            TracebackStats *stats = nullptr);
 
 /** Full database search, ranked by score / E-value. */

@@ -288,12 +288,7 @@ fastaSearch(const bio::Sequence &query, const bio::SequenceDatabase &db,
             score, static_cast<double>(query.length()), total);
         out.hits.push_back(hit);
     }
-    std::sort(out.hits.begin(), out.hits.end(),
-              [](const SearchHit &a, const SearchHit &b) {
-                  return a.score > b.score;
-              });
-    if (out.hits.size() > max_hits)
-        out.hits.resize(max_hits);
+    rankHits(out.hits, max_hits);
     return out;
 }
 

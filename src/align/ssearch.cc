@@ -119,12 +119,7 @@ ssearchSearch(const bio::Sequence &query, const bio::SequenceDatabase &db,
                       total);
         out.hits.push_back(hit);
     }
-    std::sort(out.hits.begin(), out.hits.end(),
-              [](const SearchHit &a, const SearchHit &b) {
-                  return a.score > b.score;
-              });
-    if (out.hits.size() > max_hits)
-        out.hits.resize(max_hits);
+    rankHits(out.hits, max_hits);
     return out;
 }
 

@@ -34,7 +34,7 @@ bandedExtendAlign(const bio::Sequence &query,
                   const bio::Sequence &subject,
                   const bio::ScoringMatrix &matrix,
                   const bio::GapPenalties &gaps, int center_diagonal,
-                  int half_width, int x_drop, TracebackStats *stats)
+                  int half_width, TracebackStats *stats)
 {
     const int m = static_cast<int>(query.length());
     const int n = static_cast<int>(subject.length());
@@ -66,13 +66,11 @@ bandedExtendAlign(const bio::Sequence &query,
     };
 
     LocalScore best;
-    int last_col = -1; ///< last column scanned (X-drop may stop early)
     std::uint64_t cells = 0;
     for (int j = 0; j < n; ++j) {
         const std::int8_t *profile = matrix.row(subject[j]);
         const int i_lo = band_lo(j);
         const int i_hi = std::min(m - 1, j - d_lo);
-        last_col = j;
         if (i_lo > i_hi)
             continue;
         int h_diag = 0;
@@ -83,7 +81,6 @@ bandedExtendAlign(const bio::Sequence &query,
             f = neg_inf;
             h_diag = h_row[static_cast<std::size_t>(i_lo - 1)];
         }
-        int col_best = neg_inf;
         for (int i = i_lo; i <= i_hi; ++i) {
             const std::size_t si = static_cast<std::size_t>(i);
             const int h_left = h_row[si];
@@ -133,7 +130,6 @@ bandedExtendAlign(const bio::Sequence &query,
                 best.queryEnd = i;
                 best.subjectEnd = j;
             }
-            col_best = std::max(col_best, h);
             h_diag = h_row[si];
             h_row[si] = h;
             e_row[si] = e;
@@ -143,16 +139,13 @@ bandedExtendAlign(const bio::Sequence &query,
             h_row[static_cast<std::size_t>(i_lo - 1)] = neg_inf;
             e_row[static_cast<std::size_t>(i_lo - 1)] = neg_inf;
         }
-        if (x_drop >= 0 && best.score > 0
-            && col_best < best.score - x_drop)
-            break;
     }
     if (stats != nullptr) {
         stats->totalCells += cells;
         stats->peakCells = std::max(
             stats->peakCells,
             2 * static_cast<std::uint64_t>(m)
-                + static_cast<std::uint64_t>(last_col + 1)
+                + static_cast<std::uint64_t>(n)
                     * static_cast<std::uint64_t>(band));
     }
 

@@ -6,6 +6,7 @@
 #ifndef BIOARCH_ALIGN_TYPES_HH
 #define BIOARCH_ALIGN_TYPES_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -69,10 +70,34 @@ struct SearchHit
     int subjectEnd = -1;
 };
 
+/**
+ * The one ranking order of search hits, a strict total order: a
+ * ranks before (above) b on score descending, ties broken on the
+ * database index ascending. The library's *Search drivers and the
+ * serving tier's top-K heaps and shard merges all rank by it, so a
+ * ranked list never depends on how a sort orders equal scores.
+ */
+inline bool
+hitRanksBefore(const SearchHit &a, const SearchHit &b)
+{
+    if (a.score != b.score)
+        return a.score > b.score;
+    return a.dbIndex < b.dbIndex;
+}
+
+/** Sort @p hits by hitRanksBefore and keep the best @p max_hits. */
+inline void
+rankHits(std::vector<SearchHit> &hits, std::size_t max_hits)
+{
+    std::sort(hits.begin(), hits.end(), hitRanksBefore);
+    if (hits.size() > max_hits)
+        hits.resize(max_hits);
+}
+
 /** Ranked results of searching one query against a database. */
 struct SearchResults
 {
-    std::vector<SearchHit> hits;   ///< sorted by descending score
+    std::vector<SearchHit> hits;   ///< ranked by hitRanksBefore
     std::uint64_t cellsComputed = 0; ///< DP cells / extension steps
     std::uint64_t sequencesSearched = 0;
 };

@@ -2,12 +2,11 @@
  * @file
  * Shared ungapped X-drop run scorer.
  *
- * BLASTP and blastn both extend a seed hit along its diagonal in
- * two directions, tracking the best running score and stopping when
- * the score drops more than X below it. The four loops (left/right
- * x protein/nucleotide) differed only in how one step is scored, so
- * they share this template; bit-identity with the historical loops
- * is pinned by blast_test and blastn_test.
+ * BLAST extends a seed hit along its diagonal in two directions,
+ * tracking the best running score and stopping when the score drops
+ * more than X below it. The two directions differ only in how one
+ * step is scored, so they share this template (blast_impl.hh's
+ * extendSeed, for both alphabets).
  */
 
 #ifndef BIOARCH_ALIGN_XDROP_HH
@@ -29,13 +28,10 @@ struct XdropRun
  * than @p x_drop below the best.
  *
  * @param score_at callable: score of step k (k = 0..limit-1)
- * @param step_hook callable invoked after every non-terminating
- *        step (the nucleotide scan counts unpacked bases there)
  */
-template <typename ScoreAt, typename StepHook>
+template <typename ScoreAt>
 XdropRun
-xdropRun(int limit, int x_drop, ScoreAt &&score_at,
-         StepHook &&step_hook)
+xdropRun(int limit, int x_drop, ScoreAt &&score_at)
 {
     XdropRun out;
     int run = 0;
@@ -47,18 +43,8 @@ xdropRun(int limit, int x_drop, ScoreAt &&score_at,
         }
         if (run < out.best - x_drop)
             break;
-        step_hook(k);
     }
     return out;
-}
-
-/** xdropRun without a per-step hook. */
-template <typename ScoreAt>
-XdropRun
-xdropRun(int limit, int x_drop, ScoreAt &&score_at)
-{
-    return xdropRun(limit, x_drop,
-                    static_cast<ScoreAt &&>(score_at), [](int) {});
 }
 
 } // namespace bioarch::align

@@ -55,13 +55,15 @@ samePreparedQuery(const Request &a, const Request &b)
 
 /**
  * @p config, once its backend is known to run on this host and its
- * FASTA ktup to build an index.
+ * FASTA ktup and BLAST word sizes to build an index.
  */
 EngineConfig
 runnableConfig(EngineConfig config)
 {
     align::nativeKernels(config.backend); // throws if unrunnable
     align::KtupIndex::checkKtup(config.fasta.ktup);
+    align::NeighborhoodIndex::checkWordSize(config.blast.wordSize);
+    align::DnaWordIndex::checkWordSize(config.blastn.wordSize);
     return config;
 }
 

@@ -16,7 +16,7 @@ namespace
 bool
 heapLess(const align::SearchHit &a, const align::SearchHit &b)
 {
-    return hitRanksBefore(a, b);
+    return align::hitRanksBefore(a, b);
 }
 
 } // namespace
@@ -31,7 +31,7 @@ TopKHeap::consider(const align::SearchHit &hit)
         std::push_heap(_heap.begin(), _heap.end(), heapLess);
         return;
     }
-    if (!hitRanksBefore(hit, _heap.front()))
+    if (!align::hitRanksBefore(hit, _heap.front()))
         return;
     std::pop_heap(_heap.begin(), _heap.end(), heapLess);
     _heap.back() = hit;
@@ -42,7 +42,7 @@ std::vector<align::SearchHit>
 TopKHeap::ranked() const
 {
     std::vector<align::SearchHit> out = _heap;
-    std::sort(out.begin(), out.end(), hitRanksBefore);
+    std::sort(out.begin(), out.end(), align::hitRanksBefore);
     return out;
 }
 
@@ -57,7 +57,7 @@ mergeRanked(const std::vector<std::vector<align::SearchHit>> &lists,
     merged.reserve(total);
     for (const std::vector<align::SearchHit> &list : lists)
         merged.insert(merged.end(), list.begin(), list.end());
-    std::sort(merged.begin(), merged.end(), hitRanksBefore);
+    std::sort(merged.begin(), merged.end(), align::hitRanksBefore);
     if (merged.size() > k)
         merged.resize(k);
     return merged;

@@ -1,12 +1,9 @@
 /**
  * @file
- * Bounded top-K hit ranking with a total, deterministic order.
- *
- * The library's *Search drivers sort with an unstable comparator on
- * the score alone; the serving engine needs a *total* order so the
- * ranked list is bit-for-bit identical regardless of shard count,
- * batch size, or worker count. Ties are broken on the database
- * index: (score desc, dbIndex asc).
+ * Bounded top-K hit ranking under align::hitRanksBefore, the total
+ * order (score desc, dbIndex asc) that keeps a ranked list
+ * bit-for-bit identical regardless of shard count, batch size, or
+ * worker count.
  */
 
 #ifndef BIOARCH_SERVE_HIT_LIST_HH
@@ -20,20 +17,11 @@
 namespace bioarch::serve
 {
 
-/** Strict total ranking order: a ranks before (above) b. */
-inline bool
-hitRanksBefore(const align::SearchHit &a, const align::SearchHit &b)
-{
-    if (a.score != b.score)
-        return a.score > b.score;
-    return a.dbIndex < b.dbIndex;
-}
-
 /**
  * A bounded min-heap keeping the K best hits seen so far under
- * hitRanksBefore(). Each shard scan feeds one heap, so a scan over
- * an N-sequence shard costs O(N log K) and O(K) memory however many
- * hits score above zero.
+ * align::hitRanksBefore(). Each shard scan feeds one heap, so a
+ * scan over an N-sequence shard costs O(N log K) and O(K) memory
+ * however many hits score above zero.
  */
 class TopKHeap
 {

@@ -106,13 +106,11 @@ PreparedQuery::traceback(const bio::Sequence &subject,
     switch (_kind) {
     case kernels::Workload::Blast:
         return align::blastAlign(*_neighborhood, *_query, subject,
-                                 *_matrix, _gaps, _blast, nullptr,
-                                 -1, stats);
+                                 *_matrix, _gaps, _blast, stats);
     case kernels::Workload::Blastn:
         return align::blastnAlign(*_dnaIndex, *_dnaQuery,
                                   subject.residues().data(),
-                                  subject.length(), _blastn,
-                                  nullptr, -1, stats);
+                                  subject.length(), _blastn, stats);
     case kernels::Workload::Fasta34:
         // The ranked endpoint belongs to the heuristic band scan,
         // not an exact SW argmax: locate the optimum afresh.

@@ -223,9 +223,9 @@ class PreparedQuery
      * heuristic max(opt, initn) but reports the optimal local
      * alignment, located over the whole subject, so its alignment
      * score may exceed the ranked score. BLAST and BLASTN rerun
-     * their word scan and trace the banded gapped extension with
-     * the X-drop disabled (score bit-identical to their ranked
-     * gapped score). Every CIGAR replays to exactly the
+     * their word scan and trace the banded gapped extension over
+     * the scan's window and band (score bit-identical to their
+     * ranked gapped score). Every CIGAR replays to exactly the
      * alignment's own score. Memory is bounded: at most
      * align::tracebackCodeBudget direction codes per worker,
      * linear space beyond.

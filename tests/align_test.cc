@@ -13,7 +13,12 @@
 
 #include "align/banded.hh"
 #include "align/banded_impl.hh"
+#include "align/blast.hh"
+#include "align/blastn.hh"
+#include "align/fasta.hh"
 #include "align/smith_waterman.hh"
+#include "align/ssearch.hh"
+#include "bio/nucleotide.hh"
 #include "bio/random.hh"
 #include "bio/scoring.hh"
 #include "bio/synthetic.hh"
@@ -363,6 +368,55 @@ TEST(SmithWatermanProperty, TracebackEqualsScanOnHomologs)
         EXPECT_EQ(full.queryEnd, scan.queryEnd);
         EXPECT_EQ(full.subjectEnd, scan.subjectEnd);
     }
+}
+
+/** True when @p res holds @p count hits of one score, in ascending
+ * database order. */
+::testing::AssertionResult
+tiedHitsInDbOrder(const align::SearchResults &res, std::size_t count)
+{
+    if (res.hits.size() != count)
+        return ::testing::AssertionFailure()
+            << res.hits.size() << " hits, expected " << count;
+    for (std::size_t k = 0; k < res.hits.size(); ++k) {
+        if (res.hits[k].score != res.hits[0].score)
+            return ::testing::AssertionFailure()
+                << "hit " << k << " is not tied";
+        if (res.hits[k].dbIndex != k)
+            return ::testing::AssertionFailure()
+                << "rank " << k << " holds dbIndex "
+                << res.hits[k].dbIndex;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(SearchRanking, TiedHitsComeBackInDatabaseOrder)
+{
+    // Every driver ranks by (score desc, dbIndex asc): a database of
+    // identical subjects returns them in database order, not in the
+    // order an unstable sort leaves equal scores.
+    constexpr std::size_t copies = 48;
+    bio::Rng rng(0x7135);
+    const Sequence query = bio::makeRandomSequence(rng, 120);
+    const Sequence subject = bio::mutate(rng, query, 0.8, "H", "");
+    bio::SequenceDatabase db;
+    for (std::size_t k = 0; k < copies; ++k)
+        db.add(subject);
+    EXPECT_TRUE(tiedHitsInDbOrder(
+        align::ssearchSearch(query, db, kMat, kGaps), copies));
+    EXPECT_TRUE(tiedHitsInDbOrder(
+        align::fastaSearch(query, db, kMat, kGaps), copies));
+    EXPECT_TRUE(tiedHitsInDbOrder(
+        align::blastSearch(query, db, kMat, kGaps), copies));
+
+    const bio::PackedDna dna_query = bio::makeRandomDna(rng, 300);
+    const bio::PackedDna dna_subject =
+        bio::mutateDna(rng, dna_query, 0.9, "H");
+    bio::DnaDatabase dna_db;
+    for (std::size_t k = 0; k < copies; ++k)
+        dna_db.add(dna_subject);
+    EXPECT_TRUE(tiedHitsInDbOrder(
+        align::blastnSearch(dna_query, dna_db), copies));
 }
 
 } // namespace

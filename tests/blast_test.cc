@@ -7,6 +7,8 @@
  * alignments) over a seeded corpus.
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "align/blast.hh"
@@ -43,6 +45,31 @@ TEST(NeighborhoodIndex, ContainsExactWordsScoringAboveThreshold)
     for (const std::int32_t *p = begin; p != end; ++p)
         found_pos0 |= (*p == 0);
     EXPECT_TRUE(found_pos0);
+}
+
+/**
+ * The direct-address table holds 23^w + 1 heads, so a word size
+ * outside [1, 5] is refused before anything is allocated (w = 0
+ * would index an empty search stack, w = 7 ask for ~13.6 GB).
+ */
+TEST(NeighborhoodIndex, RejectsWordSizeOutsideOneToFive)
+{
+    const Sequence q("Q", "", "WWWWWWW");
+    align::BlastParams params;
+    for (const int w : {-1, 0, align::NeighborhoodIndex::maxWordSize + 1}) {
+        params.wordSize = w;
+        EXPECT_THROW(align::NeighborhoodIndex(q, kMat, params),
+                     std::invalid_argument)
+            << "w " << w;
+    }
+    for (int w = 1; w <= align::NeighborhoodIndex::maxWordSize; ++w) {
+        params.wordSize = w;
+        const align::NeighborhoodIndex index(q, kMat, params);
+        const auto [begin, end] =
+            index.positions(index.encode(q.residues().data()));
+        ASSERT_GT(end - begin, 0) << "w " << w;
+        EXPECT_EQ(*begin, 0);
+    }
 }
 
 TEST(NeighborhoodIndex, ExcludesLowScoringExactWords)

@@ -4,6 +4,8 @@
  * pipeline of the paper's Listing 1.
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "align/blastn.hh"
@@ -75,6 +77,29 @@ TEST(DnaWordIndex, FindsExactWords)
     ASSERT_EQ(end - begin, 1);
     EXPECT_EQ(*begin, 0);
     EXPECT_EQ(index.numWords(), 3u); // positions 0, 1, 2
+}
+
+/**
+ * The direct-address table holds 4^w + 1 heads, so a word size
+ * outside [1, 12] is refused before anything is allocated (w = -1
+ * would shift by a negative count, w = 16 ask for 16 GB).
+ */
+TEST(DnaWordIndex, RejectsWordSizeOutsideOneToTwelve)
+{
+    const PackedDna q("Q", "ACGTTGCAACGTTG");
+    for (const int w : {-1, 0, align::DnaWordIndex::maxWordSize + 1})
+        EXPECT_THROW(align::DnaWordIndex(q, w), std::invalid_argument)
+            << "w " << w;
+    for (int w = 1; w <= align::DnaWordIndex::maxWordSize; ++w) {
+        const align::DnaWordIndex index(q, w);
+        std::uint32_t word = 0;
+        for (int k = 0; k < w; ++k)
+            word = (word << 2) | q[static_cast<std::size_t>(k)];
+        const auto [begin, end] = index.positions(word);
+        ASSERT_GT(end - begin, 0) << "w " << w;
+        EXPECT_EQ(*begin, 0);
+        EXPECT_EQ(index.numWords(), q.length() + 1 - w);
+    }
 }
 
 TEST(Blastn, SelfSearchScoresFullLength)

@@ -81,7 +81,7 @@ serialReference(const serve::Request &request,
         hit.evalue = ka.evalue(ls.score, m, total);
         hits.push_back(hit);
     }
-    std::sort(hits.begin(), hits.end(), serve::hitRanksBefore);
+    std::sort(hits.begin(), hits.end(), align::hitRanksBefore);
     if (hits.size() > top_k)
         hits.resize(top_k);
     return hits;

@@ -86,7 +86,7 @@ serialReference(const serve::Request &request,
         hit.evalue = ka.evalue(ls.score, m, total);
         hits.push_back(hit);
     }
-    std::sort(hits.begin(), hits.end(), serve::hitRanksBefore);
+    std::sort(hits.begin(), hits.end(), align::hitRanksBefore);
     if (hits.size() > top_k)
         hits.resize(top_k);
     return hits;
@@ -250,6 +250,26 @@ TEST(ServeEngine, RejectsUnbuildableFastaKtup)
     r.query = queryPool().front();
     EXPECT_EQ(engine.serveBatch({r}).front().sequencesSearched,
               testDb().size());
+}
+
+/**
+ * So does a BLAST or blastn word size no word table can be built
+ * for.
+ */
+TEST(ServeEngine, RejectsUnbuildableBlastWordSizes)
+{
+    for (const int w : {-1, 0, align::NeighborhoodIndex::maxWordSize + 1}) {
+        serve::EngineConfig cfg;
+        cfg.blast.wordSize = w;
+        EXPECT_THROW(serve::Engine(testDb(), cfg), std::invalid_argument)
+            << "blast w " << w;
+    }
+    for (const int w : {-1, 0, align::DnaWordIndex::maxWordSize + 1}) {
+        serve::EngineConfig cfg;
+        cfg.blastn.wordSize = w;
+        EXPECT_THROW(serve::Engine(testDb(), cfg), std::invalid_argument)
+            << "blastn w " << w;
+    }
 }
 
 TEST(ServeLoop, ClosedLoopReplayAccountsEveryRequest)
@@ -808,7 +828,7 @@ TEST(TopKHeap, MergeEqualsGlobalRanking)
 
     std::vector<align::SearchHit> global = all;
     std::sort(global.begin(), global.end(),
-              serve::hitRanksBefore);
+              align::hitRanksBefore);
     global.resize(3);
     ASSERT_EQ(merged.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {

@@ -12,7 +12,7 @@
  *  - memory stays bounded: direction codes within
  *    tracebackCodeBudget, and an over-budget window falls back to
  *    Myers-Miller with peak live DP cells O(min(m, n));
- *  - bandedExtendAlign with the X-drop disabled scores
+ *  - bandedExtendAlign, BLAST's traced gapped stage, scores
  *    bit-identically to the score-only banded scan;
  *  - blastAlign / blastnAlign reproduce exactly the score their
  *    score-only twins ranked by.
@@ -697,7 +697,7 @@ TEST(BandedExtend, ScoreMatchesScoreOnlyBandedScan)
             q, s, matrix, gaps, center, half_width);
         TracebackStats stats;
         const CigarAlignment aln = bandedExtendAlign(
-            q, s, matrix, gaps, center, half_width, -1, &stats);
+            q, s, matrix, gaps, center, half_width, &stats);
         ASSERT_EQ(aln.score, std::max(ref.score, 0))
             << "pair " << iter << " center=" << center
             << " half_width=" << half_width;
@@ -711,24 +711,6 @@ TEST(BandedExtend, ScoreMatchesScoreOnlyBandedScan)
             EXPECT_LE(std::abs((aln.sEnd - aln.qEnd) - center),
                       half_width);
         }
-    }
-}
-
-TEST(BandedExtend, XdropNeverImprovesAndKeepsStrongHits)
-{
-    bio::Rng rng(0x00DD);
-    const bio::ScoringMatrix &matrix = bio::blosum62();
-    const bio::GapPenalties gaps;
-    for (int iter = 0; iter < 50; ++iter) {
-        const bio::Sequence q = bio::makeRandomSequence(rng, 80);
-        const bio::Sequence s = bio::mutate(rng, q, 0.8, "H", "");
-        const CigarAlignment full = bandedExtendAlign(
-            q, s, matrix, gaps, 0, 16, -1);
-        const CigarAlignment dropped = bandedExtendAlign(
-            q, s, matrix, gaps, 0, 16, 30);
-        EXPECT_LE(dropped.score, full.score);
-        if (!dropped.empty())
-            checkAlignment(dropped, q, s, matrix, gaps);
     }
 }
 
@@ -750,7 +732,7 @@ TEST(BlastAlign, ScoreMatchesBlastScanExactly)
             blastScan(index, q, s, matrix, gaps, params);
         TracebackStats stats;
         const CigarAlignment aln = blastAlign(
-            index, q, s, matrix, gaps, params, nullptr, -1, &stats);
+            index, q, s, matrix, gaps, params, &stats);
         if (aln.empty()) {
             EXPECT_EQ(scan.score, 0) << "pair " << iter;
             continue;
@@ -816,7 +798,7 @@ TEST(BlastnAlign, ScoreMatchesBlastnScanExactly)
         TracebackStats stats;
         const CigarAlignment aln =
             blastnAlign(index, q, sr.data(), sr.size(), params,
-                        nullptr, -1, &stats);
+                        &stats);
         if (aln.empty()) {
             EXPECT_EQ(scan.score, 0) << "pair " << iter;
             continue;
