@@ -135,16 +135,42 @@ NeighborhoodIndex::NeighborhoodIndex(const bio::Sequence &query,
     fill(entries);
 }
 
+namespace
+{
+
+using ProteinPair = BlastPair<const bio::Residue *, const bio::Residue *>;
+
+ProteinPair
+proteinPair(const bio::Sequence &query, const bio::Sequence &subject,
+            const bio::ScoringMatrix &matrix,
+            const bio::GapPenalties &gaps, const BlastParams &params)
+{
+    return {query.residues().data(), static_cast<int>(query.length()),
+            subject.residues().data(),
+            static_cast<int>(subject.length()), matrix, gaps, params};
+}
+
+/** blastp's HSP scan: words encoded in place from the subject. */
+HspScan
+proteinScan(const ProteinPair &pair, const NeighborhoodIndex &index,
+            std::uint64_t *cells)
+{
+    return pair.scan(
+        index, [&](int j) { return index.encode(pair.subject + j); },
+        cells);
+}
+
+} // namespace
+
 UngappedExtension
 ungappedExtend(const bio::Sequence &query, const bio::Sequence &subject,
                const bio::ScoringMatrix &matrix, int qpos, int spos,
                int seed_len, int x_drop)
 {
-    return extendSeed(query.residues().data(),
-                      static_cast<int>(query.length()),
-                      subject.residues().data(),
-                      static_cast<int>(subject.length()), matrix, qpos,
-                      spos, seed_len, x_drop);
+    BlastParams params;
+    params.xDropUngapped = x_drop;
+    return proteinPair(query, subject, matrix, {}, params)
+        .extend(qpos, spos, seed_len);
 }
 
 GappedWindow
@@ -161,37 +187,15 @@ gappedWindow(const UngappedExtension &ext, int diag, int query_len,
     return w;
 }
 
-namespace
-{
-
-/** blastp's HSP scan: residue readers, words encoded in place. */
-HspScan
-proteinHsp(const NeighborhoodIndex &index, const bio::Sequence &query,
-           const bio::Sequence &subject,
-           const bio::ScoringMatrix &matrix, const BlastParams &params,
-           std::uint64_t *cells)
-{
-    const bio::Residue *sres = subject.residues().data();
-    return hspScan(
-        index, query.residues().data(), static_cast<int>(query.length()),
-        sres, static_cast<int>(subject.length()),
-        [&](int j) { return index.encode(sres + j); }, matrix, params,
-        cells);
-}
-
-} // namespace
-
 BlastScores
 blastScan(const NeighborhoodIndex &index, const bio::Sequence &query,
           const bio::Sequence &subject, const bio::ScoringMatrix &matrix,
           const bio::GapPenalties &gaps, const BlastParams &params,
           std::uint64_t *cells)
 {
-    return gappedScore(
-        proteinHsp(index, query, subject, matrix, params, cells),
-        query.residues().data(), static_cast<int>(query.length()),
-        subject.residues().data(), static_cast<int>(subject.length()),
-        matrix, gaps, params, cells);
+    const ProteinPair pair =
+        proteinPair(query, subject, matrix, gaps, params);
+    return pair.gappedScore(proteinScan(pair, index, cells), cells);
 }
 
 CigarAlignment
@@ -201,11 +205,9 @@ blastAlign(const NeighborhoodIndex &index, const bio::Sequence &query,
            const bio::GapPenalties &gaps, const BlastParams &params,
            TracebackStats *stats)
 {
-    return gappedAlign(
-        proteinHsp(index, query, subject, matrix, params, nullptr),
-        query.residues().data(), static_cast<int>(query.length()),
-        subject.residues().data(), static_cast<int>(subject.length()),
-        matrix, gaps, params, stats);
+    const ProteinPair pair =
+        proteinPair(query, subject, matrix, gaps, params);
+    return pair.gappedAlign(proteinScan(pair, index, nullptr), stats);
 }
 
 SearchResults

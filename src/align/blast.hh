@@ -188,8 +188,6 @@ struct GappedWindow
     int subjectLo = 0; ///< first subject column, inclusive
     int subjectHi = -1;///< last subject column, inclusive
     int center = 0;    ///< band center diagonal in window coordinates
-
-    bool empty() const { return queryHi < queryLo; }
 };
 
 /**

@@ -35,28 +35,22 @@ dnaLambda(int match, int mismatch)
     return 0.5 * (lo + hi);
 }
 
-/** The 2-bit word mask of word size @p w. */
-std::uint32_t
-wordMask(int w)
-{
-    return static_cast<std::uint32_t>((std::size_t{1} << (2 * w)) - 1);
-}
-
 /**
- * Word codes of a subject reader, read left to right: the call for
- * j returns the 2-bit word starting at j, rolling one base in (the
+ * Word codes of a base reader, read left to right: the call for j
+ * returns the 2-bit word starting at j, rolling one base in (the
  * first call loads the word's first w - 1 bases).
  */
-template <typename Subject>
+template <typename Reader>
 auto
-rollingWords(const Subject &subject, int w)
+rollingWords(const Reader &bases, int w)
 {
-    return [&subject, w, mask = wordMask(w),
-            word = std::uint32_t{0}](int j) mutable {
+    const auto mask =
+        static_cast<std::uint32_t>((std::size_t{1} << (2 * w)) - 1);
+    return [&bases, w, mask, word = std::uint32_t{0}](int j) mutable {
         if (j == 0)
             for (int k = 0; k + 1 < w; ++k)
-                word = (word << 2) | subject[k];
-        word = ((word << 2) | subject[j + w - 1]) & mask;
+                word = (word << 2) | bases[k];
+        word = ((word << 2) | bases[j + w - 1]) & mask;
         return word;
     };
 }
@@ -69,7 +63,6 @@ struct NucleotidePipeline
         : matrix(bio::makeMatchMismatch(p.matchScore, p.mismatchScore)),
           gaps{p.gapOpen, p.gapExtend}
     {
-        params.wordSize = p.wordSize;
         params.xDropUngapped = p.xDropUngapped;
         params.gapTrigger = p.gapTrigger;
         params.bandHalfWidth = p.bandHalfWidth;
@@ -77,32 +70,30 @@ struct NucleotidePipeline
         params.twoHit = false;
     }
 
-    /** The HSP scan of a subject reader of @p n bases. */
+    /** The query against a subject base reader of @p n bases. */
     template <typename Subject>
-    HspScan
-    scan(const DnaWordIndex &index, const bio::PackedDna &query,
-         const Subject &subject, int n, std::uint64_t *cells) const
+    BlastPair<const bio::PackedDna &, Subject>
+    pair(const bio::PackedDna &query, Subject subject, int n) const
     {
-        return hspScan(index, query, static_cast<int>(query.length()),
-                       subject, n,
-                       rollingWords(subject, index.wordSize()), matrix,
-                       params, cells);
+        return {query, static_cast<int>(query.length()), subject, n,
+                matrix, gaps, params};
     }
 
-    /** blastnScan of a subject reader of @p n bases. */
+    /** blastnScan of a subject base reader of @p n bases. */
     template <typename Subject>
     BlastnScores
     score(const DnaWordIndex &index, const bio::PackedDna &query,
           const Subject &subject, int n, std::uint64_t *cells) const
     {
-        return gappedScore(scan(index, query, subject, n, cells), query,
-                           static_cast<int>(query.length()), subject, n,
-                           matrix, gaps, params, cells);
+        const auto p = pair<const Subject &>(query, subject, n);
+        return p.gappedScore(
+            p.scan(index, rollingWords(subject, index.wordSize()), cells),
+            cells);
     }
 
-    BlastParams params;
     bio::ScoringMatrix matrix;
     bio::GapPenalties gaps;
+    BlastParams params;
 };
 
 } // namespace
@@ -148,10 +139,11 @@ blastnAlign(const DnaWordIndex &index, const bio::PackedDna &query,
             const BlastnParams &params, TracebackStats *stats)
 {
     const NucleotidePipeline pipe(params);
-    const int n = static_cast<int>(subject_len);
-    return gappedAlign(pipe.scan(index, query, subject, n, nullptr),
-                       query, static_cast<int>(query.length()), subject,
-                       n, pipe.matrix, pipe.gaps, pipe.params, stats);
+    const auto p =
+        pipe.pair(query, subject, static_cast<int>(subject_len));
+    return p.gappedAlign(
+        p.scan(index, rollingWords(subject, index.wordSize()), nullptr),
+        stats);
 }
 
 SearchResults
