@@ -21,12 +21,24 @@ WordTable::checkWordSize(int word_size, int max_word_size,
                                 + "], got " + std::to_string(word_size));
 }
 
-WordTable::WordTable(int word_size, int alphabet) : _wordSize(word_size)
+namespace
+{
+
+/** alphabet^word_size. */
+std::size_t
+wordSpace(int word_size, int alphabet)
 {
     std::size_t space = 1;
     for (int k = 0; k < word_size; ++k)
         space *= static_cast<std::size_t>(alphabet);
-    _heads.assign(space + 1, 0);
+    return space;
+}
+
+} // namespace
+
+WordTable::WordTable(int word_size, int alphabet)
+    : _wordSize(word_size), _heads(wordSpace(word_size, alphabet) + 1, 0)
+{
 }
 
 void
@@ -89,7 +101,8 @@ NeighborhoodIndex::NeighborhoodIndex(const bio::Sequence &query,
 
         // Iterative DFS over word prefixes.
         struct Frame { int residue; int score; };
-        std::vector<Frame> stack(static_cast<std::size_t>(w), Frame{0, 0});
+        std::vector<Frame> stack(static_cast<std::size_t>(w),
+                                 Frame{0, 0});
         int depth = 0;
         while (depth >= 0) {
             Frame &f = stack[static_cast<std::size_t>(depth)];

@@ -59,18 +59,19 @@ struct BlastPair
 
     /**
      * Walk up to @p limit diagonal steps from (i, j) in direction
-     * @p dir, keeping the best prefix; stop once the running score
+     * Dir, keeping the best prefix; stop once the running score
      * falls more than params.xDropUngapped below the best.
      * Returns {best score, steps in the best prefix}.
      */
+    template <int Dir>
     std::pair<int, int>
-    xdrop(int i, int j, int dir, int limit) const
+    xdrop(int i, int j, int limit) const
     {
         int best = 0;
         int len = 0;
         int run = 0;
         for (int k = 0; k < limit; ++k) {
-            run += score(i + dir * k, j + dir * k);
+            run += score(i + Dir * k, j + Dir * k);
             if (run > best) {
                 best = run;
                 len = k + 1;
@@ -89,10 +90,10 @@ struct BlastPair
         for (int k = 0; k < seed_len; ++k)
             seed += score(qpos + k, spos + k);
         const auto [right, right_len] =
-            xdrop(qpos + seed_len, spos + seed_len, 1,
-                  std::min(m - qpos, n - spos) - seed_len);
+            xdrop<1>(qpos + seed_len, spos + seed_len,
+                     std::min(m - qpos, n - spos) - seed_len);
         const auto [left, left_len] =
-            xdrop(qpos - 1, spos - 1, -1, std::min(qpos, spos));
+            xdrop<-1>(qpos - 1, spos - 1, std::min(qpos, spos));
         UngappedExtension out;
         out.score = seed + right + left;
         out.queryStart = qpos - left_len;
@@ -114,6 +115,10 @@ struct BlastPair
     scan(const WordTable &index, WordAt &&word_at,
          std::uint64_t *cells) const
     {
+        // Locals, not the fields: the loop's int stores could alias
+        // those and force a reload per hit.
+        const int m = this->m;
+        const int n = this->n;
         HspScan hsp;
         BlastScores &out = hsp.scores;
         const int w = index.wordSize();
@@ -131,7 +136,8 @@ struct BlastPair
             std::int32_t lastHit = -1000000;
             std::int32_t extendedTo = -1;
         };
-        std::vector<DiagState> diag(static_cast<std::size_t>(m + n - 1));
+        std::vector<DiagState> diag(
+            static_cast<std::size_t>(m + n - 1));
 
         // The (single) gapped extension runs around the best HSP's
         // diagonal after the scan, mirroring how NCBI BLAST
@@ -143,7 +149,8 @@ struct BlastPair
                 *cells += 1;
             for (const std::int32_t *p = begin; p != end; ++p) {
                 const int i = *p;
-                DiagState &ds = diag[static_cast<std::size_t>(j - i + m - 1)];
+                DiagState &ds =
+                    diag[static_cast<std::size_t>(j - i + m - 1)];
                 ++out.wordHits;
                 if (j <= ds.extendedTo)
                     continue; // inside an already-extended region
@@ -196,7 +203,8 @@ struct BlastPair
     static bio::Sequence
     slice(const Reader &seq, int lo, int hi)
     {
-        std::vector<bio::Residue> res(static_cast<std::size_t>(hi - lo + 1));
+        std::vector<bio::Residue> res(
+            static_cast<std::size_t>(hi - lo + 1));
         for (int i = lo; i <= hi; ++i)
             res[static_cast<std::size_t>(i - lo)] =
                 static_cast<bio::Residue>(seq[i]);
