@@ -182,7 +182,8 @@ ungappedExtend(const bio::Sequence &query, const bio::Sequence &subject,
 {
     BlastParams params;
     params.xDropUngapped = x_drop;
-    return proteinPair(query, subject, matrix, {}, params)
+    const bio::GapPenalties gaps; // the ungapped stage reads none
+    return proteinPair(query, subject, matrix, gaps, params)
         .extend(qpos, spos, seed_len);
 }
 

@@ -57,9 +57,7 @@ mergeRanked(const std::vector<std::vector<align::SearchHit>> &lists,
     merged.reserve(total);
     for (const std::vector<align::SearchHit> &list : lists)
         merged.insert(merged.end(), list.begin(), list.end());
-    std::sort(merged.begin(), merged.end(), align::hitRanksBefore);
-    if (merged.size() > k)
-        merged.resize(k);
+    align::rankHits(merged, k);
     return merged;
 }
 
