@@ -15,7 +15,9 @@
  *  - bandedExtendAlign, BLAST's traced gapped stage, scores
  *    bit-identically to the score-only banded scan;
  *  - blastAlign / blastnAlign reproduce exactly the score their
- *    score-only twins ranked by.
+ *    score-only twins ranked by;
+ *  - NativeAlignParity pins a digest of every native alignment of a
+ *    seeded corpus, so a kernel change cannot move one cell or CIGAR.
  */
 
 #include <algorithm>
@@ -38,6 +40,7 @@
 #include "bio/random.hh"
 #include "bio/scoring.hh"
 #include "bio/synthetic.hh"
+#include "core/digest.hh"
 
 namespace
 {
@@ -669,6 +672,113 @@ TEST(NativeAlign, SimdFillMatchesScalarFill)
             fillFuzzResidues(rng, n, 0, {});
         check(q, s, gaps, "long n=" + std::to_string(n));
         check(s, q, gaps, "long swapped n=" + std::to_string(n));
+    }
+}
+
+/** Mix a traced alignment: score, begin and end cells, CIGAR ops. */
+void
+hashAlignment(core::Fnv1a &h, const CigarAlignment &aln)
+{
+    for (const int v : {aln.score, aln.qBegin, aln.qEnd, aln.sBegin,
+                        aln.sEnd, aln.identities, aln.columns})
+        h.update64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+    for (const CigarOp &op : aln.cigar) {
+        h.update64(static_cast<std::uint64_t>(op.op));
+        h.update64(static_cast<std::uint64_t>(op.len));
+    }
+    h.update64(aln.cigar.size());
+}
+
+/**
+ * One query's hit list for the parity corpus: mixed-length subjects
+ * of every shape phase 2 meets — unrelated (often score 0), length
+ * 1, weak and strong homologs (the strong ones clip 8-bit lanes),
+ * and a low-complexity run.
+ */
+std::vector<bio::Sequence>
+parityHits(bio::Rng &rng, const bio::Sequence &q, int count)
+{
+    std::vector<bio::Sequence> out;
+    for (int i = 0; i < count; ++i) {
+        const int shape = static_cast<int>(rng.below(6));
+        if (shape == 0 || q.length() < 2) {
+            out.push_back(bio::makeRandomSequence(
+                rng, 1 + static_cast<int>(rng.below(400))));
+        } else if (shape == 1) {
+            out.push_back(bio::makeRandomSequence(rng, 1));
+        } else if (shape == 5) {
+            out.emplace_back("LC", "",
+                             fillFuzzResidues(
+                                 rng, 5 + static_cast<int>(rng.below(90)),
+                                 2, {}));
+        } else {
+            // Identity 0.3 .. 0.95, flanked by random residues.
+            const bio::Sequence core = bio::mutate(
+                rng, q, 0.3 + 0.65 * static_cast<double>(rng.below(100))
+                                / 100.0,
+                "H", "");
+            std::vector<bio::Residue> res =
+                bio::makeRandomSequence(
+                    rng, static_cast<int>(rng.below(60)))
+                    .residues();
+            res.insert(res.end(), core.residues().begin(),
+                       core.residues().end());
+            const std::vector<bio::Residue> tail =
+                bio::makeRandomSequence(
+                    rng, 1 + static_cast<int>(rng.below(60)))
+                    .residues();
+            res.insert(res.end(), tail.begin(), tail.end());
+            out.emplace_back("H", "", std::move(res));
+        }
+    }
+    return out;
+}
+
+/**
+ * Every native alignment of a seeded corpus, digested per backend:
+ * Smith-Waterman hits traced with the scan's end hint and FASTA
+ * hits traced with none, over queries of 1 to 300 residues, three
+ * gap settings, hit lists longer than any backend's lane count, and
+ * hits whose scores clip the 8-bit lanes. Each runnable backend
+ * must produce the pinned digest (the alignments do not depend on
+ * the backend).
+ */
+TEST(NativeAlignParity, FamilyDigestIsPinned)
+{
+    const bio::ScoringMatrix &matrix = bio::blosum62();
+    const std::vector<bio::GapPenalties> gap_sets = {
+        {10, 1}, {0, 1}, {3, 6}};
+    for (const SimdBackend backend : runnableBackends()) {
+        core::Fnv1a h;
+        int traced = 0;
+        int clipped = 0;
+        bio::Rng rng(0x9A217E);
+        for (const bio::GapPenalties &gaps : gap_sets) {
+            for (const int m : {1, 40, 137, 300}) {
+                const bio::Sequence q = bio::makeRandomSequence(rng, m);
+                const NativeQueryProfile profile(q, matrix, backend);
+                const std::vector<bio::Sequence> hits =
+                    parityHits(rng, q, 40);
+                for (const bio::Sequence &s : hits) {
+                    const LocalScore scan =
+                        swStripedNativeScan(profile, s, gaps);
+                    clipped +=
+                        scan.score + 1 >= 255 + matrix.minScore() ? 1 : 0;
+                    for (const LocalScore &end : {scan, LocalScore{}}) {
+                        const CigarAlignment aln =
+                            nativeLocalAlign(profile, s, gaps, end);
+                        traced += aln.empty() ? 0 : 1;
+                        hashAlignment(h, aln);
+                    }
+                }
+            }
+        }
+        // The corpus must trace often and clip the 8-bit lanes.
+        EXPECT_GT(traced, 400) << backendName(backend);
+        EXPECT_GT(clipped, 40) << backendName(backend);
+        EXPECT_EQ(h.digest(), 0x4e5ff631e619d365ULL)
+            << backendName(backend) << " traced " << traced
+            << ", clipped " << clipped;
     }
 }
 
