@@ -19,13 +19,20 @@
  * hits (gcups_fill, fill_speedup), and an A/B of FASTA's k-tuple
  * stages 2-4 against the branchy reference they replaced over
  * perfbench's 11 x 1000 query-subject pairs (fasta_scan_ms,
- * fasta_reference_ms, fasta_speedup).
+ * fasta_reference_ms, fasta_speedup), and a replay of phase 2 over
+ * the same top-100 hits, in lanes against one hit at a time on the
+ * striped passes, with the scan's end hints (Smith-Waterman) and
+ * without (FASTA): microseconds per alignment (phase2_us_sw,
+ * phase2_us_fasta, phase2_striped_us_*), the shared fill-and-walk
+ * step (phase2_rect_us), locate + reverse in lanes over striped
+ * (phase2_locate_ratio_*), and phase2_speedup.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "align/banded.hh"
@@ -251,26 +258,36 @@ struct FillRectangle
 };
 
 /**
- * The rectangles the serving tier fills for the top-kFillTopK
- * Smith-Waterman hits of each Table II query against the
+ * One Table II query's top-kFillTopK Smith-Waterman hits against the
  * 1000-sequence Zipf-length database (the perfbench search_report
- * set-up), located by nativeLocalAlign.
+ * set-up), as phase 2 receives them: with the scan's end hints (the
+ * SW kinds) and without (FASTA, which locates over the whole
+ * subject), plus their alignments.
  */
-const std::vector<FillRectangle> &
-fillRectangles()
+struct Phase2Query
+{
+    std::unique_ptr<align::NativeQueryProfile> profile;
+    std::vector<align::NativeAlignHit> sw;
+    std::vector<align::NativeAlignHit> fasta;
+    std::vector<align::CigarAlignment> alignments;
+};
+
+const std::vector<Phase2Query> &
+phase2Queries()
 {
     static const std::vector<bio::Sequence> queries =
         bio::makeQuerySet();
     static const bio::SequenceDatabase db = bio::makeZipfDatabase(1000);
-    static const std::vector<FillRectangle> rects = [] {
-        std::vector<FillRectangle> out;
+    static const std::vector<Phase2Query> out = [] {
+        std::vector<Phase2Query> qs;
         for (const bio::Sequence &q : queries) {
-            const align::NativeQueryProfile profile(
+            Phase2Query pq;
+            pq.profile = std::make_unique<align::NativeQueryProfile>(
                 q, kMat, align::defaultScanBackend());
             std::vector<std::pair<align::LocalScore, std::size_t>> hits;
             for (std::size_t i = 0; i < db.size(); ++i)
                 hits.emplace_back(
-                    align::swStripedNativeScan(profile, db[i], kGaps),
+                    align::swStripedNativeScan(*pq.profile, db[i], kGaps),
                     i);
             const std::size_t k = std::min(kFillTopK, hits.size());
             std::partial_sort(hits.begin(), hits.begin() + k,
@@ -280,13 +297,34 @@ fillRectangles()
                               });
             for (std::size_t h = 0; h < k; ++h) {
                 const bio::Sequence &s = db[hits[h].second];
-                const align::CigarAlignment aln = align::nativeLocalAlign(
-                    profile, s, kGaps, hits[h].first);
+                pq.sw.push_back(
+                    {s.residues().data(), s.length(), hits[h].first});
+                pq.fasta.push_back({s.residues().data(), s.length(), {}});
+                pq.alignments.push_back(align::nativeLocalAlign(
+                    *pq.profile, s, kGaps, hits[h].first));
+            }
+            qs.push_back(std::move(pq));
+        }
+        return qs;
+    }();
+    return out;
+}
+
+/** The rectangles the serving tier fills for phase2Queries(). */
+const std::vector<FillRectangle> &
+fillRectangles()
+{
+    static const std::vector<FillRectangle> rects = [] {
+        std::vector<FillRectangle> out;
+        for (const Phase2Query &pq : phase2Queries()) {
+            const bio::Residue *q =
+                pq.profile->query().residues().data();
+            for (std::size_t h = 0; h < pq.sw.size(); ++h) {
+                const align::CigarAlignment &aln = pq.alignments[h];
                 if (aln.empty())
                     continue;
-                out.push_back({q.residues().data() + aln.qBegin,
-                               aln.qEnd - aln.qBegin + 1,
-                               s.residues().data() + aln.sBegin,
+                out.push_back({q + aln.qBegin, aln.qEnd - aln.qBegin + 1,
+                               pq.sw[h].subject + aln.sBegin,
                                aln.sEnd - aln.sBegin + 1});
             }
         }
@@ -339,6 +377,65 @@ BM_TracebackFillScalar(benchmark::State &state)
     BM_TracebackFill(state, align::SimdBackend::Scalar);
 }
 BENCHMARK(BM_TracebackFillScalar)->Unit(benchmark::kMillisecond);
+
+/**
+ * Phase 2 of every phase2Queries() hit, with (@p fasta) or without
+ * FASTA's missing end hints: in lanes, handing
+ * nativeLocalAlignBatch each query's hits in even groups of at most
+ * nativeAlignGroup() as the serving engine does, or one hit at a
+ * time through nativeLocalAlign (the striped passes). Returns the
+ * summed scores.
+ */
+int
+phase2All(bool fasta, bool lanes)
+{
+    thread_local std::vector<align::CigarAlignment> out;
+    int sum = 0;
+    for (const Phase2Query &pq : phase2Queries()) {
+        const std::vector<align::NativeAlignHit> &hits =
+            fasta ? pq.fasta : pq.sw;
+        out.resize(hits.size());
+        if (!lanes) {
+            for (std::size_t h = 0; h < hits.size(); ++h)
+                out[h] = align::nativeLocalAlign(*pq.profile, hits[h].subject,
+                                                 hits[h].length, kGaps,
+                                                 hits[h].end);
+        } else {
+            // Even groups of at most nativeAlignGroup() hits.
+            const std::size_t cap = align::nativeAlignGroup(*pq.profile);
+            const std::size_t groups = (hits.size() + cap - 1) / cap;
+            for (std::size_t g = 0; g < groups; ++g) {
+                const std::size_t first = hits.size() * g / groups;
+                const std::size_t last = hits.size() * (g + 1) / groups;
+                align::nativeLocalAlignBatch(*pq.profile, &hits[first],
+                                             last - first, kGaps,
+                                             &out[first]);
+            }
+        }
+        for (const align::CigarAlignment &aln : out)
+            sum += aln.score;
+    }
+    return sum;
+}
+
+/** Step 3 alone, fill and walk, over every phase-2 rectangle. */
+int
+rectanglesAll()
+{
+    thread_local align::detail::RectangleFill fill;
+    thread_local align::Cigar cigar;
+    const align::NativeKernels *kernels =
+        align::nativeKernels(align::defaultScanBackend());
+    int sum = 0;
+    for (const FillRectangle &r : fillRectangles()) {
+        align::detail::fillRectangle(r.query, r.qLen, r.subject, r.sLen,
+                                     kMat, kGaps, kernels, fill);
+        cigar.clear();
+        align::detail::walkRectangle(fill, cigar);
+        sum += fill.score + static_cast<int>(cigar.size());
+    }
+    return sum;
+}
 
 /**
  * perfbench's query-subject pairs for the FASTA arms: the 11 Table II
@@ -672,6 +769,34 @@ runNativeGcups()
                                 }));
     }
 
+    // Phase 2 in lanes vs one hit at a time on the striped passes,
+    // Smith-Waterman (end hints) and FASTA (none), interleaved; the
+    // fill-and-walk arm is the step both share.
+    phase2Queries();
+    double p2_ms[2][2];
+    for (auto &arm : p2_ms)
+        arm[0] = arm[1] = std::numeric_limits<double>::infinity();
+    double rect_ms = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < rounds; ++r) {
+        for (const bool fasta : {false, true})
+            for (const bool lanes : {true, false})
+                p2_ms[fasta][lanes] =
+                    std::min(p2_ms[fasta][lanes], time_ms([&](int &sum) {
+                                 sum += phase2All(fasta, lanes);
+                             }));
+        rect_ms = std::min(rect_ms, time_ms([](int &sum) {
+                               sum += rectanglesAll();
+                           }));
+    }
+    double p2_hits = 0.0;
+    for (const Phase2Query &pq : phase2Queries())
+        p2_hits += static_cast<double>(pq.sw.size());
+    const auto us_per_hit = [&](double ms) { return 1e3 * ms / p2_hits; };
+    // Locate + reverse alone: phase 2 minus the shared step 3.
+    const auto locate_ratio = [&](bool fasta) {
+        return (p2_ms[fasta][1] - rect_ms) / (p2_ms[fasta][0] - rect_ms);
+    };
+
     const auto gcups_of = [](std::uint64_t n, double ms) {
         return ms <= 0.0 ? 0.0 : static_cast<double>(n) / (ms * 1e6);
     };
@@ -695,6 +820,14 @@ runNativeGcups()
               << fastaPairs().db.size()
               << " pairs, per-arm min: fastaScan " << fasta_ms
               << " ms / reference " << fasta_ref_ms << " ms\n";
+    std::cout << "# phase 2, " << p2_hits
+              << " top-" << kFillTopK
+              << " hits, per-arm min us/alignment: SW lanes "
+              << us_per_hit(p2_ms[0][1]) << " / striped "
+              << us_per_hit(p2_ms[0][0]) << ", FASTA lanes "
+              << us_per_hit(p2_ms[1][1]) << " / striped "
+              << us_per_hit(p2_ms[1][0]) << ", fill+walk "
+              << us_per_hit(rect_ms) << "\n";
     const std::string buckets =
         runLengthBucketBreakdown(native_profile);
     bench::printJsonFooter(
@@ -724,6 +857,18 @@ runNativeGcups()
          {"fasta_scan_ms", std::to_string(fasta_ms)},
          {"fasta_reference_ms", std::to_string(fasta_ref_ms)},
          {"fasta_speedup", std::to_string(fasta_ref_ms / fasta_ms)},
+         {"phase2_us_sw", std::to_string(us_per_hit(p2_ms[0][1]))},
+         {"phase2_us_fasta", std::to_string(us_per_hit(p2_ms[1][1]))},
+         {"phase2_striped_us_sw",
+          std::to_string(us_per_hit(p2_ms[0][0]))},
+         {"phase2_striped_us_fasta",
+          std::to_string(us_per_hit(p2_ms[1][0]))},
+         {"phase2_rect_us", std::to_string(us_per_hit(rect_ms))},
+         {"phase2_locate_ratio_sw", std::to_string(locate_ratio(false))},
+         {"phase2_locate_ratio_fasta", std::to_string(locate_ratio(true))},
+         {"phase2_speedup",
+          std::to_string((p2_ms[0][0] + p2_ms[1][0])
+                         / (p2_ms[0][1] + p2_ms[1][1]))},
          {"native_backend",
           "\"" + std::string(align::backendName(backend)) + "\""}},
         point_ms);

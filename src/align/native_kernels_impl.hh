@@ -25,6 +25,8 @@ inline constexpr NativeKernels kernelTable = {
     &stripedScanU8<U8>,
     &stripedScanI16<I16>,
     &interScanU8<U8>,
+    &interAnchored<U8>,
+    &interAnchored<I16>,
     &bandedScanI16<I16>,
     &fillRectangleI16<I16>,
 };

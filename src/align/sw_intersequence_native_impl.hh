@@ -31,7 +31,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "bio/alphabet.hh"
@@ -131,6 +134,43 @@ interGatherGroup16(const std::uint8_t *mat_t, const int *col_idx,
 }
 
 #endif // __SSE2__
+
+/**
+ * Gather one column's substitution scores for every lane: lane l's
+ * subject residue @p col_idx[l] (numSymbols for an idle lane, the
+ * pad row) picks a row of the transposed matrix @p mat_t, scattered
+ * to @p scratch[query residue][lane] so the column loop is a single
+ * aligned load per query position. On x86 the scatter runs as
+ * 16-lane SIMD transposes; the scalar form is store-port-bound at
+ * lanes x numSymbols byte stores per column.
+ */
+template <class V>
+inline void
+interGatherColumn(const std::uint8_t *mat_t, const int *col_idx,
+                  typename V::Elem *scratch)
+{
+    using Elem = typename V::Elem;
+    constexpr int lanes = V::lanes;
+    constexpr int num_symbols = bio::Alphabet::numSymbols;
+#if defined(__SSE2__)
+    if constexpr (sizeof(Elem) == 1 && lanes % 16 == 0) {
+        for (int g = 0; g < lanes / 16; ++g)
+            interGatherGroup16<V>(
+                mat_t, col_idx + g * 16,
+                reinterpret_cast<std::uint8_t *>(scratch) + g * 16,
+                lanes);
+    } else
+#endif
+    {
+        for (int l = 0; l < lanes; ++l) {
+            const std::uint8_t *col = mat_t
+                + static_cast<std::size_t>(col_idx[l]) * num_symbols;
+            for (int r = 0; r < num_symbols; ++r)
+                scratch[static_cast<std::size_t>(r) * lanes + l] =
+                    static_cast<Elem>(col[r]);
+        }
+    }
+}
 
 /** One lane's worth of work: a packed-arena subject slice. */
 struct InterSubject
@@ -258,40 +298,15 @@ interScanU8(const std::uint8_t *mat_t, const bio::Residue *query,
             v_best = V::band(v_best, v_mask);
         }
 
-        // Gather this column's substitution scores: each lane's
-        // subject residue picks a row of the transposed matrix,
-        // scattered to [query residue][lane] so the inner loop is a
-        // single aligned load per query position. Idle lanes read
+        // Gather this column's substitution scores. Idle lanes read
         // the pad row (all zeros == score -bias), which only ever
-        // decays their already-zero state. On x86 the scatter runs
-        // as 16-lane SIMD transposes — the scalar form is
-        // store-port-bound at lanes x num_symbols byte stores per
-        // column, a sizable share of the kernel.
+        // decays their already-zero state.
         int col_idx[lanes];
         for (int l = 0; l < lanes; ++l)
             col_idx[l] = slot[l] >= 0
                 ? static_cast<int>(subjects[slot[l]].data[pos[l]])
                 : num_symbols;
-#if defined(__SSE2__)
-        if constexpr (sizeof(Elem) == 1 && lanes % 16 == 0) {
-            for (int g = 0; g < lanes / 16; ++g)
-                interGatherGroup16<V>(
-                    mat_t, col_idx + g * 16,
-                    reinterpret_cast<std::uint8_t *>(scratch)
-                        + g * 16,
-                    lanes);
-        } else
-#endif
-        {
-            for (int l = 0; l < lanes; ++l) {
-                const std::uint8_t *col = mat_t
-                    + static_cast<std::size_t>(col_idx[l])
-                        * num_symbols;
-                for (int r = 0; r < num_symbols; ++r)
-                    scratch[static_cast<std::size_t>(r) * lanes
-                            + l] = static_cast<Elem>(col[r]);
-            }
-        }
+        interGatherColumn<V>(mat_t, col_idx, scratch);
 
         // One DP column for all lanes. F is carried serially down
         // the query, so the recurrence is exact — the inter-sequence
@@ -328,6 +343,271 @@ interScanU8(const std::uint8_t *mat_t, const bio::Residue *query,
                     lane_best[l] = best_now[l];
                     lane_end[l] = pos[l];
                 }
+            }
+        }
+        for (int l = 0; l < lanes; ++l)
+            pos[l] += slot[l] >= 0 ? 1 : 0;
+    }
+}
+
+
+/**
+ * One lane of an anchored pass (interAnchored): the columns the
+ * lane runs, in pass order, and where it stops.
+ */
+struct InterAnchoredLane
+{
+    const bio::Residue *data;
+    /** Columns at most (> 0). */
+    int length;
+    /** Retire after the first column whose best reaches this (the
+     * lane also retires once it clips). */
+    int stopAt;
+    /** Query row whose diagonal input in the lane's first column
+     * starts at 1 instead of 0 (the anchor seed), or -1. */
+    int seedRow;
+    /** Keep the lane's H column of every improvement of its best,
+     * so the row can be read from the column of the first maximum
+     * rather than the last column the lane ran. */
+    bool snapshot;
+};
+
+/** One anchored lane's outcome, in pass coordinates. */
+struct InterAnchoredResult
+{
+    /** Best H of the columns run (unbiased). */
+    int best = 0;
+    /** First column attaining best, or -1 when best is 0. */
+    int column = -1;
+    /** Smallest row holding best in the snapshot column (with
+     * InterAnchoredLane::snapshot) or the last column run, or -1. */
+    int row = -1;
+};
+
+/**
+ * The phase-2 locating passes of the traceback tier, one hit per
+ * lane: the recurrence, gather and refill of interScanU8, at 8
+ * (unsigned, @p V a U8 type) or 16 bits (signed, an I16 type, with
+ * the zero clamp made explicit), plus what locating an alignment
+ * needs.
+ *
+ *  - Early stop: a lane retires after the first column whose best
+ *    reaches its stopAt, or clips, or after its last column. An
+ *    end-cell locate runs to the end, a reverse pass stops at
+ *    score + 1.
+ *  - Anchor seed: in a lane's first column, the diagonal input of
+ *    row seedRow is 1, so alignments through that cell carry the
+ *    bonus. Only columns where some lane starts run the seeded
+ *    loop.
+ *  - Row: on retirement, the smallest row of the lane's last
+ *    column (or, with snapshot, of its snapshot column) holding
+ *    the lane's best. On columns where a snapshot lane's best
+ *    improved, a lane-masked blend copies those lanes' H column.
+ *
+ * Both levels add the biased scores of @p mat_t and subtract
+ * @p bias, so values are exact below the clip band
+ * [max(Elem) - bias, max(Elem)]; a lane whose best enters it is
+ * clipped, and its result means nothing beyond that. Jobs should
+ * arrive longest first, as for interScanU8.
+ *
+ * @param query encoded query residues in pass order (the reversed
+ *              query for a reverse pass)
+ */
+template <class V>
+void
+interAnchored(const std::uint8_t *mat_t, const bio::Residue *query,
+              int m, const InterAnchoredLane *jobs, std::size_t count,
+              int open_cost, int ext_cost, int bias,
+              InterAnchoredResult *results)
+{
+    using Reg = typename V::Reg;
+    using Elem = typename V::Elem;
+    constexpr int lanes = V::lanes;
+    constexpr int num_symbols = bio::Alphabet::numSymbols;
+    constexpr Elem ones = static_cast<Elem>(-1);
+    const int cap = std::numeric_limits<Elem>::max() - bias;
+
+    const Reg v_open = V::splat(static_cast<Elem>(open_cost));
+    const Reg v_ext = V::splat(static_cast<Elem>(ext_cost));
+    const Reg v_bias = V::splat(static_cast<Elem>(bias));
+
+    // Per-query-position state, reused across calls on this thread;
+    // seed stays all zero between columns.
+    thread_local std::vector<Reg> h;
+    thread_local std::vector<Reg> e;
+    thread_local std::vector<Reg> snap;
+    thread_local std::vector<Reg> seed;
+    thread_local std::vector<std::size_t> qoff;
+    const std::size_t mm = static_cast<std::size_t>(m);
+    h.assign(mm, V::zero());
+    e.assign(mm, V::zero());
+    snap.resize(mm);
+    seed.assign(mm, V::zero());
+    qoff.resize(mm);
+    for (std::size_t i = 0; i < mm; ++i)
+        qoff[i] = static_cast<std::size_t>(query[i])
+            * static_cast<std::size_t>(lanes);
+    Elem *const seed_bytes = reinterpret_cast<Elem *>(seed.data());
+
+    int slot[lanes]; // job index per lane, -1 = idle
+    int pos[lanes];  // current column within the job
+    int lane_best[lanes];
+    int lane_end[lanes];
+    bool done[lanes];
+    int seeded[lanes]; // row seeded for this column, or -1
+    alignas(64) Elem mask[lanes];
+    alignas(64) Elem keep[lanes];
+    alignas(64) Elem best_now[lanes];
+    alignas(64) Elem best_was[lanes];
+    alignas(64) Elem scratch[static_cast<std::size_t>(num_symbols)
+                             * static_cast<std::size_t>(lanes)];
+
+    // Put job @p next in lane @p l, arming its seed.
+    const auto start = [&](int l, std::size_t next) {
+        slot[l] = static_cast<int>(next);
+        pos[l] = 0;
+        lane_best[l] = 0;
+        lane_end[l] = -1;
+        done[l] = false;
+        seeded[l] = jobs[next].seedRow;
+        if (seeded[l] >= 0)
+            seed_bytes[static_cast<std::size_t>(seeded[l]) * lanes
+                       + static_cast<std::size_t>(l)] = 1;
+    };
+
+    Reg v_best = V::zero();
+    std::size_t next = 0;
+    for (int l = 0; l < lanes; ++l) {
+        slot[l] = -1;
+        seeded[l] = -1;
+    }
+    for (;;) {
+        // Retire lanes that stopped or ran out, reading each one's
+        // row before the next column zeroes its state, and refill
+        // idle lanes from the queue.
+        bool fresh = false;
+        int active = 0;
+        for (int l = 0; l < lanes; ++l) {
+            mask[l] = ones;
+            if (slot[l] >= 0
+                && (done[l] || pos[l] >= jobs[slot[l]].length)) {
+                const InterAnchoredLane &job = jobs[slot[l]];
+                InterAnchoredResult &r = results[slot[l]];
+                r.best = lane_best[l];
+                r.column = lane_end[l];
+                r.row = -1;
+                const Elem *col = reinterpret_cast<const Elem *>(
+                    job.snapshot ? snap.data() : h.data());
+                for (int i = 0; i < m && lane_best[l] > 0; ++i) {
+                    if (col[static_cast<std::size_t>(i) * lanes
+                            + static_cast<std::size_t>(l)]
+                        == lane_best[l]) {
+                        r.row = i;
+                        break;
+                    }
+                }
+                slot[l] = -1;
+                mask[l] = 0;
+                fresh = true;
+            }
+            if (slot[l] < 0 && next < count) {
+                start(l, next++);
+                mask[l] = 0;
+                fresh = true;
+            }
+            active += slot[l] >= 0 ? 1 : 0;
+        }
+        if (active == 0)
+            break;
+
+        int col_idx[lanes];
+        for (int l = 0; l < lanes; ++l)
+            col_idx[l] = slot[l] >= 0
+                ? static_cast<int>(jobs[slot[l]].data[pos[l]])
+                : num_symbols;
+        interGatherColumn<V>(mat_t, col_idx, scratch);
+
+        // One DP column for all lanes, as in interScanU8. A fresh
+        // column, where lanes retired or started, first zeroes their
+        // H and E as it loads them and adds the seeds to the
+        // diagonal.
+        const Reg v_mask = V::load(mask);
+        if (fresh)
+            v_best = V::band(v_best, v_mask);
+        const Reg v_best_in = v_best;
+        const auto column = [&](auto is_fresh) {
+            constexpr bool refill = decltype(is_fresh)::value;
+            Reg v_f = V::zero();
+            Reg v_diag = V::zero();
+            for (std::size_t i = 0; i < mm; ++i) {
+                Reg old_h = h[i];
+                Reg old_e = e[i];
+                Reg v_in = v_diag;
+                if constexpr (refill) {
+                    old_h = V::band(old_h, v_mask);
+                    old_e = V::band(old_e, v_mask);
+                    v_in = V::adds(v_in, seed[i]);
+                }
+                const Reg v_e = V::max(V::subs(old_e, v_ext),
+                                       V::subs(old_h, v_open));
+                Reg v_h = V::subs(
+                    V::adds(v_in, V::load(scratch + qoff[i])),
+                    v_bias);
+                v_h = V::max(v_h, v_e);
+                v_h = V::max(v_h, v_f);
+                // The local zero clamp, implicit in unsigned lanes.
+                if constexpr (std::is_signed_v<Elem>)
+                    v_h = V::max(v_h, V::zero());
+                h[i] = v_h;
+                e[i] = v_e;
+                v_best = V::max(v_best, v_h);
+                v_f = V::max(V::subs(v_f, v_ext),
+                             V::subs(v_h, v_open));
+                v_diag = old_h;
+            }
+        };
+        if (fresh) {
+            column(std::true_type{});
+            for (int l = 0; l < lanes; ++l) {
+                if (seeded[l] >= 0)
+                    seed_bytes[static_cast<std::size_t>(seeded[l])
+                                   * lanes
+                               + static_cast<std::size_t>(l)] = 0;
+                seeded[l] = -1;
+            }
+        } else {
+            column(std::false_type{});
+        }
+
+        // Lanes whose best improved: record the column, stop those
+        // that reached their stopAt, and snapshot those that ask.
+        if (V::anyGt(v_best, v_best_in)) {
+            std::memcpy(best_now, &v_best, sizeof(Reg));
+            std::memcpy(best_was, &v_best_in, sizeof(Reg));
+            bool blend = false;
+            for (int l = 0; l < lanes; ++l) {
+                mask[l] = 0;
+                keep[l] = ones;
+                if (best_now[l] <= best_was[l])
+                    continue;
+                const InterAnchoredLane &job = jobs[slot[l]];
+                lane_best[l] = best_now[l];
+                lane_end[l] = pos[l];
+                done[l] = lane_best[l] >= std::min(job.stopAt, cap);
+                if (job.snapshot) {
+                    mask[l] = ones;
+                    keep[l] = 0;
+                    blend = true;
+                }
+            }
+            if (blend) {
+                // H >= 0, so the max of two masked values is their
+                // blend.
+                const Reg v_take = V::load(mask);
+                const Reg v_keep = V::load(keep);
+                for (std::size_t i = 0; i < mm; ++i)
+                    snap[i] = V::max(V::band(h[i], v_take),
+                                     V::band(snap[i], v_keep));
             }
         }
         for (int l = 0; l < lanes; ++l)

@@ -82,13 +82,17 @@ namespace detail
 struct StripedPass;
 struct InterSubject;
 struct InterLaneResult;
+struct InterAnchoredLane;
+struct InterAnchoredResult;
 } // namespace detail
 
 /**
  * One hardware backend's kernels, built from its lane types by
  * detail::kernelTable (native_kernels_impl.hh): the striped scan at
- * both ladder levels, the inter-sequence scan, the banded scan and
- * the traceback rectangle fill.
+ * both ladder levels, the inter-sequence scan and its anchored
+ * variant at both levels (the traceback tier's locate and reverse
+ * passes, one hit per lane), the banded scan and the traceback
+ * rectangle fill.
  */
 struct NativeKernels
 {
@@ -109,6 +113,14 @@ struct NativeKernels
                     const detail::InterSubject *subjects,
                     std::size_t count, int open_cost, int ext_cost,
                     int bias, detail::InterLaneResult *results);
+    /** The anchored inter-sequence passes at 8 and 16 bits. */
+    using InterAnchoredFn = void (*)(
+        const std::uint8_t *mat_t, const bio::Residue *query, int m,
+        const detail::InterAnchoredLane *jobs, std::size_t count,
+        int open_cost, int ext_cost, int bias,
+        detail::InterAnchoredResult *results);
+    InterAnchoredFn interAnchoredU8;
+    InterAnchoredFn interAnchoredI16;
     LocalScore (*bandedI16)(const std::int16_t *profile,
                             std::size_t stride, int m,
                             const bio::Residue *subject, int n,
@@ -216,8 +228,8 @@ class NativeQueryProfile
  * 8-bit -> 16-bit -> scalar overflow ladder as levels saturate.
  * The score is exactly align::smithWatermanScore's, and subjectEnd
  * is the first column attaining it. queryEnd is not tracked (-1)
- * unless the scalar fallback level ran; swStripedLocate recovers
- * it when an alignment is reported.
+ * unless the scalar fallback level ran; the traceback tier's
+ * locate pass recovers it when an alignment is reported.
  *
  * @param subject encoded residues (any contiguous storage — a
  *        Sequence's own vector or the database's packed arena)
@@ -254,19 +266,22 @@ LocalScore swStripedScan16Tail(const NativeQueryProfile &profile,
                                NativeScanStats *stats = nullptr);
 
 /**
- * Locate pass of the traceback tier (align/traceback/
- * native_align.hh): the same ladder and kernel as
- * swStripedNativeScan, plus the exact end row. The kernel keeps a
- * copy of the H column in which the best score was first attained,
- * and queryEnd is the smallest row of that column holding the
- * score — the same cell the scalar reference reports (column-major
- * first maximum). The scalar rung reports it itself.
+ * Single-hit locate pass of the traceback tier (align/traceback/
+ * native_align.hh; groups of hits locate in the lanes of the
+ * anchored inter-sequence kernel instead): the same ladder and
+ * kernel as swStripedNativeScan, plus the exact end row. The kernel
+ * keeps a copy of the H column in which the best score was first
+ * attained, and queryEnd is the smallest row of that column holding
+ * the score — the same cell the scalar reference reports
+ * (column-major first maximum). The scalar rung reports it itself.
  *
  * @param known_score the optimum of subject[0..n) when the caller
  *        knows it (a score scan's result with n = subjectEnd + 1),
  *        else 0: the pass then stops at the first column reaching
- *        it and skips ladder levels it would saturate. A wrong
- *        value costs a second pass, never a wrong answer.
+ *        it, copying that one column, and skips ladder levels it
+ *        would saturate; without it the pass copies the column at
+ *        every improvement of the best. A wrong value costs a
+ *        second pass, never a wrong answer.
  */
 LocalScore swStripedLocate(const NativeQueryProfile &profile,
                            const bio::Residue *subject,
@@ -275,7 +290,8 @@ LocalScore swStripedLocate(const NativeQueryProfile &profile,
                            int known_score = 0);
 
 /**
- * Anchored reverse pass of the traceback tier: the begin cell of a
+ * Single-hit anchored reverse pass of the traceback tier (groups of
+ * hits run it in inter-sequence lanes instead): the begin cell of a
  * local alignment scoring @p score that ends exactly at
  * (query_end, subject_end). Runs the 16-bit striped kernel over the
  * reversed prefixes query[0..query_end] x subject[0..subject_end]

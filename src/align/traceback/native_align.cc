@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bio/alphabet.hh"
+#include "align/sw_intersequence_native_impl.hh"
 #include "hirschberg.hh"
 
 namespace bioarch::align
@@ -262,6 +263,175 @@ walkRectangle(const RectangleFill &fill, Cigar &cigar)
 
 } // namespace detail
 
+namespace
+{
+
+/**
+ * Whether @p end names a whole end cell with its score (the scan's
+ * scalar rung reports one), so step 1 is skipped.
+ */
+bool
+endCellKnown(const LocalScore &end, int m, int n)
+{
+    return end.subjectEnd >= 0 && end.subjectEnd < n && end.score > 0
+        && end.queryEnd >= 0 && end.queryEnd < m;
+}
+
+/**
+ * Step 1 on the striped kernel: the end cell of the optimum in
+ * subject[0..cols), stopping at the first column reaching
+ * @p known_score when it is > 0.
+ */
+LocalScore
+locateStriped(const NativeQueryProfile &profile,
+              const bio::Residue *subject, std::size_t cols,
+              const bio::GapPenalties &gaps, int known_score)
+{
+    return swStripedLocate(profile, subject, cols, gaps,
+                           std::max(known_score, 0));
+}
+
+/** Step 2 on the striped kernel, into out.qBegin / out.sBegin. */
+void
+beginStriped(const NativeQueryProfile &profile,
+             const bio::Residue *subject, const bio::GapPenalties &gaps,
+             CigarAlignment &out, TracebackStats &work)
+{
+    if (!swStripedBeginCell(profile, subject, out.qEnd, out.sEnd, gaps,
+                            out.score, &out.qBegin, &out.sBegin,
+                            &work.totalCells))
+        throw std::logic_error(
+            "nativeLocalAlign: no alignment of the located score ends "
+            "at the end cell");
+}
+
+/**
+ * Step 3 for an alignment whose score and corners are set in
+ * @p out: fill the rectangle and walk back, or fall back to linear
+ * space when its codes would exceed the budget.
+ */
+void
+traceRectangle(const NativeQueryProfile &profile,
+               const bio::Residue *subject, const bio::GapPenalties &gaps,
+               CigarAlignment &out, TracebackStats &work)
+{
+    const int rows = out.qEnd - out.qBegin + 1;
+    const int cols = out.sEnd - out.sBegin + 1;
+    const std::uint64_t window = static_cast<std::uint64_t>(rows)
+        * static_cast<std::uint64_t>(cols);
+    const bio::Residue *query = profile.query().residues().data();
+    if (window <= tracebackCodeBudget && gaps.open >= 0) {
+        thread_local detail::RectangleFill fill;
+        detail::fillRectangle(query + out.qBegin, rows,
+                              subject + out.sBegin, cols,
+                              profile.matrix(), gaps, profile.kernels(),
+                              fill);
+        if (fill.score != out.score)
+            throw std::logic_error(
+                "nativeLocalAlign: rectangle fill disagrees with the "
+                "located score");
+        detail::walkRectangle(fill, out.cigar);
+        work.totalCells += window;
+        work.peakCells = std::max(
+            work.peakCells,
+            window
+                + fillRowCells(static_cast<std::uint64_t>(
+                    std::min(rows, cols))));
+    } else {
+        myersMillerAlign(query, out.qBegin, rows, subject, out.sBegin,
+                         cols, profile.matrix(), gaps, out.cigar, &work);
+    }
+    fillIdentityStats(out, query, subject);
+}
+
+/** Put the located end @p loc into @p out, ahead of steps 2 and 3. */
+void
+setEnd(CigarAlignment &out, const LocalScore &loc,
+       TracebackStats &work)
+{
+    out.score = loc.score;
+    out.qEnd = loc.queryEnd;
+    out.sEnd = loc.subjectEnd;
+    work.peakCells =
+        std::max(work.peakCells, stripedLiveCells(loc.queryEnd + 1));
+}
+
+/** Values of the anchored lanes at @p level (0: 8 bits, 1: 16)
+ * are exact below this. */
+int
+laneCap(const NativeQueryProfile &profile, int level)
+{
+    return (level == 0 ? 255 : 32767) - profile.bias();
+}
+
+/** The lowest lane level whose values stay below @p cap_use, from
+ * @p first up; 2 when none does. */
+int
+levelFor(const NativeQueryProfile &profile, int first, int cap_use)
+{
+    int level = first;
+    while (level < 2 && cap_use >= laneCap(profile, level))
+        ++level;
+    return level;
+}
+
+/**
+ * Run @p jobs through the anchored lanes, job k from level[k] up,
+ * longest first at each level: a lane that clips moves up a level,
+ * as does a job alone at its level. settled[k] says whether a lane
+ * settled job k (results[k] is then its outcome); the others,
+ * level[k] == 2, take the striped ladder.
+ */
+void
+climbLanes(const NativeQueryProfile &profile, const bio::Residue *query,
+           const bio::GapPenalties &gaps,
+           const std::vector<detail::InterAnchoredLane> &jobs,
+           std::vector<int> &level,
+           std::vector<detail::InterAnchoredResult> &results,
+           std::vector<char> &settled)
+{
+    thread_local std::vector<std::uint32_t> order;
+    thread_local std::vector<detail::InterAnchoredLane> lane_jobs;
+    thread_local std::vector<detail::InterAnchoredResult> lane_out;
+    results.assign(jobs.size(), {});
+    settled.assign(jobs.size(), 0);
+    for (int lv = 0; lv < 2; ++lv) {
+        order.clear();
+        for (std::size_t k = 0; k < jobs.size(); ++k)
+            if (level[k] == lv)
+                order.push_back(static_cast<std::uint32_t>(k));
+        if (order.size() < 2) {
+            for (const std::uint32_t k : order)
+                level[k] = lv + 1;
+            continue;
+        }
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                             return jobs[a].length > jobs[b].length;
+                         });
+        lane_jobs.resize(order.size());
+        for (std::size_t t = 0; t < order.size(); ++t)
+            lane_jobs[t] = jobs[order[t]];
+        lane_out.assign(order.size(), {});
+        const NativeKernels *k = profile.kernels();
+        (lv == 0 ? k->interAnchoredU8 : k->interAnchoredI16)(
+            profile.interMatrix(), query, profile.queryLength(),
+            lane_jobs.data(), lane_jobs.size(), gaps.openCost(),
+            gaps.extendCost(), profile.bias(), lane_out.data());
+        const int cap = laneCap(profile, lv);
+        for (std::size_t t = 0; t < order.size(); ++t) {
+            if (lane_out[t].best >= cap) {
+                level[order[t]] = lv + 1;
+            } else {
+                results[order[t]] = lane_out[t];
+                settled[order[t]] = 1;
+            }
+        }
+    }
+}
+
+} // namespace
+
 CigarAlignment
 nativeLocalAlign(const NativeQueryProfile &profile,
                  const bio::Residue *subject, std::size_t subject_len,
@@ -276,69 +446,177 @@ nativeLocalAlign(const NativeQueryProfile &profile,
 
     // (a) The end cell: known outright, or located in
     // subject[0..subjectEnd] (all of it when the end is unknown).
-    const bool s_known = end.subjectEnd >= 0 && end.subjectEnd < n;
     LocalScore loc = end;
-    if (!s_known || end.score <= 0 || end.queryEnd < 0
-        || end.queryEnd >= m) {
+    if (!endCellKnown(end, m, n)) {
+        const bool s_known = end.subjectEnd >= 0 && end.subjectEnd < n;
         const std::size_t cols = s_known
             ? static_cast<std::size_t>(end.subjectEnd) + 1
             : subject_len;
-        loc = swStripedLocate(profile, subject, cols, gaps,
-                              s_known ? end.score : 0);
+        loc = locateStriped(profile, subject, cols, gaps,
+                            s_known ? end.score : 0);
         work.totalCells += static_cast<std::uint64_t>(m) * cols;
         work.peakCells = stripedLiveCells(m);
     }
 
     CigarAlignment out;
     if (loc.score > 0) {
-        // (b) The begin cell, by the anchored reverse pass.
-        if (!swStripedBeginCell(profile, subject, loc.queryEnd,
-                                loc.subjectEnd, gaps, loc.score,
-                                &out.qBegin, &out.sBegin,
-                                &work.totalCells))
-            throw std::logic_error(
-                "nativeLocalAlign: no alignment of the located "
-                "score ends at the end cell");
-        work.peakCells = std::max(work.peakCells,
-                                  stripedLiveCells(loc.queryEnd + 1));
-
-        // (c) Fill the rectangle and walk back, or fall back to
-        // linear space when its codes would exceed the budget.
-        out.score = loc.score;
-        out.qEnd = loc.queryEnd;
-        out.sEnd = loc.subjectEnd;
-        const int rows = out.qEnd - out.qBegin + 1;
-        const int cols = out.sEnd - out.sBegin + 1;
-        const std::uint64_t window = static_cast<std::uint64_t>(rows)
-            * static_cast<std::uint64_t>(cols);
-        const bio::Residue *query = profile.query().residues().data();
-        if (window <= tracebackCodeBudget && gaps.open >= 0) {
-            thread_local detail::RectangleFill fill;
-            detail::fillRectangle(query + out.qBegin, rows,
-                                  subject + out.sBegin, cols,
-                                  profile.matrix(), gaps,
-                                  profile.kernels(), fill);
-            if (fill.score != out.score)
-                throw std::logic_error(
-                    "nativeLocalAlign: rectangle fill disagrees "
-                    "with the located score");
-            detail::walkRectangle(fill, out.cigar);
-            work.totalCells += window;
-            work.peakCells = std::max(
-                work.peakCells,
-                window
-                    + fillRowCells(static_cast<std::uint64_t>(
-                        std::min(rows, cols))));
-        } else {
-            myersMillerAlign(query, out.qBegin, rows, subject,
-                             out.sBegin, cols, profile.matrix(),
-                             gaps, out.cigar, &work);
-        }
-        fillIdentityStats(out, query, subject);
+        // (b) The begin cell, by the anchored reverse pass; (c) the
+        // rectangle.
+        setEnd(out, loc, work);
+        beginStriped(profile, subject, gaps, out, work);
+        traceRectangle(profile, subject, gaps, out, work);
     }
     if (stats != nullptr)
         *stats += work;
     return out;
+}
+
+void
+nativeLocalAlignBatch(const NativeQueryProfile &profile,
+                      const NativeAlignHit *hits, std::size_t count,
+                      const bio::GapPenalties &gaps, CigarAlignment *out,
+                      TracebackStats *stats)
+{
+    const int m = profile.queryLength();
+    const int open_cost = gaps.openCost();
+    const int ext_cost = gaps.extendCost();
+    // The lanes read the biased byte matrix (hasU8); 16-bit lanes
+    // take gap costs up to 32767, 8-bit ones up to 255.
+    if (count < 2 || m == 0 || !profile.hasU8() || open_cost < 0
+        || ext_cost < 0 || open_cost > 32767 || ext_cost > 32767) {
+        for (std::size_t i = 0; i < count; ++i)
+            out[i] = nativeLocalAlign(profile, hits[i].subject,
+                                      hits[i].length, gaps, hits[i].end,
+                                      stats);
+        return;
+    }
+    const int first_level = open_cost <= 255 && ext_cost <= 255 ? 0 : 1;
+
+    TracebackStats work;
+    thread_local std::vector<detail::InterAnchoredLane> jobs;
+    thread_local std::vector<detail::InterAnchoredResult> results;
+    thread_local std::vector<int> level;
+    thread_local std::vector<char> settled;
+    thread_local std::vector<std::size_t> job_hit;
+    thread_local std::vector<LocalScore> loc;
+    loc.assign(count, LocalScore{});
+    const auto s_known = [&](std::size_t i) {
+        return hits[i].end.subjectEnd >= 0
+            && static_cast<std::size_t>(hits[i].end.subjectEnd)
+            < hits[i].length;
+    };
+    const auto cols_of = [&](std::size_t i) {
+        return s_known(i)
+            ? static_cast<std::size_t>(hits[i].end.subjectEnd) + 1
+            : hits[i].length;
+    };
+    // A hinted lane (end column and score known) reads only the
+    // hint's prefix and takes its row from the last column; an
+    // unhinted one snapshots its improvements.
+    const auto hinted = [&](std::size_t i) {
+        return s_known(i) && hits[i].end.score > 0;
+    };
+
+    // (a) End cells: one lane per hit.
+    jobs.clear();
+    level.clear();
+    job_hit.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+        const NativeAlignHit &hit = hits[i];
+        out[i] = {};
+        if (hit.length == 0)
+            continue;
+        if (endCellKnown(hit.end, m, static_cast<int>(hit.length))) {
+            loc[i] = hit.end;
+            continue;
+        }
+        const std::size_t cols = cols_of(i);
+        work.totalCells += static_cast<std::uint64_t>(m) * cols;
+        work.peakCells = std::max(work.peakCells, stripedLiveCells(m));
+        jobs.push_back({hit.subject, static_cast<int>(cols),
+                        std::numeric_limits<int>::max(), -1, !hinted(i)});
+        level.push_back(hinted(i)
+                            ? levelFor(profile, first_level, hit.end.score)
+                            : first_level);
+        job_hit.push_back(i);
+    }
+    const bio::Residue *query = profile.query().residues().data();
+    climbLanes(profile, query, gaps, jobs, level, results, settled);
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+        const std::size_t i = job_hit[k];
+        const detail::InterAnchoredResult &r = results[k];
+        // A hit no lane settled, or whose hint its lane contradicts,
+        // takes the striped ladder, which settles both.
+        if (!settled[k]
+            || (hinted(i)
+                && (r.best != hits[i].end.score
+                    || r.column != jobs[k].length - 1 || r.row < 0)))
+            loc[i] = locateStriped(profile, hits[i].subject, cols_of(i),
+                                   gaps,
+                                   hinted(i) ? hits[i].end.score : 0);
+        else
+            loc[i] = {r.best, r.row, r.column};
+    }
+
+    // (b) Begin cells: the anchored reverse pass over the reversed
+    // query, one lane per hit, each over its reversed subject prefix
+    // with the seed at its end row.
+    thread_local std::vector<bio::Residue> rev_query;
+    thread_local std::vector<bio::Residue> rev_subjects;
+    rev_query.assign(query, query + m);
+    std::reverse(rev_query.begin(), rev_query.end());
+    std::size_t rev_total = 0;
+    for (std::size_t i = 0; i < count; ++i)
+        if (loc[i].score > 0)
+            rev_total += static_cast<std::size_t>(loc[i].subjectEnd) + 1;
+    rev_subjects.resize(rev_total);
+    jobs.clear();
+    level.clear();
+    job_hit.clear();
+    std::size_t rev_at = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (loc[i].score <= 0)
+            continue;
+        setEnd(out[i], loc[i], work);
+        const int cols = loc[i].subjectEnd + 1;
+        bio::Residue *rev = rev_subjects.data() + rev_at;
+        std::reverse_copy(hits[i].subject, hits[i].subject + cols, rev);
+        rev_at += static_cast<std::size_t>(cols);
+        jobs.push_back({rev, cols, loc[i].score + 1,
+                        m - 1 - loc[i].queryEnd, false});
+        level.push_back(levelFor(profile, first_level, loc[i].score + 1));
+        job_hit.push_back(i);
+    }
+    climbLanes(profile, rev_query.data(), gaps, jobs, level, results,
+               settled);
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+        CigarAlignment &aln = out[job_hit[k]];
+        const detail::InterAnchoredResult &r = results[k];
+        if (!settled[k] || r.best != jobs[k].stopAt || r.row < 0) {
+            beginStriped(profile, hits[job_hit[k]].subject, gaps, aln,
+                         work);
+            continue;
+        }
+        aln.qBegin = m - 1 - r.row;
+        aln.sBegin = aln.sEnd - r.column;
+        work.totalCells += static_cast<std::uint64_t>(aln.qEnd + 1)
+            * static_cast<std::uint64_t>(r.column + 1);
+    }
+
+    // (c) Fill and walk back each rectangle.
+    for (std::size_t i = 0; i < count; ++i)
+        if (loc[i].score > 0)
+            traceRectangle(profile, hits[i].subject, gaps, out[i], work);
+    if (stats != nullptr)
+        *stats += work;
+}
+
+std::size_t
+nativeAlignGroup(const NativeQueryProfile &profile)
+{
+    return profile.hasU8()
+        ? 4 * static_cast<std::size_t>(profile.kernels()->lanesU8)
+        : 1;
 }
 
 CigarAlignment

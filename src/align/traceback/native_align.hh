@@ -1,18 +1,31 @@
 /**
  * @file
  * The serving tier's phase-2 local traceback: locate the alignment
- * rectangle with the native striped kernel, then trace only that
+ * rectangle with the native kernels, then trace only that
  * rectangle.
  *
- * Three steps (the SSW locate-then-trace design):
+ * Three steps (the SSW locate-then-trace design), run for a group
+ * of hits at once by nativeLocalAlignBatch, one hit per u8 lane of
+ * the anchored inter-sequence kernel (interAnchoredU8):
  *
- *   1. End cell. swStripedLocate scans subject[0..sEnd] (the whole
- *      subject when the end is unknown) and reads the end row from
- *      the H column in which the optimum was first attained. A
- *      caller that already knows the full end cell (the scan's
- *      scalar rung reports it) skips this step.
- *   2. Begin cell. swStripedBeginCell runs the anchored reverse
- *      pass over the reversed prefixes at 16 bits.
+ *   1. End cell. Each lane runs its subject down the whole query:
+ *      subject[0..sEnd] when the score scan reported the end column
+ *      (Smith-Waterman hits), the row then read from that last
+ *      column; the whole subject otherwise (FASTA hits), with a
+ *      lane-masked snapshot of the H column on every column where
+ *      the lane's best improves, the row read from the last
+ *      snapshot. The row is the smallest one holding the optimum in
+ *      the first column attaining it. A hit whose whole end cell is
+ *      known (the scan's scalar rung reports it) skips this step.
+ *   2. Begin cell. The anchored reverse pass: each lane runs its
+ *      reversed subject prefix subject[sEnd..0] down the reversed
+ *      whole query, with the diagonal input of row m-1-qEnd in its
+ *      first column seeded with B = 1. Alignments through the
+ *      anchor then score up to score + 1 and every other one at
+ *      most score, so the lane retires in the first column whose
+ *      best reaches score + 1, and the smallest row there is the
+ *      begin cell. (Without the seed the pass could stop on an
+ *      equal-scoring alignment that does not end at the anchor.)
  *   3. Fill and walk back. A global affine DP over the rectangle
  *      [qBegin..qEnd] x [sBegin..sEnd] stores one direction byte
  *      per cell in a per-thread buffer and walks them back to a
@@ -25,10 +38,17 @@
  *      rectangle over tracebackCodeBudget cells is emitted by the
  *      linear-space Myers-Miller fallback (hirschberg.hh) instead.
  *
+ * Steps 1 and 2 of a hit leave the lanes for the single-subject
+ * striped kernel (swStripedLocate, swStripedBeginCell, with their
+ * 16-bit -> scalar overflow ladder) when its lane would clip
+ * (score + 1 >= 255 - bias), when a pass has one hit, on the Scalar
+ * backend, and for nativeLocalAlign's one hit. Both kernels find
+ * the same cells.
+ *
  * The reported score equals smithWatermanScore's, the CIGAR
  * replays to it through cigarScore(), and the result depends on
  * nothing but the inputs — not on the backend, ladder level,
- * thread or schedule (tests/traceback_test.cc,
+ * lane, group, thread or schedule (tests/traceback_test.cc,
  * tests/serve_traceback_test.cc).
  */
 
@@ -84,6 +104,38 @@ CigarAlignment nativeLocalAlign(const NativeQueryProfile &profile,
                                 const bio::GapPenalties &gaps,
                                 const LocalScore &end = {},
                                 TracebackStats *stats = nullptr);
+
+/** One hit of nativeLocalAlignBatch: a subject and its end hint. */
+struct NativeAlignHit
+{
+    const bio::Residue *subject = nullptr;
+    std::size_t length = 0;
+    /** What the score scan knows, as nativeLocalAlign's @p end. */
+    LocalScore end;
+};
+
+/**
+ * nativeLocalAlign for each of @p count hits of one query, writing
+ * out[i] for hits[i]: the same alignments, with steps 1 and 2 run
+ * one hit per lane of the anchored inter-sequence kernel. @p stats
+ * accumulates the same work nativeLocalAlign would report for the
+ * hits (cells are each pass's cells of the single-hit path, so
+ * they do not depend on the lanes).
+ */
+void nativeLocalAlignBatch(const NativeQueryProfile &profile,
+                           const NativeAlignHit *hits,
+                           std::size_t count,
+                           const bio::GapPenalties &gaps,
+                           CigarAlignment *out,
+                           TracebackStats *stats = nullptr);
+
+/**
+ * The most hits one nativeLocalAlignBatch call should take: four per
+ * 8-bit lane, so the refill keeps the lanes busy until the drain of
+ * each pass (1 for a profile without lanes). Callers split a longer
+ * hit list into even groups of at most this many.
+ */
+std::size_t nativeAlignGroup(const NativeQueryProfile &profile);
 
 namespace detail
 {

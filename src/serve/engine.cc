@@ -444,44 +444,81 @@ Engine::runBatch(const Request *requests, std::size_t count,
     // Phase 4: traceback reporting. Strictly after the merge, so
     // the ranked hit list (ids, scores, order) is already final —
     // reporting can only attach alignments, never perturb phase 1.
-    // One task per (hit list, surviving hit), shared by the members
-    // carrying that list; each writes its preallocated slot, so the
-    // schedule cannot reorder anything. The deadline checks sit
-    // before each traceback, mirroring the per-shard checks of
-    // phase 2: the task runs while any sharer is live.
+    // One task per (hit list, group of up to tracebackGroup() hits
+    // in rank order), shared by the members carrying that list; each
+    // writes its preallocated slots, so the schedule cannot reorder
+    // anything. The deadline checks sit before each group, mirroring
+    // the per-shard checks of phase 2: the task runs while any
+    // sharer is live, and a lapsed deadline skips whole groups.
     struct TraceTask
     {
         std::size_t owner;
-        std::size_t h;
+        std::size_t first; ///< first hit of the group
+        std::size_t count;
     };
     std::vector<TraceTask> trace_tasks;
     // Per reporting member, one deadline-skip flag per hit, from
-    // trace_base[r].
+    // trace_base[r]; alignments of the owner's hit h at
+    // aln_base[owner] + h.
     std::vector<std::size_t> trace_base(count, 0);
+    std::vector<std::size_t> aln_base(count, 0);
     std::size_t trace_flags = 0;
+    std::size_t aln_slots = 0;
     for (std::size_t r = 0; r < count; ++r) {
-        if (!requests[r].reportAlignments
-            || prepared[groups[group_of[r]].prep] == nullptr)
+        const PreparedQuery *pq = prepared[groups[group_of[r]].prep].get();
+        if (!requests[r].reportAlignments || pq == nullptr)
             continue;
-        out[r].alignments.resize(out[r].hits.size());
+        const std::size_t hits = out[r].hits.size();
+        out[r].alignments.resize(hits);
         trace_base[r] = trace_flags;
-        trace_flags += out[r].hits.size();
-        if (list_owner[r] == r)
-            for (std::size_t h = 0; h < out[r].hits.size(); ++h)
-                trace_tasks.push_back(TraceTask{r, h});
+        trace_flags += hits;
+        if (list_owner[r] != r)
+            continue;
+        aln_base[r] = aln_slots;
+        aln_slots += hits;
+        // Even groups of at most tracebackGroup() hits.
+        const std::size_t cap = pq->tracebackGroup();
+        const std::size_t tasks = (hits + cap - 1) / cap;
+        for (std::size_t t = 0; t < tasks; ++t) {
+            const std::size_t first = hits * t / tasks;
+            trace_tasks.push_back(
+                TraceTask{r, first, hits * (t + 1) / tasks - first});
+        }
     }
+    // Largest groups first, by their locate cells, and single hits
+    // last: the pool's workers run their queues front to back, so
+    // the small tasks fill the tail instead of a large one starting
+    // late.
+    const auto group_cells = [&](const TraceTask &task) {
+        if (task.count < 2)
+            return std::uint64_t{0};
+        std::uint64_t residues = 0;
+        for (std::size_t h = task.first; h < task.first + task.count; ++h)
+            residues += db[out[task.owner].hits[h].dbIndex].length();
+        return residues * requests[task.owner].query.length();
+    };
+    std::vector<std::uint64_t> task_cost;
+    for (const TraceTask &task : trace_tasks)
+        task_cost.push_back(group_cells(task));
+    std::vector<std::size_t> task_order(trace_tasks.size());
+    for (std::size_t i = 0; i < task_order.size(); ++i)
+        task_order[i] = i;
+    std::stable_sort(task_order.begin(), task_order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return task_cost[a] > task_cost[b];
+                     });
     std::uint64_t traceback_cells = 0;
     std::uint64_t alignments_traced = 0;
     std::uint64_t tracebacks_skipped = 0;
     if (!trace_tasks.empty()) {
-        std::vector<align::CigarAlignment> task_aln(
-            trace_tasks.size());
+        std::vector<align::CigarAlignment> aln(aln_slots);
         std::vector<align::TracebackStats> task_stats(
             trace_tasks.size());
         std::vector<double> task_us(trace_tasks.size(), 0.0);
         std::vector<char> task_skipped(trace_tasks.size(), 0);
         std::vector<char> trace_skipped(trace_flags, 0);
-        _pool.parallelFor(trace_tasks.size(), [&](std::size_t i) {
+        _pool.parallelFor(trace_tasks.size(), [&](std::size_t t) {
+            const std::size_t i = task_order[t];
             const TraceTask &task = trace_tasks[i];
             const Group &grp = groups[group_of[task.owner]];
             bool live = false;
@@ -489,28 +526,28 @@ Engine::runBatch(const Request *requests, std::size_t count,
                 if (list_owner[r] != task.owner)
                     continue;
                 const bool expired = control.expired(r);
-                trace_skipped[trace_base[r] + task.h] =
-                    expired ? 1 : 0;
+                std::fill_n(&trace_skipped[trace_base[r] + task.first],
+                            task.count, expired ? 1 : 0);
                 live = live || !expired;
             }
             if (!live) {
                 task_skipped[i] = 1;
                 return;
             }
-            const align::SearchHit &hit =
-                out[task.owner].hits[task.h];
             const WallClock::time_point t0 = WallClock::now();
-            task_aln[i] = prepared[grp.prep]->traceback(
-                db[hit.dbIndex], hit, &task_stats[i]);
+            prepared[grp.prep]->traceback(
+                db, &out[task.owner].hits[task.first], task.count,
+                &aln[aln_base[task.owner] + task.first],
+                &task_stats[i]);
             task_us[i] = elapsedUs(t0, WallClock::now());
             _mTracebackUs->record(task_us[i]);
         });
         for (std::size_t i = 0; i < trace_tasks.size(); ++i) {
             const TraceTask &task = trace_tasks[i];
             if (task_skipped[i]) {
-                ++tracebacks_skipped;
+                tracebacks_skipped += task.count;
             } else {
-                ++alignments_traced;
+                alignments_traced += task.count;
                 traceback_cells += task_stats[i].totalCells;
             }
             bool timed = false;
@@ -519,11 +556,12 @@ Engine::runBatch(const Request *requests, std::size_t count,
                 if (list_owner[r] != task.owner)
                     continue;
                 Response &resp = out[r];
-                if (trace_skipped[trace_base[r] + task.h]) {
-                    ++resp.tracebacksSkipped;
+                if (trace_skipped[trace_base[r] + task.first]) {
+                    resp.tracebacksSkipped += task.count;
                     continue;
                 }
-                resp.alignments[task.h] = task_aln[i];
+                std::copy_n(&aln[aln_base[task.owner] + task.first],
+                            task.count, &resp.alignments[task.first]);
                 resp.tracebackCells += task_stats[i].totalCells;
                 if (!timed) {
                     resp.tracebackUs += task_us[i];

@@ -65,7 +65,9 @@ namespace bioarch::serve
  * as skipped (Response::shardsSkipped), and the scan itself is
  * skipped once every request sharing it has expired —
  * cancellation at shard-scan granularity. Tracebacks are checked
- * the same way.
+ * the same way, once per group of hits traced together
+ * (PreparedQuery::tracebackGroup): a lapsed deadline skips whole
+ * groups, and Response::tracebacksSkipped counts their hits.
  */
 struct BatchControl
 {
@@ -239,7 +241,9 @@ class Engine
      * traceback cells; the native overflow ladder per
      * backend (native_scans_total{backend=...} and friends);
      * mirrored thread-pool tasks/steals. Histograms:
-     * serve_scan_us, serve_batch_us, serve_cache_hit_us; the
+     * serve_scan_us, serve_batch_us, serve_traceback_us (one
+     * sample per group of hits traced together, not per hit),
+     * serve_cache_hit_us; the
      * result cache's serve_cache_* series (registered with the
      * cache on or off). Per-request latency (serve_latency_us) is
      * the ServeLoop's.

@@ -98,37 +98,64 @@ PreparedQuery::scan(const bio::Sequence &subject,
     }
 }
 
-align::CigarAlignment
-PreparedQuery::traceback(const bio::Sequence &subject,
-                         const align::SearchHit &hit,
+std::size_t
+PreparedQuery::tracebackGroup() const
+{
+    return _native != nullptr ? align::nativeAlignGroup(*_native) : 1;
+}
+
+void
+PreparedQuery::traceback(const bio::SequenceDatabase &db,
+                         const align::SearchHit *hits,
+                         std::size_t count, align::CigarAlignment *out,
                          align::TracebackStats *stats) const
 {
     switch (_kind) {
     case kernels::Workload::Blast:
-        return align::blastAlign(*_neighborhood, *_query, subject,
-                                 *_matrix, _gaps, _blast, stats);
+        for (std::size_t i = 0; i < count; ++i)
+            out[i] = align::blastAlign(*_neighborhood, *_query,
+                                       db[hits[i].dbIndex], *_matrix,
+                                       _gaps, _blast, stats);
+        return;
     case kernels::Workload::Blastn:
-        return align::blastnAlign(*_dnaIndex, *_dnaQuery,
-                                  subject.residues().data(),
-                                  subject.length(), _blastn, stats);
-    case kernels::Workload::Fasta34:
-        // The ranked endpoint belongs to the heuristic band scan,
-        // not an exact SW argmax: locate the optimum afresh.
-        if (!_native)
-            throw std::logic_error(
-                "FASTA traceback needs a reporting request");
-        return align::nativeLocalAlign(*_native, subject, _gaps, {},
-                                       stats);
+        for (std::size_t i = 0; i < count; ++i) {
+            const bio::Sequence &subject = db[hits[i].dbIndex];
+            out[i] = align::blastnAlign(*_dnaIndex, *_dnaQuery,
+                                        subject.residues().data(),
+                                        subject.length(), _blastn,
+                                        stats);
+        }
+        return;
     default:
-        // The Smith-Waterman kinds: the scan already found the
-        // score and its end column (and the row, on the scalar
-        // rung), so the locate pass stops there.
-        if (hit.score <= 0)
-            return {};
-        return align::nativeLocalAlign(
-            *_native, subject, _gaps,
-            {hit.score, hit.queryEnd, hit.subjectEnd}, stats);
+        break;
     }
+    if (!_native)
+        throw std::logic_error(
+            "FASTA traceback needs a reporting request");
+    thread_local std::vector<align::NativeAlignHit> batch;
+    batch.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const bio::Sequence &subject = db[hits[i].dbIndex];
+        align::NativeAlignHit &job = batch[i];
+        job.subject = subject.residues().data();
+        job.length = subject.length();
+        if (_kind == kernels::Workload::Fasta34) {
+            // The ranked endpoint belongs to the heuristic band
+            // scan, not an exact SW argmax: locate the optimum
+            // afresh.
+            job.end = {};
+        } else if (hits[i].score > 0) {
+            // The Smith-Waterman kinds: the scan already found the
+            // score and its end column (and the row, on the scalar
+            // rung), so the locate pass stops there.
+            job.end = {hits[i].score, hits[i].queryEnd,
+                       hits[i].subjectEnd};
+        } else {
+            job.length = 0; // nothing to align: an empty alignment
+        }
+    }
+    align::nativeLocalAlignBatch(*_native, batch.data(), count, _gaps,
+                                 out, stats);
 }
 
 align::LocalScore

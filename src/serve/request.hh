@@ -23,6 +23,7 @@
 #include "align/sw_intersequence_native.hh"
 #include "align/sw_striped_native.hh"
 #include "align/types.hh"
+#include "bio/database.hh"
 #include "bio/scoring.hh"
 #include "bio/sequence.hh"
 #include "kernels/workload.hh"
@@ -213,31 +214,44 @@ class PreparedQuery
                     align::NativeScanStats *stats = nullptr) const;
 
     /**
-     * Phase-2 traceback of one ranked subject: the CIGAR alignment
-     * behind @p hit. The Smith-Waterman kinds and FASTA run
-     * align::nativeLocalAlign, which locates the alignment's
-     * rectangle with the native striped kernel and traces only
-     * that rectangle. The SW kinds hand it the scan's score and end
-     * column, so its locate pass stops there; the score stays
-     * bit-identical to the ranked SW score. FASTA ranks by the
-     * heuristic max(opt, initn) but reports the optimal local
-     * alignment, located over the whole subject, so its alignment
-     * score may exceed the ranked score. BLAST and BLASTN rerun
-     * their word scan and trace the banded gapped extension over
-     * the scan's window and band (score bit-identical to their
-     * ranked gapped score). Every CIGAR replays to exactly the
-     * alignment's own score. Memory is bounded: at most
+     * The most hits phase 4 should hand traceback() at once:
+     * align::nativeAlignGroup of the native profile, whose kernel
+     * locates one hit per lane, and 1 for the kinds without one
+     * (BLAST, BLASTN, the Scalar backend).
+     */
+    std::size_t tracebackGroup() const;
+
+    /**
+     * Phase-2 traceback of @p count ranked hits into @p out: the
+     * CIGAR alignment behind each hit, its subject db[dbIndex]. The
+     * Smith-Waterman kinds and FASTA run
+     * align::nativeLocalAlignBatch, which locates each alignment's
+     * rectangle in the lanes of the anchored inter-sequence kernel,
+     * one hit per lane, and traces only that rectangle. The SW
+     * kinds hand it the scan's score and end column, so a lane
+     * reads only that prefix; the score stays bit-identical to the
+     * ranked SW score. FASTA ranks by the heuristic
+     * max(opt, initn) but reports the optimal local alignment,
+     * located over the whole subject, so its alignment score may
+     * exceed the ranked score. BLAST and BLASTN rerun their word
+     * scan and trace the banded gapped extension over the scan's
+     * window and band (score bit-identical to their ranked gapped
+     * score). Every CIGAR replays to exactly the alignment's own
+     * score, and no alignment depends on how the hits were
+     * grouped. Memory is bounded: at most
      * align::tracebackCodeBudget direction codes per worker,
      * linear space beyond.
      *
      * FASTA needs the profile built only for reporting requests
      * (Request::reportAlignments); tracing a score-only FASTA
      * query throws std::logic_error.
+     *
+     * @param[out] stats optional work of all @p count hits
      */
-    align::CigarAlignment
-    traceback(const bio::Sequence &subject,
-              const align::SearchHit &hit,
-              align::TracebackStats *stats = nullptr) const;
+    void traceback(const bio::SequenceDatabase &db,
+                   const align::SearchHit *hits, std::size_t count,
+                   align::CigarAlignment *out,
+                   align::TracebackStats *stats = nullptr) const;
 
   private:
     kernels::Workload _kind;

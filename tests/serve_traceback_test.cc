@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <vector>
 
 #include "align/traceback/cigar.hh"
+#include "align/traceback/native_align.hh"
 #include "bio/dna_workload.hh"
 #include "bio/synthetic.hh"
 #include "index/epoch.hh"
@@ -293,6 +295,26 @@ TEST(TwoPhase, ReloadInvalidatesCachedAlignments)
         EXPECT_FALSE(r.fromCache);
 }
 
+/**
+ * A clock that advances one microsecond per reading, so on one
+ * worker the deadline checks of a batch lapse at a reproducible
+ * point.
+ */
+class TickingClock final : public serve::Clock
+{
+  public:
+    double
+    nowUs() const override
+    {
+        return static_cast<double>(
+            _reads.fetch_add(1, std::memory_order_relaxed));
+    }
+    std::uint64_t reads() const { return _reads.load(); }
+
+  private:
+    mutable std::atomic<std::uint64_t> _reads{0};
+};
+
 TEST(TwoPhase, DeadlineCoversTracebackPhase)
 {
     serve::EngineConfig cfg;
@@ -316,6 +338,107 @@ TEST(TwoPhase, DeadlineCoversTracebackPhase)
         for (const align::CigarAlignment &aln : r.alignments)
             EXPECT_TRUE(aln.empty());
     }
+
+    // A deadline that lapses in the middle of phase 2 skips whole
+    // groups of hits: every group is traced exactly as without a
+    // deadline, or skipped, and each member counts its skipped hits
+    // one by one. One worker and a clock that ticks once per reading
+    // put the lapse at a reproducible check: half-way through the
+    // checks phase 2 adds to those of phase 1.
+    const bio::SequenceDatabase db = bio::makeDefaultDatabase(300);
+    std::vector<serve::Request> requests;
+    const kernels::Workload kinds[] = {kernels::Workload::Ssearch34,
+                                       kernels::Workload::Fasta34,
+                                       kernels::Workload::SwVmx128};
+    for (std::size_t i = 0; i < 3; ++i) {
+        serve::Request r;
+        r.id = i;
+        r.kind = kinds[i];
+        r.query = queryPool()[i];
+        r.topK = db.size();
+        r.reportAlignments = true;
+        requests.push_back(std::move(r));
+    }
+    struct Run
+    {
+        std::vector<serve::Response> responses;
+        std::uint64_t reads = 0;
+        std::uint64_t traced = 0;
+        std::uint64_t skipped = 0;
+        std::size_t timedGroups = 0;
+    };
+    const auto run = [&](const std::vector<serve::Request> &batch,
+                         double deadline) {
+        serve::Engine eng(db, cfg);
+        TickingClock ticks;
+        std::vector<double> at(batch.size(), deadline);
+        serve::BatchControl ctl;
+        ctl.clock = &ticks;
+        ctl.deadlinesUs = at.data();
+        Run out;
+        out.responses = eng.serveBatch(batch, ctl);
+        out.reads = ticks.reads();
+        out.traced = eng.metrics().counterValue("serve_alignments_total");
+        out.skipped =
+            eng.metrics().counterValue("serve_tracebacks_skipped_total");
+        out.timedGroups =
+            eng.metrics().histogram("serve_traceback_us").summary().count;
+        return out;
+    };
+    std::vector<serve::Request> score_only = requests;
+    for (serve::Request &r : score_only)
+        r.reportAlignments = false;
+    const std::uint64_t scan_reads = run(score_only, 1e18).reads;
+    const Run ref = run(requests, 1e18);
+    ASSERT_GT(ref.reads, scan_reads);
+    const Run cut = run(
+        requests,
+        static_cast<double>(scan_reads + (ref.reads - scan_reads) / 2));
+
+    std::size_t groups_traced = 0;
+    std::size_t groups_skipped = 0;
+    bool split_list = false;
+    std::uint64_t traced_total = 0;
+    std::uint64_t skipped_total = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const serve::Response &want = ref.responses[i];
+        const serve::Response &got = cut.responses[i];
+        EXPECT_EQ(want.tracebacksSkipped, 0u);
+        expectSameHits(got.hits, want.hits, "req " + std::to_string(i));
+        const std::size_t n = got.hits.size();
+        ASSERT_EQ(got.alignments.size(), n);
+        const align::NativeQueryProfile profile(
+            requests[i].query, bio::blosum62(), cfg.backend);
+        const std::size_t cap = align::nativeAlignGroup(profile);
+        const std::size_t count = (n + cap - 1) / cap;
+        std::uint64_t traced = 0;
+        std::uint64_t skipped = 0;
+        for (std::size_t g = 0; g < count; ++g) {
+            const std::size_t first = n * g / count;
+            const std::size_t last = n * (g + 1) / count;
+            bool same = true;
+            bool empty = true;
+            for (std::size_t h = first; h < last; ++h) {
+                same = same && got.alignments[h] == want.alignments[h];
+                empty = empty && got.alignments[h].empty();
+            }
+            EXPECT_TRUE(same || empty) << "req " << i << " group " << g;
+            (same ? traced : skipped) += last - first;
+            ++(same ? groups_traced : groups_skipped);
+        }
+        EXPECT_EQ(got.tracebacksSkipped, skipped) << "req " << i;
+        EXPECT_EQ(traced + skipped, n) << "req " << i;
+        split_list = split_list || (traced > 0 && skipped > 0);
+        traced_total += traced;
+        skipped_total += skipped;
+    }
+    EXPECT_GT(groups_traced, 0u);
+    EXPECT_GT(groups_skipped, 0u);
+    EXPECT_TRUE(split_list);
+    EXPECT_EQ(cut.traced, traced_total);
+    EXPECT_EQ(cut.skipped, skipped_total);
+    // serve_traceback_us holds one sample per group traced.
+    EXPECT_EQ(cut.timedGroups, groups_traced);
 }
 
 TEST(BlastnServe, EndToEndFindsPlantedLongReadHomologs)

@@ -32,6 +32,7 @@
 #include "align/blast.hh"
 #include "align/blastn.hh"
 #include "align/smith_waterman.hh"
+#include "align/sw_intersequence_native_impl.hh"
 #include "align/sw_striped_native.hh"
 #include "align/traceback/banded_extend.hh"
 #include "align/traceback/cigar.hh"
@@ -741,7 +742,8 @@ parityHits(bio::Rng &rng, const bio::Sequence &q, int count)
  * gap settings, hit lists longer than any backend's lane count, and
  * hits whose scores clip the 8-bit lanes. Each runnable backend
  * must produce the pinned digest (the alignments do not depend on
- * the backend).
+ * the backend), one hit at a time through nativeLocalAlign and in
+ * batches through nativeLocalAlignBatch.
  */
 TEST(NativeAlignParity, FamilyDigestIsPinned)
 {
@@ -750,6 +752,8 @@ TEST(NativeAlignParity, FamilyDigestIsPinned)
         {10, 1}, {0, 1}, {3, 6}};
     for (const SimdBackend backend : runnableBackends()) {
         core::Fnv1a h;
+        core::Fnv1a h_list;
+        core::Fnv1a h_group;
         int traced = 0;
         int clipped = 0;
         bio::Rng rng(0x9A217E);
@@ -759,6 +763,8 @@ TEST(NativeAlignParity, FamilyDigestIsPinned)
                 const NativeQueryProfile profile(q, matrix, backend);
                 const std::vector<bio::Sequence> hits =
                     parityHits(rng, q, 40);
+                std::vector<NativeAlignHit> sw_hits;
+                std::vector<NativeAlignHit> fasta_hits;
                 for (const bio::Sequence &s : hits) {
                     const LocalScore scan =
                         swStripedNativeScan(profile, s, gaps);
@@ -770,6 +776,34 @@ TEST(NativeAlignParity, FamilyDigestIsPinned)
                         traced += aln.empty() ? 0 : 1;
                         hashAlignment(h, aln);
                     }
+                    sw_hits.push_back(
+                        {s.residues().data(), s.length(), scan});
+                    fasta_hits.push_back(
+                        {s.residues().data(), s.length(), {}});
+                }
+                // The batch entry, over the whole list (more hits
+                // than lanes) and over the groups the engine hands
+                // it, digested in the same order.
+                const std::size_t group =
+                    profile.kernels() != nullptr
+                    ? static_cast<std::size_t>(profile.kernels()->lanesU8)
+                    : 1;
+                for (const std::size_t size : {hits.size(), group}) {
+                    std::vector<CigarAlignment> sw_out(hits.size());
+                    std::vector<CigarAlignment> fasta_out(hits.size());
+                    for (std::size_t at = 0; at < hits.size(); at += size) {
+                        const std::size_t k =
+                            std::min(size, hits.size() - at);
+                        nativeLocalAlignBatch(profile, &sw_hits[at], k,
+                                              gaps, &sw_out[at]);
+                        nativeLocalAlignBatch(profile, &fasta_hits[at], k,
+                                              gaps, &fasta_out[at]);
+                    }
+                    core::Fnv1a &hb = size == group ? h_group : h_list;
+                    for (std::size_t i = 0; i < hits.size(); ++i) {
+                        hashAlignment(hb, sw_out[i]);
+                        hashAlignment(hb, fasta_out[i]);
+                    }
                 }
             }
         }
@@ -779,7 +813,205 @@ TEST(NativeAlignParity, FamilyDigestIsPinned)
         EXPECT_EQ(h.digest(), 0x4e5ff631e619d365ULL)
             << backendName(backend) << " traced " << traced
             << ", clipped " << clipped;
+        EXPECT_EQ(h_list.digest(), 0x4e5ff631e619d365ULL)
+            << backendName(backend) << " batch of the whole list";
+        EXPECT_EQ(h_group.digest(), 0x4e5ff631e619d365ULL)
+            << backendName(backend) << " batches of lanesU8 hits";
     }
+}
+
+/**
+ * The anchored lane kernels of every hardware backend, at 8 and 16
+ * bits, find the same end and begin cells as the striped passes
+ * (swStripedLocate, swStripedBeginCell), lane by lane, or flag the
+ * lane as clipped: mixed-length groups of 1,
+ * lanes - 1 (an idle lane) and lanes + 1 (a refill) hits, in no
+ * particular order, with zero-score, length-1 and 8-bit-clipping
+ * subjects, hinted and unhinted end cells, and the equal-scoring
+ * decoy of AnchoredBeginIgnoresEqualScoringDecoy in a lane.
+ */
+TEST(NativeAlign, AnchoredLanesMatchStripedPasses)
+{
+    const bio::ScoringMatrix &matrix = bio::blosum62();
+    bio::Rng rng(0x1A7E5);
+    // 'X' scores at most 0 against every residue.
+    const bio::Sequence zero("Z", "", std::string(30, 'X'));
+    int clipped = 0;
+    int checked_begin = 0;
+    int checked_wide = 0;
+
+    const auto run_level = [&](const NativeQueryProfile &profile,
+                               const std::vector<bio::Sequence> &subjects,
+                               const bio::GapPenalties &gaps, bool wide,
+                               const std::string &ctx) {
+        const NativeKernels::InterAnchoredFn kernel = wide
+            ? profile.kernels()->interAnchoredI16
+            : profile.kernels()->interAnchoredU8;
+        const int m = profile.queryLength();
+        const int cap = (wide ? 32767 : 255) - profile.bias();
+        const bio::Residue *query = profile.query().residues().data();
+
+        // End cells: even subjects hinted by their scan, odd ones not.
+        std::vector<detail::InterAnchoredLane> jobs;
+        std::vector<LocalScore> want;
+        for (std::size_t i = 0; i < subjects.size(); ++i) {
+            const bio::Sequence &s = subjects[i];
+            const LocalScore scan = swStripedNativeScan(profile, s, gaps);
+            const bool hint = i % 2 == 0 && scan.score > 0;
+            const int cols = hint ? scan.subjectEnd + 1
+                                  : static_cast<int>(s.length());
+            jobs.push_back({s.residues().data(), cols, cap, -1, !hint});
+            want.push_back(swStripedLocate(profile, s.residues().data(),
+                                           static_cast<std::size_t>(cols),
+                                           gaps));
+        }
+        std::vector<detail::InterAnchoredResult> got(jobs.size());
+        kernel(profile.interMatrix(), query, m, jobs.data(), jobs.size(),
+               gaps.openCost(), gaps.extendCost(), profile.bias(),
+               got.data());
+        std::vector<detail::InterAnchoredLane> rev_jobs;
+        std::vector<std::vector<bio::Residue>> rev_subjects;
+        std::vector<std::size_t> rev_hit;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const std::string at = ctx + " lane " + std::to_string(i);
+            if (want[i].score >= cap) {
+                EXPECT_GE(got[i].best, cap) << at;
+                clipped += wide ? 0 : 1;
+                continue;
+            }
+            ASSERT_EQ(got[i].best, want[i].score) << at;
+            if (want[i].score == 0)
+                continue;
+            EXPECT_EQ(got[i].column, want[i].subjectEnd) << at;
+            EXPECT_EQ(got[i].row, want[i].queryEnd) << at;
+            if (want[i].score + 1 >= cap)
+                continue;
+            const int cols = want[i].subjectEnd + 1;
+            rev_subjects.emplace_back(subjects[i].residues().begin(),
+                                      subjects[i].residues().begin()
+                                          + cols);
+            std::reverse(rev_subjects.back().begin(),
+                         rev_subjects.back().end());
+            rev_hit.push_back(i);
+        }
+
+        // Begin cells over the reversed whole query.
+        std::vector<bio::Residue> rev_query(query, query + m);
+        std::reverse(rev_query.begin(), rev_query.end());
+        for (std::size_t k2 = 0; k2 < rev_hit.size(); ++k2) {
+            const LocalScore &end = want[rev_hit[k2]];
+            rev_jobs.push_back({rev_subjects[k2].data(),
+                                end.subjectEnd + 1, end.score + 1,
+                                m - 1 - end.queryEnd, false});
+        }
+        std::vector<detail::InterAnchoredResult> rev(rev_jobs.size());
+        kernel(profile.interMatrix(), rev_query.data(), m, rev_jobs.data(),
+               rev_jobs.size(), gaps.openCost(), gaps.extendCost(),
+               profile.bias(), rev.data());
+        for (std::size_t k2 = 0; k2 < rev_hit.size(); ++k2) {
+            const std::size_t i = rev_hit[k2];
+            const LocalScore &end = want[i];
+            int q_begin = -1;
+            int s_begin = -1;
+            ASSERT_TRUE(swStripedBeginCell(
+                profile, subjects[i].residues().data(), end.queryEnd,
+                end.subjectEnd, gaps, end.score, &q_begin, &s_begin));
+            const std::string at = ctx + " reverse lane " + std::to_string(i);
+            ASSERT_EQ(rev[k2].best, end.score + 1) << at;
+            EXPECT_EQ(m - 1 - rev[k2].row, q_begin) << at;
+            EXPECT_EQ(end.subjectEnd - rev[k2].column, s_begin) << at;
+            ++checked_begin;
+            checked_wide += wide && end.score + 1 >= 255 - profile.bias();
+        }
+    };
+    // Each group at both lane widths: the 8-bit lanes clip where
+    // the 16-bit ones settle.
+    const auto run_group = [&](const NativeQueryProfile &profile,
+                               const std::vector<bio::Sequence> &subjects,
+                               const bio::GapPenalties &gaps,
+                               const std::string &ctx) {
+        run_level(profile, subjects, gaps, false, ctx + " u8");
+        run_level(profile, subjects, gaps, true, ctx + " i16");
+    };
+
+    for (const SimdBackend backend : runnableBackends()) {
+        const NativeKernels *k = nativeKernels(backend);
+        if (k == nullptr)
+            continue;
+        const std::size_t lanes = static_cast<std::size_t>(k->lanesU8);
+        for (const bio::GapPenalties &gaps :
+             {bio::GapPenalties{10, 1}, bio::GapPenalties{0, 1},
+              bio::GapPenalties{3, 6}}) {
+            for (const int m : {1, 37, 160}) {
+                const bio::Sequence q = bio::makeRandomSequence(rng, m);
+                const NativeQueryProfile profile(q, matrix, backend);
+                for (const std::size_t size :
+                     {std::size_t{1}, lanes - 1, lanes + 1}) {
+                    std::vector<bio::Sequence> subjects;
+                    for (std::size_t i = 0; i < size; ++i) {
+                        const int shape = static_cast<int>(i % 5);
+                        if (shape == 0)
+                            subjects.push_back(zero);
+                        else if (shape == 1)
+                            subjects.push_back(
+                                bio::makeRandomSequence(rng, 1));
+                        else if (shape == 2)
+                            subjects.push_back(bio::makeRandomSequence(
+                                rng, 1 + static_cast<int>(rng.below(300))));
+                        else
+                            // Near-copies clip the 8-bit lanes on the
+                            // long query.
+                            subjects.push_back(bio::mutate(
+                                rng, q, shape == 3 ? 0.45 : 0.9, "H", ""));
+                    }
+                    run_group(profile, subjects, gaps,
+                              std::string(backendName(backend)) + " m="
+                                  + std::to_string(m) + " size="
+                                  + std::to_string(size));
+                }
+            }
+        }
+
+        // The decoy: the anchor (1, 1) must pin the begin at (0, 0)
+        // with other lanes running beside it.
+        const bio::Sequence q("Q", "", std::string("CAAA"));
+        const NativeQueryProfile profile(q, matrix, backend);
+        std::vector<bio::Sequence> subjects = {
+            bio::Sequence("S", "", std::string("CCCW"))};
+        for (int i = 0; i < 5; ++i)
+            subjects.push_back(bio::makeRandomSequence(rng, 3 + i));
+        run_group(profile, subjects, bio::GapPenalties{},
+                  std::string(backendName(backend)) + " decoy");
+        // Reversed: q = AAAC. The anchor (1, 1) beside the decoy's
+        // own end (0, 1) and the cell (0, 0), all seeded at once.
+        const std::vector<bio::Residue> rq = {q[3], q[2], q[1], q[0]};
+        const std::vector<bio::Residue> rs = {subjects[0][1],
+                                              subjects[0][0]};
+        const std::vector<bio::Residue> rs_one = {subjects[0][0]};
+        const std::vector<detail::InterAnchoredLane> jobs = {
+            {rs_one.data(), 1, 10, 3, false}, // anchor (0, 0)
+            {rs.data(), 2, 10, 2, false},     // the decoy's anchor (1, 1)
+            {rs.data(), 2, 10, 3, false},     // the decoy's end (0, 1)
+        };
+        std::vector<detail::InterAnchoredResult> got(jobs.size());
+        k->interAnchoredU8(profile.interMatrix(), rq.data(), 4,
+                           jobs.data(), jobs.size(),
+                           bio::GapPenalties{}.openCost(),
+                           bio::GapPenalties{}.extendCost(),
+                           profile.bias(), got.data());
+        EXPECT_EQ(got[0].best, 10);
+        EXPECT_EQ(3 - got[0].row, 0);
+        EXPECT_EQ(0 - got[0].column, 0);
+        ASSERT_EQ(got[1].best, 10);
+        EXPECT_EQ(3 - got[1].row, 0); // qBegin 0, not the decoy's 0 ..
+        EXPECT_EQ(1 - got[1].column, 0); // .. and sBegin 0, not 1
+        EXPECT_EQ(got[2].best, 10);
+        EXPECT_EQ(3 - got[2].row, 0);
+        EXPECT_EQ(1 - got[2].column, 1);
+    }
+    EXPECT_GT(clipped, 10);
+    EXPECT_GT(checked_begin, 100);
+    EXPECT_GT(checked_wide, 10);
 }
 
 TEST(BandedExtend, ScoreMatchesScoreOnlyBandedScan)
