@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "bio/alphabet.hh"
 #include "align/sw_intersequence_native_impl.hh"
+#include "bio/alphabet.hh"
 #include "hirschberg.hh"
 
 namespace bioarch::align
@@ -277,20 +277,6 @@ endCellKnown(const LocalScore &end, int m, int n)
         && end.queryEnd >= 0 && end.queryEnd < m;
 }
 
-/**
- * Step 1 on the striped kernel: the end cell of the optimum in
- * subject[0..cols), stopping at the first column reaching
- * @p known_score when it is > 0.
- */
-LocalScore
-locateStriped(const NativeQueryProfile &profile,
-              const bio::Residue *subject, std::size_t cols,
-              const bio::GapPenalties &gaps, int known_score)
-{
-    return swStripedLocate(profile, subject, cols, gaps,
-                           std::max(known_score, 0));
-}
-
 /** Step 2 on the striped kernel, into out.qBegin / out.sBegin. */
 void
 beginStriped(const NativeQueryProfile &profile,
@@ -452,8 +438,8 @@ nativeLocalAlign(const NativeQueryProfile &profile,
         const std::size_t cols = s_known
             ? static_cast<std::size_t>(end.subjectEnd) + 1
             : subject_len;
-        loc = locateStriped(profile, subject, cols, gaps,
-                            s_known ? end.score : 0);
+        loc = swStripedLocate(profile, subject, cols, gaps,
+                              s_known ? end.score : 0);
         work.totalCells += static_cast<std::uint64_t>(m) * cols;
         work.peakCells = stripedLiveCells(m);
     }
@@ -551,9 +537,9 @@ nativeLocalAlignBatch(const NativeQueryProfile &profile,
             || (hinted(i)
                 && (r.best != hits[i].end.score
                     || r.column != jobs[k].length - 1 || r.row < 0)))
-            loc[i] = locateStriped(profile, hits[i].subject, cols_of(i),
-                                   gaps,
-                                   hinted(i) ? hits[i].end.score : 0);
+            loc[i] = swStripedLocate(profile, hits[i].subject,
+                                     cols_of(i), gaps,
+                                     hinted(i) ? hits[i].end.score : 0);
         else
             loc[i] = {r.best, r.row, r.column};
     }
