@@ -380,38 +380,44 @@ BENCHMARK(BM_TracebackFillScalar)->Unit(benchmark::kMillisecond);
 
 /**
  * Phase 2 of every phase2Queries() hit, with (@p fasta) or without
- * FASTA's missing end hints: in lanes, handing
- * nativeLocalAlignBatch each query's hits in even groups of at most
- * nativeAlignGroup() as the serving engine does, or one hit at a
- * time through nativeLocalAlign (the striped passes). Returns the
- * summed scores.
+ * FASTA's missing end hints: in lanes, as the serving engine hands
+ * them out (each query's hits that fit the lanes, by their scan
+ * score, in one nativeLocalAlignBatch call, and the others one at a
+ * time), or every hit one at a time through nativeLocalAlign (the
+ * striped passes). Returns the summed scores.
  */
 int
 phase2All(bool fasta, bool lanes)
 {
     thread_local std::vector<align::CigarAlignment> out;
+    thread_local std::vector<align::NativeAlignHit> group;
+    thread_local std::vector<align::CigarAlignment> group_out;
+    thread_local std::vector<std::size_t> group_at;
     int sum = 0;
     for (const Phase2Query &pq : phase2Queries()) {
         const std::vector<align::NativeAlignHit> &hits =
             fasta ? pq.fasta : pq.sw;
         out.resize(hits.size());
-        if (!lanes) {
-            for (std::size_t h = 0; h < hits.size(); ++h)
-                out[h] = align::nativeLocalAlign(*pq.profile, hits[h].subject,
-                                                 hits[h].length, kGaps,
-                                                 hits[h].end);
-        } else {
-            // Even groups of at most nativeAlignGroup() hits.
-            const std::size_t cap = align::nativeAlignGroup(*pq.profile);
-            const std::size_t groups = (hits.size() + cap - 1) / cap;
-            for (std::size_t g = 0; g < groups; ++g) {
-                const std::size_t first = hits.size() * g / groups;
-                const std::size_t last = hits.size() * (g + 1) / groups;
-                align::nativeLocalAlignBatch(*pq.profile, &hits[first],
-                                             last - first, kGaps,
-                                             &out[first]);
+        group.clear();
+        group_at.clear();
+        for (std::size_t h = 0; h < hits.size(); ++h) {
+            if (lanes
+                && align::nativeAlignFitsLanes(*pq.profile, kGaps,
+                                               pq.sw[h].end.score)) {
+                group.push_back(hits[h]);
+                group_at.push_back(h);
+                continue;
             }
+            out[h] = align::nativeLocalAlign(*pq.profile, hits[h].subject,
+                                             hits[h].length, kGaps,
+                                             hits[h].end);
         }
+        group_out.resize(group.size());
+        align::nativeLocalAlignBatch(*pq.profile, group.data(),
+                                     group.size(), kGaps,
+                                     group_out.data());
+        for (std::size_t k = 0; k < group.size(); ++k)
+            out[group_at[k]] = group_out[k];
         for (const align::CigarAlignment &aln : out)
             sum += aln.score;
     }

@@ -24,9 +24,8 @@ inline constexpr NativeKernels kernelTable = {
     U8::lanes,
     &stripedScanU8<U8>,
     &stripedScanI16<I16>,
-    &interScanU8<U8>,
-    &interAnchored<U8>,
-    &interAnchored<I16>,
+    &interLanes<U8, false>,
+    &interLanes<U8, true>,
     &bandedScanI16<I16>,
     &fillRectangleI16<I16>,
 };

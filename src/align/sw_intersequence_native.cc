@@ -41,28 +41,13 @@ swInterSequenceScan(const NativeQueryProfile &profile,
         return;
     }
 
-    // Longest-first lane schedule: the long subjects start
-    // together and the short ones refill the lanes that retire
-    // early, so the lanes drain close together instead of one long
-    // subject idling the rest at the end. The (length desc, index
-    // asc) key makes the schedule — and therefore the retire/refill
-    // sequence — a pure function of the batch, independent of how
-    // the caller discovered the subjects; lanes are independent, so
-    // scores and end columns do not depend on it.
+    // Longest-first lane schedule; lanes are independent, so scores
+    // and end columns do not depend on it.
     thread_local std::vector<std::uint32_t> order;
-    order.clear();
-    for (std::size_t i = 0; i < count; ++i)
-        if (subjects[i].length > 0)
-            order.push_back(static_cast<std::uint32_t>(i));
+    detail::longestFirst(
+        count, [&](std::size_t k) { return subjects[k].length; }, order);
     if (order.empty())
         return;
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  if (subjects[a].length != subjects[b].length)
-                      return subjects[a].length
-                          > subjects[b].length;
-                  return a < b;
-              });
 
     thread_local std::vector<detail::InterSubject> sorted;
     thread_local std::vector<detail::InterLaneResult> results;

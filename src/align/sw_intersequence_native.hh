@@ -26,8 +26,10 @@
 #ifndef BIOARCH_ALIGN_SW_INTERSEQUENCE_NATIVE_HH
 #define BIOARCH_ALIGN_SW_INTERSEQUENCE_NATIVE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "bio/scoring.hh"
 #include "bio/sequence.hh"
@@ -70,6 +72,70 @@ void swInterSequenceScan(const NativeQueryProfile &profile,
                          LocalScore *out,
                          std::uint64_t *cells = nullptr,
                          NativeScanStats *stats = nullptr);
+
+namespace detail
+{
+
+/**
+ * One lane of an anchored pass (the traceback tier's locate and
+ * reverse passes, NativeKernels::interAnchoredU8): the columns the
+ * lane runs, in pass order, and where it stops.
+ */
+struct InterAnchoredLane
+{
+    const bio::Residue *data;
+    /** Columns at most (> 0). */
+    int length;
+    /** Retire after the first column whose best reaches this (the
+     * lane also retires once it clips). */
+    int stopAt;
+    /** Query row whose diagonal input in the lane's first column
+     * starts at 1 instead of 0 (the anchor seed), or -1. */
+    int seedRow;
+    /** Keep the lane's H column of every improvement of its best,
+     * so the row can be read from the column of the first maximum
+     * rather than the last column the lane ran. */
+    bool snapshot;
+};
+
+/** One anchored lane's outcome, in pass coordinates. */
+struct InterAnchoredResult
+{
+    /** Best H of the columns run (unbiased). */
+    int best = 0;
+    /** First column attaining best, or -1 when best is 0. */
+    int column = -1;
+    /** Smallest row holding best in the snapshot column (with
+     * InterAnchoredLane::snapshot) or the last column run, or -1. */
+    int row = -1;
+};
+
+/**
+ * The lane schedule of the inter-sequence kernel: the indices of the
+ * @p count jobs with a positive @p length_of(k), longest first, ties
+ * by index, into @p order. The long jobs start together and the
+ * short ones refill the lanes that retire early, so the lanes drain
+ * close together instead of one long job idling the rest at the
+ * end; the key makes the schedule a pure function of the jobs.
+ */
+template <class LengthOf>
+void
+longestFirst(std::size_t count, LengthOf length_of,
+             std::vector<std::uint32_t> &order)
+{
+    order.clear();
+    for (std::size_t k = 0; k < count; ++k)
+        if (length_of(k) > 0)
+            order.push_back(static_cast<std::uint32_t>(k));
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  const auto la = length_of(a);
+                  const auto lb = length_of(b);
+                  return la != lb ? la > lb : a < b;
+              });
+}
+
+} // namespace detail
 
 /**
  * Default subject-length cutover of the serving heuristic: subjects

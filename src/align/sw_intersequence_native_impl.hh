@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bio/alphabet.hh"
+#include "sw_intersequence_native.hh"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -188,42 +189,68 @@ struct InterLaneResult
 };
 
 /**
- * Scan @p count subjects, one per u8 lane, against the query.
- * Subjects should arrive longest first, so the short tail refills
- * lanes that retire early and the lanes drain together (correct in
- * any order, just slower). A retiring lane is
- * refilled from the queue immediately; its H/E/best state is zeroed
- * with a lane mask, and exhausted lanes idle on the all-zero pad
- * row of @p mat_t until the batch drains.
+ * The inter-sequence kernel, one job per u8 lane, in two
+ * instantiations that share the gather, the refill and the
+ * recurrence:
+ *
+ *  - the score scan (@p Anchored false; jobs InterSubject, results
+ *    InterLaneResult): each lane runs its whole subject and reports
+ *    its best and the 0-based column it was first attained in (the
+ *    striped kernel's subjectEnd convention), flagging a best in
+ *    the clip band [255-bias, 255] as saturated so the caller can
+ *    rescan that subject up the striped 16-bit -> scalar ladder;
+ *  - the traceback tier's locating passes (@p Anchored true; jobs
+ *    InterAnchoredLane, results InterAnchoredResult), which add an
+ *    early stop (a lane retires after the first column whose best
+ *    reaches its stopAt or clips), an anchor seed (in a lane's first
+ *    column the diagonal input of row seedRow is 1, so alignments
+ *    through that cell carry the bonus; only columns where a seeded
+ *    lane starts run the seeded loop) and the end row (on
+ *    retirement, the smallest row of the lane's last column, or with
+ *    snapshot of the column of its best's last improvement, holding
+ *    its best; on columns where a snapshot lane's best improves, a
+ *    lane-masked blend copies those lanes' H column).
+ *
+ * Jobs should arrive longest first (longestFirst()), so the short
+ * tail refills lanes that retire early and the lanes drain together
+ * (correct in any order, just slower). A retiring lane is refilled
+ * from the queue immediately; its H/E/best state is zeroed with a
+ * lane mask, and exhausted lanes idle on the all-zero pad row of
+ * @p mat_t until the batch drains. Values are exact below the clip
+ * band; a clipped lane's result means nothing beyond that.
  *
  * @param mat_t  transposed biased matrix: row per *subject* symbol
  *               (numSymbols rows + one all-zero pad row), each row
  *               numSymbols biased scores indexed by query residue
  *               (NativeQueryProfile::interMatrix())
- * @param query  encoded query residues
+ * @param query  encoded query residues in pass order (the reversed
+ *               query for a reverse pass)
  * @param m      query length (> 0)
- * @param results one entry per subject: best score (biased scale
- *               clips flagged via `saturated`), and the 0-based
- *               subject column the final best was first attained in
- *               (the striped kernel's subjectEnd convention)
+ * @param results one entry per job, in the caller's job order
  */
-template <class V>
+template <class V, bool Anchored>
 void
-interScanU8(const std::uint8_t *mat_t, const bio::Residue *query,
-            int m, const InterSubject *subjects, std::size_t count,
-            int open_cost, int ext_cost, int bias,
-            InterLaneResult *results)
+interLanes(const std::uint8_t *mat_t, const bio::Residue *query, int m,
+           const std::conditional_t<Anchored, InterAnchoredLane,
+                                    InterSubject> *jobs,
+           std::size_t count, int open_cost, int ext_cost, int bias,
+           std::conditional_t<Anchored, InterAnchoredResult,
+                              InterLaneResult> *results)
 {
     using Reg = typename V::Reg;
     using Elem = typename V::Elem;
+    static_assert(std::is_unsigned_v<Elem>,
+                  "the zero clamp is the unsigned saturation");
     constexpr int lanes = V::lanes;
     constexpr int num_symbols = bio::Alphabet::numSymbols;
+    constexpr Elem ones = static_cast<Elem>(-1);
 
     const Reg v_open = V::splat(static_cast<Elem>(open_cost));
     const Reg v_ext = V::splat(static_cast<Elem>(ext_cost));
     const Reg v_bias = V::splat(static_cast<Elem>(bias));
 
-    // Per-query-position state, reused across calls on this thread.
+    // Per-query-position state, reused across calls on this thread;
+    // the anchored seeds stay all zero between columns.
     thread_local std::vector<Reg> h;
     thread_local std::vector<Reg> e;
     thread_local std::vector<std::size_t> qoff;
@@ -234,16 +261,45 @@ interScanU8(const std::uint8_t *mat_t, const bio::Residue *query,
     for (std::size_t i = 0; i < mm; ++i)
         qoff[i] = static_cast<std::size_t>(query[i])
             * static_cast<std::size_t>(lanes);
+    Reg *snap = nullptr;
+    Reg *seed = nullptr;
+    if constexpr (Anchored) {
+        thread_local std::vector<Reg> snap_col;
+        thread_local std::vector<Reg> seed_col;
+        snap_col.resize(mm);
+        seed_col.assign(mm, V::zero());
+        snap = snap_col.data();
+        seed = seed_col.data();
+    }
 
-    int slot[lanes];      // subject index per lane, -1 = idle
-    int pos[lanes];       // current column within the subject
+    int slot[lanes];      // job index per lane, -1 = idle
+    int pos[lanes];       // current column within the job
     Elem lane_best[lanes];
     int lane_end[lanes];
+    bool done[lanes];     // anchored: reached stopAt or clipped
+    int seeded[lanes];    // anchored: row seeded this column, or -1
     alignas(64) Elem mask[lanes];
+    alignas(64) Elem keep[lanes];
     alignas(64) Elem best_now[lanes];
     alignas(64) Elem best_was[lanes];
     alignas(64) Elem scratch[static_cast<std::size_t>(num_symbols)
                              * static_cast<std::size_t>(lanes)];
+
+    // Put job @p next in lane @p l, arming an anchored job's seed.
+    bool seeding = false;
+    const auto start = [&](int l, std::size_t next) {
+        slot[l] = static_cast<int>(next);
+        if constexpr (Anchored) {
+            done[l] = false;
+            seeded[l] = jobs[next].seedRow;
+            if (seeded[l] >= 0) {
+                reinterpret_cast<Elem *>(seed)
+                    [static_cast<std::size_t>(seeded[l]) * lanes
+                     + static_cast<std::size_t>(l)] = 1;
+                seeding = true;
+            }
+        }
+    };
 
     Reg v_best = V::zero();
     std::size_t next = 0;
@@ -253,35 +309,56 @@ interScanU8(const std::uint8_t *mat_t, const bio::Residue *query,
         pos[l] = 0;
         lane_best[l] = 0;
         lane_end[l] = -1;
+        done[l] = false;
+        seeded[l] = -1;
     }
     for (int l = 0; l < lanes && next < count; ++l, ++next) {
-        slot[l] = static_cast<int>(next);
+        start(l, next);
         ++active;
     }
 
     while (active > 0) {
-        // Retire finished subjects and refill from the queue. The
-        // mask zeroes a refilled lane's H/E/best columns in one
-        // vectorized pass; length-sorted input puts subjects of
+        // Retire finished jobs and refill from the queue. The mask
+        // zeroes a refilled lane's H/E/best columns in one
+        // vectorized pass; length-sorted input puts jobs of
         // near-equal length side by side, so simultaneous
         // retirements (one mask pass for many lanes) stay common.
         bool retired = false;
         for (int l = 0; l < lanes; ++l) {
-            mask[l] = static_cast<Elem>(0xFF);
-            if (slot[l] < 0 || pos[l] < subjects[slot[l]].length)
+            mask[l] = ones;
+            if (slot[l] < 0
+                || (pos[l] < jobs[slot[l]].length
+                    && !(Anchored && done[l])))
                 continue;
-            InterLaneResult &r = results[slot[l]];
-            r.best = lane_best[l];
-            r.subjectEnd = lane_end[l];
-            r.saturated =
-                static_cast<int>(lane_best[l]) >= 255 - bias;
+            auto &r = results[slot[l]];
+            if constexpr (Anchored) {
+                // The row, before the mask pass zeroes the column.
+                r.best = lane_best[l];
+                r.column = lane_end[l];
+                r.row = -1;
+                const Elem *col = reinterpret_cast<const Elem *>(
+                    jobs[slot[l]].snapshot ? snap : h.data());
+                for (int i = 0; i < m && lane_best[l] > 0; ++i) {
+                    if (col[static_cast<std::size_t>(i) * lanes
+                            + static_cast<std::size_t>(l)]
+                        == lane_best[l]) {
+                        r.row = i;
+                        break;
+                    }
+                }
+            } else {
+                r.best = lane_best[l];
+                r.subjectEnd = lane_end[l];
+                r.saturated =
+                    static_cast<int>(lane_best[l]) >= 255 - bias;
+            }
             retired = true;
             mask[l] = 0;
             lane_best[l] = 0;
             lane_end[l] = -1;
             pos[l] = 0;
             if (next < count) {
-                slot[l] = static_cast<int>(next++);
+                start(l, next++);
             } else {
                 slot[l] = -1;
                 --active;
@@ -304,260 +381,29 @@ interScanU8(const std::uint8_t *mat_t, const bio::Residue *query,
         int col_idx[lanes];
         for (int l = 0; l < lanes; ++l)
             col_idx[l] = slot[l] >= 0
-                ? static_cast<int>(subjects[slot[l]].data[pos[l]])
+                ? static_cast<int>(jobs[slot[l]].data[pos[l]])
                 : num_symbols;
         interGatherColumn<V>(mat_t, col_idx, scratch);
 
         // One DP column for all lanes. F is carried serially down
         // the query, so the recurrence is exact — the inter-sequence
         // arrangement never needs a lazy-F correction.
-        Reg v_f = V::zero();
-        Reg v_diag = V::zero();
         const Reg v_best_in = v_best;
-        for (std::size_t i = 0; i < mm; ++i) {
-            const Reg old_h = h[i];
-            const Reg v_e = V::max(V::subs(e[i], v_ext),
-                                   V::subs(old_h, v_open));
-            Reg v_h = V::subs(
-                V::adds(v_diag, V::load(scratch + qoff[i])),
-                v_bias);
-            v_h = V::max(v_h, v_e);
-            v_h = V::max(v_h, v_f);
-            h[i] = v_h;
-            e[i] = v_e;
-            v_best = V::max(v_best, v_h);
-            v_f = V::max(V::subs(v_f, v_ext),
-                         V::subs(v_h, v_open));
-            v_diag = old_h;
-        }
-
-        // Track, per lane, the column its best last strictly
-        // improved in — the striped kernel's subjectEnd convention,
-        // extracted only on the (self-limiting: at most 255 per
-        // lane) columns where some lane actually improved.
-        if (V::anyGt(v_best, v_best_in)) {
-            std::memcpy(best_now, &v_best, sizeof(Reg));
-            std::memcpy(best_was, &v_best_in, sizeof(Reg));
-            for (int l = 0; l < lanes; ++l) {
-                if (best_now[l] > best_was[l]) {
-                    lane_best[l] = best_now[l];
-                    lane_end[l] = pos[l];
-                }
-            }
-        }
-        for (int l = 0; l < lanes; ++l)
-            pos[l] += slot[l] >= 0 ? 1 : 0;
-    }
-}
-
-
-/**
- * One lane of an anchored pass (interAnchored): the columns the
- * lane runs, in pass order, and where it stops.
- */
-struct InterAnchoredLane
-{
-    const bio::Residue *data;
-    /** Columns at most (> 0). */
-    int length;
-    /** Retire after the first column whose best reaches this (the
-     * lane also retires once it clips). */
-    int stopAt;
-    /** Query row whose diagonal input in the lane's first column
-     * starts at 1 instead of 0 (the anchor seed), or -1. */
-    int seedRow;
-    /** Keep the lane's H column of every improvement of its best,
-     * so the row can be read from the column of the first maximum
-     * rather than the last column the lane ran. */
-    bool snapshot;
-};
-
-/** One anchored lane's outcome, in pass coordinates. */
-struct InterAnchoredResult
-{
-    /** Best H of the columns run (unbiased). */
-    int best = 0;
-    /** First column attaining best, or -1 when best is 0. */
-    int column = -1;
-    /** Smallest row holding best in the snapshot column (with
-     * InterAnchoredLane::snapshot) or the last column run, or -1. */
-    int row = -1;
-};
-
-/**
- * The phase-2 locating passes of the traceback tier, one hit per
- * lane: the recurrence, gather and refill of interScanU8, at 8
- * (unsigned, @p V a U8 type) or 16 bits (signed, an I16 type, with
- * the zero clamp made explicit), plus what locating an alignment
- * needs.
- *
- *  - Early stop: a lane retires after the first column whose best
- *    reaches its stopAt, or clips, or after its last column. An
- *    end-cell locate runs to the end, a reverse pass stops at
- *    score + 1.
- *  - Anchor seed: in a lane's first column, the diagonal input of
- *    row seedRow is 1, so alignments through that cell carry the
- *    bonus. Only columns where some lane starts run the seeded
- *    loop.
- *  - Row: on retirement, the smallest row of the lane's last
- *    column (or, with snapshot, of its snapshot column) holding
- *    the lane's best. On columns where a snapshot lane's best
- *    improved, a lane-masked blend copies those lanes' H column.
- *
- * Both levels add the biased scores of @p mat_t and subtract
- * @p bias, so values are exact below the clip band
- * [max(Elem) - bias, max(Elem)]; a lane whose best enters it is
- * clipped, and its result means nothing beyond that. Jobs should
- * arrive longest first, as for interScanU8.
- *
- * @param query encoded query residues in pass order (the reversed
- *              query for a reverse pass)
- */
-template <class V>
-void
-interAnchored(const std::uint8_t *mat_t, const bio::Residue *query,
-              int m, const InterAnchoredLane *jobs, std::size_t count,
-              int open_cost, int ext_cost, int bias,
-              InterAnchoredResult *results)
-{
-    using Reg = typename V::Reg;
-    using Elem = typename V::Elem;
-    constexpr int lanes = V::lanes;
-    constexpr int num_symbols = bio::Alphabet::numSymbols;
-    constexpr Elem ones = static_cast<Elem>(-1);
-    const int cap = std::numeric_limits<Elem>::max() - bias;
-
-    const Reg v_open = V::splat(static_cast<Elem>(open_cost));
-    const Reg v_ext = V::splat(static_cast<Elem>(ext_cost));
-    const Reg v_bias = V::splat(static_cast<Elem>(bias));
-
-    // Per-query-position state, reused across calls on this thread;
-    // seed stays all zero between columns.
-    thread_local std::vector<Reg> h;
-    thread_local std::vector<Reg> e;
-    thread_local std::vector<Reg> snap;
-    thread_local std::vector<Reg> seed;
-    thread_local std::vector<std::size_t> qoff;
-    const std::size_t mm = static_cast<std::size_t>(m);
-    h.assign(mm, V::zero());
-    e.assign(mm, V::zero());
-    snap.resize(mm);
-    seed.assign(mm, V::zero());
-    qoff.resize(mm);
-    for (std::size_t i = 0; i < mm; ++i)
-        qoff[i] = static_cast<std::size_t>(query[i])
-            * static_cast<std::size_t>(lanes);
-    Elem *const seed_bytes = reinterpret_cast<Elem *>(seed.data());
-
-    int slot[lanes]; // job index per lane, -1 = idle
-    int pos[lanes];  // current column within the job
-    int lane_best[lanes];
-    int lane_end[lanes];
-    bool done[lanes];
-    int seeded[lanes]; // row seeded for this column, or -1
-    alignas(64) Elem mask[lanes];
-    alignas(64) Elem keep[lanes];
-    alignas(64) Elem best_now[lanes];
-    alignas(64) Elem best_was[lanes];
-    alignas(64) Elem scratch[static_cast<std::size_t>(num_symbols)
-                             * static_cast<std::size_t>(lanes)];
-
-    // Put job @p next in lane @p l, arming its seed.
-    const auto start = [&](int l, std::size_t next) {
-        slot[l] = static_cast<int>(next);
-        pos[l] = 0;
-        lane_best[l] = 0;
-        lane_end[l] = -1;
-        done[l] = false;
-        seeded[l] = jobs[next].seedRow;
-        if (seeded[l] >= 0)
-            seed_bytes[static_cast<std::size_t>(seeded[l]) * lanes
-                       + static_cast<std::size_t>(l)] = 1;
-    };
-
-    Reg v_best = V::zero();
-    std::size_t next = 0;
-    for (int l = 0; l < lanes; ++l) {
-        slot[l] = -1;
-        seeded[l] = -1;
-    }
-    for (;;) {
-        // Retire lanes that stopped or ran out, reading each one's
-        // row before the next column zeroes its state, and refill
-        // idle lanes from the queue.
-        bool fresh = false;
-        int active = 0;
-        for (int l = 0; l < lanes; ++l) {
-            mask[l] = ones;
-            if (slot[l] >= 0
-                && (done[l] || pos[l] >= jobs[slot[l]].length)) {
-                const InterAnchoredLane &job = jobs[slot[l]];
-                InterAnchoredResult &r = results[slot[l]];
-                r.best = lane_best[l];
-                r.column = lane_end[l];
-                r.row = -1;
-                const Elem *col = reinterpret_cast<const Elem *>(
-                    job.snapshot ? snap.data() : h.data());
-                for (int i = 0; i < m && lane_best[l] > 0; ++i) {
-                    if (col[static_cast<std::size_t>(i) * lanes
-                            + static_cast<std::size_t>(l)]
-                        == lane_best[l]) {
-                        r.row = i;
-                        break;
-                    }
-                }
-                slot[l] = -1;
-                mask[l] = 0;
-                fresh = true;
-            }
-            if (slot[l] < 0 && next < count) {
-                start(l, next++);
-                mask[l] = 0;
-                fresh = true;
-            }
-            active += slot[l] >= 0 ? 1 : 0;
-        }
-        if (active == 0)
-            break;
-
-        int col_idx[lanes];
-        for (int l = 0; l < lanes; ++l)
-            col_idx[l] = slot[l] >= 0
-                ? static_cast<int>(jobs[slot[l]].data[pos[l]])
-                : num_symbols;
-        interGatherColumn<V>(mat_t, col_idx, scratch);
-
-        // One DP column for all lanes, as in interScanU8. A fresh
-        // column, where lanes retired or started, first zeroes their
-        // H and E as it loads them and adds the seeds to the
-        // diagonal.
-        const Reg v_mask = V::load(mask);
-        if (fresh)
-            v_best = V::band(v_best, v_mask);
-        const Reg v_best_in = v_best;
-        const auto column = [&](auto is_fresh) {
-            constexpr bool refill = decltype(is_fresh)::value;
+        const auto column = [&](auto with_seed) {
             Reg v_f = V::zero();
             Reg v_diag = V::zero();
             for (std::size_t i = 0; i < mm; ++i) {
-                Reg old_h = h[i];
-                Reg old_e = e[i];
+                const Reg old_h = h[i];
                 Reg v_in = v_diag;
-                if constexpr (refill) {
-                    old_h = V::band(old_h, v_mask);
-                    old_e = V::band(old_e, v_mask);
+                if constexpr (decltype(with_seed)::value)
                     v_in = V::adds(v_in, seed[i]);
-                }
-                const Reg v_e = V::max(V::subs(old_e, v_ext),
+                const Reg v_e = V::max(V::subs(e[i], v_ext),
                                        V::subs(old_h, v_open));
                 Reg v_h = V::subs(
                     V::adds(v_in, V::load(scratch + qoff[i])),
                     v_bias);
                 v_h = V::max(v_h, v_e);
                 v_h = V::max(v_h, v_f);
-                // The local zero clamp, implicit in unsigned lanes.
-                if constexpr (std::is_signed_v<Elem>)
-                    v_h = V::max(v_h, V::zero());
                 h[i] = v_h;
                 e[i] = v_e;
                 v_best = V::max(v_best, v_h);
@@ -566,38 +412,51 @@ interAnchored(const std::uint8_t *mat_t, const bio::Residue *query,
                 v_diag = old_h;
             }
         };
-        if (fresh) {
-            column(std::true_type{});
-            for (int l = 0; l < lanes; ++l) {
-                if (seeded[l] >= 0)
-                    seed_bytes[static_cast<std::size_t>(seeded[l])
-                                   * lanes
-                               + static_cast<std::size_t>(l)] = 0;
-                seeded[l] = -1;
+        if constexpr (Anchored) {
+            if (seeding) {
+                column(std::true_type{});
+                for (int l = 0; l < lanes; ++l) {
+                    if (seeded[l] >= 0)
+                        reinterpret_cast<Elem *>(seed)
+                            [static_cast<std::size_t>(seeded[l]) * lanes
+                             + static_cast<std::size_t>(l)] = 0;
+                    seeded[l] = -1;
+                }
+                seeding = false;
+            } else {
+                column(std::false_type{});
             }
         } else {
             column(std::false_type{});
         }
 
-        // Lanes whose best improved: record the column, stop those
-        // that reached their stopAt, and snapshot those that ask.
+        // Track, per lane, the column its best last strictly
+        // improved in, extracted only on the (self-limiting: at most
+        // 255 per lane) columns where some lane actually improved;
+        // an anchored lane also stops there once it reaches its
+        // stopAt, and a snapshot lane keeps that column.
         if (V::anyGt(v_best, v_best_in)) {
             std::memcpy(best_now, &v_best, sizeof(Reg));
             std::memcpy(best_was, &v_best_in, sizeof(Reg));
             bool blend = false;
             for (int l = 0; l < lanes; ++l) {
-                mask[l] = 0;
-                keep[l] = ones;
+                if constexpr (Anchored) {
+                    mask[l] = 0;
+                    keep[l] = ones;
+                }
                 if (best_now[l] <= best_was[l])
                     continue;
-                const InterAnchoredLane &job = jobs[slot[l]];
                 lane_best[l] = best_now[l];
                 lane_end[l] = pos[l];
-                done[l] = lane_best[l] >= std::min(job.stopAt, cap);
-                if (job.snapshot) {
-                    mask[l] = ones;
-                    keep[l] = 0;
-                    blend = true;
+                if constexpr (Anchored) {
+                    const InterAnchoredLane &job = jobs[slot[l]];
+                    done[l] = lane_best[l]
+                        >= std::min(job.stopAt, 255 - bias);
+                    if (job.snapshot) {
+                        mask[l] = ones;
+                        keep[l] = 0;
+                        blend = true;
+                    }
                 }
             }
             if (blend) {

@@ -90,9 +90,8 @@ struct InterAnchoredResult;
  * One hardware backend's kernels, built from its lane types by
  * detail::kernelTable (native_kernels_impl.hh): the striped scan at
  * both ladder levels, the inter-sequence scan and its anchored
- * variant at both levels (the traceback tier's locate and reverse
- * passes, one hit per lane), the banded scan and the traceback
- * rectangle fill.
+ * variant (the traceback tier's locate and reverse passes, one hit
+ * per lane), the banded scan and the traceback rectangle fill.
  */
 struct NativeKernels
 {
@@ -113,14 +112,13 @@ struct NativeKernels
                     const detail::InterSubject *subjects,
                     std::size_t count, int open_cost, int ext_cost,
                     int bias, detail::InterLaneResult *results);
-    /** The anchored inter-sequence passes at 8 and 16 bits. */
-    using InterAnchoredFn = void (*)(
-        const std::uint8_t *mat_t, const bio::Residue *query, int m,
-        const detail::InterAnchoredLane *jobs, std::size_t count,
-        int open_cost, int ext_cost, int bias,
-        detail::InterAnchoredResult *results);
-    InterAnchoredFn interAnchoredU8;
-    InterAnchoredFn interAnchoredI16;
+    /** The anchored inter-sequence passes, at 8 bits. */
+    void (*interAnchoredU8)(const std::uint8_t *mat_t,
+                            const bio::Residue *query, int m,
+                            const detail::InterAnchoredLane *jobs,
+                            std::size_t count, int open_cost,
+                            int ext_cost, int bias,
+                            detail::InterAnchoredResult *results);
     LocalScore (*bandedI16)(const std::int16_t *profile,
                             std::size_t stride, int m,
                             const bio::Residue *subject, int n,

@@ -123,6 +123,7 @@ stripedScanImpl(const typename V::Elem *profile, int seg,
         V::splat(static_cast<Elem>(pass.seed)),
         V::shiftInZero(V::splat(static_cast<Elem>(pass.seed))));
     const Elem stop_at = static_cast<Elem>(pass.stopAt);
+    const int clip = std::numeric_limits<Elem>::max() - bias;
 
     // Reused across scans on this thread: the serving engine calls
     // this once per database subject, and for the short-subject
@@ -267,6 +268,12 @@ stripedScanImpl(const typename V::Elem *profile, int seg,
                     copyColumn(pass.snapshot, h_store, seg);
                 break;
             }
+        }
+        // A locating pass that clips is rerun a ladder level up, so
+        // its remaining columns would be wasted.
+        if constexpr ((Opts & snapshotColumn) != 0) {
+            if (best >= clip)
+                break;
         }
     }
     return {best, best_column};

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "align/sw_intersequence_native_impl.hh"
+#include "align/sw_intersequence_native.hh"
 #include "bio/alphabet.hh"
 #include "hirschberg.hh"
 
@@ -342,76 +342,48 @@ setEnd(CigarAlignment &out, const LocalScore &loc,
         std::max(work.peakCells, stripedLiveCells(loc.queryEnd + 1));
 }
 
-/** Values of the anchored lanes at @p level (0: 8 bits, 1: 16)
- * are exact below this. */
-int
-laneCap(const NativeQueryProfile &profile, int level)
+/** Whether a pass whose best reaches @p reach stays below the clip
+ * band of the 8-bit lanes. */
+bool
+lanesHold(const NativeQueryProfile &profile, int reach)
 {
-    return (level == 0 ? 255 : 32767) - profile.bias();
-}
-
-/** The lowest lane level whose values stay below @p cap_use, from
- * @p first up; 2 when none does. */
-int
-levelFor(const NativeQueryProfile &profile, int first, int cap_use)
-{
-    int level = first;
-    while (level < 2 && cap_use >= laneCap(profile, level))
-        ++level;
-    return level;
+    return reach < 255 - profile.bias();
 }
 
 /**
- * Run @p jobs through the anchored lanes, job k from level[k] up,
- * longest first at each level: a lane that clips moves up a level,
- * as does a job alone at its level. settled[k] says whether a lane
- * settled job k (results[k] is then its outcome); the others,
- * level[k] == 2, take the striped ladder.
+ * Run @p jobs through the anchored 8-bit lanes, longest first, when
+ * there are two or more. settled[k] says whether job k's lane ended
+ * below the clip band (results[k] is then its outcome); the other
+ * jobs take the striped ladder.
  */
 void
-climbLanes(const NativeQueryProfile &profile, const bio::Residue *query,
-           const bio::GapPenalties &gaps,
-           const std::vector<detail::InterAnchoredLane> &jobs,
-           std::vector<int> &level,
-           std::vector<detail::InterAnchoredResult> &results,
-           std::vector<char> &settled)
+runLanes(const NativeQueryProfile &profile, const bio::Residue *query,
+         const bio::GapPenalties &gaps,
+         const std::vector<detail::InterAnchoredLane> &jobs,
+         std::vector<detail::InterAnchoredResult> &results,
+         std::vector<char> &settled)
 {
     thread_local std::vector<std::uint32_t> order;
     thread_local std::vector<detail::InterAnchoredLane> lane_jobs;
     thread_local std::vector<detail::InterAnchoredResult> lane_out;
     results.assign(jobs.size(), {});
     settled.assign(jobs.size(), 0);
-    for (int lv = 0; lv < 2; ++lv) {
-        order.clear();
-        for (std::size_t k = 0; k < jobs.size(); ++k)
-            if (level[k] == lv)
-                order.push_back(static_cast<std::uint32_t>(k));
-        if (order.size() < 2) {
-            for (const std::uint32_t k : order)
-                level[k] = lv + 1;
-            continue;
-        }
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                             return jobs[a].length > jobs[b].length;
-                         });
-        lane_jobs.resize(order.size());
-        for (std::size_t t = 0; t < order.size(); ++t)
-            lane_jobs[t] = jobs[order[t]];
-        lane_out.assign(order.size(), {});
-        const NativeKernels *k = profile.kernels();
-        (lv == 0 ? k->interAnchoredU8 : k->interAnchoredI16)(
-            profile.interMatrix(), query, profile.queryLength(),
-            lane_jobs.data(), lane_jobs.size(), gaps.openCost(),
-            gaps.extendCost(), profile.bias(), lane_out.data());
-        const int cap = laneCap(profile, lv);
-        for (std::size_t t = 0; t < order.size(); ++t) {
-            if (lane_out[t].best >= cap) {
-                level[order[t]] = lv + 1;
-            } else {
-                results[order[t]] = lane_out[t];
-                settled[order[t]] = 1;
-            }
+    if (jobs.size() < 2)
+        return;
+    detail::longestFirst(
+        jobs.size(), [&](std::size_t k) { return jobs[k].length; }, order);
+    lane_jobs.resize(order.size());
+    for (std::size_t t = 0; t < order.size(); ++t)
+        lane_jobs[t] = jobs[order[t]];
+    lane_out.assign(order.size(), {});
+    profile.kernels()->interAnchoredU8(
+        profile.interMatrix(), query, profile.queryLength(),
+        lane_jobs.data(), lane_jobs.size(), gaps.openCost(),
+        gaps.extendCost(), profile.bias(), lane_out.data());
+    for (std::size_t t = 0; t < order.size(); ++t) {
+        if (lanesHold(profile, lane_out[t].best)) {
+            results[order[t]] = lane_out[t];
+            settled[order[t]] = 1;
         }
     }
 }
@@ -457,6 +429,18 @@ nativeLocalAlign(const NativeQueryProfile &profile,
     return out;
 }
 
+bool
+nativeAlignFitsLanes(const NativeQueryProfile &profile,
+                     const bio::GapPenalties &gaps, int score)
+{
+    // The lanes read the biased byte matrix (hasU8).
+    const int open_cost = gaps.openCost();
+    const int ext_cost = gaps.extendCost();
+    return profile.hasU8() && open_cost >= 0 && ext_cost >= 0
+        && open_cost <= 255 && ext_cost <= 255
+        && lanesHold(profile, score + 1);
+}
+
 void
 nativeLocalAlignBatch(const NativeQueryProfile &profile,
                       const NativeAlignHit *hits, std::size_t count,
@@ -464,24 +448,17 @@ nativeLocalAlignBatch(const NativeQueryProfile &profile,
                       TracebackStats *stats)
 {
     const int m = profile.queryLength();
-    const int open_cost = gaps.openCost();
-    const int ext_cost = gaps.extendCost();
-    // The lanes read the biased byte matrix (hasU8); 16-bit lanes
-    // take gap costs up to 32767, 8-bit ones up to 255.
-    if (count < 2 || m == 0 || !profile.hasU8() || open_cost < 0
-        || ext_cost < 0 || open_cost > 32767 || ext_cost > 32767) {
+    if (count < 2 || m == 0 || !nativeAlignFitsLanes(profile, gaps, 0)) {
         for (std::size_t i = 0; i < count; ++i)
             out[i] = nativeLocalAlign(profile, hits[i].subject,
                                       hits[i].length, gaps, hits[i].end,
                                       stats);
         return;
     }
-    const int first_level = open_cost <= 255 && ext_cost <= 255 ? 0 : 1;
 
     TracebackStats work;
     thread_local std::vector<detail::InterAnchoredLane> jobs;
     thread_local std::vector<detail::InterAnchoredResult> results;
-    thread_local std::vector<int> level;
     thread_local std::vector<char> settled;
     thread_local std::vector<std::size_t> job_hit;
     thread_local std::vector<LocalScore> loc;
@@ -502,10 +479,14 @@ nativeLocalAlignBatch(const NativeQueryProfile &profile,
     const auto hinted = [&](std::size_t i) {
         return s_known(i) && hits[i].end.score > 0;
     };
+    const auto locate_striped = [&](std::size_t i) {
+        return swStripedLocate(profile, hits[i].subject, cols_of(i), gaps,
+                               hinted(i) ? hits[i].end.score : 0);
+    };
 
-    // (a) End cells: one lane per hit.
+    // (a) End cells: one lane per hit, but a hit whose hint already
+    // clips the lanes goes straight to the striped ladder.
     jobs.clear();
-    level.clear();
     job_hit.clear();
     for (std::size_t i = 0; i < count; ++i) {
         const NativeAlignHit &hit = hits[i];
@@ -519,15 +500,16 @@ nativeLocalAlignBatch(const NativeQueryProfile &profile,
         const std::size_t cols = cols_of(i);
         work.totalCells += static_cast<std::uint64_t>(m) * cols;
         work.peakCells = std::max(work.peakCells, stripedLiveCells(m));
+        if (hinted(i) && !lanesHold(profile, hit.end.score + 1)) {
+            loc[i] = locate_striped(i);
+            continue;
+        }
         jobs.push_back({hit.subject, static_cast<int>(cols),
                         std::numeric_limits<int>::max(), -1, !hinted(i)});
-        level.push_back(hinted(i)
-                            ? levelFor(profile, first_level, hit.end.score)
-                            : first_level);
         job_hit.push_back(i);
     }
     const bio::Residue *query = profile.query().residues().data();
-    climbLanes(profile, query, gaps, jobs, level, results, settled);
+    runLanes(profile, query, gaps, jobs, results, settled);
     for (std::size_t k = 0; k < jobs.size(); ++k) {
         const std::size_t i = job_hit[k];
         const detail::InterAnchoredResult &r = results[k];
@@ -537,44 +519,46 @@ nativeLocalAlignBatch(const NativeQueryProfile &profile,
             || (hinted(i)
                 && (r.best != hits[i].end.score
                     || r.column != jobs[k].length - 1 || r.row < 0)))
-            loc[i] = swStripedLocate(profile, hits[i].subject,
-                                     cols_of(i), gaps,
-                                     hinted(i) ? hits[i].end.score : 0);
+            loc[i] = locate_striped(i);
         else
             loc[i] = {r.best, r.row, r.column};
     }
 
     // (b) Begin cells: the anchored reverse pass over the reversed
-    // query, one lane per hit, each over its reversed subject prefix
-    // with the seed at its end row.
+    // query, one lane per hit whose score + 1 fits, each over its
+    // reversed subject prefix with the seed at its end row.
     thread_local std::vector<bio::Residue> rev_query;
     thread_local std::vector<bio::Residue> rev_subjects;
     rev_query.assign(query, query + m);
     std::reverse(rev_query.begin(), rev_query.end());
+    const auto reverse_lane = [&](std::size_t i) {
+        return loc[i].score > 0 && lanesHold(profile, loc[i].score + 1);
+    };
     std::size_t rev_total = 0;
     for (std::size_t i = 0; i < count; ++i)
-        if (loc[i].score > 0)
+        if (reverse_lane(i))
             rev_total += static_cast<std::size_t>(loc[i].subjectEnd) + 1;
     rev_subjects.resize(rev_total);
     jobs.clear();
-    level.clear();
     job_hit.clear();
     std::size_t rev_at = 0;
     for (std::size_t i = 0; i < count; ++i) {
         if (loc[i].score <= 0)
             continue;
         setEnd(out[i], loc[i], work);
+        if (!reverse_lane(i)) {
+            beginStriped(profile, hits[i].subject, gaps, out[i], work);
+            continue;
+        }
         const int cols = loc[i].subjectEnd + 1;
         bio::Residue *rev = rev_subjects.data() + rev_at;
         std::reverse_copy(hits[i].subject, hits[i].subject + cols, rev);
         rev_at += static_cast<std::size_t>(cols);
         jobs.push_back({rev, cols, loc[i].score + 1,
                         m - 1 - loc[i].queryEnd, false});
-        level.push_back(levelFor(profile, first_level, loc[i].score + 1));
         job_hit.push_back(i);
     }
-    climbLanes(profile, rev_query.data(), gaps, jobs, level, results,
-               settled);
+    runLanes(profile, rev_query.data(), gaps, jobs, results, settled);
     for (std::size_t k = 0; k < jobs.size(); ++k) {
         CigarAlignment &aln = out[job_hit[k]];
         const detail::InterAnchoredResult &r = results[k];
@@ -595,14 +579,6 @@ nativeLocalAlignBatch(const NativeQueryProfile &profile,
             traceRectangle(profile, hits[i].subject, gaps, out[i], work);
     if (stats != nullptr)
         *stats += work;
-}
-
-std::size_t
-nativeAlignGroup(const NativeQueryProfile &profile)
-{
-    return profile.hasU8()
-        ? 4 * static_cast<std::size_t>(profile.kernels()->lanesU8)
-        : 1;
 }
 
 CigarAlignment

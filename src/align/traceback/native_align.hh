@@ -130,12 +130,17 @@ void nativeLocalAlignBatch(const NativeQueryProfile &profile,
                            TracebackStats *stats = nullptr);
 
 /**
- * The most hits one nativeLocalAlignBatch call should take: four per
- * 8-bit lane, so the refill keeps the lanes busy until the drain of
- * each pass (1 for a profile without lanes). Callers split a longer
- * hit list into even groups of at most this many.
+ * Whether nativeLocalAlignBatch runs steps 1 and 2 of a hit scoring
+ * @p score in its lanes (when the hit shares the call with another
+ * one): the profile has 8-bit lanes, the gap costs fit a byte, and
+ * score + 1 stays below the lanes' clip band. A hit that does not
+ * fit takes the striped passes whatever its group, so a caller
+ * sharing hits out over workers can trace it on its own. For a hit
+ * without an end hint (FASTA), @p score is a guess; a wrong one
+ * costs time, never a different alignment.
  */
-std::size_t nativeAlignGroup(const NativeQueryProfile &profile);
+bool nativeAlignFitsLanes(const NativeQueryProfile &profile,
+                          const bio::GapPenalties &gaps, int score);
 
 namespace detail
 {

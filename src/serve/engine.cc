@@ -444,81 +444,96 @@ Engine::runBatch(const Request *requests, std::size_t count,
     // Phase 4: traceback reporting. Strictly after the merge, so
     // the ranked hit list (ids, scores, order) is already final —
     // reporting can only attach alignments, never perturb phase 1.
-    // One task per (hit list, group of up to tracebackGroup() hits
-    // in rank order), shared by the members carrying that list; each
-    // writes its preallocated slots, so the schedule cannot reorder
-    // anything. The deadline checks sit before each group, mirroring
-    // the per-shard checks of phase 2: the task runs while any
-    // sharer is live, and a lapsed deadline skips whole groups.
+    // Each task traces a run of an owner's slots and is shared by
+    // the members carrying that list; it writes its preallocated
+    // slots, so the schedule cannot reorder anything. A list's hits
+    // that trace in the native lanes (PreparedQuery::tracesInLanes)
+    // come first among its slots and form its groups: one per list,
+    // or, when the batch holds fewer such lists than pool workers,
+    // up to enough to give each worker one, each at least a lane's
+    // worth of hits. Every other hit (BLAST's, those that clip the
+    // lanes) is a task of its own, queued after the groups, so the
+    // short tasks fill the tail of the phase. The deadline checks
+    // sit before each task, mirroring the per-shard checks of
+    // phase 2: the task runs while any sharer is live, and a lapsed
+    // deadline skips whole groups.
     struct TraceTask
     {
         std::size_t owner;
-        std::size_t first; ///< first hit of the group
+        std::size_t first; ///< first slot
         std::size_t count;
     };
-    std::vector<TraceTask> trace_tasks;
-    // Per reporting member, one deadline-skip flag per hit, from
-    // trace_base[r]; alignments of the owner's hit h at
-    // aln_base[owner] + h.
+    // The owner's hit index of each slot; owner r's slots start at
+    // slot_base[r]. Per reporting member, one deadline-skip flag per
+    // slot of its list, from trace_base[r].
+    std::vector<std::size_t> slot_hit;
+    std::vector<std::size_t> single;
+    std::vector<std::size_t> slot_base(count, 0);
+    std::vector<std::size_t> lane_hits(count, 0);
     std::vector<std::size_t> trace_base(count, 0);
-    std::vector<std::size_t> aln_base(count, 0);
     std::size_t trace_flags = 0;
-    std::size_t aln_slots = 0;
+    std::size_t lane_lists = 0;
     for (std::size_t r = 0; r < count; ++r) {
         const PreparedQuery *pq = prepared[groups[group_of[r]].prep].get();
         if (!requests[r].reportAlignments || pq == nullptr)
             continue;
-        const std::size_t hits = out[r].hits.size();
-        out[r].alignments.resize(hits);
+        const std::vector<align::SearchHit> &hits = out[r].hits;
+        out[r].alignments.resize(hits.size());
         trace_base[r] = trace_flags;
-        trace_flags += hits;
+        trace_flags += hits.size();
         if (list_owner[r] != r)
             continue;
-        aln_base[r] = aln_slots;
-        aln_slots += hits;
-        // Even groups of at most tracebackGroup() hits.
-        const std::size_t cap = pq->tracebackGroup();
-        const std::size_t tasks = (hits + cap - 1) / cap;
+        slot_base[r] = slot_hit.size();
+        single.clear();
+        for (std::size_t h = 0; h < hits.size(); ++h)
+            (pq->tracesInLanes(hits[h]) ? slot_hit : single).push_back(h);
+        lane_hits[r] = slot_hit.size() - slot_base[r];
+        slot_hit.insert(slot_hit.end(), single.begin(), single.end());
+        lane_lists += lane_hits[r] >= 2 ? 1 : 0;
+    }
+    std::vector<TraceTask> trace_tasks;
+    for (std::size_t r = 0; r < count; ++r) {
+        const std::size_t n = lane_hits[r];
+        if (list_owner[r] != r || n < 2)
+            continue;
+        const std::size_t lanes =
+            prepared[groups[group_of[r]].prep]->tracebackLanes();
+        const std::size_t spread =
+            (_pool.size() + lane_lists - 1) / lane_lists;
+        const std::size_t tasks =
+            std::max<std::size_t>(1, std::min(spread, n / lanes));
         for (std::size_t t = 0; t < tasks; ++t) {
-            const std::size_t first = hits * t / tasks;
-            trace_tasks.push_back(
-                TraceTask{r, first, hits * (t + 1) / tasks - first});
+            const std::size_t first = n * t / tasks;
+            trace_tasks.push_back(TraceTask{
+                r, slot_base[r] + first, n * (t + 1) / tasks - first});
         }
     }
-    // Largest groups first, by their locate cells, and single hits
-    // last: the pool's workers run their queues front to back, so
-    // the small tasks fill the tail instead of a large one starting
-    // late.
-    const auto group_cells = [&](const TraceTask &task) {
-        if (task.count < 2)
-            return std::uint64_t{0};
-        std::uint64_t residues = 0;
-        for (std::size_t h = task.first; h < task.first + task.count; ++h)
-            residues += db[out[task.owner].hits[h].dbIndex].length();
-        return residues * requests[task.owner].query.length();
-    };
-    std::vector<std::uint64_t> task_cost;
-    for (const TraceTask &task : trace_tasks)
-        task_cost.push_back(group_cells(task));
-    std::vector<std::size_t> task_order(trace_tasks.size());
-    for (std::size_t i = 0; i < task_order.size(); ++i)
-        task_order[i] = i;
-    std::stable_sort(task_order.begin(), task_order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return task_cost[a] > task_cost[b];
-                     });
+    for (std::size_t r = 0; r < count; ++r) {
+        if (list_owner[r] != r)
+            continue;
+        for (std::size_t k = lane_hits[r] >= 2 ? lane_hits[r] : 0;
+             k < out[r].alignments.size(); ++k)
+            trace_tasks.push_back(TraceTask{r, slot_base[r] + k, 1});
+    }
     std::uint64_t traceback_cells = 0;
     std::uint64_t alignments_traced = 0;
     std::uint64_t tracebacks_skipped = 0;
     if (!trace_tasks.empty()) {
-        std::vector<align::CigarAlignment> aln(aln_slots);
+        std::vector<align::SearchHit> slot_hits(slot_hit.size());
+        for (const TraceTask &task : trace_tasks)
+            for (std::size_t k = task.first; k < task.first + task.count;
+                 ++k)
+                slot_hits[k] = out[task.owner].hits[slot_hit[k]];
+        std::vector<align::CigarAlignment> aln(slot_hit.size());
         std::vector<align::TracebackStats> task_stats(
             trace_tasks.size());
         std::vector<double> task_us(trace_tasks.size(), 0.0);
         std::vector<char> task_skipped(trace_tasks.size(), 0);
         std::vector<char> trace_skipped(trace_flags, 0);
-        _pool.parallelFor(trace_tasks.size(), [&](std::size_t t) {
-            const std::size_t i = task_order[t];
+        const auto flag = [&](std::size_t r, const TraceTask &task) {
+            return trace_base[r] + task.first - slot_base[task.owner];
+        };
+        _pool.parallelFor(trace_tasks.size(), [&](std::size_t i) {
             const TraceTask &task = trace_tasks[i];
             const Group &grp = groups[group_of[task.owner]];
             bool live = false;
@@ -526,8 +541,7 @@ Engine::runBatch(const Request *requests, std::size_t count,
                 if (list_owner[r] != task.owner)
                     continue;
                 const bool expired = control.expired(r);
-                std::fill_n(&trace_skipped[trace_base[r] + task.first],
-                            task.count, expired ? 1 : 0);
+                trace_skipped[flag(r, task)] = expired ? 1 : 0;
                 live = live || !expired;
             }
             if (!live) {
@@ -535,10 +549,9 @@ Engine::runBatch(const Request *requests, std::size_t count,
                 return;
             }
             const WallClock::time_point t0 = WallClock::now();
-            prepared[grp.prep]->traceback(
-                db, &out[task.owner].hits[task.first], task.count,
-                &aln[aln_base[task.owner] + task.first],
-                &task_stats[i]);
+            prepared[grp.prep]->traceback(db, &slot_hits[task.first],
+                                          task.count, &aln[task.first],
+                                          &task_stats[i]);
             task_us[i] = elapsedUs(t0, WallClock::now());
             _mTracebackUs->record(task_us[i]);
         });
@@ -556,12 +569,13 @@ Engine::runBatch(const Request *requests, std::size_t count,
                 if (list_owner[r] != task.owner)
                     continue;
                 Response &resp = out[r];
-                if (trace_skipped[trace_base[r] + task.first]) {
+                if (trace_skipped[flag(r, task)]) {
                     resp.tracebacksSkipped += task.count;
                     continue;
                 }
-                std::copy_n(&aln[aln_base[task.owner] + task.first],
-                            task.count, &resp.alignments[task.first]);
+                for (std::size_t k = task.first;
+                     k < task.first + task.count; ++k)
+                    resp.alignments[slot_hit[k]] = aln[k];
                 resp.tracebackCells += task_stats[i].totalCells;
                 if (!timed) {
                     resp.tracebackUs += task_us[i];

@@ -65,9 +65,10 @@ namespace bioarch::serve
  * as skipped (Response::shardsSkipped), and the scan itself is
  * skipped once every request sharing it has expired —
  * cancellation at shard-scan granularity. Tracebacks are checked
- * the same way, once per group of hits traced together
- * (PreparedQuery::tracebackGroup): a lapsed deadline skips whole
- * groups, and Response::tracebacksSkipped counts their hits.
+ * the same way, once per phase-4 task: a group of a list's hits
+ * traced together in the native lanes (PreparedQuery::
+ * tracesInLanes), or a single hit. A lapsed deadline skips whole
+ * tasks, and Response::tracebacksSkipped counts their hits.
  */
 struct BatchControl
 {

@@ -98,10 +98,19 @@ PreparedQuery::scan(const bio::Sequence &subject,
     }
 }
 
-std::size_t
-PreparedQuery::tracebackGroup() const
+bool
+PreparedQuery::tracesInLanes(const align::SearchHit &hit) const
 {
-    return _native != nullptr ? align::nativeAlignGroup(*_native) : 1;
+    return _native != nullptr
+        && align::nativeAlignFitsLanes(*_native, _gaps, hit.score);
+}
+
+std::size_t
+PreparedQuery::tracebackLanes() const
+{
+    return _native != nullptr && _native->hasU8()
+        ? static_cast<std::size_t>(_native->kernels()->lanesU8)
+        : 0;
 }
 
 void

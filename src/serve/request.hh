@@ -214,12 +214,17 @@ class PreparedQuery
                     align::NativeScanStats *stats = nullptr) const;
 
     /**
-     * The most hits phase 4 should hand traceback() at once:
-     * align::nativeAlignGroup of the native profile, whose kernel
-     * locates one hit per lane, and 1 for the kinds without one
-     * (BLAST, BLASTN, the Scalar backend).
+     * Whether traceback() locates @p hit in the lanes of the
+     * anchored inter-sequence kernel when it shares the call with
+     * other such hits (align::nativeAlignFitsLanes): false for the
+     * kinds without a native profile (BLAST, BLASTN), on the Scalar
+     * backend, and for a hit whose score clips the 8-bit lanes.
+     * Phase 4 traces those hits one per task.
      */
-    std::size_t tracebackGroup() const;
+    bool tracesInLanes(const align::SearchHit &hit) const;
+
+    /** Lanes of the kernel tracesInLanes() hits share, or 0. */
+    std::size_t tracebackLanes() const;
 
     /**
      * Phase-2 traceback of @p count ranked hits into @p out: the
@@ -227,7 +232,9 @@ class PreparedQuery
      * Smith-Waterman kinds and FASTA run
      * align::nativeLocalAlignBatch, which locates each alignment's
      * rectangle in the lanes of the anchored inter-sequence kernel,
-     * one hit per lane, and traces only that rectangle. The SW
+     * one hit per lane (tracesInLanes(); a lone hit and the hits
+     * that clip the lanes take the striped passes), and traces only
+     * that rectangle. The SW
      * kinds hand it the scan's score and end column, so a lane
      * reads only that prefix; the score stays bit-identical to the
      * ranked SW score. FASTA ranks by the heuristic

@@ -340,11 +340,14 @@ TEST(TwoPhase, DeadlineCoversTracebackPhase)
     }
 
     // A deadline that lapses in the middle of phase 2 skips whole
-    // groups of hits: every group is traced exactly as without a
-    // deadline, or skipped, and each member counts its skipped hits
-    // one by one. One worker and a clock that ticks once per reading
-    // put the lapse at a reproducible check: half-way through the
-    // checks phase 2 adds to those of phase 1.
+    // groups of hits: each list's hits that trace in the native
+    // lanes are one group (one worker, more lists than workers) and
+    // every other hit is a group of its own; every group is traced
+    // exactly as without a deadline, or skipped, and each member
+    // counts its skipped hits one by one. One worker and a clock
+    // that ticks once per reading put the lapse at a reproducible
+    // check: half-way through the checks phase 2 adds to those of
+    // phase 1.
     const bio::SequenceDatabase db = bio::makeDefaultDatabase(300);
     std::vector<serve::Request> requests;
     const kernels::Workload kinds[] = {kernels::Workload::Ssearch34,
@@ -409,21 +412,27 @@ TEST(TwoPhase, DeadlineCoversTracebackPhase)
         ASSERT_EQ(got.alignments.size(), n);
         const align::NativeQueryProfile profile(
             requests[i].query, bio::blosum62(), cfg.backend);
-        const std::size_t cap = align::nativeAlignGroup(profile);
-        const std::size_t count = (n + cap - 1) / cap;
+        std::vector<std::vector<std::size_t>> task_hits(1);
+        for (std::size_t h = 0; h < n; ++h) {
+            if (align::nativeAlignFitsLanes(profile, cfg.gaps,
+                                            got.hits[h].score))
+                task_hits[0].push_back(h);
+            else
+                task_hits.push_back({h});
+        }
+        ASSERT_GE(task_hits[0].size(), 2u) << "req " << i;
+        ASSERT_GT(task_hits.size(), 1u) << "req " << i;
         std::uint64_t traced = 0;
         std::uint64_t skipped = 0;
-        for (std::size_t g = 0; g < count; ++g) {
-            const std::size_t first = n * g / count;
-            const std::size_t last = n * (g + 1) / count;
+        for (std::size_t g = 0; g < task_hits.size(); ++g) {
             bool same = true;
             bool empty = true;
-            for (std::size_t h = first; h < last; ++h) {
+            for (const std::size_t h : task_hits[g]) {
                 same = same && got.alignments[h] == want.alignments[h];
                 empty = empty && got.alignments[h].empty();
             }
             EXPECT_TRUE(same || empty) << "req " << i << " group " << g;
-            (same ? traced : skipped) += last - first;
+            (same ? traced : skipped) += task_hits[g].size();
             ++(same ? groups_traced : groups_skipped);
         }
         EXPECT_EQ(got.tracebacksSkipped, skipped) << "req " << i;

@@ -32,7 +32,7 @@
 #include "align/blast.hh"
 #include "align/blastn.hh"
 #include "align/smith_waterman.hh"
-#include "align/sw_intersequence_native_impl.hh"
+#include "align/sw_intersequence_native.hh"
 #include "align/sw_striped_native.hh"
 #include "align/traceback/banded_extend.hh"
 #include "align/traceback/cigar.hh"
@@ -821,10 +821,9 @@ TEST(NativeAlignParity, FamilyDigestIsPinned)
 }
 
 /**
- * The anchored lane kernels of every hardware backend, at 8 and 16
- * bits, find the same end and begin cells as the striped passes
- * (swStripedLocate, swStripedBeginCell), lane by lane, or flag the
- * lane as clipped: mixed-length groups of 1,
+ * The anchored lane kernel of every hardware backend finds the same
+ * end and begin cells as the striped passes (swStripedLocate,
+ * swStripedBeginCell), lane by lane, or flags the lane as clipped: mixed-length groups of 1,
  * lanes - 1 (an idle lane) and lanes + 1 (a refill) hits, in no
  * particular order, with zero-score, length-1 and 8-bit-clipping
  * subjects, hinted and unhinted end cells, and the equal-scoring
@@ -838,17 +837,14 @@ TEST(NativeAlign, AnchoredLanesMatchStripedPasses)
     const bio::Sequence zero("Z", "", std::string(30, 'X'));
     int clipped = 0;
     int checked_begin = 0;
-    int checked_wide = 0;
 
-    const auto run_level = [&](const NativeQueryProfile &profile,
+    const auto run_group = [&](const NativeQueryProfile &profile,
                                const std::vector<bio::Sequence> &subjects,
-                               const bio::GapPenalties &gaps, bool wide,
+                               const bio::GapPenalties &gaps,
                                const std::string &ctx) {
-        const NativeKernels::InterAnchoredFn kernel = wide
-            ? profile.kernels()->interAnchoredI16
-            : profile.kernels()->interAnchoredU8;
+        const auto kernel = profile.kernels()->interAnchoredU8;
         const int m = profile.queryLength();
-        const int cap = (wide ? 32767 : 255) - profile.bias();
+        const int cap = 255 - profile.bias();
         const bio::Residue *query = profile.query().residues().data();
 
         // End cells: even subjects hinted by their scan, odd ones not.
@@ -876,7 +872,7 @@ TEST(NativeAlign, AnchoredLanesMatchStripedPasses)
             const std::string at = ctx + " lane " + std::to_string(i);
             if (want[i].score >= cap) {
                 EXPECT_GE(got[i].best, cap) << at;
-                clipped += wide ? 0 : 1;
+                ++clipped;
                 continue;
             }
             ASSERT_EQ(got[i].best, want[i].score) << at;
@@ -921,17 +917,7 @@ TEST(NativeAlign, AnchoredLanesMatchStripedPasses)
             EXPECT_EQ(m - 1 - rev[k2].row, q_begin) << at;
             EXPECT_EQ(end.subjectEnd - rev[k2].column, s_begin) << at;
             ++checked_begin;
-            checked_wide += wide && end.score + 1 >= 255 - profile.bias();
         }
-    };
-    // Each group at both lane widths: the 8-bit lanes clip where
-    // the 16-bit ones settle.
-    const auto run_group = [&](const NativeQueryProfile &profile,
-                               const std::vector<bio::Sequence> &subjects,
-                               const bio::GapPenalties &gaps,
-                               const std::string &ctx) {
-        run_level(profile, subjects, gaps, false, ctx + " u8");
-        run_level(profile, subjects, gaps, true, ctx + " i16");
     };
 
     for (const SimdBackend backend : runnableBackends()) {
@@ -1011,7 +997,6 @@ TEST(NativeAlign, AnchoredLanesMatchStripedPasses)
     }
     EXPECT_GT(clipped, 10);
     EXPECT_GT(checked_begin, 100);
-    EXPECT_GT(checked_wide, 10);
 }
 
 TEST(BandedExtend, ScoreMatchesScoreOnlyBandedScan)
